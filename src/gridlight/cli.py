@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,23 +22,24 @@ from .harness.config import (
     default_experiment,
 )
 from .harness.runners import (
+    adapt_stage,
     baseline_controller,
+    collect_source_datasets,
+    dist_config_for,
     evaluate_controller,
-    modular_pipeline,
+    evaluate_planner,
+    meta_train_stage,
+    metrics_row,
     run_ablation,
     run_complexity_sweep,
     run_data_volume_curve,
     run_main,
     run_offline_case,
     run_source_selection,
+    stage_seeds,
     value_config_for,
-    dist_config_for,
-    collect_source_datasets,
 )
-from .meta import adapt as adapt_models
-from .meta import maml_train, run_episode
-from .planner import DynamicsModel, PlannerController, PolicyConfig, default_dynamics_net
-from .scenario import EnvFactory
+from .planner import DynamicsModel
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -63,11 +64,7 @@ def _cmd_simulate(args) -> int:
     for seed in cfg.seeds:
         ctrl = baseline_controller(method, np.random.default_rng([seed, 3]))
         m = evaluate_controller(cfg.target, ctrl, seed)
-        rows.append({
-            "scenario": cfg.target.name, "seed": seed, "method": method,
-            "avg_travel_time": m.avg_travel_time_s,
-            "avg_queue_length": m.avg_queue_length,
-        })
+        rows.append(metrics_row(cfg.target, seed, method, m))
         print(f"{cfg.target.name} seed={seed} {method}: "
               f"travel={m.avg_travel_time_s:.2f}s "
               f"queue={m.avg_queue_length:.3f}")
@@ -77,8 +74,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_collect(args) -> int:
     cfg = _load_config(args)
-    seed_seq = np.random.SeedSequence([cfg.seeds[0], 17])
-    datasets = collect_source_datasets(cfg, seed_seq)
+    datasets = collect_source_datasets(cfg,
+                                       stage_seeds(cfg.seeds[0])["collect"])
     for ds in datasets:
         path = Path(cfg.out_dir) / "datasets" / f"{ds.city_id}.jsonl"
         io.save_dataset(path, ds)
@@ -89,19 +86,13 @@ def _cmd_collect(args) -> int:
 def _cmd_meta_train(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    seed_seq = np.random.SeedSequence([seed, 17])
-    datasets = collect_source_datasets(cfg, seed_seq)
-    lanes = cfg.target.network.lanes_per_intersection
-    n_grids = cfg.target.network.state_grids
-    g0 = DynamicsModel(default_dynamics_net(lanes, n_grids, cfg.dyn_hidden,
-                                            seed=seed), lanes, n_grids)
-    phi = maml_train(datasets, cfg.maml, g0, dist_config_for(cfg, cfg.target),
-                     seed)
+    g0, phi = meta_train_stage(cfg, seed)
     path = Path(cfg.out_dir) / "meta" / "initialization.json"
     io.save_checkpoint(
-        path, None, DynamicsModel(g0.net.with_params(phi), lanes, n_grids),
-        value_params=vars_dict(value_config_for(cfg, cfg.target)),
-        dist_params=vars_dict(dist_config_for(cfg, cfg.target)),
+        path, None, DynamicsModel(g0.net.with_params(phi), g0.lanes,
+                                  g0.state_grids),
+        value_params=asdict(value_config_for(cfg, cfg.target)),
+        dist_params=asdict(dist_config_for(cfg, cfg.target)),
         policy_params={"epsilon": cfg.adapt.epsilon0,
                        "candidate_mode": "CONSTANT"},
         provenance={"source_cities": [s.name for s in cfg.sources],
@@ -110,32 +101,22 @@ def _cmd_meta_train(args) -> int:
     return 0
 
 
-def vars_dict(obj) -> dict:
-    return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
-
-
 def _cmd_adapt(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
     ck = io.load_checkpoint(args.checkpoint)
-    factory = EnvFactory(cfg.target)
-    estimator, dynamics = adapt_models(
-        ck["dynamics"].net.params, factory, cfg.adapt, cfg.target.schema,
-        seed, dyn_hidden=cfg.dyn_hidden,
-        estimator_hidden=cfg.estimator_hidden,
-        value_cfg=value_config_for(cfg, cfg.target),
-        dist_cfg=dist_config_for(cfg, cfg.target))
+    estimator, dynamics, interactions = adapt_stage(
+        cfg, seed, ck["dynamics"].net.params)
     path = Path(cfg.out_dir) / "adapted" / "checkpoint.json"
     io.save_checkpoint(
         path, estimator, dynamics,
-        value_params=vars_dict(value_config_for(cfg, cfg.target)),
-        dist_params=vars_dict(dist_config_for(cfg, cfg.target)),
+        value_params=asdict(value_config_for(cfg, cfg.target)),
+        dist_params=asdict(dist_config_for(cfg, cfg.target)),
         policy_params={"epsilon": 0.0, "candidate_mode": "CONSTANT"},
         provenance={"source_cities": [s.name for s in cfg.sources],
                     "meta_iters": cfg.maml.meta_iterations, "seed": seed,
-                    "interactions": factory.interactions})
-    print(f"consumed {factory.interactions} target episodes; "
-          f"wrote {path}")
+                    "interactions": interactions})
+    print(f"consumed {interactions} target episodes; wrote {path}")
     return 0
 
 
@@ -147,18 +128,8 @@ def _cmd_evaluate(args) -> int:
             "checkpoint has no estimator; adapt it before evaluating")
     rows = []
     for seed in cfg.seeds:
-        ctrl = PlannerController(ck["estimator"], ck["dynamics"],
-                                 PolicyConfig(epsilon=0.0),
-                                 value_config_for(cfg, cfg.target),
-                                 np.random.default_rng(0))
-        sim = cfg.target.make(seed)
-        m, _ = run_episode(sim, ctrl, cfg.target.intervals,
-                           cfg.target.interval_s)
-        rows.append({
-            "scenario": cfg.target.name, "seed": seed, "method": "modular",
-            "avg_travel_time": m.avg_travel_time_s,
-            "avg_queue_length": m.avg_queue_length,
-        })
+        m = evaluate_planner(cfg, ck["estimator"], ck["dynamics"], seed)
+        rows.append(metrics_row(cfg.target, seed, "modular", m))
         print(f"seed={seed}: travel={m.avg_travel_time_s:.2f}s "
               f"queue={m.avg_queue_length:.3f}")
     io.write_metrics_csv(Path(cfg.out_dir) / "evaluate" / "metrics.csv", rows)

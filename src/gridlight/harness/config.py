@@ -10,7 +10,7 @@ can serve, so adaptive control has a clear margin to exploit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from ..errors import ConfigurationError
@@ -145,85 +145,35 @@ class ExperimentConfig:
             raise ConfigurationError("collect_episodes must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "sources": [s.to_json() for s in self.sources],
-            "target": self.target.to_json(),
-            "method": self.method,
-            "maml": {
-                "inner_lr": self.maml.inner_lr,
-                "outer_lr": self.maml.outer_lr,
-                "meta_iterations": self.maml.meta_iterations,
-                "task_batch_size": self.maml.task_batch_size,
-                "inner_steps": self.maml.inner_steps,
-                "first_order": self.maml.first_order,
-                "batch_size": self.maml.batch_size,
-                "outer_optimizer": self.maml.outer_optimizer,
-            },
-            "adapt": {
-                "lr": self.adapt.lr,
-                "target_episode_budget": self.adapt.target_episode_budget,
-                "joint_weight": self.adapt.joint_weight,
-                "epochs_per_episode": self.adapt.epochs_per_episode,
-                "batch_size": self.adapt.batch_size,
-                "optimizer": self.adapt.optimizer,
-                "epsilon0": self.adapt.epsilon0,
-                "epsilon_decay": self.adapt.epsilon_decay,
-            },
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-            "collect_episodes": self.collect_episodes,
-            "behavior_epsilon": self.behavior_epsilon,
-            "horizon": self.horizon,
-            "step_discount": self.step_discount,
-            "block_discount": self.block_discount,
-            "dist_discount": self.dist_discount,
-            "dyn_hidden": list(self.dyn_hidden),
-            "estimator_hidden": list(self.estimator_hidden),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(sources=[s.to_json() for s in self.sources],
+                   target=self.target.to_json(), maml=asdict(self.maml),
+                   adapt=asdict(self.adapt), seeds=list(self.seeds),
+                   dyn_hidden=list(self.dyn_hidden),
+                   estimator_hidden=list(self.estimator_hidden))
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        """Read a config document; ``target`` and ``method`` are required,
+        ``sources`` default to none, and every other field missing from the
+        document keeps its value in :func:`default_experiment`."""
+        base = default_experiment()
         try:
-            maml_doc = doc.get("maml", {})
-            adapt_doc = doc.get("adapt", {})
-            return cls(
+            cfg = replace(
+                base,
                 sources=tuple(ScenarioSpec.from_json(s)
                               for s in doc.get("sources", [])),
                 target=ScenarioSpec.from_json(doc["target"]),
                 method=str(doc["method"]),
-                maml=MamlConfig(
-                    inner_lr=float(maml_doc.get("inner_lr", 2e-4)),
-                    outer_lr=float(maml_doc.get("outer_lr", 1e-3)),
-                    meta_iterations=int(maml_doc.get("meta_iterations", 150)),
-                    task_batch_size=int(maml_doc.get("task_batch_size", 1)),
-                    inner_steps=int(maml_doc.get("inner_steps", 1)),
-                    first_order=bool(maml_doc.get("first_order", True)),
-                    batch_size=int(maml_doc.get("batch_size", 256)),
-                    outer_optimizer=str(maml_doc.get("outer_optimizer", "adam")),
-                ),
-                adapt=AdaptConfig(
-                    lr=float(adapt_doc.get("lr", 1e-3)),
-                    target_episode_budget=int(
-                        adapt_doc.get("target_episode_budget", 5)),
-                    joint_weight=float(adapt_doc.get("joint_weight", 1.0)),
-                    epochs_per_episode=int(
-                        adapt_doc.get("epochs_per_episode", 20)),
-                    batch_size=int(adapt_doc.get("batch_size", 128)),
-                    optimizer=str(adapt_doc.get("optimizer", "adam")),
-                    epsilon0=float(adapt_doc.get("epsilon0", 0.1)),
-                    epsilon_decay=float(adapt_doc.get("epsilon_decay", 0.99)),
-                ),
-                seeds=tuple(int(s) for s in doc.get("seeds", [0, 1, 2])),
-                out_dir=str(doc.get("out_dir", "runs")),
-                collect_episodes=int(doc.get("collect_episodes", 20)),
-                behavior_epsilon=float(doc.get("behavior_epsilon", 0.2)),
-                horizon=int(doc.get("horizon", 2)),
-                step_discount=float(doc.get("step_discount", 0.9)),
-                block_discount=float(doc.get("block_discount", 0.8)),
-                dist_discount=float(doc.get("dist_discount", 0.8)),
-                dyn_hidden=tuple(doc.get("dyn_hidden", (128, 128))),
-                estimator_hidden=tuple(doc.get("estimator_hidden", (32, 32))),
+                maml=_merged(base.maml, doc.get("maml", {})),
+                adapt=_merged(base.adapt, doc.get("adapt", {})),
+                seeds=tuple(int(s) for s in doc.get("seeds", base.seeds)),
+                dyn_hidden=tuple(doc.get("dyn_hidden", base.dyn_hidden)),
+                estimator_hidden=tuple(doc.get("estimator_hidden",
+                                               base.estimator_hidden)),
             )
+            return _merged(cfg, doc)
         except KeyError as exc:
             raise ConfigurationError(
                 f"experiment config missing field {exc}") from exc
@@ -235,6 +185,17 @@ class ExperimentConfig:
 
     def with_method(self, method: str) -> "ExperimentConfig":
         return replace(self, method=method)
+
+
+_CASTS = {"float": float, "int": int, "bool": bool, "str": str}
+
+
+def _merged(base, doc: dict):
+    """``base`` with each scalar field that ``doc`` gives replaced, cast to
+    the field's type."""
+    return replace(base, **{f.name: _CASTS[f.type](doc[f.name])
+                            for f in fields(base)
+                            if f.name in doc and f.type in _CASTS})
 
 
 def default_experiment(method: str = "modular", out_dir: str = "runs",

@@ -16,9 +16,8 @@ import numpy as np
 
 from .. import nn
 from ..errors import ConfigurationError
-from ..meta import TaskDataset, TransitionRecord
+from ..meta import COLUMNS, TaskDataset
 from ..planner import DynamicsModel, StateEstimator
-from ..sim.network import Observation
 
 METRICS_COLUMNS = ("scenario", "seed", "method", "avg_travel_time",
                    "avg_queue_length")
@@ -58,44 +57,35 @@ def config_digest(doc: dict) -> str:
 # -- datasets ---------------------------------------------------------------
 
 def save_dataset(path, dataset: TaskDataset) -> None:
+    """One JSON line per transition row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for r in dataset.records:
+        for i in range(len(dataset)):
             fh.write(json.dumps({
-                "city_id": r.city_id,
-                "t": r.t,
-                "schema_id": r.obs.schema_id,
-                "obs": r.obs.values.tolist(),
-                "state": r.state.tolist(),
-                "action": r.action,
-                "state_next": r.state_next.tolist(),
-                "obs_next": r.obs_next.values.tolist(),
+                "city_id": dataset.city_id,
+                "t": int(dataset.t[i]),
+                "schema_id": dataset.schema_id,
+                "obs": dataset.obs[i].tolist(),
+                "state": dataset.state[i].tolist(),
+                "action": int(dataset.action[i]),
+                "state_next": dataset.state_next[i].tolist(),
+                "obs_next": dataset.obs_next[i].tolist(),
             }) + "\n")
 
 
 def load_dataset(path) -> TaskDataset:
-    records = []
-    city_id = ""
-    schema = None
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            doc = json.loads(line)
-            city_id = doc["city_id"]
-            schema = doc["schema_id"]
-            records.append(TransitionRecord(
-                city_id=city_id,
-                t=int(doc["t"]),
-                obs=Observation(schema, np.array(doc["obs"], dtype=float)),
-                state=np.array(doc["state"], dtype=np.int64),
-                action=int(doc["action"]),
-                state_next=np.array(doc["state_next"], dtype=np.int64),
-                obs_next=Observation(schema, np.array(doc["obs_next"],
-                                                      dtype=float)),
-            ))
-    if not records:
+        docs = [json.loads(line) for line in fh]
+    if not docs:
         raise ConfigurationError(f"dataset file {path} is empty")
-    return TaskDataset(city_id, schema, records)
+    schemas = {d["schema_id"] for d in docs}
+    if len(schemas) != 1:
+        raise ConfigurationError(f"dataset file {path} mixes schemas {schemas}")
+    dtypes = {"t": np.int64, "obs": float, "state": np.int64,
+              "action": np.int64, "state_next": np.int64, "obs_next": float}
+    return TaskDataset(docs[-1]["city_id"], docs[-1]["schema_id"], *(
+        np.array([d[c] for d in docs], dtype=dtypes[c]) for c in COLUMNS))
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -23,8 +23,6 @@ from ..baselines import (
 )
 from ..errors import ConfigurationError
 from ..meta import (
-    AdaptConfig,
-    MamlConfig,
     TaskDataset,
     adapt,
     collect_experience,
@@ -41,13 +39,14 @@ from ..planner import (
     PolicyConfig,
     StateEstimator,
     ValueConfig,
+    block_distance_loss,
     default_dynamics_net,
-    default_estimator_net,
+    phase_encode,
 )
 from ..scenario import EnvFactory, ScenarioSpec
 from ..sim.engine import MetricsReport
 from ..sim.network import PHASE_IDS, SCHEMA_DIMS
-from .config import BASELINE_METHODS, ExperimentConfig
+from .config import BASELINE_METHODS, PIPELINE_METHODS, ExperimentConfig
 from . import io
 
 
@@ -121,8 +120,8 @@ def evaluate_controller(scenario: ScenarioSpec, controller,
     return metrics
 
 
-def _metrics_row(scenario: ScenarioSpec, seed: int, method: str,
-                 metrics: MetricsReport) -> dict:
+def metrics_row(scenario: ScenarioSpec, seed: int, method: str,
+                metrics: MetricsReport) -> dict:
     return {
         "scenario": scenario.name,
         "seed": seed,
@@ -155,6 +154,65 @@ def collect_source_datasets(cfg: ExperimentConfig, seed_seq,
     return datasets
 
 
+def _draw_seed(seq: np.random.SeedSequence) -> int:
+    return int(np.random.default_rng(seq).integers(2 ** 31 - 1))
+
+
+def stage_seeds(seed: int) -> dict:
+    """Seed material of each modular pipeline stage for one run seed: the
+    collection SeedSequence, and integer seeds for the dynamics-net
+    initialization, meta-training and adaptation."""
+    collect_seq, net_seq, train_seq, adapt_seq = \
+        np.random.SeedSequence([seed, 17]).spawn(4)
+    return {"collect": collect_seq, "net": _draw_seed(net_seq),
+            "train": _draw_seed(train_seq), "adapt": _draw_seed(adapt_seq)}
+
+
+def meta_train_stage(cfg: ExperimentConfig, seed: int, *,
+                     sources: tuple[ScenarioSpec, ...] | None = None,
+                     aggregator: str = "maml"):
+    """Collect source experience and aggregate it into an initialization
+    of the target-shaped dynamics model; returns (g0, phi)."""
+    if aggregator not in ("maml", "seq"):
+        raise ConfigurationError(f"unknown aggregator {aggregator!r}")
+    seeds = stage_seeds(seed)
+    datasets = collect_source_datasets(cfg, seeds["collect"], sources)
+    lanes = cfg.target.network.lanes_per_intersection
+    n_grids = cfg.target.network.state_grids
+    g0 = DynamicsModel(default_dynamics_net(lanes, n_grids, cfg.dyn_hidden,
+                                            seed=seeds["net"]),
+                       lanes, n_grids)
+    train = maml_train if aggregator == "maml" else seq_pretrain
+    phi = train(datasets, cfg.maml, g0, dist_config_for(cfg, cfg.target),
+                seeds["train"])
+    return g0, phi
+
+
+def adapt_stage(cfg: ExperimentConfig, seed: int, phi: np.ndarray,
+                budget: int | None = None):
+    """Adapt ``phi`` to the target city within the episode budget; returns
+    (estimator, dynamics, target interactions consumed)."""
+    adapt_cfg = (cfg.adapt if budget is None
+                 else replace(cfg.adapt, target_episode_budget=budget))
+    factory = EnvFactory(cfg.target)
+    estimator, dynamics = adapt(
+        phi, factory, adapt_cfg, cfg.target.schema, stage_seeds(seed)["adapt"],
+        dyn_hidden=cfg.dyn_hidden, estimator_hidden=cfg.estimator_hidden,
+        value_cfg=value_config_for(cfg, cfg.target),
+        dist_cfg=dist_config_for(cfg, cfg.target))
+    return estimator, dynamics, factory.interactions
+
+
+def evaluate_planner(cfg: ExperimentConfig, estimator: StateEstimator,
+                     dynamics: DynamicsModel, seed: int) -> MetricsReport:
+    """One greedy planner episode on the target, not charged to the budget."""
+    controller = PlannerController(estimator, dynamics,
+                                   PolicyConfig(epsilon=0.0),
+                                   value_config_for(cfg, cfg.target),
+                                   np.random.default_rng(0))
+    return evaluate_controller(cfg.target, controller, seed)
+
+
 def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
                      sources: tuple[ScenarioSpec, ...] | None = None,
                      aggregator: str = "maml",
@@ -165,56 +223,22 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
     meta-trained initialization, the exact interaction count, and held-out
     dynamics errors for the adapted and un-fine-tuned models.
     """
-    sources = cfg.sources if sources is None else sources
     target = cfg.target
-    ss = np.random.SeedSequence([seed, 17])
-    collect_seq, net_seq, train_seq, adapt_seq = ss.spawn(4)
-
-    datasets = collect_source_datasets(cfg, collect_seq, sources)
-
-    lanes = target.network.lanes_per_intersection
-    n_grids = target.network.state_grids
-    dist_cfg = dist_config_for(cfg, target)
-    g0 = DynamicsModel(
-        default_dynamics_net(lanes, n_grids, cfg.dyn_hidden,
-                             seed=int(np.random.default_rng(net_seq)
-                                      .integers(2 ** 31 - 1))),
-        lanes, n_grids)
-    train_seed = int(np.random.default_rng(train_seq).integers(2 ** 31 - 1))
-    if aggregator == "maml":
-        phi = maml_train(datasets, cfg.maml, g0, dist_cfg, train_seed)
-    elif aggregator == "seq":
-        phi = seq_pretrain(datasets, cfg.maml, g0, dist_cfg, train_seed)
-    else:
-        raise ConfigurationError(f"unknown aggregator {aggregator!r}")
-
-    adapt_cfg = (cfg.adapt if budget is None
-                 else replace(cfg.adapt, target_episode_budget=budget))
-    factory = EnvFactory(target)
-    vc = value_config_for(cfg, target)
-    estimator, dynamics = adapt(
-        phi, factory, adapt_cfg, target.schema,
-        int(np.random.default_rng(adapt_seq).integers(2 ** 31 - 1)),
-        dyn_hidden=cfg.dyn_hidden, estimator_hidden=cfg.estimator_hidden,
-        value_cfg=vc, dist_cfg=dist_cfg)
-    interactions = factory.interactions
-
-    controller = PlannerController(estimator, dynamics,
-                                   PolicyConfig(epsilon=0.0), vc,
-                                   np.random.default_rng(0))
-    sim = factory.make(seed, count=False)
-    metrics, _ = run_episode(sim, controller, target.intervals,
-                             target.interval_s)
+    g0, phi = meta_train_stage(cfg, seed, sources=sources,
+                               aggregator=aggregator)
+    estimator, dynamics, interactions = adapt_stage(cfg, seed, phi, budget)
+    metrics = evaluate_planner(cfg, estimator, dynamics, seed)
 
     held = collect_experience(
-        lambda s: factory.make(s, count=False), FixedTimeController(),
+        lambda s: target.make(s), FixedTimeController(),
         episodes=1, rng=np.random.default_rng(20_000 + seed),
         city_id="heldout", intervals=target.intervals,
         interval_s=target.interval_s)
-    err_adapted = dynamics_error(dynamics, held.records, dist_cfg)
+    dist_cfg = dist_config_for(cfg, target)
+    err_adapted = dynamics_error(dynamics, held, dist_cfg)
     err_meta = dynamics_error(
-        DynamicsModel(g0.net.with_params(phi), lanes, n_grids),
-        held.records, dist_cfg)
+        DynamicsModel(g0.net.with_params(phi), g0.lanes, g0.state_grids),
+        held, dist_cfg)
 
     artifacts = {
         "interactions": interactions,
@@ -254,12 +278,10 @@ class MonolithicController:
     def _decide_one(self, obs) -> int:
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
             return int(self.rng.integers(1, len(PHASE_IDS) + 1))
-        o = obs.values.reshape(-1)
+        o = obs.values.reshape(1, -1)
         k = len(PHASE_IDS)
-        x = np.zeros((k, o.size + k))
-        x[:, :o.size] = o
-        x[np.arange(k), o.size + np.arange(k)] = 1.0
-        pred = nn.forward(self.net, x)
+        pred = nn.forward(self.net, phase_encode(np.repeat(o, k, axis=0),
+                                                 np.array(PHASE_IDS)))
         blocks = pred.reshape(k, self.lanes, self.vc.blocks,
                               self.vc.pass_grids).sum(axis=(1, 3))
         costs = blocks @ self.w_block
@@ -269,16 +291,11 @@ class MonolithicController:
         return {node: self._decide_one(obs[node]) for node in env.nodes}
 
 
-def _monolithic_arrays(ds: TaskDataset, lanes: int, n_grids: int):
-    d_o = SCHEMA_DIMS[ds.schema_id]
-    m = len(ds.records)
-    x = np.zeros((m, lanes * d_o + len(PHASE_IDS)))
-    y = np.zeros((m, lanes * n_grids))
-    for i, r in enumerate(ds.records):
-        x[i, :lanes * d_o] = r.obs.values.reshape(-1)
-        x[i, lanes * d_o + r.action - 1] = 1.0
-        y[i] = r.state_next.reshape(-1)
-    return x, y
+def _monolithic_xy(ds: TaskDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Observation-and-phase inputs and next-state targets."""
+    m = len(ds)
+    return (phase_encode(ds.obs.reshape(m, -1), ds.action),
+            ds.state_next.reshape(m, -1))
 
 
 def _carry_trailing_layers(src: nn.Net, dst: nn.Net) -> nn.Net:
@@ -309,36 +326,26 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
     vc = value_config_for(cfg, target)
     net_rng = np.random.default_rng(net_seq)
     train_rng = np.random.default_rng(train_seq)
-    from ..planner import block_distance_loss  # local alias for clarity
-
     loss_fn = block_distance_loss(dist_cfg, lanes)
-    prev: nn.Net | None = None
-    for ds in datasets:
-        d_o = SCHEMA_DIMS[ds.schema_id]
+
+    def fresh_net(schema_id: str, prev: nn.Net | None) -> nn.Net:
+        d_o = SCHEMA_DIMS[schema_id]
         sizes = (lanes * d_o + len(PHASE_IDS), *cfg.dyn_hidden, lanes * n_grids)
         net = nn.net_new(sizes, "softplus",
                          seed=int(net_rng.integers(2 ** 31 - 1)))
-        if prev is not None:
-            net = _carry_trailing_layers(prev, net)
-        x, y = _monolithic_arrays(ds, lanes, n_grids)
-        opt = nn.Adam(lr=cfg.maml.outer_lr)
-        for _ in range(cfg.maml.meta_iterations):
-            idx = train_rng.choice(x.shape[0],
-                                   size=min(cfg.maml.batch_size, x.shape[0]),
-                                   replace=False)
-            _, g = nn.loss_and_grad(net, loss_fn, x[idx], y[idx])
-            net = net.with_params(opt.step(net.params, g))
-        prev = net
+        return net if prev is None else _carry_trailing_layers(prev, net)
 
-    d_o = SCHEMA_DIMS[target.schema]
-    sizes = (lanes * d_o + len(PHASE_IDS), *cfg.dyn_hidden, lanes * n_grids)
-    net = nn.net_new(sizes, "softplus", seed=int(net_rng.integers(2 ** 31 - 1)))
-    if prev is not None:
-        net = _carry_trailing_layers(prev, net)
+    net = None
+    for ds in datasets:
+        net = nn.fit(fresh_net(ds.schema_id, net), loss_fn, *_monolithic_xy(ds),
+                     nn.Adam(lr=cfg.maml.outer_lr),
+                     nn.sampled_batches(train_rng, len(ds), cfg.maml.batch_size,
+                                        cfg.maml.meta_iterations))
+    net = fresh_net(target.schema, net)
 
     factory = EnvFactory(target)
     adapt_rng = np.random.default_rng(adapt_seq)
-    records = []
+    episodes = []
     epsilon = cfg.adapt.epsilon0
     opt = nn.Adam(lr=cfg.adapt.lr)
     for _ in range(cfg.adapt.target_episode_budget):
@@ -346,23 +353,18 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
         ctrl = MonolithicController(
             net, lanes, n_grids, target.schema, epsilon, vc,
             np.random.default_rng(adapt_rng.integers(2 ** 31 - 1)))
-        _, recs = run_episode(env, ctrl, target.intervals, target.interval_s,
-                              record=True, city_id=target.name)
-        records.extend(recs)
+        _, ep = run_episode(env, ctrl, target.intervals, target.interval_s,
+                            record=True, city_id=target.name)
+        episodes.append(ep)
         epsilon *= cfg.adapt.epsilon_decay
-        ds = TaskDataset(target.name, target.schema, records)
-        x, y = _monolithic_arrays(ds, lanes, n_grids)
-        for _ in range(cfg.adapt.epochs_per_episode):
-            perm = adapt_rng.permutation(x.shape[0])
-            for lo in range(0, x.shape[0], cfg.adapt.batch_size):
-                idx = perm[lo:lo + cfg.adapt.batch_size]
-                _, g = nn.loss_and_grad(net, loss_fn, x[idx], y[idx])
-                net = net.with_params(opt.step(net.params, g))
+        ds = TaskDataset.concat(episodes)
+        net = nn.fit(net, loss_fn, *_monolithic_xy(ds), opt,
+                     nn.epoch_batches(adapt_rng, len(ds), cfg.adapt.batch_size,
+                                      cfg.adapt.epochs_per_episode))
 
     ctrl = MonolithicController(net, lanes, n_grids, target.schema, 0.0, vc,
                                 np.random.default_rng(0))
-    sim = factory.make(seed, count=False)
-    metrics, _ = run_episode(sim, ctrl, target.intervals, target.interval_s)
+    metrics = evaluate_controller(target, ctrl, seed)
     return metrics, {"interactions": factory.interactions, "net": net}
 
 
@@ -381,6 +383,14 @@ def _finish_report(cfg: ExperimentConfig, method: str, rows: list[dict],
     return report
 
 
+def _pipeline_method(cfg: ExperimentConfig, seed: int):
+    """(metrics, artifacts) of one seed of the configured pipeline method."""
+    if cfg.method == "monolithic":
+        return monolithic_pipeline(cfg, seed)
+    return modular_pipeline(
+        cfg, seed, aggregator="seq" if cfg.method == "seq_pretrain" else "maml")
+
+
 def run_main(cfg: ExperimentConfig) -> RunReport:
     """The core comparison: run the configured method once per seed on the
     target scenario and aggregate metrics."""
@@ -393,24 +403,15 @@ def run_main(cfg: ExperimentConfig) -> RunReport:
             ctrl = baseline_controller(
                 cfg.method, np.random.default_rng([seed, 3]))
             metrics = evaluate_controller(cfg.target, ctrl, seed)
-        elif cfg.method == "modular":
-            metrics, art = modular_pipeline(cfg, seed)
-            extras["per_seed"][str(seed)] = {
-                "interactions": art["interactions"],
-                "heldout_dist_adapted": art["heldout_dist_adapted"],
-                "heldout_dist_meta_init": art["heldout_dist_meta_init"],
-            }
-        elif cfg.method == "seq_pretrain":
-            metrics, art = modular_pipeline(cfg, seed, aggregator="seq")
-            extras["per_seed"][str(seed)] = {
-                "interactions": art["interactions"]}
-        elif cfg.method == "monolithic":
-            metrics, art = monolithic_pipeline(cfg, seed)
-            extras["per_seed"][str(seed)] = {
-                "interactions": art["interactions"]}
+        elif cfg.method in PIPELINE_METHODS:
+            metrics, art = _pipeline_method(cfg, seed)
+            keys = (("interactions", "heldout_dist_adapted",
+                     "heldout_dist_meta_init") if cfg.method == "modular"
+                    else ("interactions",))
+            extras["per_seed"][str(seed)] = {k: art[k] for k in keys}
         else:
             raise ConfigurationError(f"unknown method {cfg.method!r}")
-        rows.append(_metrics_row(cfg.target, seed, cfg.method, metrics))
+        rows.append(metrics_row(cfg.target, seed, cfg.method, metrics))
     return _finish_report(cfg, cfg.method, rows, t0, extras,
                           f"main-{cfg.method}")
 
@@ -421,24 +422,19 @@ def run_ablation(cfg: ExperimentConfig) -> dict[str, RunReport]:
     Directional expectations (modular beats monolithic, meta-aggregation
     beats sequential) are recorded as informational flags, not hard
     failures: a three-seed desk run cannot certify them."""
-    if cfg.method not in ("modular", "monolithic", "seq_pretrain"):
+    if cfg.method not in PIPELINE_METHODS:
         raise ConfigurationError(
             f"run_ablation requires a pipeline method, got {cfg.method!r}")
     cfg.validate()
     t0 = time.perf_counter()
     reports = {}
     all_rows = []
-    for method in ("modular", "monolithic", "seq_pretrain"):
+    for method in PIPELINE_METHODS:
         sub = cfg.with_method(method)
         rows = []
         for seed in cfg.seeds:
-            if method == "modular":
-                metrics, _ = modular_pipeline(sub, seed)
-            elif method == "seq_pretrain":
-                metrics, _ = modular_pipeline(sub, seed, aggregator="seq")
-            else:
-                metrics, _ = monolithic_pipeline(sub, seed)
-            rows.append(_metrics_row(cfg.target, seed, method, metrics))
+            metrics, _ = _pipeline_method(sub, seed)
+            rows.append(metrics_row(cfg.target, seed, method, metrics))
         all_rows.extend(rows)
         reports[method] = RunReport.from_rows(
             method, rows, io.config_digest(sub.to_json()), 0.0)
@@ -578,7 +574,6 @@ def run_offline_case(cfg: ExperimentConfig, offline_episodes: int = 1) -> dict:
     cfg.validate()
     t0 = time.perf_counter()
     target = cfg.target
-    vc = value_config_for(cfg, target)
     rows = []
     per_seed = {}
     for seed in cfg.seeds:
@@ -591,28 +586,23 @@ def run_offline_case(cfg: ExperimentConfig, offline_episodes: int = 1) -> dict:
             lambda s: factory.make(s, count=False), FixedTimeController(),
             episodes=offline_episodes, rng=log_rng, city_id=target.name,
             intervals=target.intervals, interval_s=target.interval_s)
-        pairs = [(r.obs, r.state) for r in logged.records]
         est_off = offline_train_repr(
-            pairs, target.schema, epochs=cfg.adapt.epochs_per_episode * 2,
-            lr=cfg.adapt.lr, hidden=cfg.estimator_hidden,
+            logged.obs, logged.state, target.schema,
+            epochs=cfg.adapt.epochs_per_episode * 2, lr=cfg.adapt.lr, hidden=cfg.estimator_hidden,
             dist_cfg=dist_config_for(cfg, target), seed=seed)
 
-        ctrl = PlannerController(est_off, art["dynamics"],
-                                 PolicyConfig(epsilon=0.0), vc,
-                                 np.random.default_rng(0))
-        sim = factory.make(seed, count=False)
-        metrics_off, _ = run_episode(sim, ctrl, target.intervals,
-                                     target.interval_s)
+        metrics_off = evaluate_planner(cfg, est_off, art["dynamics"], seed)
         metrics_fixed = evaluate_controller(
             target, FixedTimeController(), seed)
 
-        assert factory.interactions == interactions_before, \
-            "offline training consumed environment interactions"
+        if factory.interactions != interactions_before:
+            raise RuntimeError(
+                "offline training consumed environment interactions")
         per_seed[str(seed)] = {"interactions": factory.interactions}
         for method, m in (("modular", metrics_online),
                           ("modular_offline", metrics_off),
                           ("fixed_time", metrics_fixed)):
-            rows.append(_metrics_row(target, seed, method, m))
+            rows.append(metrics_row(target, seed, method, m))
     by_method = {}
     for method in ("modular", "modular_offline", "fixed_time"):
         sel = [r for r in rows if r["method"] == method]

@@ -1,5 +1,11 @@
 """Multi-city experience aggregation and adaptation.
 
+Experience is columnar: a ``TaskDataset`` holds one row per intersection
+per interval in stacked arrays (observations, states, phases and what
+followed), built once per episode. Every training loop reads those arrays
+directly: the dynamics net sees ``phase_encode``-d states, the estimator
+sees each state's lane rows, and single-net loops go through ``nn.fit``.
+
 ``maml_run`` is the generic two-loop meta-trainer: per sampled task it takes
 ``inner_steps`` plain gradient steps on a support batch, evaluates the
 adapted parameters on a query batch, and applies the summed outer gradient.
@@ -15,13 +21,13 @@ so far after each budgeted episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import nn
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError
 from .planner import (
     DistanceConfig,
     DynamicsModel,
@@ -32,77 +38,86 @@ from .planner import (
     block_distance_loss,
     default_dynamics_net,
     default_estimator_net,
+    phase_encode,
     rowwise_block_distance_loss,
     state_distance,
 )
 from .scenario import EnvFactory
-from .sim import Observation, Sim
-from .sim.engine import MetricsReport
-from .sim.network import PHASE_IDS, SCHEMA_DIMS
+from .sim import Sim
+from .sim.network import SCHEMA_DIMS
 
-
-@dataclass(frozen=True)
-class TransitionRecord:
-    """One intersection's interval transition: what was observed, the true
-    state, the commanded phase, and what followed."""
-
-    city_id: str
-    t: int
-    obs: Observation
-    state: np.ndarray
-    action: int
-    state_next: np.ndarray
-    obs_next: Observation
+COLUMNS = ("t", "obs", "state", "action", "state_next", "obs_next")
 
 
 @dataclass
 class TaskDataset:
-    """All logged transitions for one city, with the support/query ratio
-    used when the dataset serves as a meta-learning task."""
+    """All logged transitions for one city, one row per intersection per
+    interval: the interval index ``t`` and ``action`` (m,), observations
+    ``obs``/``obs_next`` (m, lanes, d_o) and true states
+    ``state``/``state_next`` (m, lanes, N). ``support_fraction`` is the
+    support/query ratio used when the dataset serves as a meta-learning
+    task."""
 
     city_id: str
     schema_id: str
-    records: list[TransitionRecord]
+    t: np.ndarray
+    obs: np.ndarray
+    state: np.ndarray
+    action: np.ndarray
+    state_next: np.ndarray
+    obs_next: np.ndarray
     support_fraction: float = 0.5
 
     def __post_init__(self):
-        if not self.records:
+        if len(self.t) == 0:
             raise ConfigurationError(f"task dataset {self.city_id!r} is empty")
         if not 0.0 < self.support_fraction < 1.0:
             raise ConfigurationError(
                 f"support_fraction must be in (0, 1), got {self.support_fraction}"
             )
-        schemas = {r.obs.schema_id for r in self.records}
-        if schemas != {self.schema_id}:
+        if self.obs.shape[-1] != SCHEMA_DIMS.get(self.schema_id):
             raise ConfigurationError(
-                f"dataset {self.city_id!r} mixes schemas {schemas}, "
-                f"expected only {self.schema_id}"
+                f"dataset {self.city_id!r} has {self.obs.shape[-1]} "
+                f"observation features, schema {self.schema_id!r} has "
+                f"{SCHEMA_DIMS.get(self.schema_id)}"
             )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.t)
+
+    @classmethod
+    def concat(cls, parts: Sequence["TaskDataset"]) -> "TaskDataset":
+        """One dataset holding the rows of ``parts`` in order."""
+        schemas = {p.schema_id for p in parts}
+        if len(schemas) != 1:
+            raise ConfigurationError(f"datasets mix schemas {schemas}")
+        return cls(parts[0].city_id, parts[0].schema_id,
+                   *(np.concatenate([getattr(p, c) for p in parts])
+                     for c in COLUMNS))
 
 
 def run_episode(sim: Sim, controller, intervals: int, interval_s: int = 20,
                 record: bool = False, city_id: str = ""):
     """Drive one episode at the action-interval cadence.
 
-    Returns (final metrics, transition records); records hold one entry per
-    intersection per interval when recording is on.
+    Returns (final metrics, transitions): a ``TaskDataset`` with one row
+    per intersection per interval when recording is on, else an empty tuple.
     """
     controller.begin_episode(sim)
     obs, states = sim.snapshot()
-    records: list[TransitionRecord] = []
+    rows = []
     for t in range(intervals):
         acts = controller.decide(sim, t, obs)
         obs_next, states_next, _ = sim.step(acts, interval_s)
         if record:
-            for node in sim.nodes:
-                records.append(TransitionRecord(
-                    city_id, t, obs[node], states[node], acts[node],
-                    states_next[node], obs_next[node]))
+            rows.extend((t, obs[node].values, states[node], acts[node],
+                         states_next[node], obs_next[node].values)
+                        for node in sim.nodes)
         obs, states = obs_next, states_next
-    return sim.metrics(), records
+    if not record:
+        return sim.metrics(), ()
+    return sim.metrics(), TaskDataset(
+        city_id, sim.schema, *(np.array(col) for col in zip(*rows)))
 
 
 def collect_experience(make_env: Callable[[int], Sim], controller,
@@ -114,15 +129,13 @@ def collect_experience(make_env: Callable[[int], Sim], controller,
     and an equal-state controller."""
     if episodes < 1:
         raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
-    records: list[TransitionRecord] = []
-    schema = None
+    parts = []
     for _ in range(episodes):
         env = make_env(int(rng.integers(2 ** 31 - 1)))
-        schema = env.schema
-        _, recs = run_episode(env, controller, intervals, interval_s,
-                              record=True, city_id=city_id)
-        records.extend(recs)
-    return TaskDataset(city_id, schema, records)
+        _, ep = run_episode(env, controller, intervals, interval_s,
+                            record=True, city_id=city_id)
+        parts.append(ep)
+    return TaskDataset.concat(parts)
 
 
 @dataclass(frozen=True)
@@ -227,7 +240,7 @@ def maml_run(theta0: np.ndarray, tasks: Sequence, cfg: MamlConfig,
         )
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    adam = nn.Adam(lr=cfg.outer_lr) if cfg.outer_optimizer == "adam" else None
+    opt = nn.optimizer(cfg.outer_optimizer, cfg.outer_lr)
     for _ in range(cfg.meta_iterations):
         chosen = sorted(rng.choice(len(tasks), size=cfg.task_batch_size,
                                    replace=False))
@@ -247,24 +260,15 @@ def maml_run(theta0: np.ndarray, tasks: Sequence, cfg: MamlConfig,
             else:
                 outer += _fd_outer_grad(theta, task, support_batches,
                                         query_batch, cfg.inner_lr)
-        theta = adam.step(theta, outer) if adam else theta - cfg.outer_lr * outer
+        theta = opt.step(theta, outer)
     return theta
 
 
-def _dynamics_arrays(ds: TaskDataset, lanes: int, state_grids: int):
-    m = len(ds.records)
-    x = np.zeros((m, lanes * state_grids + len(PHASE_IDS)))
-    y = np.zeros((m, lanes * state_grids))
-    for i, r in enumerate(ds.records):
-        if r.state.shape != (lanes, state_grids):
-            raise ShapeError(
-                f"record state shape {r.state.shape} does not match the "
-                f"dynamics model ({lanes}, {state_grids})"
-            )
-        x[i, :lanes * state_grids] = r.state.reshape(-1)
-        x[i, lanes * state_grids + r.action - 1] = 1.0
-        y[i] = r.state_next.reshape(-1)
-    return x, y
+def _dynamics_xy(ds: TaskDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Dynamics-net inputs (state and phase) and targets (next state)."""
+    m = len(ds)
+    return (phase_encode(ds.state.reshape(m, -1), ds.action),
+            ds.state_next.reshape(m, -1))
 
 
 def maml_train(tasks: Sequence[TaskDataset], cfg: MamlConfig,
@@ -277,15 +281,12 @@ def maml_train(tasks: Sequence[TaskDataset], cfg: MamlConfig,
     loss_fn = block_distance_loss(dist_cfg, dyn.lanes)
     rng = np.random.default_rng(seed)
 
-    def make_task(ds: TaskDataset) -> ArrayTask:
-        x, y = _dynamics_arrays(ds, dyn.lanes, dyn.state_grids)
+    def lag(theta, xb, yb):
+        return nn.loss_and_grad(dyn.net, loss_fn, xb, yb, params=theta)
 
-        def lag(theta, xb, yb):
-            return nn.loss_and_grad(dyn.net, loss_fn, xb, yb, params=theta)
-
-        return ArrayTask(x, y, lag, ds.support_fraction, cfg.batch_size, rng)
-
-    return maml_run(dyn.net.params, [make_task(ds) for ds in tasks], cfg, seed)
+    return maml_run(dyn.net.params, [
+        ArrayTask(*_dynamics_xy(ds), lag, ds.support_fraction,
+                  cfg.batch_size, rng) for ds in tasks], cfg, seed)
 
 
 def seq_pretrain(tasks: Sequence[TaskDataset], cfg: MamlConfig,
@@ -297,16 +298,12 @@ def seq_pretrain(tasks: Sequence[TaskDataset], cfg: MamlConfig,
         raise ConfigurationError("at least one task dataset is required")
     loss_fn = block_distance_loss(dist_cfg, dyn.lanes)
     rng = np.random.default_rng(seed)
-    theta = dyn.net.params.copy()
+    opt = nn.SGD(cfg.inner_lr)
+    net = dyn.net
     for ds in tasks:
-        x, y = _dynamics_arrays(ds, dyn.lanes, dyn.state_grids)
-        for _ in range(cfg.meta_iterations):
-            idx = rng.choice(x.shape[0], size=min(cfg.batch_size, x.shape[0]),
-                             replace=False)
-            _, g = nn.loss_and_grad(dyn.net, loss_fn, x[idx], y[idx],
-                                    params=theta)
-            theta = theta - cfg.inner_lr * g
-    return theta
+        net = nn.fit(net, loss_fn, *_dynamics_xy(ds), opt, nn.sampled_batches(
+            rng, len(ds), cfg.batch_size, cfg.meta_iterations))
+    return net.params
 
 
 @dataclass(frozen=True)
@@ -340,12 +337,6 @@ class AdaptConfig:
             )
         if not 0.0 <= self.epsilon0 <= 1.0 or not 0.0 < self.epsilon_decay <= 1.0:
             raise ConfigurationError("invalid exploration schedule")
-
-
-def _estimator_arrays(records: Sequence[TransitionRecord]):
-    x = np.concatenate([r.obs.values for r in records], axis=0)
-    y = np.concatenate([r.state for r in records], axis=0).astype(np.float64)
-    return x, y
 
 
 def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
@@ -390,10 +381,10 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
     episode_rng = np.random.default_rng(seeds[2])
     f_loss = rowwise_block_distance_loss(dist_cfg, lanes)
     g_loss = block_distance_loss(dist_cfg, lanes)
-    opt_f = nn.Adam(lr=cfg.lr) if cfg.optimizer == "adam" else None
-    opt_g = nn.Adam(lr=cfg.lr) if cfg.optimizer == "adam" else None
+    opt_f = nn.optimizer(cfg.optimizer, cfg.lr)
+    opt_g = nn.optimizer(cfg.optimizer, cfg.lr)
 
-    records: list[TransitionRecord] = []
+    episodes: list[TaskDataset] = []
     epsilon = cfg.epsilon0
     for _ in range(cfg.target_episode_budget):
         env = env_factory.make(int(episode_rng.integers(2 ** 31 - 1)))
@@ -402,101 +393,76 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
             DynamicsModel(g_net, lanes, n_grids),
             PolicyConfig(epsilon=epsilon), value_cfg,
             np.random.default_rng(episode_rng.integers(2 ** 31 - 1)))
-        _, recs = run_episode(env, controller, scenario.intervals,
-                              scenario.interval_s, record=True,
-                              city_id=scenario.name)
-        records.extend(recs)
+        _, ep = run_episode(env, controller, scenario.intervals,
+                            scenario.interval_s, record=True,
+                            city_id=scenario.name)
+        episodes.append(ep)
         epsilon *= cfg.epsilon_decay
 
-        xg, yg = _dynamics_arrays(
-            TaskDataset(scenario.name, schema_id, records), lanes, n_grids)
-        xf, yf = _estimator_arrays(records)
-        m = len(records)
-        for _ in range(cfg.epochs_per_episode):
-            perm = train_rng.permutation(m)
-            for lo in range(0, m, cfg.batch_size):
-                idx = perm[lo:lo + cfg.batch_size]
-                rows = (idx[:, None] * lanes + np.arange(lanes)).reshape(-1)
-                _, gf = nn.loss_and_grad(f_net, f_loss, xf[rows], yf[rows])
-                _, gg = nn.loss_and_grad(g_net, g_loss, xg[idx], yg[idx])
-                gg = cfg.joint_weight * gg
-                if opt_f is not None:
-                    f_net = f_net.with_params(opt_f.step(f_net.params, gf))
-                    g_net = g_net.with_params(opt_g.step(g_net.params, gg))
-                else:
-                    f_net = f_net.with_params(nn.sgd_step(f_net.params, gf, cfg.lr))
-                    g_net = g_net.with_params(nn.sgd_step(g_net.params, gg, cfg.lr))
+        ds = TaskDataset.concat(episodes)
+        xg, yg = _dynamics_xy(ds)
+        d_o = ds.obs.shape[-1]
+        for idx in nn.epoch_batches(train_rng, len(ds), cfg.batch_size,
+                                    cfg.epochs_per_episode):
+            _, gf = nn.loss_and_grad(f_net, f_loss,
+                                     ds.obs[idx].reshape(-1, d_o),
+                                     ds.state[idx].reshape(-1, n_grids))
+            _, gg = nn.loss_and_grad(g_net, g_loss, xg[idx], yg[idx])
+            f_net = f_net.with_params(opt_f.step(f_net.params, gf))
+            g_net = g_net.with_params(
+                opt_g.step(g_net.params, cfg.joint_weight * gg))
 
     return (StateEstimator(f_net, schema_id, lanes, n_grids),
             DynamicsModel(g_net, lanes, n_grids))
 
 
-def offline_train_repr(logged: Sequence[tuple[Observation, np.ndarray]],
-                       schema_id: str, epochs: int, lr: float, *,
+def offline_train_repr(obs: np.ndarray, state: np.ndarray, schema_id: str,
+                       epochs: int, lr: float, *,
                        hidden: tuple[int, ...] = (32, 32),
                        dist_cfg: DistanceConfig | None = None,
                        batch_size: int | None = 128,
                        optimizer: str = "adam",
                        seed: int = 0) -> StateEstimator:
-    """Train the observation-to-state estimator purely on logged pairs; no
-    environment interaction happens here."""
-    if not logged:
+    """Train the observation-to-state estimator purely on logged
+    observations (m, lanes, d_o) and states (m, lanes, N); no environment
+    interaction happens here."""
+    if len(obs) == 0:
         raise ConfigurationError("logged pairs must be nonempty")
     if schema_id not in SCHEMA_DIMS:
         raise ConfigurationError(f"unknown observation schema {schema_id!r}")
-    for obs, _ in logged:
-        if obs.schema_id != schema_id:
-            raise ConfigurationError(
-                f"logged observation has schema {obs.schema_id!r}, "
-                f"expected {schema_id!r}"
-            )
-    lanes, n_grids = logged[0][1].shape
+    if obs.shape[-1] != SCHEMA_DIMS[schema_id]:
+        raise ConfigurationError(
+            f"logged observations have {obs.shape[-1]} features, schema "
+            f"{schema_id!r} has {SCHEMA_DIMS[schema_id]}"
+        )
+    lanes, n_grids = state.shape[1:]
     if dist_cfg is None:
         dist_cfg = DistanceConfig(0.8, n_grids, max(1, n_grids // 3))
-    x = np.concatenate([obs.values for obs, _ in logged], axis=0)
-    y = np.concatenate([s for _, s in logged], axis=0).astype(np.float64)
-    f_net = default_estimator_net(schema_id, n_grids, hidden, seed=seed)
-    loss_fn = rowwise_block_distance_loss(dist_cfg, lanes)
-    opt = nn.Adam(lr=lr) if optimizer == "adam" else None
-    rng = np.random.default_rng(seed)
-    m = len(logged)
-    bsz = m if batch_size is None else min(batch_size, m)
-    for _ in range(epochs):
-        perm = rng.permutation(m) if batch_size is not None else np.arange(m)
-        for lo in range(0, m, bsz):
-            idx = perm[lo:lo + bsz]
-            rows = (idx[:, None] * lanes + np.arange(lanes)).reshape(-1)
-            _, g = nn.loss_and_grad(f_net, loss_fn, x[rows], y[rows])
-            if opt is not None:
-                f_net = f_net.with_params(opt.step(f_net.params, g))
-            else:
-                f_net = f_net.with_params(nn.sgd_step(f_net.params, g, lr))
+    f_net = nn.fit(
+        default_estimator_net(schema_id, n_grids, hidden, seed=seed),
+        rowwise_block_distance_loss(dist_cfg, lanes), obs, state,
+        nn.optimizer(optimizer, lr),
+        nn.epoch_batches(np.random.default_rng(seed), len(obs), batch_size,
+                         epochs))
     return StateEstimator(f_net, schema_id, lanes, n_grids)
 
 
-def training_loss(estimator: StateEstimator,
-                  logged: Sequence[tuple[Observation, np.ndarray]],
-                  dist_cfg: DistanceConfig) -> float:
-    """Mean estimator distance over logged (observation, state) pairs."""
-    total = 0.0
-    for obs, state in logged:
-        total += state_distance(estimator.estimate(obs), state, dist_cfg)
-    return total / len(logged)
-
-
-def dynamics_error(dyn: DynamicsModel, records: Sequence[TransitionRecord],
+def _mean_distance(pred: np.ndarray, target: np.ndarray,
                    dist_cfg: DistanceConfig) -> float:
-    """Mean one-step prediction distance over transition records."""
-    if not records:
-        raise ConfigurationError("records must be nonempty")
-    lanes, n_grids = records[0].state.shape
-    x = np.zeros((len(records), lanes * n_grids + len(PHASE_IDS)))
-    for i, r in enumerate(records):
-        x[i, :lanes * n_grids] = r.state.reshape(-1)
-        x[i, lanes * n_grids + r.action - 1] = 1.0
-    pred = nn.forward(dyn.net, x)
-    total = 0.0
-    for i, r in enumerate(records):
-        total += state_distance(pred[i].reshape(lanes, n_grids),
-                                r.state_next, dist_cfg)
-    return total / len(records)
+    return sum(state_distance(p, s, dist_cfg)
+               for p, s in zip(pred, target)) / len(target)
+
+
+def training_loss(estimator: StateEstimator, obs: np.ndarray,
+                  state: np.ndarray, dist_cfg: DistanceConfig) -> float:
+    """Mean estimator distance over logged observations and states."""
+    pred = nn.forward(estimator.net, obs.reshape(-1, obs.shape[-1]))
+    return _mean_distance(pred.reshape(state.shape), state, dist_cfg)
+
+
+def dynamics_error(dyn: DynamicsModel, ds: TaskDataset,
+                   dist_cfg: DistanceConfig) -> float:
+    """Mean one-step prediction distance over a dataset's transitions."""
+    pred = nn.forward(dyn.net, _dynamics_xy(ds)[0])
+    return _mean_distance(pred.reshape(ds.state.shape), ds.state_next,
+                          dist_cfg)

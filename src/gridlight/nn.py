@@ -1,5 +1,6 @@
 """Minimal dense-network engine: forward pass, reverse-mode gradients,
-optimizers, and finite-difference gradient checking.
+optimizers, the minibatch training loop, and finite-difference gradient
+checking.
 
 Networks are plain MLPs (ReLU hidden layers, identity or softplus output)
 stored as a single flat float64 parameter vector. All operations are
@@ -186,17 +187,29 @@ def grad(net: Net, loss_fn: LossFn, inputs, targets,
     return loss_and_grad(net, loss_fn, inputs, targets, params)[1]
 
 
-def sgd_step(params: np.ndarray, grad_vec: np.ndarray, lr: float) -> np.ndarray:
-    """One plain gradient-descent step, returned as a new vector."""
+def _step_operands(params, grad_vec) -> tuple[np.ndarray, np.ndarray]:
     params = np.asarray(params, dtype=np.float64)
     grad_vec = np.asarray(grad_vec, dtype=np.float64)
     if params.shape != grad_vec.shape:
         raise ShapeError(
             f"params length {params.size} != grad length {grad_vec.size}"
         )
-    if lr < 0:
-        raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
-    return params - lr * grad_vec
+    return params, grad_vec
+
+
+@dataclass
+class SGD:
+    """Plain gradient descent with functional steps."""
+
+    lr: float
+
+    def __post_init__(self):
+        if self.lr < 0:
+            raise ConfigurationError(f"learning rate must be >= 0, got {self.lr}")
+
+    def step(self, params: np.ndarray, grad_vec: np.ndarray) -> np.ndarray:
+        params, grad_vec = _step_operands(params, grad_vec)
+        return params - self.lr * grad_vec
 
 
 @dataclass
@@ -212,10 +225,7 @@ class Adam:
     _t: int = field(default=0, repr=False)
 
     def step(self, params: np.ndarray, grad_vec: np.ndarray) -> np.ndarray:
-        params = np.asarray(params, dtype=np.float64)
-        grad_vec = np.asarray(grad_vec, dtype=np.float64)
-        if params.shape != grad_vec.shape:
-            raise ShapeError("params and grad lengths differ")
+        params, grad_vec = _step_operands(params, grad_vec)
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
@@ -225,6 +235,48 @@ class Adam:
         m_hat = self._m / (1 - self.beta1 ** self._t)
         v_hat = self._v / (1 - self.beta2 ** self._t)
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def optimizer(name: str, lr: float) -> SGD | Adam:
+    """A fresh optimizer by name: ``"sgd"`` or ``"adam"``."""
+    if name == "sgd":
+        return SGD(lr)
+    if name == "adam":
+        return Adam(lr=lr)
+    raise ConfigurationError(f"optimizer must be 'sgd' or 'adam', got {name!r}")
+
+
+def epoch_batches(rng: np.random.Generator, m: int, batch_size: int | None,
+                  epochs: int):
+    """Index batches over ``m`` samples for ``epochs`` passes: one
+    permutation per epoch, or every sample in order as one batch when
+    ``batch_size`` is None."""
+    step = m if batch_size is None else batch_size
+    for _ in range(epochs):
+        order = np.arange(m) if batch_size is None else rng.permutation(m)
+        for lo in range(0, m, step):
+            yield order[lo:lo + step]
+
+
+def sampled_batches(rng: np.random.Generator, m: int, batch_size: int,
+                    steps: int):
+    """``steps`` batches of min(batch_size, m) distinct samples each."""
+    for _ in range(steps):
+        yield rng.choice(m, size=min(batch_size, m), replace=False)
+
+
+def fit(net: Net, loss_fn: LossFn, x: np.ndarray, y: np.ndarray, opt,
+        batches) -> Net:
+    """One optimizer step per index batch; returns the trained net.
+
+    ``x`` and ``y`` hold one sample per leading index. A sample may span
+    several net rows (one per lane): the last axis is the net's width.
+    """
+    for idx in batches:
+        _, g = loss_and_grad(net, loss_fn, x[idx].reshape(-1, x.shape[-1]),
+                             y[idx].reshape(-1, y.shape[-1]))
+        net = net.with_params(opt.step(net.params, g))
+    return net
 
 
 def squared_error_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -124,47 +124,37 @@ def state_distance(s1, s2, dc: DistanceConfig) -> float:
 
 
 def block_distance_loss(dc: DistanceConfig, lanes: int) -> nn.LossFn:
-    """Loss over flattened (lanes * N) state predictions: mean over the batch
-    of the block distance to the target state."""
+    """Loss over a batch of whole (lanes, N) states: mean over the batch of
+    the block distance to the target state.
+
+    Predictions may come flattened per state, (B, lanes * N), as from the
+    dynamics net, or per lane row, (B * lanes, N), as from the estimator;
+    either way the block sums couple all lanes of a state, and the gradient
+    comes back in the shape of ``pred``.
+    """
     blocks = dc.blocks
     n = dc.pass_grids
     w = dc.block_discount ** np.arange(blocks)
 
     def loss_fn(pred: np.ndarray, target: np.ndarray):
-        bsz = pred.shape[0]
+        bsz, rest = divmod(pred.size, lanes * dc.state_grids)
+        if rest:
+            raise ShapeError(
+                f"batch of {pred.size} values is not a whole number of "
+                f"({lanes}, {dc.state_grids}) states"
+            )
         diff = (pred - target).reshape(bsz, lanes, blocks, n).sum(axis=(1, 3))
         per = (w * diff * diff).sum(axis=1)
         dblocks = (2.0 / bsz) * w * diff                      # (B, blocks)
         dpred = np.repeat(dblocks, n, axis=1)                 # (B, N)
         dpred = np.broadcast_to(dpred[:, None, :], (bsz, lanes, blocks * n))
-        return float(per.mean()), dpred.reshape(bsz, lanes * blocks * n)
+        return float(per.mean()), dpred.reshape(pred.shape)
 
     return loss_fn
 
 
-def rowwise_block_distance_loss(dc: DistanceConfig, lanes: int) -> nn.LossFn:
-    """Same loss for nets applied per lane row: the batch holds whole states
-    as ``lanes`` consecutive rows, and block sums couple the rows of each
-    state."""
-    blocks = dc.blocks
-    n = dc.pass_grids
-    w = dc.block_discount ** np.arange(blocks)
-
-    def loss_fn(pred: np.ndarray, target: np.ndarray):
-        rows = pred.shape[0]
-        if rows % lanes != 0:
-            raise ShapeError(
-                f"batch of {rows} rows is not a multiple of {lanes} lanes"
-            )
-        bsz = rows // lanes
-        diff = (pred - target).reshape(bsz, lanes, blocks, n).sum(axis=(1, 3))
-        per = (w * diff * diff).sum(axis=1)
-        dblocks = (2.0 / bsz) * w * diff
-        dpred = np.repeat(dblocks, n, axis=1)
-        dpred = np.broadcast_to(dpred[:, None, :], (bsz, lanes, blocks * n))
-        return float(per.mean()), dpred.reshape(rows, blocks * n)
-
-    return loss_fn
+# The estimator is applied per lane row; the same loss serves its layout.
+rowwise_block_distance_loss = block_distance_loss
 
 
 def default_estimator_net(schema_id: str, state_grids: int,
@@ -181,6 +171,14 @@ def default_dynamics_net(lanes: int, state_grids: int,
                          seed: int = 0) -> nn.Net:
     sizes = (lanes * state_grids + len(PHASE_IDS), *hidden, lanes * state_grids)
     return nn.net_new(sizes, output_activation="softplus", seed=seed)
+
+
+def phase_encode(rows: np.ndarray, actions) -> np.ndarray:
+    """Net input for predicting the next state: each row (a flattened state
+    or observation) followed by a one-hot of its phase."""
+    onehot = np.zeros((rows.shape[0], len(PHASE_IDS)))
+    onehot[np.arange(rows.shape[0]), np.asarray(actions) - 1] = 1.0
+    return np.concatenate([rows, onehot], axis=1)
 
 
 @dataclass
@@ -219,11 +217,6 @@ class DynamicsModel:
     lanes: int
     state_grids: int
 
-    def _encode(self, flat_states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        onehot = np.zeros((flat_states.shape[0], len(PHASE_IDS)))
-        onehot[np.arange(flat_states.shape[0]), actions - 1] = 1.0
-        return np.concatenate([flat_states, onehot], axis=1)
-
     def predict_flat(self, flat_states: np.ndarray,
                      actions: np.ndarray) -> np.ndarray:
         """Batched one-step prediction on flattened (lanes * N) states."""
@@ -234,7 +227,7 @@ class DynamicsModel:
                 f"flat states must be (batch, {self.lanes * self.state_grids}), "
                 f"got {flat_states.shape}"
             )
-        return nn.forward(self.net, self._encode(flat_states, actions))
+        return nn.forward(self.net, phase_encode(flat_states, actions))
 
     def predict(self, state: np.ndarray, action: int) -> np.ndarray:
         """One-step prediction for a single (lanes, N) state."""

@@ -85,10 +85,9 @@ class _Lane:
 
 
 class _Link:
-    __slots__ = ("key", "node", "approach", "heading", "lanes")
+    __slots__ = ("node", "approach", "heading", "lanes")
 
-    def __init__(self, key, node, approach, heading, n_lanes, length):
-        self.key = key
+    def __init__(self, node, approach, heading, n_lanes, length):
         self.node = node            # node the link enters (None for exits)
         self.approach = approach    # side of `node` it enters from
         self.heading = heading
@@ -107,7 +106,6 @@ class Sim:
         self.seed = int(seed)
         self.schema = schema
         self.validate = validate
-        self.rng = np.random.default_rng(seed)
 
         self.clock = 0
         self.entered = 0
@@ -131,8 +129,7 @@ class Sim:
         for node in self.nodes:
             for side in APPROACHES:
                 heading = HEADING_OF_APPROACH[side]
-                link = _Link(("in", node, side), node, side, heading,
-                             n_lanes, length)
+                link = _Link(node, side, heading, n_lanes, length)
                 for lane in link.lanes:
                     lane.is_approach = True
                 self.in_links[(node, side)] = link
@@ -141,8 +138,7 @@ class Sim:
                 nxt = (node[0] + dr, node[1] + dc)
                 if not net.on_grid(nxt):
                     self.exit_links[(node, heading)] = _Link(
-                        ("out", node, heading), None, None, heading,
-                        n_lanes, length)
+                        None, None, heading, n_lanes, length)
 
         # Downstream link for a vehicle leaving `node` with a new heading.
         self._downstream: dict[tuple[tuple[int, int], str], _Link] = {}

@@ -88,6 +88,22 @@ def test_meta_train_adapt_evaluate_chain(config_path, capsys):
     assert (out_dir / "evaluate" / "metrics.csv").exists()
 
 
+def test_stage_chain_reproduces_run(config_path):
+    doc = json.loads(config_path.read_text())
+    doc["method"] = "modular"
+    config_path.write_text(json.dumps(doc))
+    out_dir = Path(doc["out_dir"])
+    cfg = ["--config", str(config_path)]
+    assert main(cfg + ["meta-train"]) == 0
+    assert main(cfg + ["adapt", "--checkpoint",
+                       str(out_dir / "meta" / "initialization.json")]) == 0
+    assert main(cfg + ["evaluate", "--checkpoint",
+                       str(out_dir / "adapted" / "checkpoint.json")]) == 0
+    assert main(cfg + ["run"]) == 0
+    chain = (out_dir / "evaluate" / "metrics.csv").read_text()
+    assert chain == (out_dir / "main-modular" / "metrics.csv").read_text()
+
+
 def test_evaluate_rejects_unadapted_checkpoint(config_path):
     main(["--config", str(config_path), "meta-train"])
     out_dir = Path(json.loads(config_path.read_text())["out_dir"])

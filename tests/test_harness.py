@@ -73,6 +73,12 @@ def test_config_json_roundtrip(tmp_path):
     assert back.to_json() == doc
     assert io.config_digest(doc) == io.config_digest(back.to_json())
 
+    # omitted sections load as the built-in desk configuration's
+    partial = {k: v for k, v in doc.items() if k not in ("maml", "adapt")}
+    loaded = ExperimentConfig.from_json(partial)
+    assert loaded.maml == default_experiment().maml
+    assert loaded.adapt == default_experiment().adapt
+
 
 def test_run_main_unknown_method_fails_before_compute(tmp_path):
     cfg = tiny_config(tmp_path)
@@ -96,13 +102,16 @@ def test_run_main_fixed_time_identical_across_seeds(tmp_path):
     assert len(lines) == 4
 
 
-def test_run_main_csv_bytes_reproducible(tmp_path):
-    cfg = tiny_config(tmp_path, method="max_pressure", seeds=(0, 1))
+@pytest.mark.parametrize("method", ["max_pressure", "modular", "monolithic",
+                                    "seq_pretrain"])
+def test_run_main_csv_bytes_reproducible(tmp_path, method):
+    seeds = (0, 1) if method == "max_pressure" else (0,)
+    cfg = tiny_config(tmp_path, method=method, seeds=seeds)
+    csv_path = Path(cfg.out_dir) / f"main-{method}" / "metrics.csv"
     run_main(cfg)
-    first = (Path(cfg.out_dir) / "main-max_pressure" / "metrics.csv").read_bytes()
+    first = csv_path.read_bytes()
     run_main(cfg)
-    second = (Path(cfg.out_dir) / "main-max_pressure" / "metrics.csv").read_bytes()
-    assert first == second
+    assert csv_path.read_bytes() == first
 
 
 def test_run_main_modular_reports_interactions(tmp_path):
@@ -176,6 +185,20 @@ def test_offline_case_runs_with_zero_extra_interactions(tmp_path):
     assert len(csv_path.read_text().strip().split("\n")) == 1 + 3
 
 
+def test_offline_case_rejects_counted_offline_interactions(tmp_path,
+                                                           monkeypatch):
+    from gridlight.harness import runners
+    from gridlight.scenario import EnvFactory
+
+    class CountingFactory(EnvFactory):
+        def make(self, seed, count=True):
+            return super().make(seed, count=True)
+
+    monkeypatch.setattr(runners, "EnvFactory", CountingFactory)
+    with pytest.raises(RuntimeError, match="interactions"):
+        run_offline_case(tiny_config(tmp_path, seeds=(0,)))
+
+
 def test_data_volume_curve_budgets(tmp_path):
     cfg = tiny_config(tmp_path, seeds=(0,))
     rows = run_data_volume_curve(cfg, fractions=(0.25, 0.5, 1.0),
@@ -232,10 +255,8 @@ def test_dataset_jsonl_roundtrip(tmp_path):
     back = io.load_dataset(path)
     assert len(back) == len(ds)
     assert back.schema_id == ds.schema_id
-    for r1, r2 in zip(ds.records, back.records):
-        assert r1.action == r2.action
-        assert np.array_equal(r1.state, r2.state)
-        assert np.allclose(r1.obs.values, r2.obs.values)
+    for column in ("t", "obs", "state", "action", "state_next", "obs_next"):
+        assert np.array_equal(getattr(back, column), getattr(ds, column))
 
 
 def test_scenario_json_roundtrip():

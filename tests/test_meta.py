@@ -142,10 +142,9 @@ def test_collect_experience_deterministic():
 
     d1, d2 = collect(), collect()
     assert len(d1) == len(d2)
-    for r1, r2 in zip(d1.records, d2.records):
-        assert r1.action == r2.action
-        assert np.array_equal(r1.state, r2.state)
-        assert np.array_equal(r1.obs.values, r2.obs.values)
+    assert np.array_equal(d1.action, d2.action)
+    assert np.array_equal(d1.state, d2.state)
+    assert np.array_equal(d1.obs, d2.obs)
 
 
 def test_collect_experience_zero_flow_states():
@@ -155,14 +154,13 @@ def test_collect_experience_zero_flow_states():
                             episodes=1, rng=np.random.default_rng(0),
                             city_id="e", intervals=sc.intervals)
     assert len(ds) == 5 * 4
-    for r in ds.records:
-        assert r.state.sum() == 0
-        assert r.state_next.sum() == 0
+    assert (ds.state.sum(axis=(1, 2)) == 0).all()
+    assert (ds.state_next.sum(axis=(1, 2)) == 0).all()
 
 
 def test_task_dataset_validation():
     with pytest.raises(ConfigurationError):
-        TaskDataset("x", "SCHEMA_A", [])
+        TaskDataset("x", "SCHEMA_A", *(np.zeros((0, 12, 2)),) * 6)
 
 
 # -- dynamics meta-training ---------------------------------------------
@@ -186,13 +184,13 @@ def test_maml_train_reduces_prediction_error():
                                              hidden=(32,), seed=0),
                         lanes, net.state_grids)
     dist_cfg = DistanceConfig(0.8, net.state_grids, net.pass_capacity)
-    before = dynamics_error(dyn, tasks[0].records, dist_cfg)
+    before = dynamics_error(dyn, tasks[0], dist_cfg)
     cfg = MamlConfig(inner_lr=1e-4, outer_lr=1e-4, meta_iterations=60,
                      task_batch_size=2, outer_optimizer="adam")
     phi = maml_train(tasks, cfg, dyn, dist_cfg, seed=0)
     after = dynamics_error(DynamicsModel(dyn.net.with_params(phi), lanes,
                                          net.state_grids),
-                           tasks[0].records, dist_cfg)
+                           tasks[0], dist_cfg)
     assert np.all(np.isfinite(phi))
     assert after < before
 
@@ -233,8 +231,8 @@ def test_adapt_consumes_exact_budget_and_improves():
         intervals=target.intervals)
     assert factory.interactions == 2
     dist_cfg = DistanceConfig(0.8, net.state_grids, net.pass_capacity)
-    err_adapted = dynamics_error(dyn_t, held.records, dist_cfg)
-    err_phi = dynamics_error(dyn, held.records, dist_cfg)
+    err_adapted = dynamics_error(dyn_t, held, dist_cfg)
+    err_phi = dynamics_error(dyn, held, dist_cfg)
     assert err_adapted < err_phi
 
 
@@ -259,42 +257,46 @@ def logged_pairs(schema="SCHEMA_A", episodes=1, episode_s=400):
     ds = collect_experience(lambda s: sc.make(s), FixedTimeController(),
                             episodes=episodes, rng=np.random.default_rng(3),
                             city_id="log", intervals=sc.intervals)
-    return [(r.obs, r.state) for r in ds.records]
+    return ds.obs, ds.state
 
 
 def test_offline_train_overfits_single_pair():
-    pairs = [logged_pairs()[12]] * 4
+    obs, state = logged_pairs()
+    pairs = obs[[12] * 4], state[[12] * 4]
     dist_cfg = DistanceConfig(0.8, 12, 4)
-    est0 = offline_train_repr(pairs, "SCHEMA_A", epochs=1, lr=0.0,
+    est0 = offline_train_repr(*pairs, "SCHEMA_A", epochs=1, lr=0.0,
                               optimizer="sgd", dist_cfg=dist_cfg)
-    initial = training_loss(est0, pairs, dist_cfg)
-    est = offline_train_repr(pairs, "SCHEMA_A", epochs=400, lr=1e-2,
+    initial = training_loss(est0, *pairs, dist_cfg)
+    est = offline_train_repr(*pairs, "SCHEMA_A", epochs=400, lr=1e-2,
                              dist_cfg=dist_cfg)
-    final = training_loss(est, pairs, dist_cfg)
+    final = training_loss(est, *pairs, dist_cfg)
     assert final < 0.01 * initial
 
 
 def test_offline_train_empty_log_rejected():
     with pytest.raises(ConfigurationError):
-        offline_train_repr([], "SCHEMA_A", epochs=1, lr=1e-3)
+        offline_train_repr(np.zeros((0, 12, 2)), np.zeros((0, 12, 12)),
+                           "SCHEMA_A", epochs=1, lr=1e-3)
 
 
 def test_offline_train_schema_mismatch():
-    pairs = logged_pairs("SCHEMA_B")
+    # the arrays carry no schema id, so the check is on observation width
+    pairs = logged_pairs("SCHEMA_C")
     with pytest.raises(ConfigurationError):
-        offline_train_repr(pairs, "SCHEMA_A", epochs=1, lr=1e-3)
+        offline_train_repr(*pairs, "SCHEMA_A", epochs=1, lr=1e-3)
 
 
 def test_offline_training_loss_monotone_small_lr():
     # full-batch plain gradient descent at lr=1e-4 on a frozen batch
-    pairs = logged_pairs()[:40]
+    obs, state = logged_pairs()
+    pairs = obs[:40], state[:40]
     dist_cfg = DistanceConfig(0.8, 12, 4)
     losses = []
     for epochs in (0, 1, 2, 4, 8, 16):
-        est = offline_train_repr(pairs, "SCHEMA_A", epochs=epochs, lr=1e-4,
+        est = offline_train_repr(*pairs, "SCHEMA_A", epochs=epochs, lr=1e-4,
                                  optimizer="sgd", batch_size=None,
                                  dist_cfg=dist_cfg, seed=5)
-        losses.append(training_loss(est, pairs, dist_cfg))
+        losses.append(training_loss(est, *pairs, dist_cfg))
     assert all(np.isfinite(losses))
     for earlier, later in zip(losses, losses[1:]):
         assert later <= earlier + 1e-9
@@ -307,7 +309,6 @@ def test_run_episode_matches_manual_loop():
                                    sc.interval_s, record=True, city_id="x")
     assert len(records) == sc.intervals * 4
     assert metrics.avg_travel_time_s >= 0.0
-    for r in records:
-        assert r.action in range(1, 9)
-        assert r.state.shape == (12, 12)
-        assert r.obs.values.shape == (12, 2)
+    assert set(records.action) <= set(range(1, 9))
+    assert records.state.shape[1:] == (12, 12)
+    assert records.obs.shape[1:] == (12, 2)

@@ -138,9 +138,9 @@ def test_forward_and_grad_do_not_mutate():
 
 
 def test_sgd_step():
-    out = nn.sgd_step(np.array([1.0, 2.0]), np.array([0.5, 0.5]), lr=1.0)
+    out = nn.SGD(lr=1.0).step(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
     assert np.allclose(out, [0.5, 1.5])
-    same = nn.sgd_step(np.array([1.0, 2.0]), np.array([0.5, 0.5]), lr=0.0)
+    same = nn.SGD(lr=0.0).step(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
     assert np.array_equal(same, [1.0, 2.0])
 
 
@@ -148,20 +148,21 @@ def test_sgd_step_roundtrip():
     rng = np.random.default_rng(0)
     p = rng.normal(size=20)
     g = rng.normal(size=20)
-    back = nn.sgd_step(nn.sgd_step(p, g, 0.3), -g, 0.3)
+    sgd = nn.SGD(0.3)
+    back = sgd.step(sgd.step(p, g), -g)
     assert np.max(np.abs(back - p)) < 1e-12
 
 
 def test_sgd_step_is_functional():
     p = np.array([1.0, 2.0])
-    out = nn.sgd_step(p, np.array([1.0, 1.0]), 0.1)
+    out = nn.SGD(0.1).step(p, np.array([1.0, 1.0]))
     assert np.array_equal(p, [1.0, 2.0])
     assert out is not p
 
 
 def test_sgd_step_length_mismatch():
     with pytest.raises(ShapeError):
-        nn.sgd_step(np.zeros(3), np.zeros(4), 0.1)
+        nn.SGD(0.1).step(np.zeros(3), np.zeros(4))
 
 
 def test_with_params_rejects_nonfinite():

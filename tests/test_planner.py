@@ -3,6 +3,8 @@ blur invariance, model wrappers, rollout, and action selection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlight import nn
 from gridlight.errors import ConfigurationError, ShapeError
@@ -166,6 +168,31 @@ def test_block_distance_loss_grad_checks():
     yo = rng.integers(0, 4, size=(2 * lanes, 8)).astype(float)
     err = nn.grad_check(est, rowwise_block_distance_loss(dc, lanes), xo, yo)
     assert err < 1e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(bsz=st.integers(1, 5), lanes=st.integers(1, 4),
+       blocks=st.integers(1, 4), pass_grids=st.integers(1, 3),
+       discount=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_distance_loss_layouts_agree(bsz, lanes, blocks, pass_grids,
+                                           discount, seed):
+    # one batch of whole states, once flattened per state (dynamics net)
+    # and once as lane rows (estimator): same loss, same gradient values
+    n = blocks * pass_grids
+    dc = DistanceConfig(discount, n, pass_grids)
+    rng = np.random.default_rng(seed)
+    pred = rng.uniform(0.0, 3.0, size=(bsz, lanes * n))
+    target = rng.integers(0, 4, size=(bsz, lanes * n)).astype(float)
+    loss_state, g_state = block_distance_loss(dc, lanes)(pred, target)
+    loss_lane, g_lane = rowwise_block_distance_loss(dc, lanes)(
+        pred.reshape(bsz * lanes, n), target.reshape(bsz * lanes, n))
+    assert loss_lane == loss_state
+    assert g_state.shape == (bsz, lanes * n)
+    assert g_lane.shape == (bsz * lanes, n)
+    assert np.array_equal(g_lane.reshape(bsz, lanes * n), g_state)
+    oracle = np.mean([state_distance(p.reshape(lanes, n), t.reshape(lanes, n),
+                                     dc) for p, t in zip(pred, target)])
+    assert loss_state == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
 def test_estimator_output_shape_and_softplus_offset():
