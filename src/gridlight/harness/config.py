@@ -187,15 +187,14 @@ class ExperimentConfig:
         return replace(self, method=method)
 
 
-_CASTS = {"float": float, "int": int, "bool": bool, "str": str}
-
-
 def _merged(base, doc: dict):
     """``base`` with each scalar field that ``doc`` gives replaced, cast to
-    the field's type."""
-    return replace(base, **{f.name: _CASTS[f.type](doc[f.name])
-                            for f in fields(base)
-                            if f.name in doc and f.type in _CASTS})
+    the type of ``base``'s value."""
+    scalars = {f.name: getattr(base, f.name) for f in fields(base)}
+    return replace(base, **{name: type(v)(doc[name])
+                            for name, v in scalars.items()
+                            if name in doc
+                            and isinstance(v, (int, float, str))})
 
 
 def default_experiment(method: str = "modular", out_dir: str = "runs",

@@ -587,8 +587,8 @@ def run_offline_case(cfg: ExperimentConfig, offline_episodes: int = 1) -> dict:
             episodes=offline_episodes, rng=log_rng, city_id=target.name,
             intervals=target.intervals, interval_s=target.interval_s)
         est_off = offline_train_repr(
-            logged.obs, logged.state, target.schema,
-            epochs=cfg.adapt.epochs_per_episode * 2, lr=cfg.adapt.lr, hidden=cfg.estimator_hidden,
+            logged, target.schema, epochs=cfg.adapt.epochs_per_episode * 2,
+            lr=cfg.adapt.lr, hidden=cfg.estimator_hidden,
             dist_cfg=dist_config_for(cfg, target), seed=seed)
 
         metrics_off = evaluate_planner(cfg, est_off, art["dynamics"], seed)

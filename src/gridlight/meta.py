@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 from .planner import (
     DistanceConfig,
     DynamicsModel,
@@ -264,8 +264,15 @@ def maml_run(theta0: np.ndarray, tasks: Sequence, cfg: MamlConfig,
     return theta
 
 
-def _dynamics_xy(ds: TaskDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Dynamics-net inputs (state and phase) and targets (next state)."""
+def _dynamics_xy(ds: TaskDataset, lanes: int,
+                 n_grids: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dynamics-net inputs (state and phase) and targets (next state) for
+    a dynamics model over ``lanes`` x ``n_grids`` states."""
+    if ds.state.shape[1:] != (lanes, n_grids):
+        raise ShapeError(
+            f"dataset {ds.city_id!r} has states of shape {ds.state.shape[1:]}, "
+            f"the dynamics model expects ({lanes}, {n_grids})"
+        )
     m = len(ds)
     return (phase_encode(ds.state.reshape(m, -1), ds.action),
             ds.state_next.reshape(m, -1))
@@ -285,7 +292,7 @@ def maml_train(tasks: Sequence[TaskDataset], cfg: MamlConfig,
         return nn.loss_and_grad(dyn.net, loss_fn, xb, yb, params=theta)
 
     return maml_run(dyn.net.params, [
-        ArrayTask(*_dynamics_xy(ds), lag, ds.support_fraction,
+        ArrayTask(*_dynamics_xy(ds, dyn.lanes, dyn.state_grids), lag, ds.support_fraction,
                   cfg.batch_size, rng) for ds in tasks], cfg, seed)
 
 
@@ -301,8 +308,10 @@ def seq_pretrain(tasks: Sequence[TaskDataset], cfg: MamlConfig,
     opt = nn.SGD(cfg.inner_lr)
     net = dyn.net
     for ds in tasks:
-        net = nn.fit(net, loss_fn, *_dynamics_xy(ds), opt, nn.sampled_batches(
-            rng, len(ds), cfg.batch_size, cfg.meta_iterations))
+        net = nn.fit(net, loss_fn,
+                     *_dynamics_xy(ds, dyn.lanes, dyn.state_grids), opt,
+                     nn.sampled_batches(rng, len(ds), cfg.batch_size,
+                                        cfg.meta_iterations))
     return net.params
 
 
@@ -400,7 +409,7 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
         epsilon *= cfg.epsilon_decay
 
         ds = TaskDataset.concat(episodes)
-        xg, yg = _dynamics_xy(ds)
+        xg, yg = _dynamics_xy(ds, lanes, n_grids)
         d_o = ds.obs.shape[-1]
         for idx in nn.epoch_batches(train_rng, len(ds), cfg.batch_size,
                                     cfg.epochs_per_episode):
@@ -416,34 +425,32 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
             DynamicsModel(g_net, lanes, n_grids))
 
 
-def offline_train_repr(obs: np.ndarray, state: np.ndarray, schema_id: str,
-                       epochs: int, lr: float, *,
+def offline_train_repr(logged: TaskDataset, schema_id: str, epochs: int,
+                       lr: float, *,
                        hidden: tuple[int, ...] = (32, 32),
                        dist_cfg: DistanceConfig | None = None,
                        batch_size: int | None = 128,
                        optimizer: str = "adam",
                        seed: int = 0) -> StateEstimator:
-    """Train the observation-to-state estimator purely on logged
-    observations (m, lanes, d_o) and states (m, lanes, N); no environment
-    interaction happens here."""
-    if len(obs) == 0:
-        raise ConfigurationError("logged pairs must be nonempty")
+    """Train the observation-to-state estimator purely on a logged
+    dataset's observations and states; no environment interaction happens
+    here."""
     if schema_id not in SCHEMA_DIMS:
         raise ConfigurationError(f"unknown observation schema {schema_id!r}")
-    if obs.shape[-1] != SCHEMA_DIMS[schema_id]:
+    if logged.schema_id != schema_id:
         raise ConfigurationError(
-            f"logged observations have {obs.shape[-1]} features, schema "
-            f"{schema_id!r} has {SCHEMA_DIMS[schema_id]}"
+            f"logged observations have schema {logged.schema_id!r}, "
+            f"expected {schema_id!r}"
         )
-    lanes, n_grids = state.shape[1:]
+    lanes, n_grids = logged.state.shape[1:]
     if dist_cfg is None:
         dist_cfg = DistanceConfig(0.8, n_grids, max(1, n_grids // 3))
     f_net = nn.fit(
         default_estimator_net(schema_id, n_grids, hidden, seed=seed),
-        rowwise_block_distance_loss(dist_cfg, lanes), obs, state,
-        nn.optimizer(optimizer, lr),
-        nn.epoch_batches(np.random.default_rng(seed), len(obs), batch_size,
-                         epochs))
+        rowwise_block_distance_loss(dist_cfg, lanes), logged.obs,
+        logged.state, nn.optimizer(optimizer, lr),
+        nn.epoch_batches(np.random.default_rng(seed), len(logged),
+                         batch_size, epochs))
     return StateEstimator(f_net, schema_id, lanes, n_grids)
 
 
@@ -453,16 +460,21 @@ def _mean_distance(pred: np.ndarray, target: np.ndarray,
                for p, s in zip(pred, target)) / len(target)
 
 
-def training_loss(estimator: StateEstimator, obs: np.ndarray,
-                  state: np.ndarray, dist_cfg: DistanceConfig) -> float:
-    """Mean estimator distance over logged observations and states."""
+def training_loss(estimator: StateEstimator, logged: TaskDataset,
+                  dist_cfg: DistanceConfig) -> float:
+    """Mean estimator distance over a logged dataset's observations and
+    states."""
+    estimator.check(logged.schema_id, logged.obs.shape[1])
+    obs = logged.obs
     pred = nn.forward(estimator.net, obs.reshape(-1, obs.shape[-1]))
-    return _mean_distance(pred.reshape(state.shape), state, dist_cfg)
+    return _mean_distance(pred.reshape(logged.state.shape), logged.state,
+                          dist_cfg)
 
 
 def dynamics_error(dyn: DynamicsModel, ds: TaskDataset,
                    dist_cfg: DistanceConfig) -> float:
     """Mean one-step prediction distance over a dataset's transitions."""
-    pred = nn.forward(dyn.net, _dynamics_xy(ds)[0])
+    pred = nn.forward(dyn.net, _dynamics_xy(ds, dyn.lanes,
+                                            dyn.state_grids)[0])
     return _mean_distance(pred.reshape(ds.state.shape), ds.state_next,
                           dist_cfg)

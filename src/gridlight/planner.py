@@ -195,17 +195,22 @@ class StateEstimator:
     state_grids: int
 
     def estimate(self, obs: Observation) -> np.ndarray:
-        if obs.schema_id != self.schema_id:
+        self.check(obs.schema_id, obs.values.shape[0])
+        return nn.forward(self.net, obs.values)
+
+    def check(self, schema_id: str, lanes: int) -> None:
+        """Raise ``ShapeError`` unless observations of ``schema_id`` with
+        ``lanes`` lane rows fit this estimator."""
+        if schema_id != self.schema_id:
             raise ShapeError(
                 f"estimator expects schema {self.schema_id}, observation "
-                f"has {obs.schema_id}"
+                f"has {schema_id}"
             )
-        if obs.values.shape[0] != self.lanes:
+        if lanes != self.lanes:
             raise ShapeError(
-                f"observation has {obs.values.shape[0]} lanes, estimator "
-                f"expects {self.lanes}"
+                f"observation has {lanes} lanes, estimator expects "
+                f"{self.lanes}"
             )
-        return nn.forward(self.net, obs.values)
 
 
 @dataclass

@@ -303,8 +303,7 @@ def test_criterion_10_offline_case(pipeline_runs):
             lambda s: factory.make(s, count=False), FixedTimeController(),
             episodes=1, rng=np.random.default_rng([seed, 55]),
             city_id=target.name, intervals=target.intervals)
-        est_off = offline_train_repr(logged.obs, logged.state,
-                                     target.schema, epochs=40,
+        est_off = offline_train_repr(logged, target.schema, epochs=40,
                                      lr=cfg.adapt.lr, dist_cfg=dist_cfg,
                                      seed=seed)
         ctrl = PlannerController(est_off, art["dynamics"],

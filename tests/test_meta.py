@@ -8,8 +8,9 @@ import pytest
 
 from gridlight import nn
 from gridlight.baselines import FixedTimeController, MaxPressureController
-from gridlight.errors import ConfigurationError
+from gridlight.errors import ConfigurationError, ShapeError
 from gridlight.meta import (
+    COLUMNS,
     AdaptConfig,
     MamlConfig,
     TaskDataset,
@@ -26,7 +27,9 @@ from gridlight.meta import (
 from gridlight.planner import (
     DistanceConfig,
     DynamicsModel,
+    StateEstimator,
     default_dynamics_net,
+    default_estimator_net,
 )
 from gridlight.scenario import EnvFactory, ScenarioSpec
 from gridlight.sim import Flow, RoadNetwork
@@ -210,6 +213,21 @@ def test_seq_pretrain_runs_and_is_finite():
     assert np.all(np.isfinite(phi))
 
 
+@pytest.mark.parametrize("train", [maml_train, seq_pretrain])
+def test_dynamics_training_rejects_other_state_layout(train):
+    # 8 lanes x 18 grids has as many cells as the model's 12 x 12
+    m = 4
+    ds = TaskDataset("wide", "SCHEMA_A", np.arange(m), np.zeros((m, 8, 2)),
+                     np.zeros((m, 8, 18)), np.ones(m, dtype=np.int64),
+                     np.zeros((m, 8, 18)), np.zeros((m, 8, 2)))
+    dyn = DynamicsModel(default_dynamics_net(12, 12, hidden=(8,), seed=0),
+                        12, 12)
+    cfg = MamlConfig(inner_lr=1e-4, outer_lr=1e-4, meta_iterations=1,
+                     task_batch_size=1)
+    with pytest.raises(ShapeError):
+        train([ds], cfg, dyn, DistanceConfig(0.8, 12, 4), seed=0)
+
+
 # -- adaptation --------------------------------------------------------------
 
 def test_adapt_consumes_exact_budget_and_improves():
@@ -254,49 +272,60 @@ def test_adapt_budget_validation():
 
 def logged_pairs(schema="SCHEMA_A", episodes=1, episode_s=400):
     sc = small_scenario(schema=schema, episode_s=episode_s)
-    ds = collect_experience(lambda s: sc.make(s), FixedTimeController(),
-                            episodes=episodes, rng=np.random.default_rng(3),
-                            city_id="log", intervals=sc.intervals)
-    return ds.obs, ds.state
+    return collect_experience(lambda s: sc.make(s), FixedTimeController(),
+                              episodes=episodes, rng=np.random.default_rng(3),
+                              city_id="log", intervals=sc.intervals)
+
+
+def rows(ds, idx):
+    """The dataset holding ``ds``'s rows at ``idx``."""
+    return TaskDataset(ds.city_id, ds.schema_id,
+                       *(getattr(ds, c)[idx] for c in COLUMNS))
 
 
 def test_offline_train_overfits_single_pair():
-    obs, state = logged_pairs()
-    pairs = obs[[12] * 4], state[[12] * 4]
+    pairs = rows(logged_pairs(), [12] * 4)
     dist_cfg = DistanceConfig(0.8, 12, 4)
-    est0 = offline_train_repr(*pairs, "SCHEMA_A", epochs=1, lr=0.0,
+    est0 = offline_train_repr(pairs, "SCHEMA_A", epochs=1, lr=0.0,
                               optimizer="sgd", dist_cfg=dist_cfg)
-    initial = training_loss(est0, *pairs, dist_cfg)
-    est = offline_train_repr(*pairs, "SCHEMA_A", epochs=400, lr=1e-2,
+    initial = training_loss(est0, pairs, dist_cfg)
+    est = offline_train_repr(pairs, "SCHEMA_A", epochs=400, lr=1e-2,
                              dist_cfg=dist_cfg)
-    final = training_loss(est, *pairs, dist_cfg)
+    final = training_loss(est, pairs, dist_cfg)
     assert final < 0.01 * initial
 
 
 def test_offline_train_empty_log_rejected():
+    # an empty log is refused as soon as it is built
     with pytest.raises(ConfigurationError):
-        offline_train_repr(np.zeros((0, 12, 2)), np.zeros((0, 12, 12)),
-                           "SCHEMA_A", epochs=1, lr=1e-3)
+        offline_train_repr(rows(logged_pairs(), []), "SCHEMA_A", epochs=1,
+                           lr=1e-3)
 
 
 def test_offline_train_schema_mismatch():
-    # the arrays carry no schema id, so the check is on observation width
-    pairs = logged_pairs("SCHEMA_C")
+    pairs = logged_pairs("SCHEMA_B")
     with pytest.raises(ConfigurationError):
-        offline_train_repr(*pairs, "SCHEMA_A", epochs=1, lr=1e-3)
+        offline_train_repr(pairs, "SCHEMA_A", epochs=1, lr=1e-3)
+
+
+def test_training_loss_schema_mismatch():
+    est = StateEstimator(default_estimator_net("SCHEMA_A", 12, seed=0),
+                         "SCHEMA_A", 12, 12)
+    with pytest.raises(ShapeError):
+        training_loss(est, logged_pairs("SCHEMA_B"),
+                      DistanceConfig(0.8, 12, 4))
 
 
 def test_offline_training_loss_monotone_small_lr():
     # full-batch plain gradient descent at lr=1e-4 on a frozen batch
-    obs, state = logged_pairs()
-    pairs = obs[:40], state[:40]
+    pairs = rows(logged_pairs(), slice(0, 40))
     dist_cfg = DistanceConfig(0.8, 12, 4)
     losses = []
     for epochs in (0, 1, 2, 4, 8, 16):
-        est = offline_train_repr(*pairs, "SCHEMA_A", epochs=epochs, lr=1e-4,
+        est = offline_train_repr(pairs, "SCHEMA_A", epochs=epochs, lr=1e-4,
                                  optimizer="sgd", batch_size=None,
                                  dist_cfg=dist_cfg, seed=5)
-        losses.append(training_loss(est, *pairs, dist_cfg))
+        losses.append(training_loss(est, pairs, dist_cfg))
     assert all(np.isfinite(losses))
     for earlier, later in zip(losses, losses[1:]):
         assert later <= earlier + 1e-9
