@@ -123,12 +123,21 @@ def _cmd_adapt(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     ck = io.load_checkpoint(args.checkpoint)
-    if ck["estimator"] is None:
+    est, dyn = ck["estimator"], ck["dynamics"]
+    if est is None:
         raise ConfigurationError(
             "checkpoint has no estimator; adapt it before evaluating")
+    net = cfg.target.network
+    target = (cfg.target.schema, net.lanes_per_intersection, net.state_grids)
+    found = (est.schema_id, est.lanes, est.state_grids)
+    if found != target or (dyn.lanes, dyn.state_grids) != target[1:]:
+        raise ConfigurationError(
+            f"checkpoint estimator (schema, lanes, state_grids) {found} and "
+            f"dynamics (lanes, state_grids) {(dyn.lanes, dyn.state_grids)} "
+            f"do not match target {cfg.target.name!r} {target}")
     rows = []
     for seed in cfg.seeds:
-        m = evaluate_planner(cfg, ck["estimator"], ck["dynamics"], seed)
+        m = evaluate_planner(cfg, est, dyn, seed)
         rows.append(metrics_row(cfg.target, seed, "modular", m))
         print(f"seed={seed}: travel={m.avg_travel_time_s:.2f}s "
               f"queue={m.avg_queue_length:.3f}")

@@ -157,8 +157,12 @@ class ExperimentConfig:
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         """Read a config document; ``target`` and ``method`` are required,
         ``sources`` default to none, and every other field missing from the
-        document keeps its value in :func:`default_experiment`."""
+        document keeps its value in :func:`default_experiment`. Unknown
+        keys, at the top level or in ``maml`` and ``adapt``, are refused."""
         base = default_experiment()
+        _known_keys(doc, cls, "experiment config")
+        _known_keys(doc.get("maml", {}), MamlConfig, "maml")
+        _known_keys(doc.get("adapt", {}), AdaptConfig, "adapt")
         try:
             cfg = replace(
                 base,
@@ -169,9 +173,9 @@ class ExperimentConfig:
                 maml=_merged(base.maml, doc.get("maml", {})),
                 adapt=_merged(base.adapt, doc.get("adapt", {})),
                 seeds=tuple(int(s) for s in doc.get("seeds", base.seeds)),
-                dyn_hidden=tuple(doc.get("dyn_hidden", base.dyn_hidden)),
-                estimator_hidden=tuple(doc.get("estimator_hidden",
-                                               base.estimator_hidden)),
+                dyn_hidden=_hidden_sizes(doc, "dyn_hidden", base.dyn_hidden),
+                estimator_hidden=_hidden_sizes(doc, "estimator_hidden",
+                                               base.estimator_hidden),
             )
             return _merged(cfg, doc)
         except KeyError as exc:
@@ -185,6 +189,25 @@ class ExperimentConfig:
 
     def with_method(self, method: str) -> "ExperimentConfig":
         return replace(self, method=method)
+
+
+def _known_keys(doc: dict, cls, where: str) -> None:
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"{where} has unknown keys {unknown}")
+
+
+def _hidden_sizes(doc: dict, name: str, default: tuple[int, ...]):
+    """``doc[name]`` as a tuple of positive ints, else ``default``."""
+    value = doc.get(name, default)
+    try:
+        sizes = tuple(int(h) for h in value)
+    except (TypeError, ValueError):
+        sizes = None
+    if isinstance(value, str) or sizes is None or any(h < 1 for h in sizes):
+        raise ConfigurationError(
+            f"{name} must be a list of positive ints, got {value!r}")
+    return sizes
 
 
 def _merged(base, doc: dict):

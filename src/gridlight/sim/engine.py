@@ -9,9 +9,11 @@ ahead has room, and scheduled vehicles enter at their origin grid when it
 has room (deferred tick by tick otherwise, so no vehicle is ever lost).
 
 Commanded phases are held for the whole interval. Everything is a pure
-function of (network, flows, seed, action trace); the handle keeps a seeded
-RNG for callers but never consumes it itself. A handle is single-threaded;
-run independent handles for parallelism.
+function of (network, flows, action trace): nothing is random, and the
+seed is only recorded on the handle. Lane state is plain Python ints and
+containers; numpy appears only in the arrays the queries return and in
+the int64 bytes ``digest()`` hashes. A handle is single-threaded; run
+independent handles for parallelism.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -70,8 +73,8 @@ class _Lane:
                  "last_crossings", "last_mid_passes", "last_seg_speed")
 
     def __init__(self, length: int):
-        self.occ = np.zeros(length, dtype=np.int64)
-        self.vehs: list[_Vehicle] = []
+        self.occ = [0] * length
+        self.vehs: deque[_Vehicle] = deque()
         self.pending: deque[_Vehicle] = deque()
         self.is_approach = False
         self.crossings = 0
@@ -140,29 +143,42 @@ class Sim:
                     self.exit_links[(node, heading)] = _Link(
                         None, None, heading, n_lanes, length)
 
-        # Downstream link for a vehicle leaving `node` with a new heading.
-        self._downstream: dict[tuple[tuple[int, int], str], _Link] = {}
-        for node in self.nodes:
-            for heading in APPROACHES:
-                dr, dc = HEADING_DELTA[heading]
-                nxt = (node[0] + dr, node[1] + dc)
-                if net.on_grid(nxt):
-                    link = self.in_links[(nxt, OPPOSITE[heading])]
-                else:
-                    link = self.exit_links[(node, heading)]
-                self._downstream[(node, heading)] = link
-
         self._approach_lane_map = {
             node: [self.in_links[(node, side)].lanes[m]
                    for side in APPROACHES for m in range(n_lanes)]
             for node in self.nodes
         }
+        # Per node: ((approach, movement), approach lane, receiving link) in
+        # approach-then-movement order, and per phase the permitted
+        # (lane, receiving lanes, is_exit) crossings in the same order.
+        self._movements = {}
+        self._crossings = {}
+        for node in self.nodes:
+            moves = []
+            for (approach, movement), lane in zip(
+                    product(APPROACHES, MOVEMENTS),
+                    self._approach_lane_map[node]):
+                heading = TURN[HEADING_OF_APPROACH[approach]][movement]
+                dr, dc = HEADING_DELTA[heading]
+                nxt = (node[0] + dr, node[1] + dc)
+                dlink = (self.in_links[(nxt, OPPOSITE[heading])]
+                         if net.on_grid(nxt)
+                         else self.exit_links[(node, heading)])
+                moves.append(((approach, movement), lane, dlink))
+            self._movements[node] = moves
+            self._crossings[node] = {
+                phase: [(lane, dlink.lanes, dlink.node is None)
+                        for (approach, movement), lane, dlink in moves
+                        if permits(phase, approach, movement)]
+                for phase in PHASE_IDS}
         self._all_links = (
             [self.in_links[(node, side)] for node in self.nodes
              for side in APPROACHES]
             + [self.exit_links[k] for k in sorted(self.exit_links)]
         )
         self._all_lanes = [ln for link in self._all_links for ln in link.lanes]
+        self._exit_lanes = [ln for link in self.exit_links.values()
+                            for ln in link.lanes]
         self._approach_lanes = [ln for ln in self._all_lanes if ln.is_approach]
         self._n_approach_lanes = len(self._approach_lanes)
 
@@ -204,16 +220,21 @@ class Sim:
     def vehicles_on_network(self) -> int:
         return self.entered - self.exited
 
-    def _node_lanes(self, node) -> list[_Lane]:
+    @staticmethod
+    def _of_node(table: dict, node):
         try:
-            return self._approach_lane_map[node]
+            return table[node]
         except KeyError:
             raise KeyError(f"unknown intersection {node!r}") from None
+
+    def _node_lanes(self, node) -> list[_Lane]:
+        return self._of_node(self._approach_lane_map, node)
 
     def extract_state(self, node) -> np.ndarray:
         """Ground-truth occupancy of the first state_grids cells per lane."""
         n = self.network.state_grids
-        return np.stack([lane.occ[:n] for lane in self._node_lanes(node)])
+        return np.array([lane.occ[:n] for lane in self._node_lanes(node)],
+                        dtype=np.int64)
 
     def observe(self, node, schema: str | None = None) -> Observation:
         schema = self.schema if schema is None else schema
@@ -242,19 +263,17 @@ class Sim:
 
         Upstream is the approach lane's occupancy over the state window;
         downstream is the mean occupancy of the receiving link's lanes over
-        the same window.
+        the same window: the exact integer sum over the lane count, which
+        is the correctly rounded mean.
         """
-        lanes = self._node_lanes(node)
         n = self.network.state_grids
+        down = {}
         out = {}
-        for ai, approach in enumerate(APPROACHES):
-            heading = HEADING_OF_APPROACH[approach]
-            for mi, movement in enumerate(MOVEMENTS):
-                lane = lanes[ai * len(MOVEMENTS) + mi]
-                up = float(lane.occ[:n].sum())
-                dlink = self._downstream[(node, TURN[heading][movement])]
-                down = float(np.mean([ln.occ[:n].sum() for ln in dlink.lanes]))
-                out[(approach, movement)] = (up, down)
+        for key, lane, dlink in self._of_node(self._movements, node):
+            if dlink not in down:
+                down[dlink] = (sum(sum(ln.occ[:n]) for ln in dlink.lanes)
+                               / len(dlink.lanes))
+            out[key] = (float(sum(lane.occ[:n])), down[dlink])
         return out
 
     def snapshot(self):
@@ -284,7 +303,7 @@ class Sim:
                        self._intervals)).encode())
         for link in self._all_links:
             for lane in link.lanes:
-                h.update(lane.occ.tobytes())
+                h.update(np.array(lane.occ, dtype=np.int64).tobytes())
                 h.update(repr([(v.vid, v.grid, v.route_pos) for v in lane.vehs])
                          .encode())
                 h.update(repr((lane.crossings, lane.mid_passes,
@@ -352,6 +371,7 @@ class Sim:
         cap = net.grid_capacity
         n_cross = net.pass_capacity
         length = net.lane_grids
+        top = length - 1
         mid = length // 2
         third1 = length // 3
         third2 = 2 * (length // 3)
@@ -359,94 +379,75 @@ class Sim:
         stamp = t + 1
 
         # 1. boundary exits
-        for key in self.exit_links:
-            for lane in self.exit_links[key].lanes:
-                vehs = lane.vehs
-                while vehs and vehs[0].grid == 0:
-                    v = vehs.pop(0)
-                    lane.occ[0] -= 1
-                    v.exit_s = stamp
-                    v.moved_tick = t
-                    self.exited += 1
-                    self._travel_sum_exited += stamp - v.enter_s
+        for lane in self._exit_lanes:
+            vehs = lane.vehs
+            while vehs and vehs[0].grid == 0:
+                v = vehs.popleft()
+                lane.occ[0] -= 1
+                v.exit_s = stamp
+                v.moved_tick = t
+                self.exited += 1
+                self._travel_sum_exited += stamp - v.enter_s
 
         # 2. intersection crossings
         for node in self.nodes:
-            phase = acts[node]
-            lanes = self._approach_lane_map[node]
-            for ai, approach in enumerate(APPROACHES):
-                heading = HEADING_OF_APPROACH[approach]
-                for mi, movement in enumerate(MOVEMENTS):
-                    lane = lanes[ai * 3 + mi]
-                    vehs = lane.vehs
-                    if not vehs or vehs[0].grid != 0:
-                        continue
-                    if not permits(phase, approach, movement):
-                        continue
-                    d_out = TURN[heading][movement]
-                    dlink = self._downstream[(node, d_out)]
-                    is_exit = dlink.node is None
-                    while (vehs and vehs[0].grid == 0
-                           and lane.crossings < n_cross):
-                        v = vehs[0]
-                        if is_exit:
-                            dest = dlink.lanes[v.route[v.route_pos]]
-                        else:
-                            dest = dlink.lanes[v.route[v.route_pos + 1]]
-                        if dest.occ[length - 1] >= cap:
-                            break
-                        vehs.pop(0)
-                        lane.occ[0] -= 1
-                        lane.crossings += 1
-                        v.grid = length - 1
-                        v.route_pos += 1
-                        v.moved_tick = t
-                        dest.occ[length - 1] += 1
-                        dest.vehs.append(v)
+            for lane, dlanes, is_exit in self._crossings[node][acts[node]]:
+                vehs = lane.vehs
+                while vehs and vehs[0].grid == 0 and lane.crossings < n_cross:
+                    v = vehs[0]
+                    pos = v.route_pos if is_exit else v.route_pos + 1
+                    dest = dlanes[v.route[pos]]
+                    if dest.occ[top] >= cap:
+                        break
+                    vehs.popleft()
+                    lane.occ[0] -= 1
+                    lane.crossings += 1
+                    v.grid = top
+                    v.route_pos += 1
+                    v.moved_tick = t
+                    dest.occ[top] += 1
+                    dest.vehs.append(v)
 
-        # 3. in-lane advances, with per-tick stats for observed lanes
+        # 3. in-lane advances, with per-tick stats for observed lanes: a
+        # segment's samples are its vehicles after the advance, and the
+        # stationary ones are those that neither advanced nor arrived
         for lane in self._all_lanes:
-            if not lane.vehs:
-                if last and lane.is_approach:
+            vehs = lane.vehs
+            is_app = lane.is_approach
+            if not vehs:
+                if last and is_app:
                     lane.stationary = 0
                 continue
             occ = lane.occ
-            is_app = lane.is_approach
-            stationary = 0
             seg_moves = lane.seg_moves
-            seg_samples = lane.seg_samples
-            for v in lane.vehs:
+            for v in vehs:
                 g = v.grid
-                if g != 0 and v.moved_tick != t and occ[g - 1] < cap:
+                if g != 0 and occ[g - 1] < cap and v.moved_tick != t:
                     occ[g] -= 1
                     g -= 1
                     occ[g] += 1
                     v.grid = g
                     v.moved_tick = t
-                    if is_app and g == mid - 1:
-                        lane.mid_passes += 1
-                moved = v.moved_tick == t
-                if is_app:
-                    if g < third2:
-                        k = 0 if g < third1 else 1
-                        seg_samples[k] += 1
-                        if moved:
-                            seg_moves[k] += 1
-                    if last and not moved:
-                        stationary += 1
-            if last and is_app:
-                lane.stationary = stationary
+                    if is_app:
+                        if g == mid - 1:
+                            lane.mid_passes += 1
+                        if g < third2:
+                            seg_moves[0 if g < third1 else 1] += 1
+            if is_app:
+                lane.seg_samples[0] += sum(occ[:third1])
+                lane.seg_samples[1] += sum(occ[third1:third2])
+                if last:
+                    lane.stationary = sum(v.moved_tick != t for v in vehs)
 
         # 4. scheduled entries (deferred while the origin grid is full)
         for lane in self._entry_lanes:
             pending = lane.pending
-            while (pending and pending[0].sched_s <= t
-                   and lane.occ[length - 1] < cap):
+            while pending and pending[0].sched_s <= t and lane.occ[top] < cap:
                 v = pending.popleft()
                 v.enter_s = stamp
-                v.grid = length - 1
+                v.grid = top
                 v.moved_tick = t
-                lane.occ[length - 1] += 1
+                lane.occ[top] += 1
                 lane.vehs.append(v)
                 self.entered += 1
 
@@ -459,15 +460,17 @@ class Sim:
                     f"conservation violated at t={stamp}: "
                     f"entered={self.entered} on={on_net} exited={self.exited}")
             for lane in self._all_lanes:
-                if lane.occ.max(initial=0) > cap:
+                if max(lane.occ) > cap:
                     raise RuntimeError(f"grid over capacity at t={stamp}")
-                if lane.occ.min(initial=0) < 0:
+                if min(lane.occ) < 0:
                     raise RuntimeError(f"negative occupancy at t={stamp}")
 
 
 def reset(network: RoadNetwork, flows: list[Flow], seed: int,
           schema: str = "BASE", validate: bool = False) -> Sim:
-    """Build a fresh simulation: clock 0, empty network, seeded RNG.
+    """Build a fresh simulation: clock 0, empty network, every flow's
+    vehicles scheduled. ``seed`` is recorded on the handle only; the
+    dynamics draw no random numbers.
 
     Two calls with equal arguments yield handles with identical state
     digests and identical behavior under identical action traces.

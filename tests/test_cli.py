@@ -113,6 +113,26 @@ def test_evaluate_rejects_unadapted_checkpoint(config_path):
     assert rc == 2
 
 
+def test_evaluate_rejects_checkpoint_for_another_target(config_path,
+                                                       tmp_path, capsys):
+    """A city-c checkpoint against a city-b target fails up front with a
+    configuration error, before any episode runs."""
+    main(["--config", str(config_path), "meta-train"])
+    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+    main(["--config", str(config_path), "adapt", "--checkpoint",
+          str(out_dir / "meta" / "initialization.json")])
+    doc = json.loads(config_path.read_text())
+    doc["target"] = desk_city_b(300).to_json()
+    other = tmp_path / "city-b.json"
+    other.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["--config", str(other), "evaluate", "--checkpoint",
+               str(out_dir / "adapted" / "checkpoint.json")])
+    assert rc == 2
+    assert "do not match target 'city-b'" in capsys.readouterr().err
+    assert not (out_dir / "evaluate").exists()
+
+
 def test_seed_override(config_path, capsys):
     rc = main(["--config", str(config_path), "--seed", "7", "simulate"])
     assert rc == 0

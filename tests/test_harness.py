@@ -80,6 +80,30 @@ def test_config_json_roundtrip(tmp_path):
     assert loaded.adapt == default_experiment().adapt
 
 
+def test_config_rejects_unknown_keys(tmp_path):
+    doc = tiny_config(tmp_path).to_json()
+    for bad in ({**doc, "collect_episode": 3},
+                {**doc, "maml": {**doc["maml"], "meta_iteration": 0}},
+                {**doc, "adapt": {**doc["adapt"], "budget": 1}}):
+        with pytest.raises(ConfigurationError, match="unknown keys"):
+            ExperimentConfig.from_json(bad)
+
+
+def test_config_casts_hidden_sizes(tmp_path):
+    doc = tiny_config(tmp_path).to_json()
+    as_text = ExperimentConfig.from_json(
+        {**doc, "dyn_hidden": ["32"], "estimator_hidden": ["16", 8]})
+    as_ints = ExperimentConfig.from_json(
+        {**doc, "dyn_hidden": [32], "estimator_hidden": [16, 8]})
+    assert as_text == as_ints
+    assert as_text.dyn_hidden == (32,)
+    assert (io.config_digest(as_text.to_json())
+            == io.config_digest(as_ints.to_json()))
+    for bad in (["x"], [0], [16, -4], "32", 32, [None]):
+        with pytest.raises(ConfigurationError, match="dyn_hidden"):
+            ExperimentConfig.from_json({**doc, "dyn_hidden": bad})
+
+
 def test_run_main_unknown_method_fails_before_compute(tmp_path):
     cfg = tiny_config(tmp_path)
     with pytest.raises(ConfigurationError):

@@ -1,12 +1,24 @@
 """Simulator tests: reset/step contracts, hand-traced movement oracles,
-conservation, capacity, schema observations, and metrics."""
+conservation, capacity, schema observations, metrics, properties over
+random scenarios, and a pin of recorded behaviour."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridlight.baselines import (FixedTimeController, MaxPressureController,
+                                 RandomController, SotlController)
 from gridlight.errors import ConfigurationError
+from gridlight.harness.config import DESK_CITIES
+from gridlight.meta import run_episode
 from gridlight.sim import Flow, RoadNetwork, reset
-from gridlight.sim.network import PHASES, permits, trace_route
+from gridlight.sim.network import (APPROACHES, HEADING_DELTA,
+                                   HEADING_OF_APPROACH, MOVEMENTS, PHASE_IDS,
+                                   PHASES, SCHEMA_DIMS, TURN, origin_node,
+                                   permits, trace_route)
 
 
 NET = RoadNetwork(rows=2, cols=2)
@@ -348,3 +360,148 @@ def test_queue_counts_blocked_vehicles():
         sim.step(red)
     m = sim.metrics()
     assert m.avg_queue_length > 0.0
+
+
+# -- properties over random scenarios ----------------------------------------
+
+@st.composite
+def scenarios(draw):
+    """A small network, flows along random routes that leave the grid, a
+    schema, and a phase trace with one phase per intersection per step.
+    Lanes are short and grids hold one or two vehicles, so queues spill
+    back across intersections within a few intervals."""
+    pass_capacity = draw(st.integers(1, 2))
+    state_grids = pass_capacity * draw(st.integers(1, 2))
+    net = RoadNetwork(rows=draw(st.integers(1, 3)),
+                      cols=draw(st.integers(1, 3)),
+                      state_grids=state_grids, pass_capacity=pass_capacity,
+                      grid_capacity=draw(st.integers(1, 2)),
+                      lane_grids=state_grids + draw(st.integers(0, 2)))
+    flows = []
+    for _ in range(draw(st.integers(1, 8))):
+        side = draw(st.sampled_from(APPROACHES))
+        index = draw(st.integers(
+            0, (net.cols if side in ("N", "S") else net.rows) - 1))
+        node = origin_node(net, (side, index))
+        heading = HEADING_OF_APPROACH[side]
+        route = []
+        while net.on_grid(node) and len(route) < 6:
+            route.append(draw(st.sampled_from(MOVEMENTS)))
+            heading = TURN[heading][route[-1]]
+            dr, dc = HEADING_DELTA[heading]
+            node = (node[0] + dr, node[1] + dc)
+        if net.on_grid(node):
+            continue  # still inside after six movements: drop the flow
+        start = draw(st.integers(0, 40))
+        flows.append(Flow((side, index), tuple(route), start,
+                          start + draw(st.integers(1, 300)),
+                          draw(st.integers(1, 4))))
+    n_nodes = net.rows * net.cols
+    trace = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(PHASE_IDS), min_size=n_nodes,
+                           max_size=n_nodes),
+                  st.integers(1, 30)),
+        min_size=1, max_size=12))
+    return net, flows, draw(st.sampled_from(sorted(SCHEMA_DIMS))), trace
+
+
+def _replay(net, flows, schema, trace):
+    """Run a phase trace under validate=True (conservation and capacity
+    are checked inside every tick) and check the public state each step."""
+    sim = reset(net, flows, seed=0, schema=schema, validate=True)
+    for phases, interval_s in trace:
+        _, states, _ = sim.step(dict(zip(sim.nodes, phases)), interval_s)
+        entered = sum(v.enter_s >= 0 for v in sim.vehicles)
+        exited = sum(v.exit_s >= 0 for v in sim.vehicles)
+        assert (sim.entered, sim.exited) == (entered, exited)
+        on_network = sum(len(lane.vehs) for lane in sim._all_lanes)
+        assert sim.entered == on_network + sim.exited
+        for node in sim.nodes:
+            for state in (states[node], sim.extract_state(node)):
+                assert state.dtype == np.int64
+                assert state.shape == (net.lanes_per_intersection,
+                                       net.state_grids)
+                assert 0 <= state.min() and state.max() <= net.grid_capacity
+        assert sum(int(states[n].sum()) for n in sim.nodes) <= on_network
+    return sim.digest(), sim.metrics()
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_random_scenarios_conserve_and_rerun_identically(scenario):
+    assert _replay(*scenario) == _replay(*scenario)
+
+
+# -- golden behaviour pin ----------------------------------------------------
+
+def _golden_run(city, method, validate=False, intervals=30):
+    """One short baseline episode: (digest, metrics, movement-queue hash)."""
+    controller = {
+        "fixed_time": FixedTimeController,
+        "sotl": SotlController,
+        "max_pressure": MaxPressureController,
+        "random": lambda: RandomController(np.random.default_rng(11)),
+    }[method]()
+    sim = DESK_CITIES[city]().make(seed=0, validate=validate)
+    m, _ = run_episode(sim, controller, intervals)
+    queues = repr([sorted(sim.movement_queues(node).items())
+                   for node in sim.nodes])
+    return (sim.digest(), m.avg_travel_time_s, m.avg_queue_length,
+            hashlib.sha256(queues.encode()).hexdigest()[:16])
+
+
+GOLDEN = {
+    ('city-a', 'fixed_time', False): (
+        'ad41ce3e4479cbefa7cf3e2597dd7d46be47b56e9aa46407de3a9304fdf109aa',
+        174.1970802919708, 1.2555555555555555, 'acd6bdfaaf832050'),
+    ('city-a', 'sotl', False): (
+        '27533b6a4808b024f368155e8558685b0bfbdb6c3bb01830afc563570ed8a255',
+        91.13138686131387, 0.3104166666666667, 'e4fd17c9c54bf55b'),
+    ('city-a', 'max_pressure', False): (
+        'b734ff969b4619bc65296493b641b6f0d07042a041f8628eefe696275cb8a73f',
+        82.93795620437956, 0.21319444444444446, 'a525ea83d4b90bbb'),
+    ('city-a', 'random', False): (
+        'a1de004129c8d4446f81fac5a0bf71117b4e93c08d16747584b0102eb0918ae2',
+        203.16788321167883, 1.5500000000000003, '0b2f76810e1aac33'),
+    ('city-b', 'fixed_time', False): (
+        'd8764ea064a8a73cb539797cb8233ffbc88c2b3d0d1b283d0704a5705df0cb06',
+        202.01592356687897, 1.1481481481481481, '465ff479d059858b'),
+    ('city-b', 'sotl', False): (
+        'd83ebd7f8a103ad29f0a04119dfb52bb9d3929d4d86481d1eeae86f92d400011',
+        105.52547770700637, 0.2689814814814815, '05465859e71373dd'),
+    ('city-b', 'max_pressure', False): (
+        '2a06042b006fa3aae41e9194013f5cbbf2523ad58ff31e60fb3419dd71eff092',
+        93.95222929936305, 0.1574074074074074, 'e643090b2c6967b4'),
+    ('city-b', 'random', False): (
+        'b1a8da1286894490e52f9fa57ec4493db02232ffc96faa12815daba2da7d9b44',
+        226.32165605095543, 1.3967592592592588, 'd2924c8a10155647'),
+    ('city-c', 'fixed_time', False): (
+        'bd5e97d342a1326277bd9fa556ec74fe96525f5e55bc439770d1358e92049292',
+        195.96658097686375, 1.3962962962962961, 'd5c5754faed30d92'),
+    ('city-c', 'sotl', False): (
+        '74efe21f6e5337706e26d24f2508553ce8e356259d8273af3a8387d9dc7a7fa2',
+        93.30334190231362, 0.2814814814814815, 'fbedb895dcd87162'),
+    ('city-c', 'max_pressure', False): (
+        '7169ec2604574c2a05496b8c73674935d969314c35b0b7aa21dc74bfb2c9c25e',
+        84.15681233933162, 0.18055555555555555, 'f0aeb219cb314f43'),
+    ('city-c', 'random', False): (
+        '780f74b1ec834eadae7ce70bb4d1b75a81011817ea79844dcf23a7c8835c8d6e',
+        233.64781491002572, 1.8138888888888889, 'a5b5390de44a829c'),
+    ('saturated', 'fixed_time', True): (
+        'f972c747784063b64690e38ab6e0f92358de08e7e16e359e16c60f67aaa7b969',
+        296.56742556917686, 11.269444444444444, '446361443c76856d'),
+    ('saturated', 'max_pressure', True): (
+        '4c17283bb939e3d03e7cb815d39d2b2d95e13b2f39ec54d79fdb9d13f9ad53d8',
+        232.2054794520548, 9.76388888888889, '06d5de89f29fc8c8'),
+    ('saturated', 'random', True): (
+        '72040785be3ccbef6848bd249e3794ffdaae71c95db8ece47c4311f576595db0',
+        307.41769911504423, 11.633333333333333, '65e23a665e8a420d'),
+}
+
+
+@pytest.mark.parametrize("city,method,validate", sorted(GOLDEN))
+def test_golden_behaviour_pin(city, method, validate):
+    """Digests, metrics and movement queues recorded from an earlier
+    revision of the simulator: any change to its behaviour shows here."""
+    assert _golden_run(city, method, validate) == GOLDEN[(city, method,
+                                                          validate)]
