@@ -11,3 +11,11 @@ class ConfigurationError(ValueError):
 
 class ShapeError(ValueError):
     """Array dimensions do not match what the operation expects."""
+
+
+def refuse_unknown_keys(doc: dict, known, where: str) -> None:
+    """Raise ``ConfigurationError`` if document ``doc`` has a key outside
+    ``known``, so a misspelt key fails instead of being ignored."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigurationError(f"{where} has unknown keys {unknown}")

@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, refuse_unknown_keys
 from ..meta import AdaptConfig, MamlConfig
 from ..scenario import ScenarioSpec
 from ..sim import Flow, RoadNetwork
@@ -160,9 +160,10 @@ class ExperimentConfig:
         document keeps its value in :func:`default_experiment`. Unknown
         keys, at the top level or in ``maml`` and ``adapt``, are refused."""
         base = default_experiment()
-        _known_keys(doc, cls, "experiment config")
-        _known_keys(doc.get("maml", {}), MamlConfig, "maml")
-        _known_keys(doc.get("adapt", {}), AdaptConfig, "adapt")
+        for part, kind, where in ((doc, cls, "experiment config"),
+                                  (doc.get("maml", {}), MamlConfig, "maml"),
+                                  (doc.get("adapt", {}), AdaptConfig, "adapt")):
+            refuse_unknown_keys(part, (f.name for f in fields(kind)), where)
         try:
             cfg = replace(
                 base,
@@ -191,12 +192,6 @@ class ExperimentConfig:
         return replace(self, method=method)
 
 
-def _known_keys(doc: dict, cls, where: str) -> None:
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigurationError(f"{where} has unknown keys {unknown}")
-
-
 def _hidden_sizes(doc: dict, name: str, default: tuple[int, ...]):
     """``doc[name]`` as a tuple of positive ints, else ``default``."""
     value = doc.get(name, default)
@@ -212,12 +207,21 @@ def _hidden_sizes(doc: dict, name: str, default: tuple[int, ...]):
 
 def _merged(base, doc: dict):
     """``base`` with each scalar field that ``doc`` gives replaced, cast to
-    the type of ``base``'s value."""
-    scalars = {f.name: getattr(base, f.name) for f in fields(base)}
-    return replace(base, **{name: type(v)(doc[name])
-                            for name, v in scalars.items()
-                            if name in doc
-                            and isinstance(v, (int, float, str))})
+    the type of ``base``'s value. A bool field takes only a JSON boolean:
+    casting would read the string "false" as true."""
+    given = {f.name: (getattr(base, f.name), doc[f.name])
+             for f in fields(base) if f.name in doc
+             and isinstance(getattr(base, f.name), (int, float, str))}
+    for name, (default, value) in given.items():
+        if isinstance(default, bool) and not isinstance(value, bool):
+            raise ConfigurationError(
+                f"{name} must be true or false, got {value!r}")
+    try:
+        cast = {name: type(default)(value)
+                for name, (default, value) in given.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad config value: {exc}") from exc
+    return replace(base, **cast)
 
 
 def default_experiment(method: str = "modular", out_dir: str = "runs",

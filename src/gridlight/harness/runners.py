@@ -42,6 +42,7 @@ from ..planner import (
     block_distance_loss,
     default_dynamics_net,
     phase_encode,
+    trajectory_value,
 )
 from ..scenario import EnvFactory, ScenarioSpec
 from ..sim.engine import MetricsReport
@@ -268,8 +269,7 @@ class MonolithicController:
         self.n_grids = n_grids
         self.schema_id = schema_id
         self.epsilon = epsilon
-        self.w_block = vc.block_discount ** np.arange(vc.blocks)
-        self.vc = vc
+        self.vc = replace(vc, horizon=0)  # scores one predicted state
         self.rng = rng
 
     def begin_episode(self, env) -> None:
@@ -282,10 +282,9 @@ class MonolithicController:
         k = len(PHASE_IDS)
         pred = nn.forward(self.net, phase_encode(np.repeat(o, k, axis=0),
                                                  np.array(PHASE_IDS)))
-        blocks = pred.reshape(k, self.lanes, self.vc.blocks,
-                              self.vc.pass_grids).sum(axis=(1, 3))
-        costs = blocks @ self.w_block
-        return int(PHASE_IDS[int(np.argmin(costs))])
+        values = trajectory_value(
+            pred.reshape(k, 1, self.lanes, self.n_grids), self.vc)
+        return int(PHASE_IDS[int(np.argmax(values))])
 
     def decide(self, env, interval_index: int, obs: dict) -> dict:
         return {node: self._decide_one(obs[node]) for node in env.nodes}

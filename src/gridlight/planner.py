@@ -14,6 +14,7 @@ their block sums, and doubles as the training loss for both models.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .sim.network import SCHEMA_DIMS, PHASE_IDS, Observation
 
 CANDIDATE_MODES = ("CONSTANT", "FULL")
 FULL_MODE_LIMIT = 4096
+PLAN_ROWS = 4096  # most candidate rows rolled out in one dynamics pass
 
 
 def _check_block_config(state_grids: int, pass_grids: int, where: str):
@@ -93,22 +95,31 @@ def block_sums(state: np.ndarray, state_grids: int, pass_grids: int) -> np.ndarr
     return shaped.sum(axis=(-1, -3))
 
 
-def trajectory_value(states, vc: ValueConfig) -> float:
-    """Negative discounted block occupancy over a state trajectory.
+def trajectory_value(states, vc: ValueConfig):
+    """Negative discounted block occupancy over state trajectories.
 
-    ``states`` holds the h+1 states scored at time offsets 0..h; always <= 0.
+    ``states`` holds the h+1 states scored at time offsets 0..h, shaped
+    (h+1, lanes, N), and the value is a float; or a batch of B such
+    trajectories, (B, h+1, lanes, N), and the values are a (B,) array.
+    Steps are summed in time order, each adding ``step_discount**step``
+    times its block-discounted occupancy. Values are always <= 0.
     """
     arr = np.asarray(states, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ShapeError(f"trajectory must be (h+1, lanes, N), got {arr.shape}")
-    if arr.shape[0] != vc.horizon + 1:
+    if arr.ndim not in (3, 4):
         raise ShapeError(
-            f"trajectory length {arr.shape[0]} != horizon + 1 = {vc.horizon + 1}"
+            f"trajectory must be (h+1, lanes, N) or (B, h+1, lanes, N), "
+            f"got {arr.shape}")
+    batch = arr if arr.ndim == 4 else arr[None]
+    if batch.shape[1] != vc.horizon + 1:
+        raise ShapeError(
+            f"trajectory length {batch.shape[1]} != horizon + 1 = {vc.horizon + 1}"
         )
-    blocks = block_sums(arr, vc.state_grids, vc.pass_grids)  # (h+1, N/n)
-    w_time = vc.step_discount ** np.arange(vc.horizon + 1)
+    blocks = block_sums(batch, vc.state_grids, vc.pass_grids)  # (B, h+1, N/n)
     w_block = vc.block_discount ** np.arange(vc.blocks)
-    return float(-(w_time @ blocks @ w_block))
+    cost = np.zeros(batch.shape[0])
+    for step in range(vc.horizon + 1):
+        cost += (vc.step_discount ** step) * (blocks[:, step] @ w_block)
+    return -cost if arr.ndim == 4 else float(-cost[0])
 
 
 def state_distance(s1, s2, dc: DistanceConfig) -> float:
@@ -194,9 +205,14 @@ class StateEstimator:
     lanes: int
     state_grids: int
 
-    def estimate(self, obs: Observation) -> np.ndarray:
-        self.check(obs.schema_id, obs.values.shape[0])
-        return nn.forward(self.net, obs.values)
+    def estimate(self, observations: Sequence[Observation]) -> np.ndarray:
+        """The (B, lanes, N) estimated states of B >= 1 observations, from
+        one forward pass over all their lane rows."""
+        for obs in observations:
+            self.check(obs.schema_id, obs.values.shape[0])
+        rows = np.concatenate([obs.values for obs in observations])
+        return nn.forward(self.net, rows).reshape(
+            len(observations), self.lanes, self.state_grids)
 
     def check(self, schema_id: str, lanes: int) -> None:
         """Raise ``ShapeError`` unless observations of ``schema_id`` with
@@ -289,36 +305,58 @@ def candidate_sequences(mode: str, horizon: int) -> list[tuple[int, ...]]:
     return list(itertools.product(PHASE_IDS, repeat=horizon + 1))
 
 
-def select_action(estimator, dynamics, obs, policy: PolicyConfig,
-                  vc: ValueConfig, rng: np.random.Generator) -> tuple[int, ...]:
-    """Pick the phase sequence whose predicted trajectory scores highest.
+def select_actions(estimator, dynamics, observations, policy: PolicyConfig,
+                   vc: ValueConfig,
+                   rng: np.random.Generator) -> list[tuple[int, ...]]:
+    """Pick a phase sequence for each observation, in order.
 
-    With probability epsilon a uniformly random candidate is returned.
-    Otherwise the observation is mapped to an estimated state, every
-    candidate sequence is rolled out through the dynamics model, and the
-    sequence with maximal trajectory value wins (ties to the lowest phase
-    id). Callers execute only the first phase before re-planning.
+    For each observation, with probability epsilon a uniformly random
+    candidate is drawn. The others are planned together: one estimator pass
+    maps their observations to estimated states, every candidate sequence
+    of every state is rolled out through the dynamics model with one pass
+    per step, and each observation gets the sequence of maximal trajectory
+    value (ties to the lowest phase id). Observations are taken
+    ``PLAN_ROWS // candidates`` (at least one) per pass, which bounds the
+    memory of FULL mode. Callers execute only the first phase before
+    re-planning.
     """
     cands = candidate_sequences(policy.candidate_mode, vc.horizon)
-    if policy.epsilon > 0.0 and rng.random() < policy.epsilon:
-        return cands[int(rng.integers(len(cands)))]
-    s0 = np.asarray(estimator.estimate(obs), dtype=np.float64)
     k = len(cands)
-    flat = np.broadcast_to(s0.reshape(1, -1), (k, s0.size)).copy()
-    w_block = vc.block_discount ** np.arange(vc.blocks)
-    costs = np.zeros(k)
-    lanes = s0.shape[0]
-    for step in range(vc.horizon + 1):
-        acts = np.fromiter((c[step] for c in cands), dtype=np.int64, count=k)
-        flat = dynamics.predict_flat(flat, acts)
-        blocks = flat.reshape(k, lanes, vc.blocks, vc.pass_grids).sum(axis=(1, 3))
-        costs += (vc.step_discount ** step) * (blocks @ w_block)
-    return cands[int(np.argmin(costs))]
+    picks: list = []
+    greedy = []
+    for i in range(len(observations)):
+        if policy.epsilon > 0.0 and rng.random() < policy.epsilon:
+            picks.append(cands[int(rng.integers(k))])
+        else:
+            picks.append(None)
+            greedy.append(i)
+    per_pass = max(1, PLAN_ROWS // k)
+    for lo in range(0, len(greedy), per_pass):
+        part = greedy[lo:lo + per_pass]
+        s0 = np.asarray(estimator.estimate([observations[i] for i in part]),
+                        dtype=np.float64)                  # (G, lanes, N)
+        g = len(part)
+        flat = np.repeat(s0.reshape(g, -1), k, axis=0)     # node-major rows
+        steps = []
+        for step in range(vc.horizon + 1):
+            flat = dynamics.predict_flat(
+                flat, np.tile([c[step] for c in cands], g))
+            steps.append(flat.reshape(g * k, *s0.shape[1:]))
+        values = trajectory_value(np.stack(steps, axis=1), vc).reshape(g, k)
+        for i, v in zip(part, values):
+            picks[i] = cands[int(np.argmax(v))]
+    return picks
+
+
+def select_action(estimator, dynamics, obs, policy: PolicyConfig,
+                  vc: ValueConfig, rng: np.random.Generator) -> tuple[int, ...]:
+    """:func:`select_actions` for a single observation."""
+    return select_actions(estimator, dynamics, [obs], policy, vc, rng)[0]
 
 
 class PlannerController:
     """Per-interval controller: one shared estimator/dynamics pair drives
-    every intersection, re-planning each interval."""
+    every intersection, re-planning all of them together each interval."""
 
     def __init__(self, estimator: StateEstimator, dynamics: DynamicsModel,
                  policy: PolicyConfig, vc: ValueConfig,
@@ -333,8 +371,7 @@ class PlannerController:
         pass
 
     def decide(self, env, interval_index: int, obs: dict) -> dict:
-        return {
-            node: select_action(self.estimator, self.dynamics, obs[node],
-                                self.policy, self.vc, self.rng)[0]
-            for node in env.nodes
-        }
+        picks = select_actions(self.estimator, self.dynamics,
+                               [obs[node] for node in env.nodes],
+                               self.policy, self.vc, self.rng)
+        return {node: seq[0] for node, seq in zip(env.nodes, picks)}

@@ -4,9 +4,9 @@ and episode timing, plus the budget-counting environment factory."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, refuse_unknown_keys
 from .sim import Flow, RoadNetwork, Sim, reset
 from .sim.network import SCHEMA_DIMS
 
@@ -52,6 +52,8 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
+        refuse_unknown_keys(doc, (f.name for f in fields(cls)),
+                            "scenario document")
         try:
             return cls(
                 name=str(doc.get("name", "scenario")),

@@ -16,11 +16,11 @@ Conventions used throughout the simulator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ConfigurationError, ShapeError
+from ..errors import ConfigurationError, ShapeError, refuse_unknown_keys
 
 APPROACHES = ("N", "E", "S", "W")
 MOVEMENTS = ("left", "through", "right")
@@ -182,6 +182,9 @@ class RoadNetwork:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RoadNetwork":
+        refuse_unknown_keys(doc, ("rows", "cols", "lanes_per_approach", "N",
+                                  "n", "grid_capacity", "lane_grids"),
+                            "network document")
         try:
             return cls(
                 rows=int(doc["rows"]),
@@ -240,6 +243,8 @@ class Flow:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Flow":
+        refuse_unknown_keys(doc, (f.name for f in fields(cls)),
+                            "flow document")
         try:
             side, index = doc["origin"]
             return cls(

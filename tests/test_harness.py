@@ -11,6 +11,7 @@ from gridlight import nn
 from gridlight.errors import ConfigurationError
 from gridlight.harness import io
 from gridlight.harness.config import (
+    DESK_CITIES,
     ExperimentConfig,
     default_experiment,
     desk_city_a,
@@ -102,6 +103,21 @@ def test_config_casts_hidden_sizes(tmp_path):
     for bad in (["x"], [0], [16, -4], "32", 32, [None]):
         with pytest.raises(ConfigurationError, match="dyn_hidden"):
             ExperimentConfig.from_json({**doc, "dyn_hidden": bad})
+
+
+def test_config_scalars_refuse_values_of_another_type(tmp_path):
+    doc = tiny_config(tmp_path).to_json()
+    for flag in (False, True):
+        cfg = ExperimentConfig.from_json(
+            {**doc, "maml": {**doc["maml"], "first_order": flag}})
+        assert cfg.maml.first_order is flag
+    # a string "false" cast to bool would read as True
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(ConfigurationError, match="first_order"):
+            ExperimentConfig.from_json(
+                {**doc, "maml": {**doc["maml"], "first_order": bad}})
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_json({**doc, "collect_episodes": "many"})
 
 
 def test_run_main_unknown_method_fails_before_compute(tmp_path):
@@ -284,8 +300,25 @@ def test_dataset_jsonl_roundtrip(tmp_path):
 
 
 def test_scenario_json_roundtrip():
-    sc = desk_city_b()
-    back = ScenarioSpec.from_json(sc.to_json())
-    assert back == sc
-    assert back.network.to_json()["N"] == 12
-    assert back.network.to_json()["n"] == 4
+    for make in DESK_CITIES.values():
+        sc = make()
+        back = ScenarioSpec.from_json(sc.to_json())
+        assert back == sc
+        assert back.network.to_json()["N"] == 12
+        assert back.network.to_json()["n"] == 4
+
+
+def test_scenario_documents_reject_unknown_keys(tmp_path):
+    doc = desk_city_c().to_json()
+    network, flow = doc["network"], doc["flows"][0]
+    for bad, where in (({**doc, "episode_secs": 600}, "scenario"),
+                       ({**doc, "network": {**network, "lane_grid": 40}},
+                        "network"),
+                       ({**doc, "network": {**network, "state_grids": 12}},
+                        "network"),
+                       ({**doc, "flows": [{**flow, "headway": 5}]}, "flow")):
+        with pytest.raises(ConfigurationError, match=f"{where} .*unknown keys"):
+            ScenarioSpec.from_json(bad)
+        cfg = tiny_config(tmp_path).to_json()
+        with pytest.raises(ConfigurationError, match="unknown keys"):
+            ExperimentConfig.from_json({**cfg, "target": bad})
