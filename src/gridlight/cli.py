@@ -93,8 +93,7 @@ def _cmd_meta_train(args) -> int:
                                   g0.state_grids),
         value_params=asdict(value_config_for(cfg, cfg.target)),
         dist_params=asdict(dist_config_for(cfg, cfg.target)),
-        policy_params={"epsilon": cfg.adapt.epsilon0,
-                       "candidate_mode": "CONSTANT"},
+        policy_params={"epsilon": cfg.adapt.epsilon0},
         provenance={"source_cities": [s.name for s in cfg.sources],
                     "meta_iters": cfg.maml.meta_iterations, "seed": seed})
     print(f"wrote meta-trained checkpoint to {path}")
@@ -112,7 +111,7 @@ def _cmd_adapt(args) -> int:
         path, estimator, dynamics,
         value_params=asdict(value_config_for(cfg, cfg.target)),
         dist_params=asdict(dist_config_for(cfg, cfg.target)),
-        policy_params={"epsilon": 0.0, "candidate_mode": "CONSTANT"},
+        policy_params={"epsilon": 0.0},
         provenance={"source_cities": [s.name for s in cfg.sources],
                     "meta_iters": cfg.maml.meta_iterations, "seed": seed,
                     "interactions": interactions})

@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from ..errors import ConfigurationError, refuse_unknown_keys
+from ..errors import ConfigurationError, read_int, refuse_unknown_keys
 from ..meta import AdaptConfig, MamlConfig
 from ..scenario import ScenarioSpec
 from ..sim import Flow, RoadNetwork
@@ -173,10 +173,10 @@ class ExperimentConfig:
                 method=str(doc["method"]),
                 maml=_merged(base.maml, doc.get("maml", {})),
                 adapt=_merged(base.adapt, doc.get("adapt", {})),
-                seeds=tuple(int(s) for s in doc.get("seeds", base.seeds)),
-                dyn_hidden=_hidden_sizes(doc, "dyn_hidden", base.dyn_hidden),
-                estimator_hidden=_hidden_sizes(doc, "estimator_hidden",
-                                               base.estimator_hidden),
+                seeds=_ints(doc, "seeds", base.seeds, least=0),
+                dyn_hidden=_ints(doc, "dyn_hidden", base.dyn_hidden, least=1),
+                estimator_hidden=_ints(doc, "estimator_hidden",
+                                       base.estimator_hidden, least=1),
             )
             return _merged(cfg, doc)
         except KeyError as exc:
@@ -192,36 +192,41 @@ class ExperimentConfig:
         return replace(self, method=method)
 
 
-def _hidden_sizes(doc: dict, name: str, default: tuple[int, ...]):
-    """``doc[name]`` as a tuple of positive ints, else ``default``."""
+def _ints(doc: dict, name: str, default: tuple[int, ...], least: int):
+    """``doc[name]``, else ``default``, as a tuple of ints >= ``least``."""
     value = doc.get(name, default)
-    try:
-        sizes = tuple(int(h) for h in value)
-    except (TypeError, ValueError):
-        sizes = None
-    if isinstance(value, str) or sizes is None or any(h < 1 for h in sizes):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+    ints = tuple(read_int(v, name) for v in value)
+    if any(i < least for i in ints):
         raise ConfigurationError(
-            f"{name} must be a list of positive ints, got {value!r}")
-    return sizes
+            f"{name} must hold integers >= {least}, got {value!r}")
+    return ints
 
 
 def _merged(base, doc: dict):
-    """``base`` with each scalar field that ``doc`` gives replaced, cast to
-    the type of ``base``'s value. A bool field takes only a JSON boolean:
-    casting would read the string "false" as true."""
-    given = {f.name: (getattr(base, f.name), doc[f.name])
-             for f in fields(base) if f.name in doc
-             and isinstance(getattr(base, f.name), (int, float, str))}
-    for name, (default, value) in given.items():
-        if isinstance(default, bool) and not isinstance(value, bool):
+    """``base`` with each scalar field that ``doc`` gives replaced, read as
+    the type of ``base``'s value. An int field takes only a whole number
+    (:func:`read_int`), and a bool field only a JSON boolean: casting would
+    read 2.7 as 2 and the string "false" as true."""
+    return replace(base, **{
+        f.name: _read_as(getattr(base, f.name), doc[f.name], f.name)
+        for f in fields(base) if f.name in doc
+        and isinstance(getattr(base, f.name), (int, float, str))})
+
+
+def _read_as(default, value, name: str):
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
             raise ConfigurationError(
                 f"{name} must be true or false, got {value!r}")
+        return value
+    if isinstance(default, int):
+        return read_int(value, name)
     try:
-        cast = {name: type(default)(value)
-                for name, (default, value) in given.items()}
+        return type(default)(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
-    return replace(base, **cast)
 
 
 def default_experiment(method: str = "modular", out_dir: str = "runs",

@@ -150,12 +150,9 @@ def load_checkpoint(path) -> dict:
     return out
 
 
-def write_manifest(path, config_doc: dict, seeds, extra: dict | None = None) -> None:
-    doc = {
+def write_manifest(path, config_doc: dict, seeds) -> None:
+    write_json(path, {
         "config_digest": config_digest(config_doc),
         "config": config_doc,
         "seeds": list(seeds),
-    }
-    if extra:
-        doc.update(extra)
-    write_json(path, doc)
+    })

@@ -504,6 +504,7 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
 def run_source_selection(cfg: ExperimentConfig) -> dict:
     """Every ordered (source, target) city pair: meta-train on the single
     source, adapt to the target, and tabulate against the baselines."""
+    cfg.validate()
     pool = list(cfg.sources) + [cfg.target]
     if len(pool) < 2:
         raise ConfigurationError("source selection needs >= 2 scenarios")
@@ -566,10 +567,10 @@ def run_source_selection(cfg: ExperimentConfig) -> dict:
     return {"cells": cells, "baselines": baseline_rows, "matrix": matrix_rows}
 
 
-def run_offline_case(cfg: ExperimentConfig, offline_episodes: int = 1) -> dict:
-    """Train the estimator on fixed-time logs only, pair it with the
-    online-adapted dynamics model, and compare three ways: online planner,
-    offline-estimator planner, and fixed-time control."""
+def run_offline_case(cfg: ExperimentConfig) -> dict:
+    """Train the estimator on one episode of fixed-time logs only, pair it
+    with the online-adapted dynamics model, and compare three ways: online
+    planner, offline-estimator planner, and fixed-time control."""
     cfg.validate()
     t0 = time.perf_counter()
     target = cfg.target
@@ -583,7 +584,7 @@ def run_offline_case(cfg: ExperimentConfig, offline_episodes: int = 1) -> dict:
         log_rng = np.random.default_rng([seed, 77])
         logged = collect_experience(
             lambda s: factory.make(s, count=False), FixedTimeController(),
-            episodes=offline_episodes, rng=log_rng, city_id=target.name,
+            episodes=1, rng=log_rng, city_id=target.name,
             intervals=target.intervals, interval_s=target.interval_s)
         est_off = offline_train_repr(
             logged, target.schema, epochs=cfg.adapt.epochs_per_episode * 2,

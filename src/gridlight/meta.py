@@ -54,9 +54,7 @@ class TaskDataset:
     """All logged transitions for one city, one row per intersection per
     interval: the interval index ``t`` and ``action`` (m,), observations
     ``obs``/``obs_next`` (m, lanes, d_o) and true states
-    ``state``/``state_next`` (m, lanes, N). ``support_fraction`` is the
-    support/query ratio used when the dataset serves as a meta-learning
-    task."""
+    ``state``/``state_next`` (m, lanes, N)."""
 
     city_id: str
     schema_id: str
@@ -66,15 +64,10 @@ class TaskDataset:
     action: np.ndarray
     state_next: np.ndarray
     obs_next: np.ndarray
-    support_fraction: float = 0.5
 
     def __post_init__(self):
         if len(self.t) == 0:
             raise ConfigurationError(f"task dataset {self.city_id!r} is empty")
-        if not 0.0 < self.support_fraction < 1.0:
-            raise ConfigurationError(
-                f"support_fraction must be in (0, 1), got {self.support_fraction}"
-            )
         if self.obs.shape[-1] != SCHEMA_DIMS.get(self.schema_id):
             raise ConfigurationError(
                 f"dataset {self.city_id!r} has {self.obs.shape[-1]} "
@@ -171,22 +164,22 @@ class MamlConfig:
 
 class ArrayTask:
     """A meta-learning task over fixed (X, Y) arrays with a disjoint
-    support/query split and a supplied loss-and-gradient function."""
+    support/query split, half and half, and a supplied loss-and-gradient
+    function."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray,
                  loss_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray],
                                          tuple[float, np.ndarray]],
-                 support_fraction: float, batch_size: int,
-                 rng: np.random.Generator):
+                 batch_size: int, rng: np.random.Generator):
         self.x = x
         self.y = y
         self._loss_and_grad = loss_and_grad
         self.batch_size = batch_size
-        perm = rng.permutation(x.shape[0])
-        cut = max(1, int(round(support_fraction * x.shape[0])))
-        cut = min(cut, x.shape[0] - 1) if x.shape[0] > 1 else 1
+        n = x.shape[0]
+        perm = rng.permutation(n)
+        cut = max(1, round(n / 2))  # in [1, n - 1] once n > 1
         self.support_idx = perm[:cut]
-        self.query_idx = perm[cut:] if x.shape[0] > 1 else perm
+        self.query_idx = perm[cut:] if n > 1 else perm
 
     def _draw(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if idx.size <= self.batch_size:
@@ -292,7 +285,7 @@ def maml_train(tasks: Sequence[TaskDataset], cfg: MamlConfig,
         return nn.loss_and_grad(dyn.net, loss_fn, xb, yb, params=theta)
 
     return maml_run(dyn.net.params, [
-        ArrayTask(*_dynamics_xy(ds, dyn.lanes, dyn.state_grids), lag, ds.support_fraction,
+        ArrayTask(*_dynamics_xy(ds, dyn.lanes, dyn.state_grids), lag,
                   cfg.batch_size, rng) for ds in tasks], cfg, seed)
 
 
@@ -324,7 +317,6 @@ class AdaptConfig:
     joint_weight: float = 1.0
     epochs_per_episode: int = 20
     batch_size: int = 128
-    optimizer: str = "adam"
     epsilon0: float = 0.1
     epsilon_decay: float = 0.99
 
@@ -340,10 +332,6 @@ class AdaptConfig:
             raise ConfigurationError("joint_weight must be >= 0")
         if self.epochs_per_episode < 1:
             raise ConfigurationError("epochs_per_episode must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigurationError(
-                f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}"
-            )
         if not 0.0 <= self.epsilon0 <= 1.0 or not 0.0 < self.epsilon_decay <= 1.0:
             raise ConfigurationError("invalid exploration schedule")
 
@@ -390,8 +378,8 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
     episode_rng = np.random.default_rng(seeds[2])
     f_loss = rowwise_block_distance_loss(dist_cfg, lanes)
     g_loss = block_distance_loss(dist_cfg, lanes)
-    opt_f = nn.optimizer(cfg.optimizer, cfg.lr)
-    opt_g = nn.optimizer(cfg.optimizer, cfg.lr)
+    opt_f = nn.Adam(lr=cfg.lr)
+    opt_g = nn.Adam(lr=cfg.lr)
 
     episodes: list[TaskDataset] = []
     epsilon = cfg.epsilon0

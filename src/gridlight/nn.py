@@ -132,13 +132,10 @@ def _as_batch(net: Net, x) -> tuple[np.ndarray, bool]:
     return x2, single
 
 
-def forward(net: Net, x, params: np.ndarray | None = None) -> np.ndarray:
+def forward(net: Net, x) -> np.ndarray:
     """Evaluate the net on a vector or a (batch x in) matrix."""
-    p = net.params if params is None else params
-    if p.size != net.params.size:
-        raise ShapeError("parameter vector length does not match the net")
     x2, single = _as_batch(net, x)
-    acts, _ = _forward_cached(net, x2, p)
+    acts, _ = _forward_cached(net, x2, net.params)
     y = acts[-1]
     return y[0] if single else y
 
@@ -181,10 +178,9 @@ def loss_and_grad(net: Net, loss_fn: LossFn, inputs, targets,
     return float(loss), grad_vec
 
 
-def grad(net: Net, loss_fn: LossFn, inputs, targets,
-         params: np.ndarray | None = None) -> np.ndarray:
+def grad(net: Net, loss_fn: LossFn, inputs, targets) -> np.ndarray:
     """Gradient of the mean batch loss w.r.t. all parameters."""
-    return loss_and_grad(net, loss_fn, inputs, targets, params)[1]
+    return loss_and_grad(net, loss_fn, inputs, targets)[1]
 
 
 def _step_operands(params, grad_vec) -> tuple[np.ndarray, np.ndarray]:

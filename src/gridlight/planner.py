@@ -13,7 +13,6 @@ their block sums, and doubles as the training loss for both models.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -22,10 +21,6 @@ import numpy as np
 from . import nn
 from .errors import ConfigurationError, ShapeError
 from .sim.network import SCHEMA_DIMS, PHASE_IDS, Observation
-
-CANDIDATE_MODES = ("CONSTANT", "FULL")
-FULL_MODE_LIMIT = 4096
-PLAN_ROWS = 4096  # most candidate rows rolled out in one dynamics pass
 
 
 def _check_block_config(state_grids: int, pass_grids: int, where: str):
@@ -274,82 +269,51 @@ def rollout(dyn, state: np.ndarray, actions) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Exploration rate and candidate enumeration mode."""
+    """Exploration rate."""
 
     epsilon: float = 0.1
-    candidate_mode: str = "CONSTANT"
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError(
                 f"epsilon must be in [0, 1], got {self.epsilon}"
             )
-        if self.candidate_mode not in CANDIDATE_MODES:
-            raise ConfigurationError(
-                f"candidate_mode must be one of {CANDIDATE_MODES}, "
-                f"got {self.candidate_mode!r}"
-            )
-
-
-def candidate_sequences(mode: str, horizon: int) -> list[tuple[int, ...]]:
-    """Phase sequences of length horizon + 1, ordered so ties resolve to the
-    lowest phase id."""
-    if mode == "CONSTANT":
-        return [(p,) * (horizon + 1) for p in PHASE_IDS]
-    count = len(PHASE_IDS) ** (horizon + 1)
-    if count > FULL_MODE_LIMIT:
-        raise ConfigurationError(
-            f"FULL candidate mode needs {count} sequences, limit is "
-            f"{FULL_MODE_LIMIT}"
-        )
-    return list(itertools.product(PHASE_IDS, repeat=horizon + 1))
 
 
 def select_actions(estimator, dynamics, observations, policy: PolicyConfig,
-                   vc: ValueConfig,
-                   rng: np.random.Generator) -> list[tuple[int, ...]]:
-    """Pick a phase sequence for each observation, in order.
+                   vc: ValueConfig, rng: np.random.Generator) -> list[int]:
+    """Pick a phase for each observation, in order.
 
-    For each observation, with probability epsilon a uniformly random
-    candidate is drawn. The others are planned together: one estimator pass
-    maps their observations to estimated states, every candidate sequence
-    of every state is rolled out through the dynamics model with one pass
-    per step, and each observation gets the sequence of maximal trajectory
-    value (ties to the lowest phase id). Observations are taken
-    ``PLAN_ROWS // candidates`` (at least one) per pass, which bounds the
-    memory of FULL mode. Callers execute only the first phase before
-    re-planning.
+    For each observation, with probability epsilon a uniformly random phase
+    is drawn. The others are planned together: one estimator pass maps
+    their observations to estimated states, each phase held for h+1 steps
+    is rolled out from every state through the dynamics model with one pass
+    per step, and each observation gets the phase of maximal trajectory
+    value (ties to the lowest phase id). Callers re-plan every interval.
     """
-    cands = candidate_sequences(policy.candidate_mode, vc.horizon)
-    k = len(cands)
-    picks: list = []
-    greedy = []
-    for i in range(len(observations)):
-        if policy.epsilon > 0.0 and rng.random() < policy.epsilon:
-            picks.append(cands[int(rng.integers(k))])
-        else:
-            picks.append(None)
-            greedy.append(i)
-    per_pass = max(1, PLAN_ROWS // k)
-    for lo in range(0, len(greedy), per_pass):
-        part = greedy[lo:lo + per_pass]
-        s0 = np.asarray(estimator.estimate([observations[i] for i in part]),
+    k = len(PHASE_IDS)
+    picks = [PHASE_IDS[int(rng.integers(k))]
+             if policy.epsilon > 0.0 and rng.random() < policy.epsilon
+             else None for _ in observations]
+    greedy = [i for i, pick in enumerate(picks) if pick is None]
+    if greedy:
+        s0 = np.asarray(estimator.estimate([observations[i] for i in greedy]),
                         dtype=np.float64)                  # (G, lanes, N)
-        g = len(part)
+        g = len(greedy)
         flat = np.repeat(s0.reshape(g, -1), k, axis=0)     # node-major rows
+        phases = np.tile(PHASE_IDS, g)
         steps = []
-        for step in range(vc.horizon + 1):
-            flat = dynamics.predict_flat(
-                flat, np.tile([c[step] for c in cands], g))
+        for _ in range(vc.horizon + 1):
+            flat = dynamics.predict_flat(flat, phases)
             steps.append(flat.reshape(g * k, *s0.shape[1:]))
         values = trajectory_value(np.stack(steps, axis=1), vc).reshape(g, k)
-        for i, v in zip(part, values):
-            picks[i] = cands[int(np.argmax(v))]
+        for i, v in zip(greedy, values):
+            picks[i] = PHASE_IDS[int(np.argmax(v))]
     return picks
 
 
 def select_action(estimator, dynamics, obs, policy: PolicyConfig,
-                  vc: ValueConfig, rng: np.random.Generator) -> tuple[int, ...]:
+                  vc: ValueConfig, rng: np.random.Generator) -> int:
     """:func:`select_actions` for a single observation."""
     return select_actions(estimator, dynamics, [obs], policy, vc, rng)[0]
 
@@ -374,4 +338,4 @@ class PlannerController:
         picks = select_actions(self.estimator, self.dynamics,
                                [obs[node] for node in env.nodes],
                                self.policy, self.vc, self.rng)
-        return {node: seq[0] for node, seq in zip(env.nodes, picks)}
+        return dict(zip(env.nodes, picks))

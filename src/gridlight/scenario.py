@@ -3,10 +3,9 @@ and episode timing, plus the budget-counting environment factory."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigurationError, refuse_unknown_keys
+from .errors import ConfigurationError, read_int, refuse_unknown_keys
 from .sim import Flow, RoadNetwork, Sim, reset
 from .sim.network import SCHEMA_DIMS
 
@@ -60,17 +59,12 @@ class ScenarioSpec:
                 network=RoadNetwork.from_json(doc["network"]),
                 flows=tuple(Flow.from_json(f) for f in doc.get("flows", [])),
                 schema=str(doc["schema"]),
-                episode_s=int(doc.get("episode_s", 3600)),
-                interval_s=int(doc.get("interval_s", 20)),
-                seed=int(doc.get("seed", 0)),
+                episode_s=read_int(doc.get("episode_s", 3600), "episode_s"),
+                interval_s=read_int(doc.get("interval_s", 20), "interval_s"),
+                seed=read_int(doc.get("seed", 0), "seed"),
             )
         except KeyError as exc:
             raise ConfigurationError(f"scenario document missing field {exc}") from exc
-
-    @classmethod
-    def load(cls, path) -> "ScenarioSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass

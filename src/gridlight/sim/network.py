@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ConfigurationError, ShapeError, refuse_unknown_keys
+from ..errors import ConfigurationError, ShapeError, read_int, refuse_unknown_keys
 
 APPROACHES = ("N", "E", "S", "W")
 MOVEMENTS = ("left", "through", "right")
@@ -185,15 +185,16 @@ class RoadNetwork:
         refuse_unknown_keys(doc, ("rows", "cols", "lanes_per_approach", "N",
                                   "n", "grid_capacity", "lane_grids"),
                             "network document")
+        given = {key: read_int(value, key) for key, value in doc.items()}
         try:
             return cls(
-                rows=int(doc["rows"]),
-                cols=int(doc["cols"]),
-                lanes_per_approach=int(doc.get("lanes_per_approach", 3)),
-                state_grids=int(doc.get("N", 12)),
-                pass_capacity=int(doc.get("n", 4)),
-                grid_capacity=int(doc.get("grid_capacity", 4)),
-                lane_grids=int(doc.get("lane_grids", 2 * int(doc.get("N", 12)))),
+                rows=given["rows"],
+                cols=given["cols"],
+                lanes_per_approach=given.get("lanes_per_approach", 3),
+                state_grids=given.get("N", 12),
+                pass_capacity=given.get("n", 4),
+                grid_capacity=given.get("grid_capacity", 4),
+                lane_grids=given.get("lane_grids", 2 * given.get("N", 12)),
             )
         except KeyError as exc:
             raise ConfigurationError(f"network document missing field {exc}") from exc
@@ -248,11 +249,11 @@ class Flow:
         try:
             side, index = doc["origin"]
             return cls(
-                origin=(str(side), int(index)),
+                origin=(str(side), read_int(index, "origin index")),
                 route=tuple(doc["route"]),
-                start_s=int(doc["start_s"]),
-                end_s=int(doc["end_s"]),
-                headway_s=int(doc["headway_s"]),
+                start_s=read_int(doc["start_s"], "start_s"),
+                end_s=read_int(doc["end_s"], "end_s"),
+                headway_s=read_int(doc["headway_s"], "headway_s"),
             )
         except KeyError as exc:
             raise ConfigurationError(f"flow document missing field {exc}") from exc

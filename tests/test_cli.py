@@ -51,6 +51,14 @@ def test_missing_config_file_exit_one(tmp_path):
     assert rc != 0
 
 
+def test_source_matrix_without_seeds_exit_two(config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**doc, "seeds": []}))
+    rc = main(["--config", str(config_path), "source-matrix"])
+    assert rc == 2
+    assert "at least one seed" in capsys.readouterr().err
+
+
 def test_malformed_config_exit_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"method": "fixed_time"}))  # no target

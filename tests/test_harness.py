@@ -1,17 +1,22 @@
 """Harness tests: config validation, runner outputs, persistence round
 trips, and byte-level reproducibility of CSV outputs."""
 
+import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlight import nn
 from gridlight.errors import ConfigurationError
 from gridlight.harness import io
 from gridlight.harness.config import (
     DESK_CITIES,
+    METHODS,
     ExperimentConfig,
     default_experiment,
     desk_city_a,
@@ -118,6 +123,94 @@ def test_config_scalars_refuse_values_of_another_type(tmp_path):
                 {**doc, "maml": {**doc["maml"], "first_order": bad}})
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_json({**doc, "collect_episodes": "many"})
+
+
+def test_config_integer_fields_refuse_non_integers(tmp_path):
+    doc = tiny_config(tmp_path).to_json()
+    target = doc["target"]
+    network, flow = target["network"], target["flows"][0]
+    for bad in ({"collect_episodes": 2.7}, {"collect_episodes": True},
+                {"maml": {**doc["maml"], "meta_iterations": 1.9}},
+                {"seeds": [0.5, "1"]}, {"seeds": ["x"]},
+                {"dyn_hidden": [16.5]},
+                {"target": {**target, "episode_s": 300.5}},
+                {"target": {**target, "network": {**network, "rows": "x"}}},
+                {"target": {**target, "flows": [{**flow, "headway_s": 1.5}]}}):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            ExperimentConfig.from_json({**doc, **bad})
+    # whole numbers read however they are written
+    cfg = ExperimentConfig.from_json(
+        {**doc, "collect_episodes": 3.0, "seeds": [1, "2"]})
+    assert (cfg.collect_episodes, cfg.seeds) == (3, (1, 2))
+
+
+_unit = st.floats(0.0, 1.0)
+_positive = st.integers(1, 512)
+
+
+@st.composite
+def _experiments(draw):
+    base = default_experiment()
+    return replace(
+        base,
+        method=draw(st.sampled_from(METHODS)),
+        maml=replace(base.maml, inner_lr=draw(st.floats(0.0, 1.0)),
+                     outer_lr=draw(st.floats(0.0, 1.0)),
+                     meta_iterations=draw(st.integers(0, 1000)),
+                     task_batch_size=draw(_positive),
+                     inner_steps=draw(_positive),
+                     first_order=draw(st.booleans()),
+                     batch_size=draw(_positive),
+                     outer_optimizer=draw(st.sampled_from(("sgd", "adam")))),
+        adapt=replace(base.adapt, lr=draw(st.floats(1e-9, 1.0)),
+                      target_episode_budget=draw(_positive),
+                      joint_weight=draw(st.floats(0.0, 10.0)),
+                      epochs_per_episode=draw(_positive),
+                      batch_size=draw(_positive), epsilon0=draw(_unit),
+                      epsilon_decay=draw(st.floats(1e-9, 1.0))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2 ** 31 - 1), min_size=1,
+                                  max_size=4))),
+        out_dir=draw(st.text(min_size=1, max_size=12)),
+        collect_episodes=draw(_positive),
+        behavior_epsilon=draw(_unit),
+        horizon=draw(st.integers(0, 5)),
+        step_discount=draw(_unit),
+        block_discount=draw(_unit),
+        dist_discount=draw(_unit),
+        dyn_hidden=tuple(draw(st.lists(_positive, min_size=1, max_size=3))),
+        estimator_hidden=tuple(draw(st.lists(_positive, min_size=1,
+                                             max_size=3))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_experiments())
+def test_config_document_roundtrip(cfg):
+    """Any valid config written as JSON text reads back equal, with the same
+    digest."""
+    doc = json.loads(json.dumps(cfg.to_json()))
+    back = ExperimentConfig.from_json(doc)
+    assert back == cfg
+    assert io.config_digest(back.to_json()) == io.config_digest(cfg.to_json())
+
+
+def _readme_json_block(start: str) -> str:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+    return next(b for b in blocks if b.lstrip().startswith(start))
+
+
+def test_readme_documents_load():
+    """README's scenario and experiment examples load; with the desk cities
+    in its <scenario> places the experiment example is the desk config."""
+    scenario = ScenarioSpec.from_json(
+        json.loads(_readme_json_block('{\n  "name"')))
+    assert scenario.name == "city-c"
+    block = _readme_json_block('{\n  "sources"')
+    for name in ("city-a", "city-b", "city-c"):
+        block = block.replace(
+            "<scenario>", json.dumps(DESK_CITIES[name]().to_json()), 1)
+    assert ExperimentConfig.from_json(json.loads(block)) == default_experiment()
 
 
 def test_run_main_unknown_method_fails_before_compute(tmp_path):
@@ -270,8 +363,6 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_rejects_nonfinite(tmp_path):
-    import json
-
     dyn = DynamicsModel(default_dynamics_net(12, 12, (16,), seed=2), 12, 12)
     path = tmp_path / "ck.json"
     io.save_checkpoint(path, None, dyn, {}, {}, {}, {})

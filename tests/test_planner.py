@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlight import nn, planner
+from gridlight import nn
 from gridlight.errors import ConfigurationError, ShapeError
 from gridlight.harness.config import DESK_CITIES
 from gridlight.planner import (
@@ -18,7 +18,6 @@ from gridlight.planner import (
     StateEstimator,
     ValueConfig,
     block_distance_loss,
-    candidate_sequences,
     default_dynamics_net,
     default_estimator_net,
     rollout,
@@ -27,7 +26,7 @@ from gridlight.planner import (
     state_distance,
     trajectory_value,
 )
-from gridlight.sim.network import Observation
+from gridlight.sim.network import PHASE_IDS, Observation
 
 
 def value_bruteforce(states, horizon, g1, g2, n_grids, n_pass):
@@ -308,19 +307,19 @@ def test_select_action_argmax_and_tiebreak():
     est = _FixedEstimator(s)
     dyn = _ScaledDyn(8, 8)
     # phase p halves lane p-1 twice; all phases symmetric -> tie -> phase 1
-    seq = select_action(est, dyn, None, PolicyConfig(epsilon=0.0), vc, rng)
-    assert seq == (1, 1)
+    phase = select_action(est, dyn, None, PolicyConfig(epsilon=0.0), vc, rng)
+    assert phase == 1
     # make lane 4 heaviest: clearing it (phase 5) wins
     s2 = np.ones((8, 8))
     s2[4] = 10.0
-    seq = select_action(_FixedEstimator(s2), dyn, None,
-                        PolicyConfig(epsilon=0.0), vc, rng)
-    assert seq == (5, 5)
+    phase = select_action(_FixedEstimator(s2), dyn, None,
+                          PolicyConfig(epsilon=0.0), vc, rng)
+    assert phase == 5
 
 
 def test_select_action_scaling_invariance():
     # value is linear in occupancy, so scaling the estimated state by c > 0
-    # cannot change the winning candidate (verified against brute scoring)
+    # cannot change the winning phase (verified against brute scoring)
     vc = ValueConfig(2, 0.9, 0.8, 8, 4)
     dyn = _ScaledDyn(8, 8)
     rng_state = np.random.default_rng(9)
@@ -333,13 +332,13 @@ def test_select_action_scaling_invariance():
                               PolicyConfig(epsilon=0.0), vc,
                               np.random.default_rng(0))
         assert pick1 == pick2
-        # brute-force scoring of every candidate confirms the argmax
+        # brute-force scoring of every phase held h+1 steps confirms the
+        # argmax
         best, best_v = None, -np.inf
-        for cand in candidate_sequences("CONSTANT", vc.horizon):
-            traj = rollout(dyn, s, cand)
-            v = trajectory_value(traj, vc)
+        for p in PHASE_IDS:
+            v = trajectory_value(rollout(dyn, s, [p] * (vc.horizon + 1)), vc)
             if v > best_v:
-                best, best_v = cand, v
+                best, best_v = p, v
         assert pick1 == best
 
 
@@ -350,8 +349,9 @@ def test_select_action_epsilon_one_uniform():
     dyn = _IdentityDyn()
     counts = np.zeros(8)
     for _ in range(8000):
-        seq = select_action(est, dyn, None, PolicyConfig(epsilon=1.0), vc, rng)
-        counts[seq[0] - 1] += 1
+        phase = select_action(est, dyn, None, PolicyConfig(epsilon=1.0), vc,
+                              rng)
+        counts[phase - 1] += 1
     expected = 1000.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # chi-square critical value, 7 dof, p = 0.01
@@ -369,21 +369,9 @@ def test_select_action_deterministic_when_greedy():
     assert a == b
 
 
-def test_candidate_sequences():
-    cands = candidate_sequences("CONSTANT", 2)
-    assert len(cands) == 8
-    assert cands[0] == (1, 1, 1)
-    full = candidate_sequences("FULL", 1)
-    assert len(full) == 64
-    with pytest.raises(ConfigurationError):
-        candidate_sequences("FULL", 5)  # 8^6 > 4096
-
-
 def test_policy_config_validation():
     with pytest.raises(ConfigurationError):
         PolicyConfig(epsilon=1.5)
-    with pytest.raises(ConfigurationError):
-        PolicyConfig(candidate_mode="ALL")
 
 
 def test_dynamics_model_shapes():
@@ -408,27 +396,27 @@ class _RowSumEstimator:
 
 
 class _Nodes:
-    nodes = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2)]
+    def __init__(self, n):
+        self.nodes = [(i // 64, i % 64) for i in range(n)]
 
 
-@pytest.mark.parametrize("plan_rows", [planner.PLAN_ROWS, 16])
-def test_decide_equals_per_node_select_action_loop(plan_rows, monkeypatch):
-    # one batched plan per interval, whole or in passes of two nodes, makes
-    # the same picks, and the same rng draws, as selecting for each node in
-    # turn
-    monkeypatch.setattr(planner, "PLAN_ROWS", plan_rows)
+@pytest.mark.parametrize("n_nodes", [16, 4096])
+def test_decide_equals_per_node_select_action_loop(n_nodes):
+    # one batched plan per interval makes the same picks, and the same rng
+    # draws, as selecting for each node in turn; 4096 nodes put 32,768
+    # phase rows through each dynamics pass
     vc = ValueConfig(2, 0.9, 0.8, 8, 4)
     policy = PolicyConfig(epsilon=0.5)
     est, dyn = _RowSumEstimator(8), _ScaledDyn(8, 8)
     ctrl = PlannerController(est, dyn, policy, vc, np.random.default_rng(3))
     loop_rng = np.random.default_rng(3)
     data = np.random.default_rng(4)
-    env = _Nodes()
-    for t in range(40):
+    env = _Nodes(n_nodes)
+    for t in range(max(2, 640 // n_nodes)):
         obs = {node: Observation("SCHEMA_A", data.uniform(0, 5, size=(8, 2)))
                for node in env.nodes}
         want = {node: select_action(est, dyn, obs[node], policy, vc,
-                                    loop_rng)[0] for node in env.nodes}
+                                    loop_rng) for node in env.nodes}
         assert ctrl.decide(env, t, obs) == want
         assert ctrl.rng.random() == loop_rng.random()
 
