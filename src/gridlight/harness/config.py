@@ -207,8 +207,9 @@ def _ints(doc: dict, name: str, default: tuple[int, ...], least: int):
 def _merged(base, doc: dict):
     """``base`` with each scalar field that ``doc`` gives replaced, read as
     the type of ``base``'s value. An int field takes only a whole number
-    (:func:`read_int`), and a bool field only a JSON boolean: casting would
-    read 2.7 as 2 and the string "false" as true."""
+    (:func:`read_int`), a bool field only a JSON boolean, and no other field
+    a boolean: casting would read 2.7 as 2, the string "false" as true and
+    true as 1.0."""
     return replace(base, **{
         f.name: _read_as(getattr(base, f.name), doc[f.name], f.name)
         for f in fields(base) if f.name in doc
@@ -223,6 +224,9 @@ def _read_as(default, value, name: str):
         return value
     if isinstance(default, int):
         return read_int(value, name)
+    if isinstance(value, bool):
+        raise ConfigurationError(
+            f"{name} must be a {type(default).__name__}, got {value!r}")
     try:
         return type(default)(value)
     except (TypeError, ValueError) as exc:

@@ -14,6 +14,15 @@ seed is only recorded on the handle. Lane state is plain Python ints and
 containers; numpy appears only in the arrays the queries return and in
 the int64 bytes ``digest()`` hashes. A handle is single-threaded; run
 independent handles for parallelism.
+
+A tick costs in proportion to the vehicles that move, not to those on the
+network. A lane's vehicles are in grid order, first in first out within a
+grid, so the advance walk jumps past a whole grid once one of its vehicles
+is blocked. Each observed lane keeps its segment counts as vehicles move,
+and on an interval's last tick counts the vehicles that crossed in (they
+sit at its tail), so the per-tick segment samples and the stationary
+count need no rescan.
+``validate=True`` checks these running counts against recounts.
 """
 
 from __future__ import annotations
@@ -69,8 +78,9 @@ class _Vehicle:
 
 class _Lane:
     __slots__ = ("occ", "vehs", "pending", "is_approach", "crossings",
-                 "mid_passes", "seg_moves", "seg_samples", "stationary",
-                 "last_crossings", "last_mid_passes", "last_seg_speed")
+                 "mid_passes", "seg_count", "seg_moves", "seg_samples",
+                 "stationary", "last_crossings", "last_mid_passes",
+                 "last_seg_speed")
 
     def __init__(self, length: int):
         self.occ = [0] * length
@@ -79,6 +89,7 @@ class _Lane:
         self.is_approach = False
         self.crossings = 0
         self.mid_passes = 0
+        self.seg_count = [0, 0]  # vehicles now in segments 0 and 1
         self.seg_moves = [0, 0]
         self.seg_samples = [0, 0]
         self.stationary = 0
@@ -350,11 +361,9 @@ class Sim:
         for lane in self._approach_lanes:
             lane.last_crossings = lane.crossings
             lane.last_mid_passes = lane.mid_passes
-            lane.last_seg_speed = tuple(
-                (lane.seg_moves[i] / lane.seg_samples[i])
-                if lane.seg_samples[i] else 0.0
-                for i in range(2)
-            )
+            (m0, m1), (s0, s1) = lane.seg_moves, lane.seg_samples
+            lane.last_seg_speed = (m0 / s0 if s0 else 0.0,
+                                   m1 / s1 if s1 else 0.0)
             stationary_total += lane.stationary
         queue_mean = stationary_total / self._n_approach_lanes
         self._queue_mean_sum += queue_mean
@@ -401,6 +410,8 @@ class Sim:
                         break
                     vehs.popleft()
                     lane.occ[0] -= 1
+                    if third1:
+                        lane.seg_count[0] -= 1
                     lane.crossings += 1
                     v.grid = top
                     v.route_pos += 1
@@ -410,7 +421,10 @@ class Sim:
 
         # 3. in-lane advances, with per-tick stats for observed lanes: a
         # segment's samples are its vehicles after the advance, and the
-        # stationary ones are those that neither advanced nor arrived
+        # stationary ones are those that neither advanced nor arrived. A
+        # lane's vehicles are in grid order, first in first out within a
+        # grid, so once one is blocked (at grid 0, or the grid ahead full)
+        # so is every vehicle left in its grid: the walk jumps past them.
         for lane in self._all_lanes:
             vehs = lane.vehs
             is_app = lane.is_approach
@@ -419,25 +433,48 @@ class Sim:
                     lane.stationary = 0
                 continue
             occ = lane.occ
+            seg_count = lane.seg_count
             seg_moves = lane.seg_moves
-            for v in vehs:
+            n = len(vehs)
+            if last and is_app:
+                # the vehicles that crossed in on this tick, at the tail
+                arrived = 0
+                while arrived < n and vehs[-1 - arrived].moved_tick == t:
+                    arrived += 1
+            advanced = 0
+            i = 0
+            while i < n:
+                v = vehs[i]
                 g = v.grid
-                if g != 0 and occ[g - 1] < cap and v.moved_tick != t:
-                    occ[g] -= 1
-                    g -= 1
-                    occ[g] += 1
-                    v.grid = g
-                    v.moved_tick = t
-                    if is_app:
-                        if g == mid - 1:
-                            lane.mid_passes += 1
-                        if g < third2:
-                            seg_moves[0 if g < third1 else 1] += 1
+                if g == 0 or occ[g - 1] >= cap:
+                    i += occ[g]
+                    continue
+                i += 1
+                if v.moved_tick == t:  # crossed in on this tick
+                    continue
+                occ[g] -= 1
+                g -= 1
+                occ[g] += 1
+                v.grid = g
+                v.moved_tick = t
+                advanced += 1
+                if is_app:
+                    if g == mid - 1:
+                        lane.mid_passes += 1
+                    if g < third1:
+                        seg_moves[0] += 1
+                        if g == third1 - 1:
+                            seg_count[0] += 1
+                            seg_count[1] -= 1
+                    elif g < third2:
+                        seg_moves[1] += 1
+                        if g == third2 - 1:
+                            seg_count[1] += 1
             if is_app:
-                lane.seg_samples[0] += sum(occ[:third1])
-                lane.seg_samples[1] += sum(occ[third1:third2])
+                lane.seg_samples[0] += seg_count[0]
+                lane.seg_samples[1] += seg_count[1]
                 if last:
-                    lane.stationary = sum(v.moved_tick != t for v in vehs)
+                    lane.stationary = n - advanced - arrived
 
         # 4. scheduled entries (deferred while the origin grid is full)
         for lane in self._entry_lanes:
@@ -464,6 +501,22 @@ class Sim:
                     raise RuntimeError(f"grid over capacity at t={stamp}")
                 if min(lane.occ) < 0:
                     raise RuntimeError(f"negative occupancy at t={stamp}")
+                grids = [v.grid for v in lane.vehs]
+                if grids != sorted(grids):
+                    raise RuntimeError(f"lane out of grid order at t={stamp}")
+                counts = [0] * length
+                for g in grids:
+                    counts[g] += 1
+                if counts != lane.occ:
+                    raise RuntimeError(
+                        f"occupancy differs from vehicle grids at t={stamp}")
+                if lane.is_approach and lane.seg_count != [
+                        sum(counts[:third1]), sum(counts[third1:third2])]:
+                    raise RuntimeError(f"segment counts differ at t={stamp}")
+                if last and lane.is_approach and lane.stationary != sum(
+                        v.moved_tick != t for v in lane.vehs):
+                    raise RuntimeError(
+                        f"stationary count differs at t={stamp}")
 
 
 def reset(network: RoadNetwork, flows: list[Flow], seed: int,

@@ -247,7 +247,11 @@ class Flow:
         refuse_unknown_keys(doc, (f.name for f in fields(cls)),
                             "flow document")
         try:
-            side, index = doc["origin"]
+            origin = doc["origin"]
+            if not isinstance(origin, (list, tuple)) or len(origin) != 2:
+                raise ConfigurationError(
+                    f"flow origin must be [side, index], got {origin!r}")
+            side, index = origin
             return cls(
                 origin=(str(side), read_int(index, "origin index")),
                 route=tuple(doc["route"]),

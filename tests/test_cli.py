@@ -66,6 +66,17 @@ def test_malformed_config_exit_two(tmp_path):
     assert rc == 2
 
 
+def test_malformed_flow_origin_exit_two(config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    target = doc["target"]
+    flows = [{**target["flows"][0], "origin": ["N", 0, 1]}]
+    config_path.write_text(json.dumps(
+        {**doc, "target": {**target, "flows": flows}}))
+    rc = main(["--config", str(config_path), "simulate"])
+    assert rc == 2
+    assert "origin" in capsys.readouterr().err
+
+
 def test_collect_writes_datasets(config_path, capsys):
     rc = main(["--config", str(config_path), "collect"])
     assert rc == 0

@@ -125,6 +125,17 @@ def test_config_scalars_refuse_values_of_another_type(tmp_path):
         ExperimentConfig.from_json({**doc, "collect_episodes": "many"})
 
 
+def test_config_float_fields_refuse_booleans(tmp_path):
+    doc = tiny_config(tmp_path).to_json()
+    for bad, name in (({"adapt": {**doc["adapt"], "lr": True}}, "lr"),
+                      ({"maml": {**doc["maml"], "inner_lr": False}},
+                       "inner_lr"),
+                      ({"step_discount": True}, "step_discount")):
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be a float"):
+            ExperimentConfig.from_json({**doc, **bad})
+
+
 def test_config_integer_fields_refuse_non_integers(tmp_path):
     doc = tiny_config(tmp_path).to_json()
     target = doc["target"]
@@ -397,6 +408,13 @@ def test_scenario_json_roundtrip():
         assert back == sc
         assert back.network.to_json()["N"] == 12
         assert back.network.to_json()["n"] == 4
+
+
+def test_flow_documents_refuse_malformed_origins():
+    flow = desk_city_c().to_json()["flows"][0]
+    for bad in (["N", 0, 1], ["N"], "N0", 3, None):
+        with pytest.raises(ConfigurationError, match="origin"):
+            Flow.from_json({**flow, "origin": bad})
 
 
 def test_scenario_documents_reject_unknown_keys(tmp_path):

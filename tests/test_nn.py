@@ -180,3 +180,25 @@ def test_adam_moves_toward_minimum():
     for _ in range(500):
         p = opt.step(p, 2 * (p - 3.0))
     assert np.max(np.abs(p - 3.0)) < 1e-3
+
+
+def _sigmoid_masked(z):
+    """The masked sigmoid ``nn._sigmoid`` replaced, kept as its oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(0.0, 4.0, 200_000),
+                        rng.normal(0.0, 300.0, 50_000),
+                        [0.0, -0.0, 1e-300, -1e-300, 709.0, -745.0, 800.0,
+                         -800.0, np.inf, -np.inf]])
+    assert np.array_equal(nn._sigmoid(z), _sigmoid_masked(z))
+    z2 = z[:1200].reshape(40, 30)
+    assert np.array_equal(nn._sigmoid(z2), _sigmoid_masked(z2))
+

@@ -505,3 +505,80 @@ def test_golden_behaviour_pin(city, method, validate):
     revision of the simulator: any change to its behaviour shows here."""
     assert _golden_run(city, method, validate) == GOLDEN[(city, method,
                                                           validate)]
+
+
+def _observation_run(city, method, intervals=60):
+    """One baseline episode under validate=True, hashing every interval's
+    observations (in every schema) and waiting counts for every node: the
+    final digest only holds the last interval's statistics."""
+    controller = {"fixed_time": FixedTimeController,
+                  "max_pressure": MaxPressureController}[method]()
+    sim = DESK_CITIES[city]().make(seed=0, validate=True)
+    h = hashlib.sha256()
+    obs, _ = sim.snapshot()
+    for t in range(intervals):
+        sim.step(controller.decide(sim, t, obs))
+        obs, _ = sim.snapshot()
+        for node in sim.nodes:
+            for schema in sorted(SCHEMA_DIMS):
+                h.update(sim.observe(node, schema).values.tobytes())
+            h.update(sim.waiting_counts(node).tobytes())
+    return h.hexdigest()[:32], sim.digest()
+
+
+GOLDEN_OBSERVATIONS = {
+    ('city-a', 'fixed_time'): (
+        'd8f0884e9270040d0d3e473087b3c454',
+        '9b6b1de0d3823ac23812d7dbdd16347782bff7502bb9db30c4a8dc549e945e63'),
+    ('city-a', 'max_pressure'): (
+        '90056267bc52bb60fbce82b183654419',
+        'f2ee0d54a2016a86bfb8f0eb6a1f3b577d1a4d2611ba118af91166d24bf7bfd1'),
+    ('city-b', 'fixed_time'): (
+        'ea6d8621b2ae986318fd6ae863ed0cf1',
+        '1b2d64a117d3557871b76a63ced229bfc8c6e064e6e3ac3e86b7dd7a920166e0'),
+    ('city-b', 'max_pressure'): (
+        '2e1eaabca690eab96241f9a7887ca2f5',
+        'e5c90e72133f9de9a26bb8961f3d618f4f5cd66fcfec89e02e7a3c1564b8183d'),
+    ('city-c', 'fixed_time'): (
+        '3b34c3428e64d2617a41b56e2c679a65',
+        '41d5fb7c327def470241855ec37c0dc9c4b2fffca55c96a191408147dc3dab6e'),
+    ('city-c', 'max_pressure'): (
+        '254cd6da21fadc776c73cc973364accc',
+        '2f8dbf8d6164ee8b5ef3c44aeceb3112f6355c7c7315e07189b32f7773b4542c'),
+    ('saturated', 'fixed_time'): (
+        '66c64d066d8c1824b757235f09dfec0f',
+        '7232016c341add4decc2f96d605fab57e225257d0ee29eb2f0c19d2b9b9b9146'),
+    ('saturated', 'max_pressure'): (
+        'ca2e319ae26933050c7f05ed5f974523',
+        '3a216fc7a7d2f770c705b93d2da8e0de60d25d7a4a2e69f0f2b7abead4a5774d'),
+}
+
+
+@pytest.mark.parametrize("city,method", sorted(GOLDEN_OBSERVATIONS))
+def test_golden_observation_pin(city, method):
+    """Per-interval observations and waiting counts recorded from an
+    earlier revision of the simulator, with the tick invariants checked."""
+    assert _observation_run(city, method) == GOLDEN_OBSERVATIONS[(city,
+                                                                  method)]
+
+
+def test_stationary_count_when_a_vehicle_crosses_two_nodes_in_one_tick():
+    """With one grid per lane, a vehicle that crosses into a lane sits at
+    that lane's stop line and can cross the next intersection on the same
+    tick. It is then neither stationary in the lane it passed through nor
+    anywhere else. The expected counts were recorded from a revision that
+    recounted every vehicle's last move."""
+    net = RoadNetwork(rows=1, cols=2, state_grids=1, pass_capacity=1,
+                      grid_capacity=2, lane_grids=1)
+    assert permits(3, "W", "through")
+    # both flows enter (0, 1)'s west approach through lane on one tick and
+    # one of them crosses on at once: the lane keeps a vehicle either way
+    flows = [Flow(("W", 0), ("through", "through"), 0, 4, 1),
+             Flow(("S", 0), ("right", "through"), 0, 4, 1)]
+    sim = reset(net, flows, seed=0, validate=True)
+    west_through = [0, 0, 1, 2, 2, 1, 1, 0]  # (0, 0)'s lane 10
+    for waiting in west_through:
+        _, _, metrics = sim.step(all_phase(sim, 3), interval_s=1)
+        assert sim.waiting_counts((0, 0)).tolist() == [0] * 10 + [waiting, 0]
+        assert sim.waiting_counts((0, 1)).tolist() == [0] * 12
+        assert metrics.avg_queue_length == waiting / 24
