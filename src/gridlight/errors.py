@@ -16,8 +16,11 @@ class ShapeError(ValueError):
 
 
 def refuse_unknown_keys(doc: dict, known, where: str) -> None:
-    """Raise ``ConfigurationError`` if document ``doc`` has a key outside
-    ``known``, so a misspelt key fails instead of being ignored."""
+    """Raise ``ConfigurationError`` if document ``doc`` is not an object or
+    has a key outside ``known``, so a misspelt key fails instead of being
+    ignored."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be an object, got {doc!r}")
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ConfigurationError(f"{where} has unknown keys {unknown}")
@@ -37,3 +40,12 @@ def read_int(value, name: str) -> int:
     if isinstance(whole, bool) or not isinstance(whole, Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(whole)
+
+
+def read_list(value, name: str) -> list:
+    """Document value ``value`` of field ``name`` as a list; anything but a
+    list, a string included, raises ``ConfigurationError`` instead of being
+    iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+    return list(value)

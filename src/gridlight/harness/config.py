@@ -13,7 +13,8 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from ..errors import ConfigurationError, read_int, refuse_unknown_keys
+from ..errors import (ConfigurationError, read_int, read_list,
+                      refuse_unknown_keys)
 from ..meta import AdaptConfig, MamlConfig
 from ..scenario import ScenarioSpec
 from ..sim import Flow, RoadNetwork
@@ -160,15 +161,16 @@ class ExperimentConfig:
         document keeps its value in :func:`default_experiment`. Unknown
         keys, at the top level or in ``maml`` and ``adapt``, are refused."""
         base = default_experiment()
-        for part, kind, where in ((doc, cls, "experiment config"),
-                                  (doc.get("maml", {}), MamlConfig, "maml"),
-                                  (doc.get("adapt", {}), AdaptConfig, "adapt")):
-            refuse_unknown_keys(part, (f.name for f in fields(kind)), where)
+        refuse_unknown_keys(doc, (f.name for f in fields(cls)),
+                            "experiment config")
+        for part, kind in (("maml", MamlConfig), ("adapt", AdaptConfig)):
+            refuse_unknown_keys(doc.get(part, {}),
+                                (f.name for f in fields(kind)), part)
         try:
             cfg = replace(
                 base,
-                sources=tuple(ScenarioSpec.from_json(s)
-                              for s in doc.get("sources", [])),
+                sources=tuple(ScenarioSpec.from_json(s) for s in
+                              read_list(doc.get("sources", []), "sources")),
                 target=ScenarioSpec.from_json(doc["target"]),
                 method=str(doc["method"]),
                 maml=_merged(base.maml, doc.get("maml", {})),
@@ -195,9 +197,7 @@ class ExperimentConfig:
 def _ints(doc: dict, name: str, default: tuple[int, ...], least: int):
     """``doc[name]``, else ``default``, as a tuple of ints >= ``least``."""
     value = doc.get(name, default)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{name} must be a list, got {value!r}")
-    ints = tuple(read_int(v, name) for v in value)
+    ints = tuple(read_int(v, name) for v in read_list(value, name))
     if any(i < least for i in ints):
         raise ConfigurationError(
             f"{name} must hold integers >= {least}, got {value!r}")

@@ -172,7 +172,8 @@ def loss_and_grad(net: Net, loss_fn: LossFn, inputs, targets,
         gw, gb = views[k]
         gw += dz.T @ acts[k]
         gb += dz.sum(axis=0)
-        da = dz @ w_views[k][0]
+        if k:  # the first layer's input gradient is never used
+            da = dz @ w_views[k][0]
     return float(loss), grad_vec
 
 

@@ -245,27 +245,6 @@ class DynamicsModel:
             )
         return nn.forward(self.net, phase_encode(flat_states, actions))
 
-    def predict(self, state: np.ndarray, action: int) -> np.ndarray:
-        """One-step prediction for a single (lanes, N) state."""
-        s = np.asarray(state, dtype=np.float64)
-        if s.shape != (self.lanes, self.state_grids):
-            raise ShapeError(
-                f"state must be ({self.lanes}, {self.state_grids}), got {s.shape}"
-            )
-        flat = self.predict_flat(s.reshape(1, -1), np.array([action]))
-        return flat.reshape(self.lanes, self.state_grids)
-
-
-def rollout(dyn, state: np.ndarray, actions) -> list[np.ndarray]:
-    """Apply the dynamics model once per action, returning the predicted
-    states after each step (length == len(actions))."""
-    out = []
-    s = np.asarray(state, dtype=np.float64)
-    for a in actions:
-        s = dyn.predict(s, int(a))
-        out.append(s)
-    return out
-
 
 @dataclass(frozen=True)
 class PolicyConfig:

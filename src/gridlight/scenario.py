@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigurationError, read_int, refuse_unknown_keys
+from .errors import (ConfigurationError, read_int, read_list,
+                     refuse_unknown_keys)
 from .sim import Flow, RoadNetwork, Sim, reset
 from .sim.network import SCHEMA_DIMS
 
@@ -57,7 +58,8 @@ class ScenarioSpec:
             return cls(
                 name=str(doc.get("name", "scenario")),
                 network=RoadNetwork.from_json(doc["network"]),
-                flows=tuple(Flow.from_json(f) for f in doc.get("flows", [])),
+                flows=tuple(Flow.from_json(f)
+                            for f in read_list(doc.get("flows", []), "flows")),
                 schema=str(doc["schema"]),
                 episode_s=read_int(doc.get("episode_s", 3600), "episode_s"),
                 interval_s=read_int(doc.get("interval_s", 20), "interval_s"),

@@ -15,14 +15,18 @@ containers; numpy appears only in the arrays the queries return and in
 the int64 bytes ``digest()`` hashes. A handle is single-threaded; run
 independent handles for parallelism.
 
-A tick costs in proportion to the vehicles that move, not to those on the
-network. A lane's vehicles are in grid order, first in first out within a
-grid, so the advance walk jumps past a whole grid once one of its vehicles
-is blocked. Each observed lane keeps its segment counts as vehicles move,
-and on an interval's last tick counts the vehicles that crossed in (they
-sit at its tail), so the per-tick segment samples and the stationary
-count need no rescan.
-``validate=True`` checks these running counts against recounts.
+A tick's advance step costs in proportion to the lanes whose vehicles can
+move, not to the lanes or vehicles on the network. It walks only the
+lanes that hold vehicles, and a lane whose last walk moved nothing (and
+that no vehicle has left or joined since) is settled: it costs O(1). A
+lane's vehicles are in grid order, first in first out within a grid, so
+the walk jumps past a whole grid once one of its vehicles is blocked. Each
+observed lane keeps its segment counts as vehicles move, and on an
+interval's last tick counts the vehicles that crossed in (they sit at its
+tail), so the per-tick segment samples and the stationary count need no
+rescan.
+``validate=True`` checks these running counts, the occupied-lane registry
+and the settled flags against recounts.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ class _Lane:
     __slots__ = ("occ", "vehs", "pending", "is_approach", "crossings",
                  "mid_passes", "seg_count", "seg_moves", "seg_samples",
                  "stationary", "last_crossings", "last_mid_passes",
-                 "last_seg_speed")
+                 "last_seg_speed", "settled")
 
     def __init__(self, length: int):
         self.occ = [0] * length
@@ -96,6 +100,9 @@ class _Lane:
         self.last_crossings = 0
         self.last_mid_passes = 0
         self.last_seg_speed = (0.0, 0.0)
+        # its last advance walk moved no vehicle and passed over none that
+        # had crossed in; cleared when a vehicle leaves or joins the lane
+        self.settled = False
 
 
 class _Link:
@@ -127,6 +134,7 @@ class Sim:
         self._travel_sum_exited = 0.0
         self._queue_mean_sum = 0.0
         self._intervals = 0
+        self._occupied: dict[_Lane, None] = {}  # lanes that hold vehicles
 
         self.nodes = network.nodes
         self._build_topology()
@@ -386,12 +394,16 @@ class Sim:
         third2 = 2 * (length // 3)
         t = self.clock
         stamp = t + 1
+        occupied = self._occupied
 
         # 1. boundary exits
         for lane in self._exit_lanes:
             vehs = lane.vehs
             while vehs and vehs[0].grid == 0:
                 v = vehs.popleft()
+                if not vehs:
+                    del occupied[lane]
+                lane.settled = False
                 lane.occ[0] -= 1
                 v.exit_s = stamp
                 v.moved_tick = t
@@ -409,6 +421,9 @@ class Sim:
                     if dest.occ[top] >= cap:
                         break
                     vehs.popleft()
+                    if not vehs:
+                        del occupied[lane]
+                    lane.settled = False
                     lane.occ[0] -= 1
                     if third1:
                         lane.seg_count[0] -= 1
@@ -416,6 +431,9 @@ class Sim:
                     v.grid = top
                     v.route_pos += 1
                     v.moved_tick = t
+                    if not dest.vehs:
+                        occupied[dest] = None
+                    dest.settled = False
                     dest.occ[top] += 1
                     dest.vehs.append(v)
 
@@ -425,23 +443,33 @@ class Sim:
         # lane's vehicles are in grid order, first in first out within a
         # grid, so once one is blocked (at grid 0, or the grid ahead full)
         # so is every vehicle left in its grid: the walk jumps past them.
-        for lane in self._all_lanes:
+        # Whether a vehicle is blocked depends only on its own lane, so a
+        # settled lane would move nothing again and is not walked, and the
+        # walk touches only the lane's own state, so the lane order is free.
+        if last:
+            for lane in self._approach_lanes:
+                lane.stationary = 0
+        for lane in occupied:
             vehs = lane.vehs
             is_app = lane.is_approach
-            if not vehs:
-                if last and is_app:
-                    lane.stationary = 0
+            seg_count = lane.seg_count
+            n = len(vehs)
+            if lane.settled:
+                if is_app:
+                    lane.seg_samples[0] += seg_count[0]
+                    lane.seg_samples[1] += seg_count[1]
+                    if last:
+                        lane.stationary = n
                 continue
             occ = lane.occ
-            seg_count = lane.seg_count
             seg_moves = lane.seg_moves
-            n = len(vehs)
             if last and is_app:
                 # the vehicles that crossed in on this tick, at the tail
                 arrived = 0
                 while arrived < n and vehs[-1 - arrived].moved_tick == t:
                     arrived += 1
             advanced = 0
+            passed_arrival = False
             i = 0
             while i < n:
                 v = vehs[i]
@@ -451,6 +479,7 @@ class Sim:
                     continue
                 i += 1
                 if v.moved_tick == t:  # crossed in on this tick
+                    passed_arrival = True
                     continue
                 occ[g] -= 1
                 g -= 1
@@ -470,6 +499,7 @@ class Sim:
                         seg_moves[1] += 1
                         if g == third2 - 1:
                             seg_count[1] += 1
+            lane.settled = not advanced and not passed_arrival
             if is_app:
                 lane.seg_samples[0] += seg_count[0]
                 lane.seg_samples[1] += seg_count[1]
@@ -484,6 +514,9 @@ class Sim:
                 v.enter_s = stamp
                 v.grid = top
                 v.moved_tick = t
+                if not lane.vehs:
+                    occupied[lane] = None
+                lane.settled = False
                 lane.occ[top] += 1
                 lane.vehs.append(v)
                 self.entered += 1
@@ -496,6 +529,9 @@ class Sim:
                 raise RuntimeError(
                     f"conservation violated at t={stamp}: "
                     f"entered={self.entered} on={on_net} exited={self.exited}")
+            if occupied.keys() != {ln for ln in self._all_lanes if ln.vehs}:
+                raise RuntimeError(
+                    f"occupied-lane registry differs at t={stamp}")
             for lane in self._all_lanes:
                 if max(lane.occ) > cap:
                     raise RuntimeError(f"grid over capacity at t={stamp}")
@@ -510,6 +546,11 @@ class Sim:
                 if counts != lane.occ:
                     raise RuntimeError(
                         f"occupancy differs from vehicle grids at t={stamp}")
+                if lane.settled and any(
+                        c and g and lane.occ[g - 1] < cap
+                        for g, c in enumerate(lane.occ)):
+                    raise RuntimeError(
+                        f"settled lane has a vehicle that can move at t={stamp}")
                 if lane.is_approach and lane.seg_count != [
                         sum(counts[:third1]), sum(counts[third1:third2])]:
                     raise RuntimeError(f"segment counts differ at t={stamp}")

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ConfigurationError, ShapeError, read_int, refuse_unknown_keys
+from ..errors import (ConfigurationError, ShapeError, read_int, read_list,
+                      refuse_unknown_keys)
 
 APPROACHES = ("N", "E", "S", "W")
 MOVEMENTS = ("left", "through", "right")
@@ -254,7 +255,7 @@ class Flow:
             side, index = origin
             return cls(
                 origin=(str(side), read_int(index, "origin index")),
-                route=tuple(doc["route"]),
+                route=tuple(read_list(doc["route"], "route")),
                 start_s=read_int(doc["start_s"], "start_s"),
                 end_s=read_int(doc["end_s"], "end_s"),
                 headway_s=read_int(doc["headway_s"], "headway_s"),

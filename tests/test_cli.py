@@ -77,6 +77,18 @@ def test_malformed_flow_origin_exit_two(config_path, capsys):
     assert "origin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [{"route": 5}, {"route": "through"}])
+def test_malformed_flow_route_exit_two(config_path, capsys, edit):
+    doc = json.loads(config_path.read_text())
+    target = doc["target"]
+    flows = [{**target["flows"][0], **edit}]
+    config_path.write_text(json.dumps(
+        {**doc, "target": {**target, "flows": flows}}))
+    rc = main(["--config", str(config_path), "simulate"])
+    assert rc == 2
+    assert "route must be a list" in capsys.readouterr().err
+
+
 def test_collect_writes_datasets(config_path, capsys):
     rc = main(["--config", str(config_path), "collect"])
     assert rc == 0

@@ -417,6 +417,27 @@ def test_flow_documents_refuse_malformed_origins():
             Flow.from_json({**flow, "origin": bad})
 
 
+def test_documents_refuse_malformed_shapes(tmp_path):
+    doc = desk_city_c().to_json()
+    flow = doc["flows"][0]
+    for bad, message in (
+            ({**doc, "flows": [{**flow, "route": 5}]}, "route must be a list"),
+            ({**doc, "flows": [{**flow, "route": "through"}]},
+             "route must be a list"),
+            ({**doc, "flows": 5}, "flows must be a list"),
+            ({**doc, "flows": [5]}, "flow document must be an object"),
+            ({**doc, "network": 3}, "network document must be an object"),
+            ([doc], "scenario document must be an object")):
+        with pytest.raises(ConfigurationError, match=message):
+            ScenarioSpec.from_json(bad)
+    cfg = tiny_config(tmp_path).to_json()
+    for bad, message in (({**cfg, "sources": 5}, "sources must be a list"),
+                         ({**cfg, "maml": 5}, "maml must be an object"),
+                         ([cfg], "experiment config must be an object")):
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig.from_json(bad)
+
+
 def test_scenario_documents_reject_unknown_keys(tmp_path):
     doc = desk_city_c().to_json()
     network, flow = doc["network"], doc["flows"][0]

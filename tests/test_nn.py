@@ -202,3 +202,52 @@ def test_sigmoid_matches_masked_form_bit_for_bit():
     z2 = z[:1200].reshape(40, 30)
     assert np.array_equal(nn._sigmoid(z2), _sigmoid_masked(z2))
 
+
+
+def _loss_and_grad_every_layer(net, loss_fn, inputs, targets):
+    """The backward loop ``nn.loss_and_grad`` had before it stopped
+    forming the first layer's input gradient; kept as its oracle."""
+    x2 = np.asarray(inputs, dtype=np.float64)
+    acts, pre = nn._forward_cached(net, x2, net.params)
+    loss, d_out = loss_fn(acts[-1], np.asarray(targets, dtype=np.float64))
+    grad_vec = np.zeros_like(net.params)
+    views = nn._layer_views(net.layer_sizes, grad_vec)
+    w_views = nn._layer_views(net.layer_sizes, net.params)
+    da = d_out
+    for k in range(len(views) - 1, -1, -1):
+        z = pre[k]
+        if k == len(views) - 1:
+            if net.output_activation == "softplus":
+                dz = da * nn._sigmoid(z)
+            else:
+                dz = da
+        else:
+            dz = da * (z > 0)
+        gw, gb = views[k]
+        gw += dz.T @ acts[k]
+        gb += dz.sum(axis=0)
+        da = dz @ w_views[k][0]
+    return float(loss), grad_vec
+
+
+def _mse(pred, target):
+    diff = pred - target
+    return float(np.mean(diff ** 2)), 2.0 * diff / diff.size
+
+
+@pytest.mark.parametrize("sizes,batches", [
+    ((152, 128, 128, 144), (1, 128, 256)),  # desk dynamics net
+    ((3, 32, 32, 12), (1, 96, 1536)),       # desk estimator net
+    ((5, 4), (1, 7)),                       # one layer
+])
+def test_loss_and_grad_matches_every_layer_backward_bit_for_bit(sizes,
+                                                                batches):
+    net = nn.net_new(sizes, output_activation="softplus", seed=3)
+    rng = np.random.default_rng(0)
+    for b in batches:
+        x = rng.normal(size=(b, sizes[0]))
+        y = rng.uniform(0.0, 3.0, size=(b, sizes[-1]))
+        loss, g = nn.loss_and_grad(net, _mse, x, y)
+        ref_loss, ref_g = _loss_and_grad_every_layer(net, _mse, x, y)
+        assert loss == ref_loss
+        assert g.tobytes() == ref_g.tobytes()

@@ -20,7 +20,6 @@ from gridlight.planner import (
     block_distance_loss,
     default_dynamics_net,
     default_estimator_net,
-    rollout,
     rowwise_block_distance_loss,
     select_action,
     state_distance,
@@ -238,11 +237,28 @@ def test_estimator_schema_mismatch():
                       Observation("SCHEMA_B", np.zeros((12, 2)))])
 
 
+def predict(dyn, state, action):
+    """One-step prediction for a single (lanes, N) state through the
+    model's batched ``predict_flat``."""
+    s = np.asarray(state, dtype=np.float64)
+    flat = dyn.predict_flat(s.reshape(1, -1), np.array([action]))
+    return flat.reshape(s.shape)
+
+
+def rollout(dyn, state, actions):
+    """Apply the dynamics model once per action, one state at a time,
+    returning the predicted states after each step: the reference the
+    planner's batched rollout is checked against."""
+    out = []
+    s = np.asarray(state, dtype=np.float64)
+    for a in actions:
+        s = predict(dyn, s, int(a))
+        out.append(s)
+    return out
+
+
 class _IdentityDyn:
     """Stub dynamics: next state equals current state, any action."""
-
-    def predict(self, state, action):
-        return np.asarray(state, dtype=float)
 
     def predict_flat(self, flat, actions):
         return np.asarray(flat, dtype=float)
@@ -261,11 +277,6 @@ class _ScaledDyn:
             s = out[i].reshape(self.lanes, self.n_grids)
             s[(a - 1) % self.lanes] *= 0.5
         return out
-
-    def predict(self, state, action):
-        return self.predict_flat(
-            np.asarray(state, float).reshape(1, -1), np.array([action])
-        ).reshape(self.lanes, self.n_grids)
 
 
 class _FixedEstimator:
@@ -297,7 +308,8 @@ def test_rollout_composition():
 def test_rollout_single_step_matches_predict():
     dyn = _ScaledDyn(4, 8)
     s = np.ones((4, 8))
-    assert np.allclose(rollout(dyn, s, [5])[0], dyn.predict(s, 5))
+    step = dyn.predict_flat(s.reshape(1, -1), np.array([5])).reshape(4, 8)
+    assert np.array_equal(rollout(dyn, s, [5])[0], step)
 
 
 def test_select_action_argmax_and_tiebreak():
@@ -377,11 +389,11 @@ def test_policy_config_validation():
 def test_dynamics_model_shapes():
     dyn = DynamicsModel(default_dynamics_net(12, 12, seed=0), 12, 12)
     s = np.zeros((12, 12))
-    out = dyn.predict(s, 3)
+    out = predict(dyn, s, 3)
     assert out.shape == (12, 12)
     assert np.all(out > 0)  # softplus output
     with pytest.raises(ShapeError):
-        dyn.predict(np.zeros((12, 10)), 3)
+        predict(dyn, np.zeros((12, 10)), 3)
 
 
 class _RowSumEstimator:

@@ -14,7 +14,7 @@ from gridlight.baselines import (FixedTimeController, MaxPressureController,
 from gridlight.errors import ConfigurationError
 from gridlight.harness.config import DESK_CITIES
 from gridlight.meta import run_episode
-from gridlight.sim import Flow, RoadNetwork, reset
+from gridlight.sim import Flow, RoadNetwork, Sim, reset
 from gridlight.sim.network import (APPROACHES, HEADING_DELTA,
                                    HEADING_OF_APPROACH, MOVEMENTS, PHASE_IDS,
                                    PHASES, SCHEMA_DIMS, TURN, origin_node,
@@ -430,6 +430,39 @@ def _replay(net, flows, schema, trace):
 @given(scenarios())
 def test_random_scenarios_conserve_and_rerun_identically(scenario):
     assert _replay(*scenario) == _replay(*scenario)
+
+
+class _WalkEveryLane(Sim):
+    """Reference simulator: no lane counts as settled, so every occupied
+    lane is walked on every tick."""
+
+    def _tick(self, acts, last):
+        for lane in self._all_lanes:
+            lane.settled = False
+        super()._tick(acts, last)
+
+
+def _interval_record(sim, actions, interval_s):
+    _, _, delta = sim.step(actions, interval_s)
+    observations = [sim.observe(node, schema).values.tolist()
+                    for node in sim.nodes for schema in sorted(SCHEMA_DIMS)]
+    waiting = [sim.waiting_counts(node).tolist() for node in sim.nodes]
+    return sim.digest(), delta, sim.metrics(), observations, waiting
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_settled_lanes_skip_changes_nothing(scenario):
+    """Skipping settled lanes gives, interval by interval, the digest,
+    metrics, observations in every schema and waiting counts of walking
+    every lane."""
+    net, flows, schema, trace = scenario
+    fast = reset(net, flows, seed=0, schema=schema, validate=True)
+    ref = _WalkEveryLane(net, flows, seed=0, schema=schema, validate=True)
+    for phases, interval_s in trace:
+        actions = dict(zip(fast.nodes, phases))
+        assert (_interval_record(fast, actions, interval_s)
+                == _interval_record(ref, actions, interval_s))
 
 
 # -- golden behaviour pin ----------------------------------------------------
