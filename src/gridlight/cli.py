@@ -18,6 +18,7 @@ from .errors import ConfigurationError
 from .harness import io
 from .harness.config import (
     BASELINE_METHODS,
+    PIPELINE_METHODS,
     ExperimentConfig,
     default_experiment,
 )
@@ -154,7 +155,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_ablation(args) -> int:
     cfg = _load_config(args)
-    if cfg.method not in ("modular", "monolithic", "seq_pretrain"):
+    if cfg.method not in PIPELINE_METHODS:
         cfg = cfg.with_method("modular")
     reports = run_ablation(cfg)
     for method, rep in reports.items():

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import nn
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, read_int, read_list
 from ..meta import COLUMNS, TaskDataset
 from ..planner import DynamicsModel, StateEstimator
 
@@ -98,15 +98,29 @@ def _net_fragment(net: nn.Net) -> dict:
     }
 
 
-def _net_from_fragment(doc: dict) -> nn.Net:
-    try:
-        sizes = [int(s) for s in doc["layer_sizes"]]
-        act = str(doc["output_activation"])
-        params = np.array(doc["params"], dtype=np.float64)
-    except KeyError as exc:
-        raise ConfigurationError(f"net fragment missing field {exc}") from exc
-    net = nn.net_new(sizes, act, seed=0)
-    return net.with_params(params)  # rejects NaN/Inf and length mismatches
+_NET_FIELDS = ("layer_sizes", "output_activation", "params")
+
+
+def _fields(doc, fields, where: str) -> dict:
+    """``doc``, refused unless it is an object holding every field named in
+    ``fields``."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(
+            f"{where} must be an object, got {type(doc).__name__}")
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise ConfigurationError(f"{where} is missing fields {missing}")
+    return doc
+
+
+def _net_from_fragment(doc: dict, where: str) -> nn.Net:
+    sizes = [read_int(s, f"{where} layer_sizes")
+             for s in read_list(doc["layer_sizes"], f"{where} layer_sizes")]
+    net = nn.net_new(sizes, str(doc["output_activation"]), seed=0)
+    try:  # non-numbers, a wrong length, NaN or Inf
+        return net.with_params(np.array(doc["params"], dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def save_checkpoint(path, estimator: StateEstimator | None,
@@ -134,19 +148,23 @@ def save_checkpoint(path, estimator: StateEstimator | None,
 
 
 def load_checkpoint(path) -> dict:
+    """The checkpoint at ``path`` with its ``estimator`` (None if absent)
+    and ``dynamics`` models; a malformed one raises ConfigurationError."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out = dict(doc)
+        doc = _fields(json.load(fh), ("dyn",), "checkpoint")
+    out = dict(doc, estimator=None)
     if doc.get("repr") is not None:
-        frag = doc["repr"]
+        frag = _fields(doc["repr"], (*_NET_FIELDS, "schema_id", "lanes",
+                                     "state_grids"), "checkpoint repr")
         out["estimator"] = StateEstimator(
-            _net_from_fragment(frag), str(frag["schema_id"]),
-            int(frag["lanes"]), int(frag["state_grids"]))
-    else:
-        out["estimator"] = None
-    frag = doc["dyn"]
+            _net_from_fragment(frag, "repr"), str(frag["schema_id"]),
+            read_int(frag["lanes"], "repr lanes"),
+            read_int(frag["state_grids"], "repr state_grids"))
+    frag = _fields(doc["dyn"], (*_NET_FIELDS, "lanes", "state_grids"),
+                   "checkpoint dyn")
     out["dynamics"] = DynamicsModel(
-        _net_from_fragment(frag), int(frag["lanes"]), int(frag["state_grids"]))
+        _net_from_fragment(frag, "dyn"), read_int(frag["lanes"], "dyn lanes"),
+        read_int(frag["state_grids"], "dyn state_grids"))
     return out
 
 

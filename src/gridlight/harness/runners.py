@@ -9,7 +9,7 @@ from the per-seed SeedSequence, and CSV outputs carry no timestamps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ..meta import (
     offline_train_repr,
     run_episode,
     seq_pretrain,
+    spend_budget,
 )
 from ..planner import (
     DistanceConfig,
@@ -41,8 +42,8 @@ from ..planner import (
     ValueConfig,
     block_distance_loss,
     default_dynamics_net,
+    default_estimator_net,
     phase_encode,
-    trajectory_value,
 )
 from ..scenario import EnvFactory, ScenarioSpec
 from ..sim.engine import MetricsReport
@@ -76,17 +77,7 @@ class RunReport:
                    float(queue.mean()), std[1], digest, wall, extras or {})
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "rows": self.rows,
-            "mean_travel": self.mean_travel,
-            "std_travel": self.std_travel,
-            "mean_queue": self.mean_queue,
-            "std_queue": self.std_queue,
-            "config_digest": self.config_digest,
-            "wall_clock_s": self.wall_clock_s,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
 
 def value_config_for(cfg: ExperimentConfig, scenario: ScenarioSpec) -> ValueConfig:
@@ -256,38 +247,11 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
 # -- the non-modular ablation ---------------------------------------------------
 
 
-class MonolithicController:
-    """Scores each phase by the value of the single next state predicted
-    straight from the observation; no intermediate state estimate exists,
-    so lookahead beyond one step is not possible."""
+class _ObservationStates:
+    """The monolithic estimator: each observation stands in for its state."""
 
-    def __init__(self, net: nn.Net, lanes: int, n_grids: int,
-                 schema_id: str, epsilon: float, vc: ValueConfig,
-                 rng: np.random.Generator):
-        self.net = net
-        self.lanes = lanes
-        self.n_grids = n_grids
-        self.schema_id = schema_id
-        self.epsilon = epsilon
-        self.vc = replace(vc, horizon=0)  # scores one predicted state
-        self.rng = rng
-
-    def begin_episode(self, env) -> None:
-        pass
-
-    def _decide_one(self, obs) -> int:
-        if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
-            return int(self.rng.integers(1, len(PHASE_IDS) + 1))
-        o = obs.values.reshape(1, -1)
-        k = len(PHASE_IDS)
-        pred = nn.forward(self.net, phase_encode(np.repeat(o, k, axis=0),
-                                                 np.array(PHASE_IDS)))
-        values = trajectory_value(
-            pred.reshape(k, 1, self.lanes, self.n_grids), self.vc)
-        return int(PHASE_IDS[int(np.argmax(values))])
-
-    def decide(self, env, interval_index: int, obs: dict) -> dict:
-        return {node: self._decide_one(obs[node]) for node in env.nodes}
+    def estimate(self, observations) -> np.ndarray:
+        return np.stack([obs.values for obs in observations])
 
 
 def _monolithic_xy(ds: TaskDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +277,7 @@ def _carry_trailing_layers(src: nn.Net, dst: nn.Net) -> nn.Net:
 def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
     """Train one observation-to-next-state net per source city in sequence,
     carrying the trailing layers across cities and into the target, then
-    fine-tune within the same episode budget."""
+    fine-tune within the same episode budget, planning at horizon 0."""
     target = cfg.target
     ss = np.random.SeedSequence([seed, 29])
     collect_seq, net_seq, train_seq, adapt_seq = ss.spawn(4)
@@ -321,11 +285,9 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
 
     lanes = target.network.lanes_per_intersection
     n_grids = target.network.state_grids
-    dist_cfg = dist_config_for(cfg, target)
-    vc = value_config_for(cfg, target)
     net_rng = np.random.default_rng(net_seq)
     train_rng = np.random.default_rng(train_seq)
-    loss_fn = block_distance_loss(dist_cfg, lanes)
+    loss_fn = block_distance_loss(dist_config_for(cfg, target), lanes)
 
     def fresh_net(schema_id: str, prev: nn.Net | None) -> nn.Net:
         d_o = SCHEMA_DIMS[schema_id]
@@ -340,31 +302,26 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
                      nn.Adam(lr=cfg.maml.outer_lr),
                      nn.sampled_batches(train_rng, len(ds), cfg.maml.batch_size,
                                         cfg.maml.meta_iterations))
-    net = fresh_net(target.schema, net)
+    dyn = DynamicsModel(fresh_net(target.schema, net), lanes, n_grids)
+    vc = replace(value_config_for(cfg, target), horizon=0)
+    adapt_rng = np.random.default_rng(adapt_seq)
+    opt = nn.Adam(lr=cfg.adapt.lr)
+
+    def controller(epsilon, rng):
+        return PlannerController(_ObservationStates(), dyn,
+                                 PolicyConfig(epsilon=epsilon), vc, rng)
+
+    def train(ds: TaskDataset) -> None:
+        dyn.net = nn.fit(dyn.net, loss_fn, *_monolithic_xy(ds), opt,
+                         nn.epoch_batches(adapt_rng, len(ds),
+                                          cfg.adapt.batch_size,
+                                          cfg.adapt.epochs_per_episode))
 
     factory = EnvFactory(target)
-    adapt_rng = np.random.default_rng(adapt_seq)
-    episodes = []
-    epsilon = cfg.adapt.epsilon0
-    opt = nn.Adam(lr=cfg.adapt.lr)
-    for _ in range(cfg.adapt.target_episode_budget):
-        env = factory.make(int(adapt_rng.integers(2 ** 31 - 1)))
-        ctrl = MonolithicController(
-            net, lanes, n_grids, target.schema, epsilon, vc,
-            np.random.default_rng(adapt_rng.integers(2 ** 31 - 1)))
-        _, ep = run_episode(env, ctrl, target.intervals, target.interval_s,
-                            record=True, city_id=target.name)
-        episodes.append(ep)
-        epsilon *= cfg.adapt.epsilon_decay
-        ds = TaskDataset.concat(episodes)
-        net = nn.fit(net, loss_fn, *_monolithic_xy(ds), opt,
-                     nn.epoch_batches(adapt_rng, len(ds), cfg.adapt.batch_size,
-                                      cfg.adapt.epochs_per_episode))
-
-    ctrl = MonolithicController(net, lanes, n_grids, target.schema, 0.0, vc,
-                                np.random.default_rng(0))
-    metrics = evaluate_controller(target, ctrl, seed)
-    return metrics, {"interactions": factory.interactions, "net": net}
+    spend_budget(factory, cfg.adapt, controller, train, adapt_rng)
+    metrics = evaluate_controller(
+        target, controller(0.0, np.random.default_rng(0)), seed)
+    return metrics, {"interactions": factory.interactions, "net": dyn.net}
 
 
 # -- runners -------------------------------------------------------------------
@@ -464,7 +421,8 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
     cfg.validate()
     t0 = time.perf_counter()
     results = []
-    rows_out = []
+    lanes = cfg.target.network.lanes_per_intersection
+    n_grids = cfg.target.network.state_grids
     for ws in width_scales:
         for depth in depths:
             hidden = tuple(max(8, int(round(128 * ws))) for _ in range(depth))
@@ -472,12 +430,10 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
                                for _ in range(min(depth, 2)))
             sub = replace(cfg, dyn_hidden=hidden, estimator_hidden=est_hidden,
                           out_dir=f"{cfg.out_dir}/sweep-w{ws}-d{depth}")
-            lanes = cfg.target.network.lanes_per_intersection
-            n_grids = cfg.target.network.state_grids
-            dyn_params = nn.param_count(
-                [lanes * n_grids + len(PHASE_IDS), *hidden, lanes * n_grids])
-            est_params = nn.param_count(
-                [SCHEMA_DIMS[cfg.target.schema], *est_hidden, n_grids])
+            dyn_params = default_dynamics_net(lanes, n_grids,
+                                              hidden).params.size
+            est_params = default_estimator_net(cfg.target.schema, n_grids,
+                                               est_hidden).params.size
             report = run_main(sub)
             entry = {
                 "width_scale": ws,
@@ -492,10 +448,9 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
                 "std_queue": report.std_queue,
             }
             results.append(entry)
-            rows_out.append(entry)
     io.write_csv(f"{cfg.out_dir}/sweep/summary.csv",
                  ("width_scale", "depth", "param_count", "mean_travel",
-                  "std_travel", "mean_queue", "std_queue"), rows_out)
+                  "std_travel", "mean_queue", "std_queue"), results)
     io.write_json(f"{cfg.out_dir}/sweep/report.json", {
         "grid": results, "wall_clock_s": time.perf_counter() - t0})
     return results

@@ -13,10 +13,10 @@ First-order mode evaluates the outer gradient at the adapted parameters;
 exact second-order mode differentiates through the inner step by central
 finite differences and is only practical for tiny test models.
 
-``adapt`` runs the fixed-budget fine-tuning loop on a target city: the
-dynamics model starts from the meta-trained parameters, the observation
-estimator starts fresh, and both are trained jointly on everything collected
-so far after each budgeted episode.
+``adapt`` spends a fixed episode budget on a target city (``spend_budget``):
+the dynamics model starts from the meta-trained parameters, the observation
+estimator starts fresh, and both are fitted on everything collected so far
+after each budgeted episode.
 """
 
 from __future__ import annotations
@@ -314,7 +314,6 @@ class AdaptConfig:
 
     lr: float
     target_episode_budget: int
-    joint_weight: float = 1.0
     epochs_per_episode: int = 20
     batch_size: int = 128
     epsilon0: float = 0.1
@@ -328,12 +327,32 @@ class AdaptConfig:
                 f"target_episode_budget must be >= 1, got "
                 f"{self.target_episode_budget}"
             )
-        if self.joint_weight < 0:
-            raise ConfigurationError("joint_weight must be >= 0")
         if self.epochs_per_episode < 1:
             raise ConfigurationError("epochs_per_episode must be >= 1")
         if not 0.0 <= self.epsilon0 <= 1.0 or not 0.0 < self.epsilon_decay <= 1.0:
             raise ConfigurationError("invalid exploration schedule")
+
+
+def spend_budget(env_factory: EnvFactory, cfg: AdaptConfig,
+                 controller: Callable[[float, np.random.Generator], object],
+                 train: Callable[[TaskDataset], None],
+                 rng: np.random.Generator) -> None:
+    """Run ``cfg.target_episode_budget`` recorded episodes, each on an env
+    and under ``controller(epsilon, rng)`` seeded in that order from ``rng``;
+    after each, epsilon decays and ``train`` gets every record so far."""
+    scenario = env_factory.scenario
+    episodes: list[TaskDataset] = []
+    epsilon = cfg.epsilon0
+    for _ in range(cfg.target_episode_budget):
+        env = env_factory.make(int(rng.integers(2 ** 31 - 1)))
+        ctrl = controller(epsilon,
+                          np.random.default_rng(rng.integers(2 ** 31 - 1)))
+        _, ep = run_episode(env, ctrl, scenario.intervals,
+                            scenario.interval_s, record=True,
+                            city_id=scenario.name)
+        episodes.append(ep)
+        epsilon *= cfg.epsilon_decay
+        train(TaskDataset.concat(episodes))
 
 
 def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
@@ -347,9 +366,8 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
 
     The dynamics net starts from the meta-trained parameters, the estimator
     from scratch. After each budgeted episode (driven by the current
-    epsilon-greedy policy) both models are trained jointly on all records
-    collected so far, minimizing estimator distance plus ``joint_weight``
-    times dynamics distance.
+    epsilon-greedy planner) each net is fitted to its own block distance on
+    all records collected so far, both over the same minibatches.
     """
     scenario = env_factory.scenario
     if schema_id != scenario.schema:
@@ -365,52 +383,36 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
     if dist_cfg is None:
         dist_cfg = DistanceConfig(0.8, n_grids, net.pass_capacity)
 
-    ss = np.random.SeedSequence(seed)
-    seeds = ss.spawn(3)
+    seeds = np.random.SeedSequence(seed).spawn(3)
     init_rng = np.random.default_rng(seeds[0])
     g_net = default_dynamics_net(lanes, n_grids, dyn_hidden,
                                  seed=int(init_rng.integers(2 ** 31 - 1)))
-    g_net = g_net.with_params(phi)
     f_net = default_estimator_net(schema_id, n_grids, estimator_hidden,
                                   seed=int(init_rng.integers(2 ** 31 - 1)))
+    estimator = StateEstimator(f_net, schema_id, lanes, n_grids)
+    dynamics = DynamicsModel(g_net.with_params(phi), lanes, n_grids)
 
     train_rng = np.random.default_rng(seeds[1])
-    episode_rng = np.random.default_rng(seeds[2])
     f_loss = rowwise_block_distance_loss(dist_cfg, lanes)
     g_loss = block_distance_loss(dist_cfg, lanes)
     opt_f = nn.Adam(lr=cfg.lr)
     opt_g = nn.Adam(lr=cfg.lr)
 
-    episodes: list[TaskDataset] = []
-    epsilon = cfg.epsilon0
-    for _ in range(cfg.target_episode_budget):
-        env = env_factory.make(int(episode_rng.integers(2 ** 31 - 1)))
-        controller = PlannerController(
-            StateEstimator(f_net, schema_id, lanes, n_grids),
-            DynamicsModel(g_net, lanes, n_grids),
-            PolicyConfig(epsilon=epsilon), value_cfg,
-            np.random.default_rng(episode_rng.integers(2 ** 31 - 1)))
-        _, ep = run_episode(env, controller, scenario.intervals,
-                            scenario.interval_s, record=True,
-                            city_id=scenario.name)
-        episodes.append(ep)
-        epsilon *= cfg.epsilon_decay
+    def controller(epsilon, rng):
+        return PlannerController(estimator, dynamics,
+                                 PolicyConfig(epsilon=epsilon), value_cfg, rng)
 
-        ds = TaskDataset.concat(episodes)
-        xg, yg = _dynamics_xy(ds, lanes, n_grids)
-        d_o = ds.obs.shape[-1]
-        for idx in nn.epoch_batches(train_rng, len(ds), cfg.batch_size,
-                                    cfg.epochs_per_episode):
-            _, gf = nn.loss_and_grad(f_net, f_loss,
-                                     ds.obs[idx].reshape(-1, d_o),
-                                     ds.state[idx].reshape(-1, n_grids))
-            _, gg = nn.loss_and_grad(g_net, g_loss, xg[idx], yg[idx])
-            f_net = f_net.with_params(opt_f.step(f_net.params, gf))
-            g_net = g_net.with_params(
-                opt_g.step(g_net.params, cfg.joint_weight * gg))
+    def train(ds: TaskDataset) -> None:
+        batches = list(nn.epoch_batches(train_rng, len(ds), cfg.batch_size,
+                                        cfg.epochs_per_episode))
+        estimator.net = nn.fit(estimator.net, f_loss, ds.obs, ds.state,
+                               opt_f, batches)
+        dynamics.net = nn.fit(dynamics.net, g_loss, *_dynamics_xy(
+            ds, lanes, n_grids), opt_g, batches)
 
-    return (StateEstimator(f_net, schema_id, lanes, n_grids),
-            DynamicsModel(g_net, lanes, n_grids))
+    spend_budget(env_factory, cfg, controller, train,
+                 np.random.default_rng(seeds[2]))
+    return estimator, dynamics
 
 
 def offline_train_repr(logged: TaskDataset, schema_id: str, epochs: int,

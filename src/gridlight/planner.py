@@ -235,14 +235,11 @@ class DynamicsModel:
 
     def predict_flat(self, flat_states: np.ndarray,
                      actions: np.ndarray) -> np.ndarray:
-        """Batched one-step prediction on flattened (lanes * N) states."""
+        """Batched one-step prediction on flattened rows: (lanes * N)
+        states, or observations in the monolithic ablation. ``nn.forward``
+        raises ``ShapeError`` on rows of the wrong width."""
         flat_states = np.asarray(flat_states, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.int64)
-        if flat_states.ndim != 2 or flat_states.shape[1] != self.lanes * self.state_grids:
-            raise ShapeError(
-                f"flat states must be (batch, {self.lanes * self.state_grids}), "
-                f"got {flat_states.shape}"
-            )
         return nn.forward(self.net, phase_encode(flat_states, actions))
 
 
@@ -284,7 +281,7 @@ def select_actions(estimator, dynamics, observations, policy: PolicyConfig,
         steps = []
         for _ in range(vc.horizon + 1):
             flat = dynamics.predict_flat(flat, phases)
-            steps.append(flat.reshape(g * k, *s0.shape[1:]))
+            steps.append(flat.reshape(g * k, -1, vc.state_grids))
         values = trajectory_value(np.stack(steps, axis=1), vc).reshape(g, k)
         for i, v in zip(greedy, values):
             picks[i] = PHASE_IDS[int(np.argmax(v))]

@@ -5,9 +5,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridlight.cli import main
+from gridlight.harness import io
 from gridlight.harness.config import desk_city_a, desk_city_b, desk_city_c
+from gridlight.planner import (
+    DynamicsModel,
+    StateEstimator,
+    default_dynamics_net,
+    default_estimator_net,
+)
 
 
 @pytest.fixture
@@ -87,6 +96,149 @@ def test_malformed_flow_route_exit_two(config_path, capsys, edit):
     rc = main(["--config", str(config_path), "simulate"])
     assert rc == 2
     assert "route must be a list" in capsys.readouterr().err
+
+
+def _fails_to_parse(kind):
+    def fails(text):
+        try:
+            kind(text)
+        except ValueError:
+            return True
+        return False
+    return st.text(max_size=4).filter(fails)
+
+
+_SMALL_LIST = st.lists(st.integers(-3, 3), max_size=2)
+_SMALL_DICT = st.dictionaries(st.text(max_size=2), st.integers(-3, 3),
+                              max_size=2)
+_NOT_AN_OBJECT = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                           st.text(max_size=4), _SMALL_LIST)
+_NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                        st.text(max_size=4), _SMALL_DICT)
+_NOT_AN_INT = st.one_of(
+    st.none(), st.booleans(), _fails_to_parse(int), _SMALL_LIST, _SMALL_DICT,
+    st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()))
+_NOT_A_FLOAT = st.one_of(st.none(), st.booleans(), _fails_to_parse(float),
+                         _SMALL_LIST, _SMALL_DICT)
+
+# per document kind: its required keys, and the bad values each field takes
+_MALFORMED_FIELDS = {
+    "experiment": (("target", "method"), {
+        "collect_episodes": _NOT_AN_INT, "horizon": _NOT_AN_INT,
+        "behavior_epsilon": _NOT_A_FLOAT, "dist_discount": _NOT_A_FLOAT,
+        "sources": _NOT_A_LIST, "dyn_hidden": _NOT_A_LIST,
+        "seeds": st.lists(_NOT_AN_INT, min_size=1, max_size=2),
+        "maml": _NOT_AN_OBJECT, "adapt": _NOT_AN_OBJECT}),
+    "scenario": (("network", "schema"), {
+        "episode_s": _NOT_AN_INT, "interval_s": _NOT_AN_INT,
+        "seed": _NOT_AN_INT, "flows": _NOT_A_LIST,
+        "network": _NOT_AN_OBJECT}),
+    "network": (("rows", "cols"), {
+        key: _NOT_AN_INT for key in ("rows", "cols", "lanes_per_approach",
+                                     "N", "n", "grid_capacity",
+                                     "lane_grids")}),
+    "flow": (("origin", "route", "start_s", "end_s", "headway_s"), {
+        "start_s": _NOT_AN_INT, "end_s": _NOT_AN_INT,
+        "headway_s": _NOT_AN_INT, "route": _NOT_A_LIST,
+        "origin": st.one_of(_NOT_A_LIST, st.lists(st.just("N"), max_size=3)
+                            .filter(lambda o: len(o) != 2))}),
+}
+
+
+@st.composite
+def _malformed_documents(draw, doc):
+    """``doc`` with one document inside it (the experiment itself, a
+    scenario, its network, or one of its flows) made malformed: not an
+    object, given an unknown key, missing a required key, or holding a
+    value of the wrong type."""
+    doc = json.loads(json.dumps(doc))
+    kind = draw(st.sampled_from(sorted(_MALFORMED_FIELDS)))
+    scenario = draw(st.sampled_from(("target", "sources")))
+    parent, key = None, None
+    if kind != "experiment":
+        parent, key = ((doc, "target") if scenario == "target"
+                       else (doc["sources"], 0))
+        if kind == "network":
+            parent, key = parent[key], "network"
+        elif kind == "flow":
+            parent, key = parent[key]["flows"], draw(st.integers(0, 2))
+    part = doc if parent is None else parent[key]
+    required, bad_values = _MALFORMED_FIELDS[kind]
+    how = draw(st.sampled_from(("not_object", "unknown", "missing", "value")))
+    if how == "not_object":
+        part = draw(_NOT_AN_OBJECT)
+    elif how == "unknown":
+        part[draw(st.text(min_size=1, max_size=6)
+                  .filter(lambda k: k not in part))] = draw(st.integers())
+    elif how == "missing":
+        del part[draw(st.sampled_from(required))]
+    else:
+        field = draw(st.sampled_from(sorted(bad_values)))
+        part[field] = draw(bad_values[field])
+    if parent is None:
+        return part
+    parent[key] = part
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_documents_exit_two(config_path, data):
+    """A malformed experiment, scenario, network or flow document is a
+    configuration error (exit 2), never a runtime failure (exit 1)."""
+    doc = json.loads(config_path.read_text())
+    bad = data.draw(_malformed_documents(doc))
+    path = config_path.with_name("malformed.json")
+    path.write_text(json.dumps(bad))
+    assert main(["--config", str(path), "simulate"]) == 2
+
+
+def _checkpoint_doc(tmp_path) -> dict:
+    """A well-formed adapted checkpoint for the city-c target, as JSON."""
+    net = desk_city_c(300).network
+    lanes, grids = net.lanes_per_intersection, net.state_grids
+    path = tmp_path / "ck.json"
+    io.save_checkpoint(
+        path, StateEstimator(default_estimator_net("SCHEMA_C", grids, (16,)),
+                             "SCHEMA_C", lanes, grids),
+        DynamicsModel(default_dynamics_net(lanes, grids, (32,)), lanes,
+                      grids), {}, {}, {}, {})
+    return json.loads(path.read_text())
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _without(d, "dyn"), "checkpoint is missing fields ['dyn']"),
+    (lambda d: [d], "checkpoint must be an object, got list"),
+    (lambda d: {**d, "dyn": _without(d["dyn"], "lanes")},
+     "checkpoint dyn is missing fields ['lanes']"),
+    (lambda d: {**d, "dyn": 5}, "checkpoint dyn must be an object"),
+    (lambda d: {**d, "dyn": {**d["dyn"], "lanes": 2.5}},
+     "dyn lanes must be an integer"),
+    (lambda d: {**d, "repr": {**d["repr"], "state_grids": "x"}},
+     "repr state_grids must be an integer"),
+    (lambda d: {**d, "repr": _without(d["repr"], "schema_id")},
+     "checkpoint repr is missing fields ['schema_id']"),
+    (lambda d: {**d, "dyn": {**d["dyn"], "layer_sizes": 5}},
+     "dyn layer_sizes must be a list"),
+    (lambda d: {**d, "dyn": {**d["dyn"], "params": d["dyn"]["params"][1:]}},
+     "dyn: parameter vector has length"),
+    (lambda d: {**d, "dyn": {**d["dyn"], "params": "x"}}, "dyn: could not"),
+], ids=["no-dyn", "list", "dyn-without-lanes", "dyn-not-object",
+        "fractional-lanes", "string-state-grids", "repr-without-schema",
+        "layer-sizes-not-list", "short-params", "string-params"])
+def test_evaluate_malformed_checkpoint_exit_two(config_path, tmp_path,
+                                                capsys, edit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(_checkpoint_doc(tmp_path))))
+    rc = main(["--config", str(config_path), "evaluate", "--checkpoint",
+               str(path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_collect_writes_datasets(config_path, capsys):

@@ -1,6 +1,7 @@
 """Harness tests: config validation, runner outputs, persistence round
 trips, and byte-level reproducibility of CSV outputs."""
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -24,6 +25,7 @@ from gridlight.harness.config import (
     desk_city_c,
 )
 from gridlight.harness.runners import (
+    monolithic_pipeline,
     run_ablation,
     run_complexity_sweep,
     run_data_volume_curve,
@@ -175,7 +177,6 @@ def _experiments(draw):
                      outer_optimizer=draw(st.sampled_from(("sgd", "adam")))),
         adapt=replace(base.adapt, lr=draw(st.floats(1e-9, 1.0)),
                       target_episode_budget=draw(_positive),
-                      joint_weight=draw(st.floats(0.0, 10.0)),
                       epochs_per_episode=draw(_positive),
                       batch_size=draw(_positive), epsilon0=draw(_unit),
                       epsilon_decay=draw(st.floats(1e-9, 1.0))),
@@ -277,6 +278,21 @@ def test_run_ablation_outputs(tmp_path):
     csv_path = Path(cfg.out_dir) / "ablation" / "metrics.csv"
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) == 1 + 3  # header + one row per variant per seed
+
+
+GOLDEN_MONOLITHIC = (
+    "468d7606c9a7f19c3384860d6c3003d42ca0862de78e090213ed1c6f29f27bbe",
+    145.16836734693877, 1.1388888888888888)
+
+
+def test_golden_monolithic_pin(tmp_path):
+    """The final monolithic net's params (sha256) and its greedy episode's
+    metrics on the tiny config, recorded when the ablation had a controller
+    and a budget loop of its own."""
+    metrics, art = monolithic_pipeline(tiny_config(tmp_path), 0)
+    assert (hashlib.sha256(art["net"].params.tobytes()).hexdigest(),
+            metrics.avg_travel_time_s,
+            metrics.avg_queue_length) == GOLDEN_MONOLITHIC
 
 
 def test_run_ablation_requires_pipeline_method(tmp_path):

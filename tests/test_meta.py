@@ -3,12 +3,15 @@ determinism, the two-loop trainer against the scalar hand oracle (verified
 numerically before these values were frozen), budget discipline, and
 offline estimator training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from gridlight import nn
 from gridlight.baselines import FixedTimeController, MaxPressureController
 from gridlight.errors import ConfigurationError, ShapeError
+from gridlight.harness.config import desk_city_c
 from gridlight.meta import (
     COLUMNS,
     AdaptConfig,
@@ -266,6 +269,27 @@ def test_adapt_schema_mismatch():
 def test_adapt_budget_validation():
     with pytest.raises(ConfigurationError):
         AdaptConfig(lr=1e-3, target_episode_budget=0)
+
+
+GOLDEN_ADAPT = (
+    "15486399f397bd5b06bd205bd22a7f05ce2e97cc84cb3f64530ea21a749807bb",
+    "9c761af4407f7be73dd35785eee9ff3097a4a52be8d45c45bc2a5bba1d6dbe10")
+
+
+def test_golden_adapt_pin():
+    """The sha256 of the adapted estimator's and dynamics net's params on a
+    short city-c target, with exploration on, recorded when adaptation
+    stepped both nets in one hand-written minibatch loop."""
+    target = desk_city_c(300)
+    net = target.network
+    phi = default_dynamics_net(net.lanes_per_intersection, net.state_grids,
+                               hidden=(32,), seed=2).params
+    cfg = AdaptConfig(lr=1e-3, target_episode_budget=2, epochs_per_episode=2,
+                      batch_size=64, epsilon0=0.3)
+    est, dyn = adapt(phi, EnvFactory(target), cfg, target.schema, seed=4,
+                     dyn_hidden=(32,), estimator_hidden=(16,))
+    assert tuple(hashlib.sha256(m.net.params.tobytes()).hexdigest()
+                 for m in (est, dyn)) == GOLDEN_ADAPT
 
 
 # -- offline estimator training ----------------------------------------------
