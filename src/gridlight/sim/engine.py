@@ -15,26 +15,42 @@ containers; numpy appears only in the arrays the queries return and in
 the int64 bytes ``digest()`` hashes. A handle is single-threaded; run
 independent handles for parallelism.
 
-A tick's advance step costs in proportion to the lanes whose vehicles can
-move, not to the lanes or vehicles on the network. It walks only the
-lanes that hold vehicles, and a lane whose last walk moved nothing (and
-that no vehicle has left or joined since) is settled: it costs O(1). A
-lane's vehicles are in grid order, first in first out within a grid, so
-the walk jumps past a whole grid once one of its vehicles is blocked. Each
-observed lane keeps its segment counts as vehicles move, and on an
-interval's last tick counts the vehicles that crossed in (they sit at its
-tail), so the per-tick segment samples and the stationary count need no
-rescan.
-``validate=True`` checks these running counts, the occupied-lane registry
-and the settled flags against recounts.
+Each step of a tick costs in proportion to the lanes that can act, not to
+the lanes or vehicles on the network:
+
+* Exits. Every exit-lane grid 0 drains on every tick, so nothing blocks
+  in an exit lane: a vehicle that crosses into one on tick t sits at grid
+  ``top - (T - t)`` after tick T and leaves on tick ``t + lane_grids``.
+  Exit lanes are therefore conveyors. The exit step pops the due vehicles
+  from one FIFO in crossing order, the top grid's load is read from the
+  crossing ticks, and the lanes' grids and occupancy are written back at
+  each interval's end, where the queries read them.
+* Crossings. A node-major bitmask marks the approach lanes whose head is
+  at the stop line with pass capacity left; the crossing step walks its
+  bits that the interval's phases permit, lowest first, which is the
+  node, approach and movement order.
+* Advances. Only lanes that hold vehicles are walked, and a lane whose
+  last walk moved nothing (and that no vehicle has left or joined since)
+  is settled: it costs O(1). A lane's vehicles are in grid order, first in
+  first out within a grid, so the walk jumps past a whole grid once one of
+  its vehicles is blocked. Each lane keeps its segment counts as vehicles
+  move, and on an interval's last tick counts the vehicles that crossed in
+  (they sit at its tail), so the per-tick segment samples and the
+  stationary count need no rescan.
+* Entries. Only entry lanes with a vehicle scheduled on this tick, or one
+  deferred by a full origin grid, are visited: a reset lists each
+  vehicle's entry lane under its scheduled tick.
+
+``validate=True`` checks all of this bookkeeping against recounts on
+every tick.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -77,20 +93,21 @@ class _Vehicle:
         self.route = route  # movement indices, one per intersection crossed
         self.route_pos = 0
         self.grid = -1
+        # tick of its last move; in an exit lane, the tick it crossed in
         self.moved_tick = -1
 
 
 class _Lane:
-    __slots__ = ("occ", "vehs", "pending", "is_approach", "crossings",
-                 "mid_passes", "seg_count", "seg_moves", "seg_samples",
-                 "stationary", "last_crossings", "last_mid_passes",
-                 "last_seg_speed", "settled")
+    __slots__ = ("occ", "vehs", "pending", "bit", "crossings", "mid_passes",
+                 "seg_count", "seg_moves", "seg_samples", "stationary",
+                 "last_crossings", "last_mid_passes", "last_seg_speed",
+                 "settled")
 
     def __init__(self, length: int):
         self.occ = [0] * length
         self.vehs: deque[_Vehicle] = deque()
         self.pending: deque[_Vehicle] = deque()
-        self.is_approach = False
+        self.bit = 0  # an approach lane's bit in the stop-line masks
         self.crossings = 0
         self.mid_passes = 0
         self.seg_count = [0, 0]  # vehicles now in segments 0 and 1
@@ -106,13 +123,26 @@ class _Lane:
 
 
 class _Link:
-    __slots__ = ("node", "approach", "heading", "lanes")
+    __slots__ = ("node", "lanes")
 
-    def __init__(self, node, approach, heading, n_lanes, length):
-        self.node = node            # node the link enters (None for exits)
-        self.approach = approach    # side of `node` it enters from
-        self.heading = heading
+    def __init__(self, node, n_lanes, length):
+        self.node = node  # node the link enters (None for exits)
         self.lanes = [_Lane(length) for _ in range(n_lanes)]
+
+
+def _observation_rows(lanes: list[_Lane], schema: str):
+    """The lanes' observation values, row after row, as one flat iterable."""
+    counts = map(len, (lane.vehs for lane in lanes))
+    if schema == "BASE":
+        return counts
+    if schema == "SCHEMA_A":
+        return chain.from_iterable(
+            zip(counts, (lane.last_crossings for lane in lanes)))
+    if schema == "SCHEMA_B":
+        return chain.from_iterable(
+            zip(counts, (lane.last_mid_passes for lane in lanes)))
+    return chain.from_iterable(
+        (c, *lane.last_seg_speed) for c, lane in zip(counts, lanes))
 
 
 class Sim:
@@ -134,7 +164,10 @@ class Sim:
         self._travel_sum_exited = 0.0
         self._queue_mean_sum = 0.0
         self._intervals = 0
-        self._occupied: dict[_Lane, None] = {}  # lanes that hold vehicles
+        self._occupied: dict[_Lane, None] = {}  # approach lanes with vehicles
+        self._ready = 0  # stop-line mask: head at grid 0, pass capacity left
+        self._exits: deque[tuple[_Vehicle, _Lane]] = deque()  # crossing order
+        self._exit_shown: dict[_Lane, list[int]] = {}  # occ written nonzero
 
         self.nodes = network.nodes
         self._build_topology()
@@ -150,17 +183,13 @@ class Sim:
         self.exit_links: dict[tuple[tuple[int, int], str], _Link] = {}
         for node in self.nodes:
             for side in APPROACHES:
-                heading = HEADING_OF_APPROACH[side]
-                link = _Link(node, side, heading, n_lanes, length)
-                for lane in link.lanes:
-                    lane.is_approach = True
-                self.in_links[(node, side)] = link
+                self.in_links[(node, side)] = _Link(node, n_lanes, length)
             for heading in APPROACHES:  # headings share the compass names
                 dr, dc = HEADING_DELTA[heading]
                 nxt = (node[0] + dr, node[1] + dc)
                 if not net.on_grid(nxt):
-                    self.exit_links[(node, heading)] = _Link(
-                        None, None, heading, n_lanes, length)
+                    self.exit_links[(node, heading)] = _Link(None, n_lanes,
+                                                             length)
 
         self._approach_lane_map = {
             node: [self.in_links[(node, side)].lanes[m]
@@ -168,10 +197,13 @@ class Sim:
             for node in self.nodes
         }
         # Per node: ((approach, movement), approach lane, receiving link) in
-        # approach-then-movement order, and per phase the permitted
-        # (lane, receiving lanes, is_exit) crossings in the same order.
+        # approach-then-movement order. Approach lane k in node-major order
+        # owns bit k of the stop-line masks; _stop_lanes[k] is its
+        # (lane, receiving lanes, is_exit), and _phase_bits[node][phase]
+        # the bits of the node's lanes the phase permits.
         self._movements = {}
-        self._crossings = {}
+        self._stop_lanes = []
+        self._phase_bits = {}
         for node in self.nodes:
             moves = []
             for (approach, movement), lane in zip(
@@ -183,12 +215,13 @@ class Sim:
                 dlink = (self.in_links[(nxt, OPPOSITE[heading])]
                          if net.on_grid(nxt)
                          else self.exit_links[(node, heading)])
+                lane.bit = 1 << len(self._stop_lanes)
+                self._stop_lanes.append((lane, dlink.lanes, dlink.node is None))
                 moves.append(((approach, movement), lane, dlink))
             self._movements[node] = moves
-            self._crossings[node] = {
-                phase: [(lane, dlink.lanes, dlink.node is None)
-                        for (approach, movement), lane, dlink in moves
-                        if permits(phase, approach, movement)]
+            self._phase_bits[node] = {
+                phase: sum(lane.bit for (approach, movement), lane, _ in moves
+                           if permits(phase, approach, movement))
                 for phase in PHASE_IDS}
         self._all_links = (
             [self.in_links[(node, side)] for node in self.nodes
@@ -196,15 +229,18 @@ class Sim:
             + [self.exit_links[k] for k in sorted(self.exit_links)]
         )
         self._all_lanes = [ln for link in self._all_links for ln in link.lanes]
-        self._exit_lanes = [ln for link in self.exit_links.values()
-                            for ln in link.lanes]
-        self._approach_lanes = [ln for ln in self._all_lanes if ln.is_approach]
+        self._approach_lanes = [lane for lane, _, _ in self._stop_lanes]
         self._n_approach_lanes = len(self._approach_lanes)
 
     def _schedule_flows(self):
         net = self.network
         self.vehicles: list[_Vehicle] = []
         per_lane: dict[int, list[_Vehicle]] = {}
+        # the entry lanes with a vehicle scheduled on each tick, and the
+        # lanes with a vehicle due now: scheduled on this tick, or deferred
+        # while the origin grid is full
+        arrivals = self._arrivals = defaultdict(list)
+        self._due: dict[_Lane, None] = {}
         vid = 0
         for flow in self.flows:
             trace_route(net, flow)  # raises ConfigurationError when invalid
@@ -228,10 +264,12 @@ class Sim:
                 vid += 1
                 self.vehicles.append(v)
                 per_lane[key][1].append(v)
+                arrivals[sched].append(lane)
+        for sched in [s for s in arrivals if s < 0]:  # due on tick 0
+            arrivals[0] += arrivals.pop(sched)
         for lane, vs in per_lane.values():
             vs.sort(key=lambda v: (v.sched_s, v.vid))
             lane.pending = deque(vs)
-        self._entry_lanes = [lane for lane, _ in per_lane.values()]
 
     # -- queries -----------------------------------------------------------
 
@@ -249,27 +287,27 @@ class Sim:
     def _node_lanes(self, node) -> list[_Lane]:
         return self._of_node(self._approach_lane_map, node)
 
+    def _states(self, lanes: list[_Lane]) -> np.ndarray:
+        """Occupancy of the first state_grids cells of each lane."""
+        n = self.network.state_grids
+        return np.fromiter(chain.from_iterable(lane.occ[:n] for lane in lanes),
+                           np.int64, len(lanes) * n).reshape(len(lanes), n)
+
+    def _observations(self, lanes: list[_Lane], schema: str) -> np.ndarray:
+        dims = SCHEMA_DIMS[schema]
+        return np.fromiter(_observation_rows(lanes, schema), np.float64,
+                           len(lanes) * dims).reshape(len(lanes), dims)
+
     def extract_state(self, node) -> np.ndarray:
         """Ground-truth occupancy of the first state_grids cells per lane."""
-        n = self.network.state_grids
-        return np.array([lane.occ[:n] for lane in self._node_lanes(node)],
-                        dtype=np.int64)
+        return self._states(self._node_lanes(node))
 
     def observe(self, node, schema: str | None = None) -> Observation:
         schema = self.schema if schema is None else schema
         if schema not in SCHEMA_DIMS:
             raise ConfigurationError(f"unknown observation schema {schema!r}")
-        lanes = self._node_lanes(node)
-        vals = np.zeros((len(lanes), SCHEMA_DIMS[schema]))
-        for i, lane in enumerate(lanes):
-            vals[i, 0] = len(lane.vehs)
-            if schema == "SCHEMA_A":
-                vals[i, 1] = lane.last_crossings
-            elif schema == "SCHEMA_B":
-                vals[i, 1] = lane.last_mid_passes
-            elif schema == "SCHEMA_C":
-                vals[i, 1], vals[i, 2] = lane.last_seg_speed
-        return Observation(schema, vals)
+        return Observation(schema,
+                           self._observations(self._node_lanes(node), schema))
 
     def waiting_counts(self, node) -> np.ndarray:
         """Per-lane count of vehicles that did not move on the most recent
@@ -296,9 +334,18 @@ class Sim:
         return out
 
     def snapshot(self):
-        """Current per-intersection observations and states without stepping."""
-        obs = {node: self.observe(node) for node in self.nodes}
-        states = {node: self.extract_state(node) for node in self.nodes}
+        """Current per-intersection observations and states without
+        stepping: every node's rows come from one pass over the approach
+        lanes, equal to ``observe`` and ``extract_state`` node by node."""
+        per_node = self.network.lanes_per_intersection
+        lanes = self._approach_lanes
+        values = self._observations(lanes, self.schema)
+        occupancy = self._states(lanes)
+        obs, states = {}, {}
+        for i, node in enumerate(self.nodes):
+            rows = slice(i * per_node, (i + 1) * per_node)
+            obs[node] = Observation(self.schema, values[rows])
+            states[node] = occupancy[rows]
         return obs, states
 
     def metrics(self) -> MetricsReport:
@@ -343,27 +390,31 @@ class Sim:
         """
         if interval_s < 1:
             raise ConfigurationError(f"interval_s must be >= 1, got {interval_s}")
-        acts = {}
+        permit = 0
         for node in self.nodes:
             if node not in actions:
                 raise ConfigurationError(f"missing action for intersection {node}")
             a = int(actions[node])
             if a not in PHASE_IDS:
                 raise ConfigurationError(f"phase id {a} outside [1, 8]")
-            acts[node] = a
+            permit |= self._phase_bits[node][a]
         if len(actions) != len(self.nodes):
             raise ConfigurationError("one action per intersection required")
 
+        ready = 0  # every lane regains its pass capacity
         for lane in self._approach_lanes:
             lane.crossings = 0
             lane.mid_passes = 0
             lane.seg_moves[0] = lane.seg_moves[1] = 0
             lane.seg_samples[0] = lane.seg_samples[1] = 0
+            if lane.vehs and lane.vehs[0].grid == 0:
+                ready |= lane.bit
+        self._ready = ready
 
         exited_before = self.exited
         travel_before = self._travel_sum_exited
         for k in range(interval_s):
-            self._tick(acts, last=(k == interval_s - 1))
+            self._tick(permit, last=(k == interval_s - 1))
 
         stationary_total = 0
         for lane in self._approach_lanes:
@@ -383,7 +434,7 @@ class Sim:
         obs, states = self.snapshot()
         return obs, states, MetricsReport(travel, queue_mean)
 
-    def _tick(self, acts: dict, last: bool):
+    def _tick(self, permit: int, last: bool):
         net = self.network
         cap = net.grid_capacity
         n_cross = net.pass_capacity
@@ -395,49 +446,72 @@ class Sim:
         t = self.clock
         stamp = t + 1
         occupied = self._occupied
+        ready = self._ready
+        exits = self._exits
 
-        # 1. boundary exits
-        for lane in self._exit_lanes:
+        # 1. boundary exits: the vehicles that crossed into an exit lane
+        # lane_grids ticks ago have reached grid 0
+        due = t - length
+        while exits and exits[0][0].moved_tick == due:
+            v, lane = exits.popleft()
+            lane.vehs.popleft()
+            v.exit_s = stamp
+            self.exited += 1
+            self._travel_sum_exited += stamp - v.enter_s
+
+        # 2. intersection crossings, lane by lane in mask-bit order. An exit
+        # lane's top grid holds the vehicles that crossed in on this tick
+        # and the one before (those of that tick have left already when the
+        # lane is one grid long). With one grid per lane a crossing vehicle
+        # reaches the next stop line at once, and crosses again on this
+        # tick if that lane's node comes later.
+        pass_mask = ready & permit
+        while pass_mask:
+            low = pass_mask & -pass_mask
+            pass_mask ^= low
+            lane, dlanes, is_exit = self._stop_lanes[low.bit_length() - 1]
             vehs = lane.vehs
-            while vehs and vehs[0].grid == 0:
-                v = vehs.popleft()
-                if not vehs:
-                    del occupied[lane]
-                lane.settled = False
-                lane.occ[0] -= 1
-                v.exit_s = stamp
-                v.moved_tick = t
-                self.exited += 1
-                self._travel_sum_exited += stamp - v.enter_s
-
-        # 2. intersection crossings
-        for node in self.nodes:
-            for lane, dlanes, is_exit in self._crossings[node][acts[node]]:
-                vehs = lane.vehs
-                while vehs and vehs[0].grid == 0 and lane.crossings < n_cross:
-                    v = vehs[0]
-                    pos = v.route_pos if is_exit else v.route_pos + 1
-                    dest = dlanes[v.route[pos]]
+            while True:  # its bit says: head at grid 0, pass capacity left
+                v = vehs[0]
+                if is_exit:
+                    dest = dlanes[v.route[v.route_pos]]
+                    dvehs = dest.vehs
+                    # full when its cap-th newest vehicle is in the top grid
+                    if len(dvehs) >= cap and dvehs[-cap].moved_tick >= t - 1:
+                        break
+                else:
+                    dest = dlanes[v.route[v.route_pos + 1]]
                     if dest.occ[top] >= cap:
                         break
-                    vehs.popleft()
-                    if not vehs:
-                        del occupied[lane]
-                    lane.settled = False
-                    lane.occ[0] -= 1
-                    if third1:
-                        lane.seg_count[0] -= 1
-                    lane.crossings += 1
-                    v.grid = top
-                    v.route_pos += 1
-                    v.moved_tick = t
+                vehs.popleft()
+                lane.settled = False
+                lane.occ[0] -= 1
+                if third1:
+                    lane.seg_count[0] -= 1
+                lane.crossings += 1
+                v.grid = top
+                v.route_pos += 1
+                v.moved_tick = t
+                if is_exit:
+                    dvehs.append(v)
+                    exits.append((v, dest))
+                else:
                     if not dest.vehs:
                         occupied[dest] = None
                     dest.settled = False
                     dest.occ[top] += 1
                     dest.vehs.append(v)
+                    if not top and dest.crossings < n_cross:
+                        ready |= dest.bit
+                        if dest.bit > low:
+                            pass_mask |= dest.bit & permit
+                if not vehs:
+                    del occupied[lane]
+                if not vehs or vehs[0].grid or lane.crossings == n_cross:
+                    ready ^= low
+                    break
 
-        # 3. in-lane advances, with per-tick stats for observed lanes: a
+        # 3. in-lane advances on approach lanes, with per-tick stats: a
         # segment's samples are its vehicles after the advance, and the
         # stationary ones are those that neither advanced nor arrived. A
         # lane's vehicles are in grid order, first in first out within a
@@ -451,19 +525,17 @@ class Sim:
                 lane.stationary = 0
         for lane in occupied:
             vehs = lane.vehs
-            is_app = lane.is_approach
             seg_count = lane.seg_count
             n = len(vehs)
             if lane.settled:
-                if is_app:
-                    lane.seg_samples[0] += seg_count[0]
-                    lane.seg_samples[1] += seg_count[1]
-                    if last:
-                        lane.stationary = n
+                lane.seg_samples[0] += seg_count[0]
+                lane.seg_samples[1] += seg_count[1]
+                if last:
+                    lane.stationary = n
                 continue
             occ = lane.occ
             seg_moves = lane.seg_moves
-            if last and is_app:
+            if last:
                 # the vehicles that crossed in on this tick, at the tail
                 arrived = 0
                 while arrived < n and vehs[-1 - arrived].moved_tick == t:
@@ -487,29 +559,34 @@ class Sim:
                 v.grid = g
                 v.moved_tick = t
                 advanced += 1
-                if is_app:
-                    if g == mid - 1:
-                        lane.mid_passes += 1
-                    if g < third1:
-                        seg_moves[0] += 1
-                        if g == third1 - 1:
-                            seg_count[0] += 1
-                            seg_count[1] -= 1
-                    elif g < third2:
-                        seg_moves[1] += 1
-                        if g == third2 - 1:
-                            seg_count[1] += 1
+                if not g and lane.crossings < n_cross:
+                    ready |= lane.bit
+                if g == mid - 1:
+                    lane.mid_passes += 1
+                if g < third1:
+                    seg_moves[0] += 1
+                    if g == third1 - 1:
+                        seg_count[0] += 1
+                        seg_count[1] -= 1
+                elif g < third2:
+                    seg_moves[1] += 1
+                    if g == third2 - 1:
+                        seg_count[1] += 1
             lane.settled = not advanced and not passed_arrival
-            if is_app:
-                lane.seg_samples[0] += seg_count[0]
-                lane.seg_samples[1] += seg_count[1]
-                if last:
-                    lane.stationary = n - advanced - arrived
+            lane.seg_samples[0] += seg_count[0]
+            lane.seg_samples[1] += seg_count[1]
+            if last:
+                lane.stationary = n - advanced - arrived
 
-        # 4. scheduled entries (deferred while the origin grid is full)
-        for lane in self._entry_lanes:
+        # 4. scheduled entries, on the lanes with a vehicle due; a lane stays
+        # due, its vehicle deferred, while the origin grid is full
+        due = self._due
+        for lane in self._arrivals.pop(t, ()):
+            due[lane] = None
+        for lane in tuple(due):
             pending = lane.pending
-            while pending and pending[0].sched_s <= t and lane.occ[top] < cap:
+            occ = lane.occ
+            while pending and pending[0].sched_s <= t and occ[top] < cap:
                 v = pending.popleft()
                 v.enter_s = stamp
                 v.grid = top
@@ -517,47 +594,103 @@ class Sim:
                 if not lane.vehs:
                     occupied[lane] = None
                 lane.settled = False
-                lane.occ[top] += 1
+                occ[top] += 1
                 lane.vehs.append(v)
                 self.entered += 1
+                if not top and lane.crossings < n_cross:
+                    ready |= lane.bit
+            if not pending or pending[0].sched_s > t:
+                del due[lane]
 
+        self._ready = ready
         self.clock = stamp
-
+        if last:
+            # exit lanes: grids and occupancy from the crossing ticks, and
+            # zeros where the last interval's vehicles have all left
+            for lane in self._exit_shown:
+                lane.occ = [0] * length
+            shown = {}
+            for v, lane in exits:
+                occ = shown.get(lane)
+                if occ is None:
+                    occ = shown[lane] = lane.occ = [0] * length
+                v.grid = g = top - t + v.moved_tick
+                occ[g] += 1
+            self._exit_shown = shown
         if self.validate:
-            on_net = sum(len(ln.vehs) for ln in self._all_lanes)
-            if self.entered != on_net + self.exited:
-                raise RuntimeError(
-                    f"conservation violated at t={stamp}: "
-                    f"entered={self.entered} on={on_net} exited={self.exited}")
-            if occupied.keys() != {ln for ln in self._all_lanes if ln.vehs}:
-                raise RuntimeError(
-                    f"occupied-lane registry differs at t={stamp}")
-            for lane in self._all_lanes:
-                if max(lane.occ) > cap:
-                    raise RuntimeError(f"grid over capacity at t={stamp}")
-                if min(lane.occ) < 0:
-                    raise RuntimeError(f"negative occupancy at t={stamp}")
+            self._check(t, last)
+
+    def _check(self, t: int, last: bool):
+        """Recount the tick's bookkeeping from the vehicles (validate=True)."""
+        net = self.network
+        cap = net.grid_capacity
+        length = net.lane_grids
+        top = length - 1
+        third1 = length // 3
+        third2 = 2 * (length // 3)
+        stamp = t + 1
+        on_net = sum(len(ln.vehs) for ln in self._all_lanes)
+        if self.entered != on_net + self.exited:
+            raise RuntimeError(
+                f"conservation violated at t={stamp}: "
+                f"entered={self.entered} on={on_net} exited={self.exited}")
+        if self._occupied.keys() != {ln for ln in self._approach_lanes
+                                     if ln.vehs}:
+            raise RuntimeError(f"occupied-lane registry differs at t={stamp}")
+        if self._ready != sum(ln.bit for ln in self._approach_lanes
+                              if ln.vehs and ln.vehs[0].grid == 0
+                              and ln.crossings < net.pass_capacity):
+            raise RuntimeError(f"stop-line mask differs at t={stamp}")
+        exit_lanes = [ln for ln in self._all_lanes if not ln.bit]
+        fifo = [v for v, _ in self._exits]
+        if (sorted(fifo, key=lambda v: v.moved_tick) != fifo
+                or [v for ln in exit_lanes for v in ln.vehs]
+                != [v for ln in exit_lanes
+                    for v, owner in self._exits if owner is ln]):
+            raise RuntimeError(
+                f"exit FIFO differs from the exit-lane vehicles at t={stamp}")
+        next_due = {ln: ln.pending[0].sched_s for ln in self._approach_lanes
+                    if ln.pending}
+        if (self._due.keys() != {ln for ln, s in next_due.items() if s <= t}
+                or min(self._arrivals, default=stamp) < stamp
+                or any(ln not in self._arrivals.get(s, ())
+                       for ln, s in next_due.items() if s > t)):
+            raise RuntimeError(f"entry-lane schedule differs at t={stamp}")
+        for lane in self._all_lanes:
+            if lane.bit:
                 grids = [v.grid for v in lane.vehs]
-                if grids != sorted(grids):
-                    raise RuntimeError(f"lane out of grid order at t={stamp}")
-                counts = [0] * length
-                for g in grids:
-                    counts[g] += 1
-                if counts != lane.occ:
+            else:  # an exit lane's grids follow from its crossing ticks
+                grids = [top - t + v.moved_tick for v in lane.vehs]
+                if grids and not 0 <= grids[0] <= grids[-1] <= top:
+                    raise RuntimeError(f"exit lane out of range at t={stamp}")
+                # this tick's crossings shared the top grid with the last
+                # tick's (gone already from a one-grid lane)
+                if sum(v.moved_tick >= t - 1 for v in lane.vehs) > cap:
                     raise RuntimeError(
-                        f"occupancy differs from vehicle grids at t={stamp}")
-                if lane.settled and any(
-                        c and g and lane.occ[g - 1] < cap
-                        for g, c in enumerate(lane.occ)):
-                    raise RuntimeError(
-                        f"settled lane has a vehicle that can move at t={stamp}")
-                if lane.is_approach and lane.seg_count != [
-                        sum(counts[:third1]), sum(counts[third1:third2])]:
-                    raise RuntimeError(f"segment counts differ at t={stamp}")
-                if last and lane.is_approach and lane.stationary != sum(
-                        v.moved_tick != t for v in lane.vehs):
-                    raise RuntimeError(
-                        f"stationary count differs at t={stamp}")
+                        f"exit lane's top grid over capacity at t={stamp}")
+            if grids != sorted(grids):
+                raise RuntimeError(f"lane out of grid order at t={stamp}")
+            counts = [0] * length
+            for g in grids:
+                counts[g] += 1
+            if max(counts) > cap:
+                raise RuntimeError(f"grid over capacity at t={stamp}")
+            if not lane.bit and not last:
+                continue  # exit-lane grids are written at the interval's end
+            if counts != lane.occ or grids != [v.grid for v in lane.vehs]:
+                raise RuntimeError(
+                    f"occupancy differs from vehicle grids at t={stamp}")
+            if lane.settled and any(
+                    c and g and lane.occ[g - 1] < cap
+                    for g, c in enumerate(lane.occ)):
+                raise RuntimeError(
+                    f"settled lane has a vehicle that can move at t={stamp}")
+            if lane.bit and lane.seg_count != [
+                    sum(counts[:third1]), sum(counts[third1:third2])]:
+                raise RuntimeError(f"segment counts differ at t={stamp}")
+            if last and lane.bit and lane.stationary != sum(
+                    v.moved_tick != t for v in lane.vehs):
+                raise RuntimeError(f"stationary count differs at t={stamp}")
 
 
 def reset(network: RoadNetwork, flows: list[Flow], seed: int,

@@ -16,7 +16,7 @@ Conventions used throughout the simulator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 

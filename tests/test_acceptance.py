@@ -18,20 +18,17 @@ import pytest
 
 from gridlight import nn
 from gridlight.baselines import FixedTimeController
-from gridlight.errors import ConfigurationError
 from gridlight.harness.config import default_experiment, saturated_city
 from gridlight.harness.runners import (
     baseline_controller,
     evaluate_controller,
     modular_pipeline,
     run_ablation,
-    run_offline_case,
     run_source_selection,
 )
 from gridlight.meta import (
     MamlConfig,
     collect_experience,
-    dynamics_error,
     maml_run,
     offline_train_repr,
     run_episode,
@@ -42,7 +39,6 @@ from gridlight.planner import (
     PolicyConfig,
     ValueConfig,
     block_distance_loss,
-    default_dynamics_net,
     state_distance,
     trajectory_value,
 )

@@ -36,8 +36,7 @@ from gridlight.harness.runners import (
 from gridlight.meta import AdaptConfig, MamlConfig
 from gridlight.planner import DynamicsModel, StateEstimator, default_dynamics_net, default_estimator_net
 from gridlight.scenario import ScenarioSpec
-from gridlight.sim import Flow, RoadNetwork
-from gridlight.sim.network import SCHEMA_DIMS
+from gridlight.sim import Flow
 
 
 def tiny_config(tmp_path, method="modular", seeds=(0,), episode_s=300):

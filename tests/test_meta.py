@@ -8,7 +8,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from gridlight import nn
 from gridlight.baselines import FixedTimeController, MaxPressureController
 from gridlight.errors import ConfigurationError, ShapeError
 from gridlight.harness.config import desk_city_c

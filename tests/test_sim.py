@@ -365,18 +365,24 @@ def test_queue_counts_blocked_vehicles():
 # -- properties over random scenarios ----------------------------------------
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, one_grid=False):
     """A small network, flows along random routes that leave the grid, a
     schema, and a phase trace with one phase per intersection per step.
     Lanes are short and grids hold one or two vehicles, so queues spill
-    back across intersections within a few intervals."""
-    pass_capacity = draw(st.integers(1, 2))
-    state_grids = pass_capacity * draw(st.integers(1, 2))
+    back across intersections within a few intervals. With ``one_grid``
+    every lane is one grid long, so a vehicle can cross several nodes on
+    one tick."""
+    if one_grid:
+        pass_capacity = state_grids = lane_grids = 1
+    else:
+        pass_capacity = draw(st.integers(1, 2))
+        state_grids = pass_capacity * draw(st.integers(1, 2))
+        lane_grids = state_grids + draw(st.integers(0, 2))
     net = RoadNetwork(rows=draw(st.integers(1, 3)),
                       cols=draw(st.integers(1, 3)),
                       state_grids=state_grids, pass_capacity=pass_capacity,
                       grid_capacity=draw(st.integers(1, 2)),
-                      lane_grids=state_grids + draw(st.integers(0, 2)))
+                      lane_grids=lane_grids)
     flows = []
     for _ in range(draw(st.integers(1, 8))):
         side = draw(st.sampled_from(APPROACHES))
@@ -392,7 +398,7 @@ def scenarios(draw):
             node = (node[0] + dr, node[1] + dc)
         if net.on_grid(node):
             continue  # still inside after six movements: drop the flow
-        start = draw(st.integers(0, 40))
+        start = draw(st.integers(-5, 40))
         flows.append(Flow((side, index), tuple(route), start,
                           start + draw(st.integers(1, 300)),
                           draw(st.integers(1, 4))))
@@ -433,13 +439,129 @@ def test_random_scenarios_conserve_and_rerun_identically(scenario):
 
 
 class _WalkEveryLane(Sim):
-    """Reference simulator: no lane counts as settled, so every occupied
-    lane is walked on every tick."""
+    """Reference simulator: every tick walks every exit lane, every
+    crossing lane the phases permit, every lane that holds vehicles (exit
+    lanes included, none of them settled) and every entry lane, keeps each
+    lane's grids and occupancy as vehicles move, and recounts the
+    invariants after each tick."""
 
-    def _tick(self, acts, last):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entry_lanes = [ln for ln in self._approach_lanes if ln.pending]
+        self.exit_lanes = [ln for ln in self._all_lanes if not ln.bit]
+        self.crossing_lanes = {
+            node: {phase: [(lane, dlink.lanes, dlink.node is None)
+                           for (approach, movement), lane, dlink
+                           in self._movements[node]
+                           if permits(phase, approach, movement)]
+                   for phase in PHASE_IDS}
+            for node in self.nodes}
+
+    def step(self, actions, interval_s=20):
+        self.acts = {node: int(actions[node]) for node in self.nodes}
+        return super().step(actions, interval_s)
+
+    def _tick(self, permit, last):
+        net = self.network
+        cap = net.grid_capacity
+        n_cross = net.pass_capacity
+        length = net.lane_grids
+        top = length - 1
+        mid = length // 2
+        third1 = length // 3
+        third2 = 2 * (length // 3)
+        t = self.clock
+        stamp = t + 1
+
+        # 1. boundary exits
+        for lane in self.exit_lanes:
+            while lane.vehs and lane.vehs[0].grid == 0:
+                v = lane.vehs.popleft()
+                lane.occ[0] -= 1
+                v.exit_s = stamp
+                self.exited += 1
+                self._travel_sum_exited += stamp - v.enter_s
+
+        # 2. intersection crossings, node by node
+        for node in self.nodes:
+            for lane, dlanes, is_exit in self.crossing_lanes[node][
+                    self.acts[node]]:
+                vehs = lane.vehs
+                while (vehs and vehs[0].grid == 0
+                       and lane.crossings < n_cross):
+                    v = vehs[0]
+                    pos = v.route_pos if is_exit else v.route_pos + 1
+                    dest = dlanes[v.route[pos]]
+                    if dest.occ[top] >= cap:
+                        break
+                    vehs.popleft()
+                    lane.occ[0] -= 1
+                    if third1:
+                        lane.seg_count[0] -= 1
+                    lane.crossings += 1
+                    v.grid = top
+                    v.route_pos += 1
+                    v.moved_tick = t
+                    dest.occ[top] += 1
+                    dest.vehs.append(v)
+
+        # 3. in-lane advances, every vehicle of every lane
         for lane in self._all_lanes:
-            lane.settled = False
-        super()._tick(acts, last)
+            is_app = bool(lane.bit)
+            if last and is_app:
+                lane.stationary = 0
+            occ = lane.occ
+            for v in lane.vehs:
+                g = v.grid
+                if v.moved_tick == t or g == 0 or occ[g - 1] >= cap:
+                    continue
+                occ[g] -= 1
+                g -= 1
+                occ[g] += 1
+                v.grid = g
+                v.moved_tick = t
+                if is_app:
+                    if g == mid - 1:
+                        lane.mid_passes += 1
+                    if g < third1:
+                        lane.seg_moves[0] += 1
+                        if g == third1 - 1:
+                            lane.seg_count[0] += 1
+                            lane.seg_count[1] -= 1
+                    elif g < third2:
+                        lane.seg_moves[1] += 1
+                        if g == third2 - 1:
+                            lane.seg_count[1] += 1
+            if is_app:
+                lane.seg_samples[0] += lane.seg_count[0]
+                lane.seg_samples[1] += lane.seg_count[1]
+                if last:
+                    lane.stationary = sum(v.moved_tick != t
+                                          for v in lane.vehs)
+
+        # 4. scheduled entries (deferred while the origin grid is full)
+        for lane in self.entry_lanes:
+            pending = lane.pending
+            while pending and pending[0].sched_s <= t and lane.occ[top] < cap:
+                v = pending.popleft()
+                v.enter_s = stamp
+                v.grid = top
+                v.moved_tick = t
+                lane.occ[top] += 1
+                lane.vehs.append(v)
+                self.entered += 1
+
+        self.clock = stamp
+        on_net = sum(len(ln.vehs) for ln in self._all_lanes)
+        assert self.entered == on_net + self.exited
+        for lane in self._all_lanes:
+            grids = [v.grid for v in lane.vehs]
+            assert grids == sorted(grids)
+            assert lane.occ == [grids.count(g) for g in range(length)]
+            assert max(lane.occ) <= cap
+            if lane.bit:
+                assert lane.seg_count == [sum(lane.occ[:third1]),
+                                          sum(lane.occ[third1:third2])]
 
 
 def _interval_record(sim, actions, interval_s):
@@ -447,15 +569,16 @@ def _interval_record(sim, actions, interval_s):
     observations = [sim.observe(node, schema).values.tolist()
                     for node in sim.nodes for schema in sorted(SCHEMA_DIMS)]
     waiting = [sim.waiting_counts(node).tolist() for node in sim.nodes]
-    return sim.digest(), delta, sim.metrics(), observations, waiting
+    queues = [sim.movement_queues(node) for node in sim.nodes]
+    return sim.digest(), delta, sim.metrics(), observations, waiting, queues
 
 
-@settings(max_examples=40, deadline=None)
-@given(scenarios())
-def test_settled_lanes_skip_changes_nothing(scenario):
-    """Skipping settled lanes gives, interval by interval, the digest,
-    metrics, observations in every schema and waiting counts of walking
-    every lane."""
+@settings(max_examples=60, deadline=None)
+@given(scenarios() | scenarios(one_grid=True))
+def test_tick_matches_walk_every_lane_reference(scenario):
+    """The tick that visits only the lanes that can act gives, interval by
+    interval, the digest, metrics, observations in every schema, waiting
+    counts and movement queues of the reference that walks every lane."""
     net, flows, schema, trace = scenario
     fast = reset(net, flows, seed=0, schema=schema, validate=True)
     ref = _WalkEveryLane(net, flows, seed=0, schema=schema, validate=True)
@@ -463,6 +586,26 @@ def test_settled_lanes_skip_changes_nothing(scenario):
         actions = dict(zip(fast.nodes, phases))
         assert (_interval_record(fast, actions, interval_s)
                 == _interval_record(ref, actions, interval_s))
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMA_DIMS))
+@pytest.mark.parametrize("city", sorted(DESK_CITIES))
+def test_snapshot_equals_per_node_queries(city, schema):
+    """Every interval of a max-pressure episode: the one-pass snapshot has
+    the bytes, dtype and shape of observe() and extract_state() per node."""
+    spec = DESK_CITIES[city]()
+    sim = reset(spec.network, list(spec.flows), seed=0, schema=schema)
+    controller = MaxPressureController()
+    for t in range(spec.intervals + 1):
+        obs, states = sim.snapshot()
+        for node in sim.nodes:
+            for got, want in ((obs[node].values, sim.observe(node).values),
+                              (states[node], sim.extract_state(node))):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            assert obs[node].schema_id == schema
+        if t < spec.intervals:
+            sim.step(controller.decide(sim, t, obs), spec.interval_s)
 
 
 # -- golden behaviour pin ----------------------------------------------------
