@@ -36,11 +36,11 @@ from .planner import (
     StateEstimator,
     ValueConfig,
     block_distance_loss,
+    block_sums,
     default_dynamics_net,
     default_estimator_net,
     phase_encode,
     rowwise_block_distance_loss,
-    state_distance,
 )
 from .scenario import EnvFactory
 from .sim import Sim
@@ -446,8 +446,13 @@ def offline_train_repr(logged: TaskDataset, schema_id: str, epochs: int,
 
 def _mean_distance(pred: np.ndarray, target: np.ndarray,
                    dist_cfg: DistanceConfig) -> float:
-    return sum(state_distance(p, s, dist_cfg)
-               for p, s in zip(pred, target)) / len(target)
+    """Mean ``state_distance`` over paired (lanes, N) states, bit for bit:
+    one block-sum pass per side, and the rows' distances added in order."""
+    sums = [block_sums(states, dist_cfg.state_grids, dist_cfg.pass_grids)
+            for states in (pred, target)]
+    d = sums[0] - sums[1]
+    w = dist_cfg.block_discount ** np.arange(dist_cfg.blocks)
+    return sum((w * d * d).sum(axis=1).tolist()) / len(target)
 
 
 def training_loss(estimator: StateEstimator, logged: TaskDataset,

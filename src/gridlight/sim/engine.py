@@ -29,14 +29,21 @@ the lanes or vehicles on the network:
   at the stop line with pass capacity left; the crossing step walks its
   bits that the interval's phases permit, lowest first, which is the
   node, approach and movement order.
-* Advances. Only lanes that hold vehicles are walked, and a lane whose
-  last walk moved nothing (and that no vehicle has left or joined since)
-  is settled: it costs O(1). A lane's vehicles are in grid order, first in
-  first out within a grid, so the walk jumps past a whole grid once one of
-  its vehicles is blocked. Each lane keeps its segment counts as vehicles
-  move, and on an interval's last tick counts the vehicles that crossed in
-  (they sit at its tail), so the per-tick segment samples and the
-  stationary count need no rescan.
+* Advances. An approach lane is a conveyor up to its queue. A vehicle
+  that reaches the top grid on tick t is free: it sits at grid
+  ``top - (T - t)`` after tick T until it comes within one grid of the
+  lane's last walked vehicle. A per-tick calendar lists when each lane's
+  first free vehicle could get there; it then joins the walked part, the
+  front of the lane and the only part the advance step walks. A free
+  vehicle's moves, segment samples and mid passes are ranges of grids,
+  added when it joins and at each interval's end, where its grid and the
+  lane's occupancy are written back. A walked part whose last walk moved
+  nothing (and that no vehicle has left or joined since) is settled: it
+  leaves the walk, and adds its segment samples when it wakes or the
+  interval ends. A lane's vehicles are in grid order, first in first out
+  within a grid, so the walk jumps past a whole grid once one of its
+  vehicles is blocked, and each lane keeps its segment counts as vehicles
+  move, so the samples and the stationary count need no rescan.
 * Entries. Only entry lanes with a vehicle scheduled on this tick, or one
   deferred by a full origin grid, are visited: a reset lists each
   vehicle's entry lane under its scheduled tick.
@@ -48,9 +55,10 @@ every tick.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import accumulate, chain, islice, product
 
 import numpy as np
 
@@ -93,33 +101,36 @@ class _Vehicle:
         self.route = route  # movement indices, one per intersection crossed
         self.route_pos = 0
         self.grid = -1
-        # tick of its last move; in an exit lane, the tick it crossed in
+        # tick of its last move. A conveyed vehicle (free in an approach
+        # lane, or in an exit lane) sits at grid - (T - moved_tick) after
+        # tick T: the pair is its anchor, written back at interval ends.
         self.moved_tick = -1
 
 
 class _Lane:
-    __slots__ = ("occ", "vehs", "pending", "bit", "crossings", "mid_passes",
-                 "seg_count", "seg_moves", "seg_samples", "stationary",
-                 "last_crossings", "last_mid_passes", "last_seg_speed",
-                 "settled")
+    __slots__ = ("occ", "vehs", "walked", "pending", "bit", "crossings",
+                 "mid_passes", "seg_count", "seg_moves", "seg_samples",
+                 "stationary", "last_crossings", "last_mid_passes",
+                 "last_seg_speed")
 
     def __init__(self, length: int):
+        # vehicles per grid; a free vehicle counts at its anchor grid
         self.occ = [0] * length
         self.vehs: deque[_Vehicle] = deque()
+        # the first ``walked`` vehicles are walked by the advance step; the
+        # rest are free (approach lanes only, see _tick)
+        self.walked = 0
         self.pending: deque[_Vehicle] = deque()
         self.bit = 0  # an approach lane's bit in the stop-line masks
         self.crossings = 0
         self.mid_passes = 0
-        self.seg_count = [0, 0]  # vehicles now in segments 0 and 1
+        self.seg_count = [0, 0]  # walked vehicles now in segments 0 and 1
         self.seg_moves = [0, 0]
         self.seg_samples = [0, 0]
         self.stationary = 0
         self.last_crossings = 0
         self.last_mid_passes = 0
         self.last_seg_speed = (0.0, 0.0)
-        # its last advance walk moved no vehicle and passed over none that
-        # had crossed in; cleared when a vehicle leaves or joins the lane
-        self.settled = False
 
 
 class _Link:
@@ -164,7 +175,17 @@ class Sim:
         self._travel_sum_exited = 0.0
         self._queue_mean_sum = 0.0
         self._intervals = 0
-        self._occupied: dict[_Lane, None] = {}  # approach lanes with vehicles
+        # approach lanes with walked vehicles: those the advance step walks,
+        # and the settled ones, each with the first tick whose segment
+        # samples it has not added yet
+        self._active: dict[_Lane, None] = {}
+        self._settled: dict[_Lane, int] = {}
+        # per tick, the approach lanes whose first free vehicle may come
+        # within one grid of the walked tail at its start
+        self._meets: defaultdict[int, list[_Lane]] = defaultdict(list)
+        # per lane, the segment samples recounted so far this interval
+        # (validate=True)
+        self._tally: dict[_Lane, list[int]] = {}
         self._ready = 0  # stop-line mask: head at grid 0, pass capacity left
         self._exits: deque[tuple[_Vehicle, _Lane]] = deque()  # crossing order
         self._exit_shown: dict[_Lane, list[int]] = {}  # occ written nonzero
@@ -231,6 +252,14 @@ class Sim:
         self._all_lanes = [ln for link in self._all_links for ln in link.lanes]
         self._approach_lanes = [lane for lane, _, _ in self._stop_lanes]
         self._n_approach_lanes = len(self._approach_lanes)
+        # per grid g, the mid passes and segment-0 and segment-1 moves of a
+        # vehicle entering grids 0..g-1: a free run from grid a down to
+        # grid g counts runs[k][a] - runs[k][g] of each
+        mid, third1, third2 = length // 2, length // 3, 2 * (length // 3)
+        self._runs = tuple(
+            list(accumulate((test(g) for g in range(length)), initial=0))
+            for test in (lambda g: g == mid - 1, lambda g: g < third1,
+                         lambda g: third1 <= g < third2))
 
     def _schedule_flows(self):
         net = self.network
@@ -445,7 +474,11 @@ class Sim:
         third2 = 2 * (length // 3)
         t = self.clock
         stamp = t + 1
-        occupied = self._occupied
+        active = self._active
+        settled = self._settled
+        meets = self._meets
+        wake = self._wake
+        admit = self._admit
         ready = self._ready
         exits = self._exits
 
@@ -459,7 +492,12 @@ class Sim:
             self.exited += 1
             self._travel_sum_exited += stamp - v.enter_s
 
-        # 2. intersection crossings, lane by lane in mask-bit order. An exit
+        # 2. on the lanes the meeting calendar lists for this tick, free
+        # vehicles within one grid of the walked tail join the walked part
+        for lane in meets.pop(t, ()):
+            self._join(lane, t)
+
+        # 3. intersection crossings, lane by lane in mask-bit order. An exit
         # lane's top grid holds the vehicles that crossed in on this tick
         # and the one before (those of that tick have left already when the
         # lane is one grid long). With one grid per lane a crossing vehicle
@@ -481,10 +519,19 @@ class Sim:
                         break
                 else:
                     dest = dlanes[v.route[v.route_pos + 1]]
-                    if dest.occ[top] >= cap:
-                        break
+                    # full when its cap-th newest vehicle is in the top
+                    # grid: walked, or free and in since the last tick
+                    k = len(dest.vehs) - cap
+                    if k >= 0:
+                        last_in = dest.vehs[k]
+                        if last_in.grid == top and (
+                                k < dest.walked
+                                or last_in.moved_tick >= t - 1):
+                            break
                 vehs.popleft()
-                lane.settled = False
+                if lane in settled:
+                    wake(lane, t)
+                lane.walked -= 1
                 lane.occ[0] -= 1
                 if third1:
                     lane.seg_count[0] -= 1
@@ -495,50 +542,47 @@ class Sim:
                 if is_exit:
                     dvehs.append(v)
                     exits.append((v, dest))
-                else:
-                    if not dest.vehs:
-                        occupied[dest] = None
-                    dest.settled = False
-                    dest.occ[top] += 1
-                    dest.vehs.append(v)
-                    if not top and dest.crossings < n_cross:
-                        ready |= dest.bit
-                        if dest.bit > low:
-                            pass_mask |= dest.bit & permit
-                if not vehs:
-                    del occupied[lane]
-                if not vehs or vehs[0].grid or lane.crossings == n_cross:
+                elif (admit(dest, v, t, t) and not top
+                      and dest.crossings < n_cross):
+                    ready |= dest.bit
+                    if dest.bit > low:
+                        pass_mask |= dest.bit & permit
+                if not lane.walked:
+                    del active[lane]
+                if (not lane.walked or vehs[0].grid
+                        or lane.crossings == n_cross):
                     ready ^= low
                     break
 
-        # 3. in-lane advances on approach lanes, with per-tick stats: a
-        # segment's samples are its vehicles after the advance, and the
-        # stationary ones are those that neither advanced nor arrived. A
-        # lane's vehicles are in grid order, first in first out within a
-        # grid, so once one is blocked (at grid 0, or the grid ahead full)
-        # so is every vehicle left in its grid: the walk jumps past them.
-        # Whether a vehicle is blocked depends only on its own lane, so a
-        # settled lane would move nothing again and is not walked, and the
-        # walk touches only the lane's own state, so the lane order is free.
+        # 4. in-lane advances on the walked parts of approach lanes, with
+        # per-tick stats: a segment's samples are its vehicles after the
+        # advance, and the stationary ones are those that neither advanced
+        # nor arrived (no free vehicle is either). A lane's vehicles are in
+        # grid order, first in first out within a grid, so once one is
+        # blocked (at grid 0, or the grid ahead full) so is every vehicle
+        # left in its grid: the walk jumps past them. Whether a vehicle is
+        # blocked depends only on the walked part of its own lane, so a
+        # part whose walk moved nothing settles until a vehicle leaves or
+        # joins it, and the lane order is free.
         if last:
             for lane in self._approach_lanes:
                 lane.stationary = 0
-        for lane in occupied:
+            for lane, since in settled.items():
+                lane.seg_samples[0] += lane.seg_count[0] * (stamp - since)
+                lane.seg_samples[1] += lane.seg_count[1] * (stamp - since)
+                lane.stationary = lane.walked
+                settled[lane] = stamp
+        calm = []
+        for lane in active:
             vehs = lane.vehs
             seg_count = lane.seg_count
-            n = len(vehs)
-            if lane.settled:
-                lane.seg_samples[0] += seg_count[0]
-                lane.seg_samples[1] += seg_count[1]
-                if last:
-                    lane.stationary = n
-                continue
+            n = lane.walked
             occ = lane.occ
             seg_moves = lane.seg_moves
             if last:
-                # the vehicles that crossed in on this tick, at the tail
+                # the walked vehicles that crossed in on this tick, at its tail
                 arrived = 0
-                while arrived < n and vehs[-1 - arrived].moved_tick == t:
+                while arrived < n and vehs[n - 1 - arrived].moved_tick == t:
                     arrived += 1
             advanced = 0
             passed_arrival = False
@@ -572,32 +616,40 @@ class Sim:
                     seg_moves[1] += 1
                     if g == third2 - 1:
                         seg_count[1] += 1
-            lane.settled = not advanced and not passed_arrival
+            if not advanced and not passed_arrival:
+                calm.append(lane)
             lane.seg_samples[0] += seg_count[0]
             lane.seg_samples[1] += seg_count[1]
             if last:
                 lane.stationary = n - advanced - arrived
+        for lane in calm:
+            del active[lane]
+            settled[lane] = stamp
 
-        # 4. scheduled entries, on the lanes with a vehicle due; a lane stays
+        # 5. scheduled entries, on the lanes with a vehicle due; a lane stays
         # due, its vehicle deferred, while the origin grid is full
         due = self._due
         for lane in self._arrivals.pop(t, ()):
             due[lane] = None
         for lane in tuple(due):
             pending = lane.pending
-            occ = lane.occ
-            while pending and pending[0].sched_s <= t and occ[top] < cap:
+            vehs = lane.vehs
+            while pending and pending[0].sched_s <= t:
+                # full when its cap-th newest vehicle is in the top grid:
+                # walked, or free and in since this tick
+                k = len(vehs) - cap
+                if k >= 0:
+                    last_in = vehs[k]
+                    if last_in.grid == top and (k < lane.walked
+                                                or last_in.moved_tick == t):
+                        break
                 v = pending.popleft()
                 v.enter_s = stamp
                 v.grid = top
                 v.moved_tick = t
-                if not lane.vehs:
-                    occupied[lane] = None
-                lane.settled = False
-                occ[top] += 1
-                lane.vehs.append(v)
                 self.entered += 1
-                if not top and lane.crossings < n_cross:
+                if (admit(lane, v, t, stamp) and not top
+                        and lane.crossings < n_cross):
                     ready |= lane.bit
             if not pending or pending[0].sched_s > t:
                 del due[lane]
@@ -617,11 +669,103 @@ class Sim:
                 v.grid = g = top - t + v.moved_tick
                 occ[g] += 1
             self._exit_shown = shown
+            # free vehicles: anchors moved to this tick, with the statistics
+            # of the runs since the last anchors
+            for lanes in meets.values():
+                for lane in lanes:
+                    for v in islice(lane.vehs, lane.walked, None):
+                        self._reanchor(lane, v, v.grid - (t - v.moved_tick), t)
         if self.validate:
             self._check(t, last)
 
+    def _admit(self, lane: _Lane, v: _Vehicle, t: int, upto: int) -> bool:
+        """Append a vehicle that reached an approach lane's top grid on tick
+        t. Within one grid of the walked tail it is walked at once (the lane
+        walks from tick ``upto`` on), and the call returns True; otherwise
+        it is free, and its lane falls due when it could meet the tail."""
+        vehs = lane.vehs
+        top = len(lane.occ) - 1
+        w = lane.walked
+        tail = vehs[w - 1].grid if w else 0
+        lane.occ[top] += 1
+        vehs.append(v)
+        if tail >= top - 1:
+            self._wake(lane, upto)
+            lane.walked = w + 1
+            return True
+        if w == len(vehs) - 1:  # the lane's first free vehicle
+            self._meets[t + top - tail].append(lane)
+        return False
+
+    def _wake(self, lane: _Lane, upto: int):
+        """Walk the lane from now on. A settled walked part first adds the
+        segment samples it owes for the ticks before ``upto``."""
+        since = self._settled.pop(lane, None)
+        if since is not None:
+            lane.seg_samples[0] += lane.seg_count[0] * (upto - since)
+            lane.seg_samples[1] += lane.seg_count[1] * (upto - since)
+        self._active[lane] = None
+
+    def _join(self, lane: _Lane, t: int):
+        """At the start of tick t, the free vehicles within one grid of the
+        walked tail join the walked part, a group pulling in the one behind
+        it when that is adjacent. The lane falls due again on the tick its
+        first free vehicle left would come within one grid of the tail, were
+        the tail to stay. While vehicles are free the tail never moves back,
+        so they cannot come within one grid of it sooner.
+
+        A free group with an empty grid ahead at a tick's start moves whole:
+        nothing ahead of it can fill that grid first, and a grid holds at
+        most ``grid_capacity`` vehicles.
+        """
+        vehs = lane.vehs
+        w = lane.walked
+        tail = vehs[w - 1].grid if w else 0
+        v = vehs[w]
+        if v.grid - (t - 1 - v.moved_tick) <= tail + 1:
+            self._wake(lane, t)
+            length = self.network.lane_grids
+            for v in islice(vehs, w, None):
+                g = v.grid - (t - 1 - v.moved_tick)  # after tick t - 1
+                if g > tail + 1:
+                    break
+                self._reanchor(lane, v, g, t - 1)
+                tail = g
+                if g < length // 3:
+                    lane.seg_count[0] += 1
+                elif g < 2 * (length // 3):
+                    lane.seg_count[1] += 1
+                w += 1
+            lane.walked = w
+            if w == len(vehs):
+                return
+            v = vehs[w]
+        self._meets[v.moved_tick + v.grid - tail].append(lane)
+
+    def _reanchor(self, lane: _Lane, v: _Vehicle, g: int, tick: int):
+        """Move a free vehicle's anchor down to grid g on ``tick``, with
+        its count in the lane's occupancy. The run from its old anchor grid
+        a entered grids a-1 down to g, one per tick, so each move into a
+        segment is also a tick's sample there."""
+        a = v.grid
+        mids, seg0, seg1 = self._runs
+        lane.mid_passes += mids[a] - mids[g]
+        moves0 = seg0[a] - seg0[g]
+        moves1 = seg1[a] - seg1[g]
+        lane.seg_moves[0] += moves0
+        lane.seg_moves[1] += moves1
+        lane.seg_samples[0] += moves0
+        lane.seg_samples[1] += moves1
+        lane.occ[a] -= 1
+        lane.occ[g] += 1
+        v.grid = g
+        v.moved_tick = tick
+
     def _check(self, t: int, last: bool):
-        """Recount the tick's bookkeeping from the vehicles (validate=True)."""
+        """Recount the tick's bookkeeping from the vehicles (validate=True).
+
+        A free vehicle's grid is recounted from its anchor, and the segment
+        samples from every vehicle's grid, tick by tick."""
         net = self.network
         cap = net.grid_capacity
         length = net.lane_grids
@@ -634,13 +778,18 @@ class Sim:
             raise RuntimeError(
                 f"conservation violated at t={stamp}: "
                 f"entered={self.entered} on={on_net} exited={self.exited}")
-        if self._occupied.keys() != {ln for ln in self._approach_lanes
-                                     if ln.vehs}:
-            raise RuntimeError(f"occupied-lane registry differs at t={stamp}")
-        if self._ready != sum(ln.bit for ln in self._approach_lanes
-                              if ln.vehs and ln.vehs[0].grid == 0
-                              and ln.crossings < net.pass_capacity):
-            raise RuntimeError(f"stop-line mask differs at t={stamp}")
+        active, settled = self._active.keys(), self._settled.keys()
+        if (active & settled
+                or active | settled != {ln for ln in self._approach_lanes
+                                        if ln.walked}
+                or any(s > stamp for s in self._settled.values())):
+            raise RuntimeError(f"walked-lane registry differs at t={stamp}")
+        due = [ln for lanes in self._meets.values() for ln in lanes]
+        if (len(due) != len(set(due))
+                or set(due) != {ln for ln in self._approach_lanes
+                                if len(ln.vehs) > ln.walked}
+                or min(self._meets, default=stamp) < stamp):
+            raise RuntimeError(f"meeting calendar differs at t={stamp}")
         exit_lanes = [ln for ln in self._all_lanes if not ln.bit]
         fifo = [v for v, _ in self._exits]
         if (sorted(fifo, key=lambda v: v.moved_tick) != fifo
@@ -656,41 +805,90 @@ class Sim:
                 or any(ln not in self._arrivals.get(s, ())
                        for ln, s in next_due.items() if s > t)):
             raise RuntimeError(f"entry-lane schedule differs at t={stamp}")
+        ready = 0
         for lane in self._all_lanes:
-            if lane.bit:
-                grids = [v.grid for v in lane.vehs]
-            else:  # an exit lane's grids follow from its crossing ticks
-                grids = [top - t + v.moved_tick for v in lane.vehs]
+            vehs = lane.vehs
+            if not lane.bit:  # an exit lane's grids follow from crossing ticks
+                grids = [top - t + v.moved_tick for v in vehs]
                 if grids and not 0 <= grids[0] <= grids[-1] <= top:
                     raise RuntimeError(f"exit lane out of range at t={stamp}")
                 # this tick's crossings shared the top grid with the last
                 # tick's (gone already from a one-grid lane)
-                if sum(v.moved_tick >= t - 1 for v in lane.vehs) > cap:
+                if sum(v.moved_tick >= t - 1 for v in vehs) > cap:
                     raise RuntimeError(
                         f"exit lane's top grid over capacity at t={stamp}")
+                if grids != sorted(grids):
+                    raise RuntimeError(f"lane out of grid order at t={stamp}")
+                counts = _counts(grids, length)
+                if max(counts) > cap:
+                    raise RuntimeError(f"grid over capacity at t={stamp}")
+                if last and (grids != [v.grid for v in vehs]
+                             or counts != lane.occ):
+                    raise RuntimeError(
+                        f"occupancy differs from vehicle grids at t={stamp}")
+                continue
+            w = lane.walked
+            if not 0 <= w <= len(vehs):
+                raise RuntimeError(f"walked count out of range at t={stamp}")
+            if w == len(vehs):
+                grids = walked = [v.grid for v in vehs]
+                free = []
+            else:
+                walked = [v.grid for v in islice(vehs, w)]
+                free = list(islice(vehs, w, None))
+                grids = walked + [v.grid - (t - v.moved_tick) for v in free]
             if grids != sorted(grids):
                 raise RuntimeError(f"lane out of grid order at t={stamp}")
-            counts = [0] * length
-            for g in grids:
-                counts[g] += 1
+            tail = walked[-1] if w else 0
+            if any(not 1 <= g <= v.grid <= top or v.moved_tick > t
+                   or last and v.moved_tick != t
+                   or g <= tail + 1 and lane not in self._meets.get(stamp, ())
+                   for v, g in zip(free, grids[w:])):
+                raise RuntimeError(f"free vehicle out of place at t={stamp}")
+            if grids and grids[0] == 0 and lane.crossings < net.pass_capacity:
+                ready |= lane.bit
+            counts = _counts(grids, length)
             if max(counts) > cap:
                 raise RuntimeError(f"grid over capacity at t={stamp}")
-            if not lane.bit and not last:
-                continue  # exit-lane grids are written at the interval's end
-            if counts != lane.occ or grids != [v.grid for v in lane.vehs]:
+            # occupancy: walked vehicles at their grids, free ones at their
+            # anchors
+            occ = counts[:]
+            for v, g in zip(free, grids[w:]):
+                occ[g] -= 1
+                occ[v.grid] += 1
+            if occ != lane.occ:
                 raise RuntimeError(
                     f"occupancy differs from vehicle grids at t={stamp}")
-            if lane.settled and any(
-                    c and g and lane.occ[g - 1] < cap
-                    for g, c in enumerate(lane.occ)):
+            occ = lane.occ
+            if lane in settled and any(c and g and occ[g - 1] < cap
+                                       for g, c in enumerate(occ[:tail + 1])):
                 raise RuntimeError(
                     f"settled lane has a vehicle that can move at t={stamp}")
-            if lane.bit and lane.seg_count != [
-                    sum(counts[:third1]), sum(counts[third1:third2])]:
+            seg0 = bisect_left(walked, third1)
+            if lane.seg_count != [seg0, bisect_left(walked, third2) - seg0]:
                 raise RuntimeError(f"segment counts differ at t={stamp}")
-            if last and lane.bit and lane.stationary != sum(
-                    v.moved_tick != t for v in lane.vehs):
-                raise RuntimeError(f"stationary count differs at t={stamp}")
+            # segment samples, tallied tick by tick from the grids
+            tally = self._tally.setdefault(lane, [0, 0])
+            tally[0] += sum(counts[:third1])
+            tally[1] += sum(counts[third1:third2])
+            if last:
+                if tally != lane.seg_samples:
+                    raise RuntimeError(
+                        f"segment samples differ at t={stamp}")
+                tally[:] = [0, 0]
+                if lane.stationary != sum(v.moved_tick != t for v in vehs):
+                    raise RuntimeError(
+                        f"stationary count differs at t={stamp}")
+        if self._ready != ready:
+            raise RuntimeError(f"stop-line mask differs at t={stamp}")
+
+
+def _counts(grids: list[int], length: int) -> list[int]:
+    """Vehicles per grid of a lane, from their grids."""
+    counts = [0] * length
+    for g in grids:
+        counts[g] += 1
+    return counts
 
 
 def reset(network: RoadNetwork, flows: list[Flow], seed: int,

@@ -16,6 +16,7 @@ from gridlight.meta import (
     AdaptConfig,
     MamlConfig,
     TaskDataset,
+    _mean_distance,
     adapt,
     collect_experience,
     dynamics_error,
@@ -32,6 +33,7 @@ from gridlight.planner import (
     StateEstimator,
     default_dynamics_net,
     default_estimator_net,
+    state_distance,
 )
 from gridlight.scenario import EnvFactory, ScenarioSpec
 from gridlight.sim import Flow, RoadNetwork
@@ -337,6 +339,23 @@ def test_training_loss_schema_mismatch():
     with pytest.raises(ShapeError):
         training_loss(est, logged_pairs("SCHEMA_B"),
                       DistanceConfig(0.8, 12, 4))
+
+
+@pytest.mark.parametrize("lanes,state_grids,pass_grids,discount", [
+    (12, 12, 4, 0.8), (12, 12, 3, 0.5), (8, 8, 2, 1.0), (3, 6, 6, 0.9),
+    (5, 16, 1, 0.7)])
+def test_mean_distance_equals_row_loop_bit_for_bit(lanes, state_grids,
+                                                    pass_grids, discount):
+    """The batched mean distance is the row-by-row state_distance mean,
+    float for float, on random predictions against integer states."""
+    rng = np.random.default_rng(lanes * state_grids + pass_grids)
+    cfg = DistanceConfig(discount, state_grids, pass_grids)
+    for rows in (1, 7, 1080):
+        pred = rng.normal(2.0, 3.0, (rows, lanes, state_grids))
+        states = rng.integers(0, 5, (rows, lanes, state_grids))
+        loop = sum(state_distance(p, s, cfg)
+                   for p, s in zip(pred, states)) / rows
+        assert _mean_distance(pred, states, cfg).hex() == loop.hex()
 
 
 def test_offline_training_loss_monotone_small_lr():

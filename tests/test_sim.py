@@ -365,24 +365,37 @@ def test_queue_counts_blocked_vehicles():
 # -- properties over random scenarios ----------------------------------------
 
 @st.composite
-def scenarios(draw, one_grid=False):
+def scenarios(draw, one_grid=False, long_lanes=False):
     """A small network, flows along random routes that leave the grid, a
     schema, and a phase trace with one phase per intersection per step.
     Lanes are short and grids hold one or two vehicles, so queues spill
     back across intersections within a few intervals. With ``one_grid``
     every lane is one grid long, so a vehicle can cross several nodes on
-    one tick."""
+    one tick. With ``long_lanes`` lanes are 9 to 30 grids long, grids hold
+    up to four vehicles and headways are dense or sparse, so free-flowing
+    vehicles run across the segment borders and the mid grid, and meet
+    queues partway through an interval."""
     if one_grid:
         pass_capacity = state_grids = lane_grids = 1
+        grid_capacity = draw(st.integers(1, 2))
+        headways = st.integers(1, 4)
+    elif long_lanes:
+        pass_capacity = draw(st.integers(1, 4))
+        lane_grids = draw(st.integers(9, 30))
+        state_grids = pass_capacity * draw(
+            st.integers(1, lane_grids // pass_capacity))
+        grid_capacity = draw(st.integers(1, 4))
+        headways = st.integers(1, 2) | st.integers(5, 40)
     else:
         pass_capacity = draw(st.integers(1, 2))
         state_grids = pass_capacity * draw(st.integers(1, 2))
         lane_grids = state_grids + draw(st.integers(0, 2))
+        grid_capacity = draw(st.integers(1, 2))
+        headways = st.integers(1, 4)
     net = RoadNetwork(rows=draw(st.integers(1, 3)),
                       cols=draw(st.integers(1, 3)),
                       state_grids=state_grids, pass_capacity=pass_capacity,
-                      grid_capacity=draw(st.integers(1, 2)),
-                      lane_grids=lane_grids)
+                      grid_capacity=grid_capacity, lane_grids=lane_grids)
     flows = []
     for _ in range(draw(st.integers(1, 8))):
         side = draw(st.sampled_from(APPROACHES))
@@ -401,7 +414,7 @@ def scenarios(draw, one_grid=False):
         start = draw(st.integers(-5, 40))
         flows.append(Flow((side, index), tuple(route), start,
                           start + draw(st.integers(1, 300)),
-                          draw(st.integers(1, 4))))
+                          draw(headways)))
     n_nodes = net.rows * net.cols
     trace = draw(st.lists(
         st.tuples(st.lists(st.sampled_from(PHASE_IDS), min_size=n_nodes,
@@ -433,7 +446,7 @@ def _replay(net, flows, schema, trace):
 
 
 @settings(max_examples=40, deadline=None)
-@given(scenarios())
+@given(scenarios() | scenarios(long_lanes=True))
 def test_random_scenarios_conserve_and_rerun_identically(scenario):
     assert _replay(*scenario) == _replay(*scenario)
 
@@ -443,7 +456,8 @@ class _WalkEveryLane(Sim):
     crossing lane the phases permit, every lane that holds vehicles (exit
     lanes included, none of them settled) and every entry lane, keeps each
     lane's grids and occupancy as vehicles move, and recounts the
-    invariants after each tick."""
+    invariants after each tick. It walks every vehicle on its own grid and
+    runs none of the approach lanes' conveyor bookkeeping."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -574,7 +588,7 @@ def _interval_record(sim, actions, interval_s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scenarios() | scenarios(one_grid=True))
+@given(scenarios() | scenarios(one_grid=True) | scenarios(long_lanes=True))
 def test_tick_matches_walk_every_lane_reference(scenario):
     """The tick that visits only the lanes that can act gives, interval by
     interval, the digest, metrics, observations in every schema, waiting
@@ -584,6 +598,24 @@ def test_tick_matches_walk_every_lane_reference(scenario):
     ref = _WalkEveryLane(net, flows, seed=0, schema=schema, validate=True)
     for phases, interval_s in trace:
         actions = dict(zip(fast.nodes, phases))
+        assert (_interval_record(fast, actions, interval_s)
+                == _interval_record(ref, actions, interval_s))
+
+
+def test_free_vehicles_fill_the_top_grid():
+    """A grid holds one vehicle here, so a queued vehicle crosses into the
+    next lane only once the one that crossed before it, free in that lane,
+    has left the top grid, and of two vehicles scheduled on one tick the
+    second enters only once the first has moved on. Interval by interval
+    this matches the reference that walks every lane."""
+    net = RoadNetwork(rows=1, cols=2, state_grids=2, pass_capacity=2,
+                      grid_capacity=1, lane_grids=9)
+    assert permits(3, "W", "through") and not permits(1, "W", "through")
+    flows = [Flow(("W", 0), ("through", "through"), 0, 80, 1)] * 2
+    fast = reset(net, flows, seed=0, validate=True)
+    ref = _WalkEveryLane(net, flows, seed=0, validate=True)
+    for phase, interval_s in [(1, 20), (3, 20), (3, 7), (1, 1), (3, 30)]:
+        actions = {node: phase for node in fast.nodes}
         assert (_interval_record(fast, actions, interval_s)
                 == _interval_record(ref, actions, interval_s))
 
