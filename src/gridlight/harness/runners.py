@@ -3,11 +3,13 @@ complexity sweep, single-source transfer matrix, offline estimator training,
 and the data-volume curve.
 
 Every runner is reproducible from (config, seeds): all randomness descends
-from the per-seed SeedSequence, and CSV outputs carry no timestamps.
+from the per-seed SeedSequence, and CSV outputs carry no timestamps. Wall
+times (``timed``) go to ``report.json`` only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -123,6 +125,17 @@ def metrics_row(scenario: ScenarioSpec, seed: int, method: str,
     }
 
 
+@contextlib.contextmanager
+def timed(timings: dict, phase: str):
+    """Add the wall seconds the block takes (``time.perf_counter``) to
+    ``timings[phase]``, also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
+
+
 # -- the modular pipeline ------------------------------------------------------
 
 
@@ -162,21 +175,26 @@ def stage_seeds(seed: int) -> dict:
 
 def meta_train_stage(cfg: ExperimentConfig, seed: int, *,
                      sources: tuple[ScenarioSpec, ...] | None = None,
-                     aggregator: str = "maml"):
+                     aggregator: str = "maml", timings: dict | None = None):
     """Collect source experience and aggregate it into an initialization
-    of the target-shaped dynamics model; returns (g0, phi)."""
+    of the target-shaped dynamics model; returns (g0, phi). Adds the wall
+    seconds of the two steps to ``timings`` as ``collect_s`` and
+    ``meta_train_s``."""
     if aggregator not in ("maml", "seq"):
         raise ConfigurationError(f"unknown aggregator {aggregator!r}")
+    timings = {} if timings is None else timings
     seeds = stage_seeds(seed)
-    datasets = collect_source_datasets(cfg, seeds["collect"], sources)
+    with timed(timings, "collect_s"):
+        datasets = collect_source_datasets(cfg, seeds["collect"], sources)
     lanes = cfg.target.network.lanes_per_intersection
     n_grids = cfg.target.network.state_grids
     g0 = DynamicsModel(default_dynamics_net(lanes, n_grids, cfg.dyn_hidden,
                                             seed=seeds["net"]),
                        lanes, n_grids)
     train = maml_train if aggregator == "maml" else seq_pretrain
-    phi = train(datasets, cfg.maml, g0, dist_config_for(cfg, cfg.target),
-                seeds["train"])
+    with timed(timings, "meta_train_s"):
+        phi = train(datasets, cfg.maml, g0, dist_config_for(cfg, cfg.target),
+                    seeds["train"])
     return g0, phi
 
 
@@ -212,25 +230,32 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
     """Collect -> meta-train -> adapt -> evaluate greedily, for one seed.
 
     Returns (metrics, artifacts). Artifacts include the adapted models, the
-    meta-trained initialization, the exact interaction count, and held-out
-    dynamics errors for the adapted and un-fine-tuned models.
+    meta-trained initialization, the exact interaction count, held-out
+    dynamics errors for the adapted and un-fine-tuned models, and the wall
+    seconds of each phase (``timings``: ``collect_s``, ``meta_train_s``,
+    ``adapt_s``, ``evaluate_s`` and ``heldout_s``).
     """
     target = cfg.target
+    timings: dict = {}
     g0, phi = meta_train_stage(cfg, seed, sources=sources,
-                               aggregator=aggregator)
-    estimator, dynamics, interactions = adapt_stage(cfg, seed, phi, budget)
-    metrics = evaluate_planner(cfg, estimator, dynamics, seed)
+                               aggregator=aggregator, timings=timings)
+    with timed(timings, "adapt_s"):
+        estimator, dynamics, interactions = adapt_stage(cfg, seed, phi,
+                                                        budget)
+    with timed(timings, "evaluate_s"):
+        metrics = evaluate_planner(cfg, estimator, dynamics, seed)
 
-    held = collect_experience(
-        lambda s: target.make(s), FixedTimeController(),
-        episodes=1, rng=np.random.default_rng(20_000 + seed),
-        city_id="heldout", intervals=target.intervals,
-        interval_s=target.interval_s)
-    dist_cfg = dist_config_for(cfg, target)
-    err_adapted = dynamics_error(dynamics, held, dist_cfg)
-    err_meta = dynamics_error(
-        DynamicsModel(g0.net.with_params(phi), g0.lanes, g0.state_grids),
-        held, dist_cfg)
+    with timed(timings, "heldout_s"):
+        held = collect_experience(
+            lambda s: target.make(s), FixedTimeController(),
+            episodes=1, rng=np.random.default_rng(20_000 + seed),
+            city_id="heldout", intervals=target.intervals,
+            interval_s=target.interval_s)
+        dist_cfg = dist_config_for(cfg, target)
+        err_adapted = dynamics_error(dynamics, held, dist_cfg)
+        err_meta = dynamics_error(
+            DynamicsModel(g0.net.with_params(phi), g0.lanes, g0.state_grids),
+            held, dist_cfg)
 
     artifacts = {
         "interactions": interactions,
@@ -240,6 +265,7 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
         "dynamics": dynamics,
         "phi": phi,
         "g0": g0,
+        "timings": timings,
     }
     return metrics, artifacts
 
@@ -364,6 +390,8 @@ def run_main(cfg: ExperimentConfig) -> RunReport:
             keys = (("interactions", "heldout_dist_adapted",
                      "heldout_dist_meta_init") if cfg.method == "modular"
                     else ("interactions",))
+            if "timings" in art:
+                keys += ("timings",)
             extras["per_seed"][str(seed)] = {k: art[k] for k in keys}
         else:
             raise ConfigurationError(f"unknown method {cfg.method!r}")

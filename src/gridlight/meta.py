@@ -16,11 +16,16 @@ finite differences and is only practical for tiny test models.
 ``adapt`` spends a fixed episode budget on a target city (``spend_budget``):
 the dynamics model starts from the meta-trained parameters, the observation
 estimator starts fresh, and both are fitted on everything collected so far
-after each budgeted episode.
+after each budgeted episode. The two fits are independent, so the estimator
+is fitted in a forked child process (``_forked``) while the parent fits the
+dynamics net over the same minibatches.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -355,6 +360,90 @@ def spend_budget(env_factory: EnvFactory, cfg: AdaptConfig,
         train(TaskDataset.concat(episodes))
 
 
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions in this process, found
+    by library name in ``/proc/self/maps``; None for another BLAS or
+    without ``/proc``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
+                               ("scipy_openblas", "64_"),
+                               ("scipy_openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _forked(fn: Callable[[], object]) -> Callable[[], object]:
+    """Start ``fn()`` in a forked child process (POSIX only). Returns
+    ``wait()``, which reaps the child and returns what ``fn`` returned, or
+    re-raises what it raised. Call ``wait()`` exactly once.
+
+    Until the child is reaped, OpenBLAS runs one thread in each process:
+    its threads spin while they wait for work, so two processes with a
+    BLAS thread per CPU each slow each other down several times over."""
+    blas = _openblas_threads()
+    threads = blas[0]() if blas else 1
+
+    def set_blas_threads(n: int) -> None:
+        if blas:
+            blas[1](n)
+
+    read_fd, write_fd = os.pipe()
+    set_blas_threads(1)
+    try:
+        pid = os.fork()
+    except OSError:
+        set_blas_threads(threads)
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                out = (True, fn())
+            except BaseException as exc:
+                out = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(out, pipe)
+            code = 0
+        finally:
+            os._exit(code)  # skip atexit handlers and inherited stdio buffers
+    os.close(write_fd)
+
+    def wait():
+        try:
+            with open(read_fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            set_blas_threads(threads)
+        if code != 0:
+            raise RuntimeError(f"forked child {pid} ended without a result "
+                               f"(exit code {code})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return wait
+
+
 def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
           schema_id: str, seed: int, *,
           dyn_hidden: tuple[int, ...] = (128, 128),
@@ -367,7 +456,11 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
     The dynamics net starts from the meta-trained parameters, the estimator
     from scratch. After each budgeted episode (driven by the current
     epsilon-greedy planner) each net is fitted to its own block distance on
-    all records collected so far, both over the same minibatches.
+    all records collected so far, both over the same minibatches, drawn
+    before either fit starts: the estimator in a forked child that sends back
+    the fitted net and its Adam state, the dynamics net meanwhile in this
+    process. No child outlives a call to ``train``, whether it returns or
+    raises.
     """
     scenario = env_factory.scenario
     if schema_id != scenario.schema:
@@ -403,12 +496,16 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
                                  PolicyConfig(epsilon=epsilon), value_cfg, rng)
 
     def train(ds: TaskDataset) -> None:
+        nonlocal opt_f
         batches = list(nn.epoch_batches(train_rng, len(ds), cfg.batch_size,
                                         cfg.epochs_per_episode))
-        estimator.net = nn.fit(estimator.net, f_loss, ds.obs, ds.state,
-                               opt_f, batches)
-        dynamics.net = nn.fit(dynamics.net, g_loss, *_dynamics_xy(
-            ds, lanes, n_grids), opt_g, batches)
+        wait = _forked(lambda: (nn.fit(estimator.net, f_loss, ds.obs,
+                                       ds.state, opt_f, batches), opt_f))
+        try:
+            dynamics.net = nn.fit(dynamics.net, g_loss, *_dynamics_xy(
+                ds, lanes, n_grids), opt_g, batches)
+        finally:
+            estimator.net, opt_f = wait()
 
     spend_budget(env_factory, cfg, controller, train,
                  np.random.default_rng(seeds[2]))

@@ -258,13 +258,29 @@ def test_run_main_csv_bytes_reproducible(tmp_path, method):
     assert csv_path.read_bytes() == first
 
 
+# sha256 of the tiny modular run's metrics.csv, recorded before the phase
+# timings existed: wall times must not reach the CSV
+GOLDEN_MODULAR_CSV = \
+    "aced7d5b36b6bbd51963f9430289dd78646550856c1a6b07c4f900d9309e6549"
+
+
 def test_run_main_modular_reports_interactions(tmp_path):
+    """Interaction counts and per-phase wall seconds reach report.json;
+    metrics.csv has the bytes it had before the timings existed."""
     cfg = tiny_config(tmp_path, seeds=(0,))
     report = run_main(cfg)
     per_seed = report.extras["per_seed"]["0"]
     assert per_seed["interactions"] == cfg.adapt.target_episode_budget
     assert np.isfinite(report.mean_travel)
-    assert (Path(cfg.out_dir) / "main-modular" / "report.json").exists()
+    out = Path(cfg.out_dir) / "main-modular"
+    timings = json.loads((out / "report.json").read_text()
+                         )["extras"]["per_seed"]["0"]["timings"]
+    assert set(timings) == {"collect_s", "meta_train_s", "adapt_s",
+                            "evaluate_s", "heldout_s"}
+    assert all(t > 0 for t in timings.values())
+    assert sum(timings.values()) <= report.wall_clock_s
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()
+                          ).hexdigest() == GOLDEN_MODULAR_CSV
 
 
 def test_run_ablation_outputs(tmp_path):

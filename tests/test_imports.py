@@ -1,10 +1,15 @@
-"""Source hygiene: every imported name is used. No linter ships with the
-project, so this scan stands in for one."""
+"""Source hygiene: every imported name is used, and importing the program
+stays cheap. No linter ships with the project, so this scan stands in for
+one."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from perfbench.workloads import PROGRAM_MODULES
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted(
@@ -45,3 +50,19 @@ def test_scan_finds_an_unused_import():
     tree = ast.parse("import os\nimport sys as system\n"
                      "from a import b, c\n__all__ = ['c']\nprint(os)\n")
     assert unused_imports(tree) == ["line 2: system", "line 3: b"]
+
+
+# Standard-library packages the program must not load on import:
+# ``concurrent.futures`` alone pulls in ``logging`` and costs several
+# milliseconds, a noticeable share of the benchmark's setup time.
+HEAVY_MODULES = ("multiprocessing", "concurrent.futures", "logging")
+
+
+def test_program_import_loads_no_heavy_modules():
+    code = ("import importlib, sys\n"
+            f"for name in {sorted(PROGRAM_MODULES.values())!r}:\n"
+            "    importlib.import_module(name)\n"
+            f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src",
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

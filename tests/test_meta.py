@@ -1,13 +1,18 @@
 """Meta-training and adaptation tests: experience collection counts and
 determinism, the two-loop trainer against the scalar hand oracle (verified
-numerically before these values were frozen), budget discipline, and
-offline estimator training."""
+numerically before these values were frozen), budget discipline, offline
+estimator training, and the forked child that fits the estimator during
+adaptation."""
 
 import hashlib
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
+from gridlight import nn
 from gridlight.baselines import FixedTimeController, MaxPressureController
 from gridlight.errors import ConfigurationError, ShapeError
 from gridlight.harness.config import desk_city_c
@@ -16,6 +21,8 @@ from gridlight.meta import (
     AdaptConfig,
     MamlConfig,
     TaskDataset,
+    _forked,
+    _openblas_threads,
     _mean_distance,
     adapt,
     collect_experience,
@@ -291,6 +298,110 @@ def test_golden_adapt_pin():
                      dyn_hidden=(32,), estimator_hidden=(16,))
     assert tuple(hashlib.sha256(m.net.params.tobytes()).hexdigest()
                  for m in (est, dyn)) == GOLDEN_ADAPT
+
+
+# -- the forked child of adaptation ------------------------------------------
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_returns_the_childs_result():
+    wait = _forked(lambda: (os.getpid(), np.arange(3.0)))
+    pid, values = wait()
+    assert pid != os.getpid()
+    assert values.tolist() == [0.0, 1.0, 2.0]
+    assert_no_child_left()
+
+
+def test_forked_reraises_the_childs_error_with_its_type_and_message():
+    def fail():
+        raise ConfigurationError("lr must be > 0, got -1")
+
+    wait = _forked(fail)
+    with pytest.raises(ConfigurationError) as exc:
+        wait()
+    assert str(exc.value) == "lr must be > 0, got -1"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("die, code", [
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+], ids=["exit-3", "sigkill"])
+def test_forked_child_dying_without_a_result_raises(die, code):
+    wait = _forked(die)
+    with pytest.raises(RuntimeError,
+                       match=rf"without a result \(exit code {code}\)"):
+        wait()
+    assert_no_child_left()
+
+
+def test_forked_runs_blas_on_one_thread_until_the_child_is_reaped():
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(2)
+    try:
+        wait = _forked(get_threads)
+        during = get_threads()
+        assert (during, wait(), get_threads()) == (1, 1, 2)
+    finally:
+        set_threads(before)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open descriptors")
+def test_forked_closes_its_pipe_when_fork_fails(monkeypatch):
+    def fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        _forked(lambda: None)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def short_adaptation(lr):
+    """An adapt call on a 5-interval city-c target with small nets."""
+    target = desk_city_c(100)
+    net = target.network
+    phi = default_dynamics_net(net.lanes_per_intersection, net.state_grids,
+                               hidden=(16,), seed=2).params
+    cfg = AdaptConfig(lr=lr, target_episode_budget=1, epochs_per_episode=2,
+                      batch_size=16)
+    return adapt(phi, EnvFactory(target), cfg, target.schema, seed=0,
+                 dyn_hidden=(16,), estimator_hidden=(8,))
+
+
+def test_adapt_reaps_the_child_when_the_dynamics_fit_raises(monkeypatch):
+    parent, real_fit = os.getpid(), nn.fit
+
+    def fit(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("dynamics fit failed")
+        time.sleep(0.2)  # the child is still fitting when the parent fails
+        return real_fit(*args)
+
+    monkeypatch.setattr(nn, "fit", fit)
+    with pytest.raises(RuntimeError, match="dynamics fit failed"):
+        short_adaptation(1e-3)
+    assert_no_child_left()
+
+
+def test_diverging_adaptation_raises_in_both_processes():
+    """Adam moves every parameter by about ``lr`` per step, so two steps
+    at 1e308 overflow both nets: the dynamics fit raises in this process,
+    then the estimator's error from the child follows it."""
+    with np.errstate(all="ignore"), \
+            pytest.raises(ConfigurationError, match="NaN or Inf") as exc:
+        short_adaptation(1e308)
+    assert isinstance(exc.value.__context__, ConfigurationError)
+    assert_no_child_left()
 
 
 # -- offline estimator training ----------------------------------------------
