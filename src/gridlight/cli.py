@@ -8,8 +8,9 @@ Exit codes: 0 success, 2 configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .harness.runners import (
     adapt_stage,
     baseline_controller,
     collect_source_datasets,
-    dist_config_for,
     evaluate_controller,
     evaluate_planner,
     meta_train_stage,
@@ -38,9 +38,8 @@ from .harness.runners import (
     run_offline_case,
     run_source_selection,
     stage_seeds,
-    value_config_for,
 )
-from .planner import DynamicsModel
+from .planner import DynamicsModel, default_dynamics_net
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -52,6 +51,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, seeds=(args.seed,))
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
+    cfg.validate()
     return cfg
 
 
@@ -77,24 +77,40 @@ def _cmd_collect(args) -> int:
     cfg = _load_config(args)
     datasets = collect_source_datasets(cfg,
                                        stage_seeds(cfg.seeds[0])["collect"])
+    out = Path(cfg.out_dir) / "datasets"
     for ds in datasets:
-        path = Path(cfg.out_dir) / "datasets" / f"{ds.city_id}.jsonl"
+        path = out / f"{ds.city_id}.jsonl"
         io.save_dataset(path, ds)
         print(f"wrote {len(ds)} records to {path}")
+    io.write_manifest(out / "manifest.json", cfg.to_json(), cfg.seeds)
     return 0
+
+
+def _collected_datasets(cfg: ExperimentConfig) -> list:
+    """The source datasets that ``collect`` wrote under this config."""
+    out = Path(cfg.out_dir) / "datasets"
+    paths = [out / "manifest.json",
+             *(out / f"{src.name}.jsonl" for src in cfg.sources)]
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        raise ConfigurationError(
+            f"no collected datasets at {missing}; run collect first")
+    manifest = json.loads(paths[0].read_text(encoding="utf-8"))
+    if manifest.get("config_digest") != io.config_digest(cfg.to_json()):
+        raise ConfigurationError(
+            f"the datasets in {out} were collected under another config or "
+            f"seed; run collect again")
+    return [io.load_dataset(p) for p in paths[1:]]
 
 
 def _cmd_meta_train(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    g0, phi = meta_train_stage(cfg, seed)
+    g0, phi = meta_train_stage(cfg, seed, _collected_datasets(cfg))
     path = Path(cfg.out_dir) / "meta" / "initialization.json"
     io.save_checkpoint(
         path, None, DynamicsModel(g0.net.with_params(phi), g0.lanes,
                                   g0.state_grids),
-        value_params=asdict(value_config_for(cfg, cfg.target)),
-        dist_params=asdict(dist_config_for(cfg, cfg.target)),
-        policy_params={"epsilon": cfg.adapt.epsilon0},
         provenance={"source_cities": [s.name for s in cfg.sources],
                     "meta_iters": cfg.maml.meta_iterations, "seed": seed})
     print(f"wrote meta-trained checkpoint to {path}")
@@ -104,15 +120,20 @@ def _cmd_meta_train(args) -> int:
 def _cmd_adapt(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    ck = io.load_checkpoint(args.checkpoint)
-    estimator, dynamics, interactions = adapt_stage(
-        cfg, seed, ck["dynamics"].net.params)
+    dyn = io.load_checkpoint(args.checkpoint)["dynamics"]
+    net = cfg.target.network
+    sizes = default_dynamics_net(net.lanes_per_intersection, net.state_grids,
+                                 cfg.dyn_hidden).layer_sizes
+    if dyn.net.layer_sizes != sizes:
+        raise ConfigurationError(
+            f"checkpoint dynamics layer_sizes {list(dyn.net.layer_sizes)} do "
+            f"not match target {cfg.target.name!r} with dyn_hidden "
+            f"{list(cfg.dyn_hidden)}: {list(sizes)}")
+    estimator, dynamics, interactions = adapt_stage(cfg, seed,
+                                                    dyn.net.params)
     path = Path(cfg.out_dir) / "adapted" / "checkpoint.json"
     io.save_checkpoint(
         path, estimator, dynamics,
-        value_params=asdict(value_config_for(cfg, cfg.target)),
-        dist_params=asdict(dist_config_for(cfg, cfg.target)),
-        policy_params={"epsilon": 0.0},
         provenance={"source_cities": [s.name for s in cfg.sources],
                     "meta_iters": cfg.maml.meta_iterations, "seed": seed,
                     "interactions": interactions})
@@ -195,7 +216,7 @@ def _cmd_offline(args) -> int:
 def _cmd_curve(args) -> int:
     cfg = _load_config(args)
     fractions = tuple(float(f) for f in args.fractions.split(","))
-    rows = run_data_volume_curve(cfg, fractions, full_budget=args.full_budget)
+    rows = run_data_volume_curve(cfg, fractions)
     for r in rows:
         print(f"fraction={r['fraction']} seed={r['seed']}: "
               f"travel={r['travel_time']:.2f}")
@@ -253,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="travel time vs interaction budget")
     p.add_argument("--fractions", type=str, default="0.25,0.5,1.0")
-    p.add_argument("--full-budget", type=int, default=10)
     p.set_defaults(fn=_cmd_curve)
 
     return parser

@@ -144,6 +144,13 @@ class ExperimentConfig:
                     )
         if self.collect_episodes < 1:
             raise ConfigurationError("collect_episodes must be >= 1")
+        if self.horizon < 0:
+            raise ConfigurationError(
+                f"horizon must be >= 0, got {self.horizon}")
+        for name in ("step_discount", "block_discount", "dist_discount"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1], got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -241,7 +248,7 @@ def default_experiment(method: str = "modular", out_dir: str = "runs",
         target=desk_city_c(),
         method=method,
         maml=MamlConfig(inner_lr=2e-4, outer_lr=1e-3, meta_iterations=150,
-                        task_batch_size=2, outer_optimizer="adam"),
+                        task_batch_size=2),
         adapt=AdaptConfig(lr=1e-3, target_episode_budget=5,
                           epochs_per_episode=20),
         seeds=seeds,

@@ -124,9 +124,9 @@ def _net_from_fragment(doc: dict, where: str) -> nn.Net:
 
 
 def save_checkpoint(path, estimator: StateEstimator | None,
-                    dynamics: DynamicsModel, value_params: dict,
-                    dist_params: dict, policy_params: dict,
-                    provenance: dict) -> None:
+                    dynamics: DynamicsModel, provenance: dict) -> None:
+    """The two nets and ``provenance``. Planning settings stay in the
+    experiment config, which ``evaluate`` reads."""
     doc = {
         "repr": None if estimator is None else {
             **_net_fragment(estimator.net),
@@ -139,9 +139,6 @@ def save_checkpoint(path, estimator: StateEstimator | None,
             "lanes": dynamics.lanes,
             "state_grids": dynamics.state_grids,
         },
-        "value_params": value_params,
-        "dist_params": dist_params,
-        "policy_params": policy_params,
         "provenance": provenance,
     }
     write_json(path, doc)

@@ -139,14 +139,12 @@ def timed(timings: dict, phase: str):
 # -- the modular pipeline ------------------------------------------------------
 
 
-def collect_source_datasets(cfg: ExperimentConfig, seed_seq,
-                            sources: tuple[ScenarioSpec, ...] | None = None
-                            ) -> list[TaskDataset]:
+def collect_source_datasets(cfg: ExperimentConfig,
+                            seed_seq) -> list[TaskDataset]:
     """Source-city experience under max-pressure control with epsilon-random
-    phases mixed in for coverage."""
-    sources = cfg.sources if sources is None else sources
+    phases mixed in for coverage, one dataset per ``cfg.sources`` entry."""
     datasets = []
-    for i, src in enumerate(sources):
+    for src in cfg.sources:
         child = np.random.default_rng(seed_seq.spawn(1)[0])
         behavior = EpsilonMixController(
             MaxPressureController(), cfg.behavior_epsilon,
@@ -173,40 +171,30 @@ def stage_seeds(seed: int) -> dict:
             "train": _draw_seed(train_seq), "adapt": _draw_seed(adapt_seq)}
 
 
-def meta_train_stage(cfg: ExperimentConfig, seed: int, *,
-                     sources: tuple[ScenarioSpec, ...] | None = None,
-                     aggregator: str = "maml", timings: dict | None = None):
-    """Collect source experience and aggregate it into an initialization
-    of the target-shaped dynamics model; returns (g0, phi). Adds the wall
-    seconds of the two steps to ``timings`` as ``collect_s`` and
-    ``meta_train_s``."""
+def meta_train_stage(cfg: ExperimentConfig, seed: int,
+                     datasets: list[TaskDataset], *, aggregator: str = "maml"):
+    """Aggregate the source datasets into an initialization of the
+    target-shaped dynamics model; returns (g0, phi)."""
     if aggregator not in ("maml", "seq"):
         raise ConfigurationError(f"unknown aggregator {aggregator!r}")
-    timings = {} if timings is None else timings
     seeds = stage_seeds(seed)
-    with timed(timings, "collect_s"):
-        datasets = collect_source_datasets(cfg, seeds["collect"], sources)
     lanes = cfg.target.network.lanes_per_intersection
     n_grids = cfg.target.network.state_grids
     g0 = DynamicsModel(default_dynamics_net(lanes, n_grids, cfg.dyn_hidden,
                                             seed=seeds["net"]),
                        lanes, n_grids)
     train = maml_train if aggregator == "maml" else seq_pretrain
-    with timed(timings, "meta_train_s"):
-        phi = train(datasets, cfg.maml, g0, dist_config_for(cfg, cfg.target),
-                    seeds["train"])
+    phi = train(datasets, cfg.maml, g0, dist_config_for(cfg, cfg.target),
+                seeds["train"])
     return g0, phi
 
 
-def adapt_stage(cfg: ExperimentConfig, seed: int, phi: np.ndarray,
-                budget: int | None = None):
+def adapt_stage(cfg: ExperimentConfig, seed: int, phi: np.ndarray):
     """Adapt ``phi`` to the target city within the episode budget; returns
     (estimator, dynamics, target interactions consumed)."""
-    adapt_cfg = (cfg.adapt if budget is None
-                 else replace(cfg.adapt, target_episode_budget=budget))
     factory = EnvFactory(cfg.target)
     estimator, dynamics = adapt(
-        phi, factory, adapt_cfg, cfg.target.schema, stage_seeds(seed)["adapt"],
+        phi, factory, cfg.adapt, cfg.target.schema, stage_seeds(seed)["adapt"],
         dyn_hidden=cfg.dyn_hidden, estimator_hidden=cfg.estimator_hidden,
         value_cfg=value_config_for(cfg, cfg.target),
         dist_cfg=dist_config_for(cfg, cfg.target))
@@ -224,9 +212,7 @@ def evaluate_planner(cfg: ExperimentConfig, estimator: StateEstimator,
 
 
 def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
-                     sources: tuple[ScenarioSpec, ...] | None = None,
-                     aggregator: str = "maml",
-                     budget: int | None = None):
+                     aggregator: str = "maml"):
     """Collect -> meta-train -> adapt -> evaluate greedily, for one seed.
 
     Returns (metrics, artifacts). Artifacts include the adapted models, the
@@ -237,11 +223,13 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
     """
     target = cfg.target
     timings: dict = {}
-    g0, phi = meta_train_stage(cfg, seed, sources=sources,
-                               aggregator=aggregator, timings=timings)
+    with timed(timings, "collect_s"):
+        datasets = collect_source_datasets(cfg, stage_seeds(seed)["collect"])
+    with timed(timings, "meta_train_s"):
+        g0, phi = meta_train_stage(cfg, seed, datasets, aggregator=aggregator)
+    del datasets  # adaptation, the peak of memory, needs only phi
     with timed(timings, "adapt_s"):
-        estimator, dynamics, interactions = adapt_stage(cfg, seed, phi,
-                                                        budget)
+        estimator, dynamics, interactions = adapt_stage(cfg, seed, phi)
     with timed(timings, "evaluate_s"):
         metrics = evaluate_planner(cfg, estimator, dynamics, seed)
 
@@ -500,9 +488,9 @@ def run_source_selection(cfg: ExperimentConfig) -> dict:
                 continue
             travels, queues = [], []
             for seed in cfg.seeds:
-                sub = replace(cfg, target=dst,
+                sub = replace(cfg, sources=(src,), target=dst,
                               maml=replace(cfg.maml, task_batch_size=1))
-                metrics, _ = modular_pipeline(sub, seed, sources=(src,))
+                metrics, _ = modular_pipeline(sub, seed)
                 travels.append(metrics.avg_travel_time_s)
                 queues.append(metrics.avg_queue_length)
                 rows.append({
@@ -601,11 +589,12 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
             "per_seed": per_seed}
 
 
-def run_data_volume_curve(cfg: ExperimentConfig, fractions=(0.25, 0.5, 1.0),
-                          full_budget: int = 10) -> list[dict]:
+def run_data_volume_curve(cfg: ExperimentConfig,
+                          fractions=(0.25, 0.5, 1.0)) -> list[dict]:
     """Adaptation quality versus interaction budget: run the pipeline at a
-    ceiling-rounded fraction of the full episode budget and emit one CSV row
-    per (fraction, seed)."""
+    ceiling-rounded fraction of the configured episode budget
+    (``cfg.adapt.target_episode_budget``) and emit one CSV row per
+    (fraction, seed). The fraction-1.0 rows are ``run_main``'s."""
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ConfigurationError(f"fractions must be in (0, 1], got {f}")
@@ -613,9 +602,11 @@ def run_data_volume_curve(cfg: ExperimentConfig, fractions=(0.25, 0.5, 1.0),
     t0 = time.perf_counter()
     rows = []
     for frac in fractions:
-        budget = int(np.ceil(frac * full_budget))
+        budget = int(np.ceil(frac * cfg.adapt.target_episode_budget))
+        sub = replace(cfg, adapt=replace(cfg.adapt,
+                                         target_episode_budget=budget))
         for seed in cfg.seeds:
-            metrics, art = modular_pipeline(cfg, seed, budget=budget)
+            metrics, _ = modular_pipeline(sub, seed)
             rows.append({
                 "fraction": frac,
                 "budget_episodes": budget,

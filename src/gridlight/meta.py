@@ -147,7 +147,7 @@ class MamlConfig:
     inner_steps: int = 1
     first_order: bool = True
     batch_size: int = 256
-    outer_optimizer: str = "sgd"
+    outer_optimizer: str = "adam"
 
     def __post_init__(self):
         if self.inner_lr < 0 or self.outer_lr < 0:
@@ -238,7 +238,8 @@ def maml_run(theta0: np.ndarray, tasks: Sequence, cfg: MamlConfig,
         )
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    opt = nn.optimizer(cfg.outer_optimizer, cfg.outer_lr)
+    opt = (nn.Adam(lr=cfg.outer_lr) if cfg.outer_optimizer == "adam"
+           else nn.SGD(cfg.outer_lr))
     for _ in range(cfg.meta_iterations):
         chosen = sorted(rng.choice(len(tasks), size=cfg.task_batch_size,
                                    replace=False))
@@ -445,12 +446,9 @@ def _forked(fn: Callable[[], object]) -> Callable[[], object]:
 
 
 def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
-          schema_id: str, seed: int, *,
-          dyn_hidden: tuple[int, ...] = (128, 128),
-          estimator_hidden: tuple[int, ...] = (32, 32),
-          value_cfg: ValueConfig | None = None,
-          dist_cfg: DistanceConfig | None = None
-          ) -> tuple[StateEstimator, DynamicsModel]:
+          schema_id: str, seed: int, *, dyn_hidden: tuple[int, ...],
+          estimator_hidden: tuple[int, ...], value_cfg: ValueConfig,
+          dist_cfg: DistanceConfig) -> tuple[StateEstimator, DynamicsModel]:
     """Adapt to a target city within an exact episode budget.
 
     The dynamics net starts from the meta-trained parameters, the estimator
@@ -471,10 +469,6 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
     net = scenario.network
     lanes = net.lanes_per_intersection
     n_grids = net.state_grids
-    if value_cfg is None:
-        value_cfg = ValueConfig(2, 0.9, 0.8, n_grids, net.pass_capacity)
-    if dist_cfg is None:
-        dist_cfg = DistanceConfig(0.8, n_grids, net.pass_capacity)
 
     seeds = np.random.SeedSequence(seed).spawn(3)
     init_rng = np.random.default_rng(seeds[0])
@@ -513,11 +507,9 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
 
 
 def offline_train_repr(logged: TaskDataset, schema_id: str, epochs: int,
-                       lr: float, *,
+                       lr: float, *, dist_cfg: DistanceConfig,
                        hidden: tuple[int, ...] = (32, 32),
-                       dist_cfg: DistanceConfig | None = None,
-                       batch_size: int | None = 128,
-                       optimizer: str = "adam",
+                       batch_size: int = 128,
                        seed: int = 0) -> StateEstimator:
     """Train the observation-to-state estimator purely on a logged
     dataset's observations and states; no environment interaction happens
@@ -530,12 +522,10 @@ def offline_train_repr(logged: TaskDataset, schema_id: str, epochs: int,
             f"expected {schema_id!r}"
         )
     lanes, n_grids = logged.state.shape[1:]
-    if dist_cfg is None:
-        dist_cfg = DistanceConfig(0.8, n_grids, max(1, n_grids // 3))
     f_net = nn.fit(
         default_estimator_net(schema_id, n_grids, hidden, seed=seed),
         rowwise_block_distance_loss(dist_cfg, lanes), logged.obs,
-        logged.state, nn.optimizer(optimizer, lr),
+        logged.state, nn.Adam(lr=lr),
         nn.epoch_batches(np.random.default_rng(seed), len(logged),
                          batch_size, epochs))
     return StateEstimator(f_net, schema_id, lanes, n_grids)

@@ -177,11 +177,6 @@ def loss_and_grad(net: Net, loss_fn: LossFn, inputs, targets,
     return float(loss), grad_vec
 
 
-def grad(net: Net, loss_fn: LossFn, inputs, targets) -> np.ndarray:
-    """Gradient of the mean batch loss w.r.t. all parameters."""
-    return loss_and_grad(net, loss_fn, inputs, targets)[1]
-
-
 def _step_operands(params, grad_vec) -> tuple[np.ndarray, np.ndarray]:
     params = np.asarray(params, dtype=np.float64)
     grad_vec = np.asarray(grad_vec, dtype=np.float64)
@@ -232,25 +227,14 @@ class Adam:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def optimizer(name: str, lr: float) -> SGD | Adam:
-    """A fresh optimizer by name: ``"sgd"`` or ``"adam"``."""
-    if name == "sgd":
-        return SGD(lr)
-    if name == "adam":
-        return Adam(lr=lr)
-    raise ConfigurationError(f"optimizer must be 'sgd' or 'adam', got {name!r}")
-
-
-def epoch_batches(rng: np.random.Generator, m: int, batch_size: int | None,
+def epoch_batches(rng: np.random.Generator, m: int, batch_size: int,
                   epochs: int):
-    """Index batches over ``m`` samples for ``epochs`` passes: one
-    permutation per epoch, or every sample in order as one batch when
-    ``batch_size`` is None."""
-    step = m if batch_size is None else batch_size
+    """Index batches over ``m`` samples for ``epochs`` passes, one
+    permutation per epoch."""
     for _ in range(epochs):
-        order = np.arange(m) if batch_size is None else rng.permutation(m)
-        for lo in range(0, m, step):
-            yield order[lo:lo + step]
+        order = rng.permutation(m)
+        for lo in range(0, m, batch_size):
+            yield order[lo:lo + batch_size]
 
 
 def sampled_batches(rng: np.random.Generator, m: int, batch_size: int,

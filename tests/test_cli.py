@@ -17,6 +17,7 @@ from gridlight.planner import (
     default_dynamics_net,
     default_estimator_net,
 )
+from gridlight.sim import Sim
 
 
 @pytest.fixture
@@ -203,7 +204,7 @@ def _checkpoint_doc(tmp_path) -> dict:
         path, StateEstimator(default_estimator_net("SCHEMA_C", grids, (16,)),
                              "SCHEMA_C", lanes, grids),
         DynamicsModel(default_dynamics_net(lanes, grids, (32,)), lanes,
-                      grids), {}, {}, {}, {})
+                      grids), {})
     return json.loads(path.read_text())
 
 
@@ -241,20 +242,98 @@ def test_evaluate_malformed_checkpoint_exit_two(config_path, tmp_path,
     assert message in capsys.readouterr().err
 
 
+@pytest.fixture
+def count_steps(monkeypatch):
+    """The number of ``Sim.step`` calls made so far, as a one-item list."""
+    calls, step = [0], Sim.step
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(Sim, "step", counted)
+    return calls
+
+
+def test_old_checkpoint_with_planning_fields_evaluates(config_path, tmp_path):
+    """Checkpoints once also stored value, distance and policy settings;
+    such a document still loads, and evaluate plans with the config's."""
+    doc = {**_checkpoint_doc(tmp_path), "value_params": {"horizon": 2},
+           "dist_params": {"block_discount": 0.8},
+           "policy_params": {"epsilon": 0.0}}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["--config", str(config_path), "evaluate", "--checkpoint",
+               str(path)])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", -1), ("step_discount", 1.5), ("block_discount", 2.0),
+    ("dist_discount", -0.5)])
+def test_run_rejects_out_of_range_planning_values_up_front(
+        config_path, capsys, count_steps, field, value):
+    doc = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps(
+        {**doc, "method": "modular", field: value}))
+    rc = main(["--config", str(config_path), "run"])
+    assert rc == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert count_steps == [0]
+
+
 def test_collect_writes_datasets(config_path, capsys):
     rc = main(["--config", str(config_path), "collect"])
     assert rc == 0
     out_dir = Path(json.loads(config_path.read_text())["out_dir"])
     assert (out_dir / "datasets" / "city-a.jsonl").exists()
     assert (out_dir / "datasets" / "city-b.jsonl").exists()
+    manifest = json.loads(
+        (out_dir / "datasets" / "manifest.json").read_text())
+    assert manifest["seeds"] == [0]
+
+
+def test_meta_train_needs_datasets_of_this_config(config_path, capsys):
+    """meta-train reads what collect wrote: without datasets, or with
+    datasets collected under another seed, it exits 2 and writes no
+    checkpoint."""
+    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+    cfg = ["--config", str(config_path)]
+    assert main(cfg + ["meta-train"]) == 2
+    assert "run collect first" in capsys.readouterr().err
+    assert main(cfg + ["--seed", "5", "collect"]) == 0
+    assert main(cfg + ["meta-train"]) == 2
+    assert "collected under another config" in capsys.readouterr().err
+    assert not (out_dir / "meta").exists()
+
+
+def test_adapt_rejects_checkpoint_of_other_hidden_sizes(config_path, capsys,
+                                                       count_steps):
+    """A checkpoint meta-trained with "dyn_hidden": [32] does not fit a
+    [64] config: adapt exits 2 before any target episode."""
+    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+    assert main(["--config", str(config_path), "collect"]) == 0
+    assert main(["--config", str(config_path), "meta-train"]) == 0
+    doc = json.loads(config_path.read_text())
+    wide = config_path.with_name("wide.json")
+    wide.write_text(json.dumps({**doc, "dyn_hidden": [64]}))
+    steps = count_steps[0]
+    rc = main(["--config", str(wide), "adapt", "--checkpoint",
+               str(out_dir / "meta" / "initialization.json")])
+    assert rc == 2
+    assert "layer_sizes" in capsys.readouterr().err
+    assert count_steps[0] == steps
+    assert not (out_dir / "adapted").exists()
 
 
 def test_meta_train_adapt_evaluate_chain(config_path, capsys):
+    assert main(["--config", str(config_path), "collect"]) == 0
     rc = main(["--config", str(config_path), "meta-train"])
     assert rc == 0
     out_dir = Path(json.loads(config_path.read_text())["out_dir"])
     ck = out_dir / "meta" / "initialization.json"
     assert ck.exists()
+    assert set(json.loads(ck.read_text())) == {"repr", "dyn", "provenance"}
 
     rc = main(["--config", str(config_path), "adapt",
                "--checkpoint", str(ck)])
@@ -277,6 +356,7 @@ def test_stage_chain_reproduces_run(config_path):
     config_path.write_text(json.dumps(doc))
     out_dir = Path(doc["out_dir"])
     cfg = ["--config", str(config_path)]
+    assert main(cfg + ["collect"]) == 0
     assert main(cfg + ["meta-train"]) == 0
     assert main(cfg + ["adapt", "--checkpoint",
                        str(out_dir / "meta" / "initialization.json")]) == 0
@@ -288,6 +368,7 @@ def test_stage_chain_reproduces_run(config_path):
 
 
 def test_evaluate_rejects_unadapted_checkpoint(config_path):
+    main(["--config", str(config_path), "collect"])
     main(["--config", str(config_path), "meta-train"])
     out_dir = Path(json.loads(config_path.read_text())["out_dir"])
     ck = out_dir / "meta" / "initialization.json"
@@ -300,6 +381,7 @@ def test_evaluate_rejects_checkpoint_for_another_target(config_path,
                                                        tmp_path, capsys):
     """A city-c checkpoint against a city-b target fails up front with a
     configuration error, before any episode runs."""
+    main(["--config", str(config_path), "collect"])
     main(["--config", str(config_path), "meta-train"])
     out_dir = Path(json.loads(config_path.read_text())["out_dir"])
     main(["--config", str(config_path), "adapt", "--checkpoint",
@@ -324,7 +406,7 @@ def test_seed_override(config_path, capsys):
 
 def test_curve_command(config_path, capsys):
     rc = main(["--config", str(config_path), "curve",
-               "--fractions", "0.5,1.0", "--full-budget", "2"])
+               "--fractions", "0.5,1.0"])
     assert rc == 0
     out_dir = Path(json.loads(config_path.read_text())["out_dir"])
     assert (out_dir / "curve" / "curve.csv").exists()

@@ -376,13 +376,19 @@ def test_offline_case_rejects_counted_offline_interactions(tmp_path,
 
 def test_data_volume_curve_budgets(tmp_path):
     cfg = tiny_config(tmp_path, seeds=(0,))
-    rows = run_data_volume_curve(cfg, fractions=(0.25, 0.5, 1.0),
-                                 full_budget=10)
+    cfg = replace(cfg, adapt=replace(cfg.adapt, target_episode_budget=4))
+    rows = run_data_volume_curve(cfg, fractions=(0.25, 0.5, 1.0))
     budgets = sorted({r["budget_episodes"] for r in rows})
-    assert budgets == [3, 5, 10]  # ceiling of fraction * 10
+    assert budgets == [1, 2, 4]  # ceiling of fraction * the config's 4
     csv_path = Path(cfg.out_dir) / "curve" / "curve.csv"
     header = csv_path.read_text().split("\n")[0]
     assert header == "fraction,budget_episodes,seed,travel_time,queue_length"
+    # the full budget is the one run spends, so its row is run's row
+    full = rows[-1]
+    assert (full["fraction"], full["budget_episodes"]) == (1.0, 4)
+    (main,) = run_main(cfg).rows
+    assert (full["travel_time"], full["queue_length"]) == (
+        main["avg_travel_time"], main["avg_queue_length"])
     with pytest.raises(ConfigurationError):
         run_data_volume_curve(cfg, fractions=(0.0,))
 
@@ -393,9 +399,6 @@ def test_checkpoint_roundtrip(tmp_path):
     dyn = DynamicsModel(default_dynamics_net(12, 12, (16,), seed=2), 12, 12)
     path = tmp_path / "ck.json"
     io.save_checkpoint(path, est, dyn,
-                       value_params={"horizon": 2},
-                       dist_params={"block_discount": 0.8},
-                       policy_params={"epsilon": 0.0},
                        provenance={"source_cities": ["a"], "meta_iters": 5,
                                    "seed": 0})
     ck = io.load_checkpoint(path)
@@ -407,7 +410,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_rejects_nonfinite(tmp_path):
     dyn = DynamicsModel(default_dynamics_net(12, 12, (16,), seed=2), 12, 12)
     path = tmp_path / "ck.json"
-    io.save_checkpoint(path, None, dyn, {}, {}, {}, {})
+    io.save_checkpoint(path, None, dyn, {})
     doc = json.loads(path.read_text())
     doc["dyn"]["params"][0] = float("nan")
     path.write_text(json.dumps(doc))

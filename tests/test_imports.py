@@ -66,3 +66,46 @@ def test_program_import_loads_no_heavy_modules():
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src",
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Top-level functions and classes that nothing in ``src/`` refers to, each
+# kept for a reason outside the program.
+UNREFERENCED_ALLOWED = {
+    "state_distance": "acceptance oracle for the block-distance loss",
+    "grad_check": "acceptance oracle for the gradients",
+    "select_action": "called and patched by perfbench",
+    "squared_error_loss": "called by perfbench",
+    "training_loss": "the estimator's distance on a dataset; tests call it, "
+                     "and run reports are to carry it",
+}
+
+
+def unreferenced_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """``module:name`` of each top-level function or class in ``trees``
+    whose name no module reads, as a variable or as an attribute."""
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(
+        f"{module}:{node.name}" for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used)
+
+
+def test_every_definition_is_referenced_or_allowed():
+    trees = {str(p.relative_to(ROOT / "src")): ast.parse(p.read_text())
+             for p in sorted((ROOT / "src").rglob("*.py"))}
+    flagged = {entry.split(":")[1] for entry in unreferenced_definitions(trees)}
+    assert flagged == set(UNREFERENCED_ALLOWED)
+
+
+def test_scan_finds_an_unreferenced_definition():
+    trees = {"a.py": ast.parse("def f():\n    return g()\n\n"
+                               "def g():\n    pass\n\nclass C:\n    pass\n"),
+             "b.py": ast.parse("import a\na.C\n")}
+    assert unreferenced_definitions(trees) == ["a.py:f"]

@@ -38,6 +38,8 @@ from gridlight.planner import (
     DistanceConfig,
     DynamicsModel,
     StateEstimator,
+    ValueConfig,
+    block_distance_loss,
     default_dynamics_net,
     default_estimator_net,
     state_distance,
@@ -241,6 +243,15 @@ def test_dynamics_training_rejects_other_state_layout(train):
 
 # -- adaptation --------------------------------------------------------------
 
+def planning_configs(net):
+    """``adapt``'s value and distance settings at the desk defaults for a
+    network's state layout."""
+    return {"value_cfg": ValueConfig(2, 0.9, 0.8, net.state_grids,
+                                     net.pass_capacity),
+            "dist_cfg": DistanceConfig(0.8, net.state_grids,
+                                       net.pass_capacity)}
+
+
 def test_adapt_consumes_exact_budget_and_improves():
     target = small_scenario(schema="SCHEMA_C", episode_s=400)
     net = target.network
@@ -251,7 +262,8 @@ def test_adapt_consumes_exact_budget_and_improves():
     factory = EnvFactory(target)
     cfg = AdaptConfig(lr=3e-3, target_episode_budget=2, epochs_per_episode=4)
     est, dyn_t = adapt(dyn.net.params, factory, cfg, "SCHEMA_C", seed=0,
-                       dyn_hidden=(32,))
+                       dyn_hidden=(32,), estimator_hidden=(32, 32),
+                       **planning_configs(net))
     assert factory.interactions == 2
     # held-out episode under fixed-time control (not charged to the budget)
     held = collect_experience(
@@ -271,7 +283,8 @@ def test_adapt_schema_mismatch():
     dyn = default_dynamics_net(12, 12, hidden=(16,), seed=0)
     cfg = AdaptConfig(lr=1e-3, target_episode_budget=1)
     with pytest.raises(ConfigurationError):
-        adapt(dyn.params, factory, cfg, "SCHEMA_A", seed=0, dyn_hidden=(16,))
+        adapt(dyn.params, factory, cfg, "SCHEMA_A", seed=0, dyn_hidden=(16,),
+              estimator_hidden=(8,), **planning_configs(target.network))
 
 
 def test_adapt_budget_validation():
@@ -295,7 +308,9 @@ def test_golden_adapt_pin():
     cfg = AdaptConfig(lr=1e-3, target_episode_budget=2, epochs_per_episode=2,
                       batch_size=64, epsilon0=0.3)
     est, dyn = adapt(phi, EnvFactory(target), cfg, target.schema, seed=4,
-                     dyn_hidden=(32,), estimator_hidden=(16,))
+                     dyn_hidden=(32,), estimator_hidden=(16,),
+                     value_cfg=ValueConfig(2, 0.9, 0.8, 12, 4),
+                     dist_cfg=DistanceConfig(0.8, 12, 4))
     assert tuple(hashlib.sha256(m.net.params.tobytes()).hexdigest()
                  for m in (est, dyn)) == GOLDEN_ADAPT
 
@@ -375,7 +390,8 @@ def short_adaptation(lr):
     cfg = AdaptConfig(lr=lr, target_episode_budget=1, epochs_per_episode=2,
                       batch_size=16)
     return adapt(phi, EnvFactory(target), cfg, target.schema, seed=0,
-                 dyn_hidden=(16,), estimator_hidden=(8,))
+                 dyn_hidden=(16,), estimator_hidden=(8,),
+                 **planning_configs(net))
 
 
 def test_adapt_reaps_the_child_when_the_dynamics_fit_raises(monkeypatch):
@@ -422,8 +438,8 @@ def rows(ds, idx):
 def test_offline_train_overfits_single_pair():
     pairs = rows(logged_pairs(), [12] * 4)
     dist_cfg = DistanceConfig(0.8, 12, 4)
-    est0 = offline_train_repr(pairs, "SCHEMA_A", epochs=1, lr=0.0,
-                              optimizer="sgd", dist_cfg=dist_cfg)
+    est0 = offline_train_repr(pairs, "SCHEMA_A", epochs=0, lr=1e-2,
+                              dist_cfg=dist_cfg)
     initial = training_loss(est0, pairs, dist_cfg)
     est = offline_train_repr(pairs, "SCHEMA_A", epochs=400, lr=1e-2,
                              dist_cfg=dist_cfg)
@@ -435,13 +451,14 @@ def test_offline_train_empty_log_rejected():
     # an empty log is refused as soon as it is built
     with pytest.raises(ConfigurationError):
         offline_train_repr(rows(logged_pairs(), []), "SCHEMA_A", epochs=1,
-                           lr=1e-3)
+                           lr=1e-3, dist_cfg=DistanceConfig(0.8, 12, 4))
 
 
 def test_offline_train_schema_mismatch():
     pairs = logged_pairs("SCHEMA_B")
     with pytest.raises(ConfigurationError):
-        offline_train_repr(pairs, "SCHEMA_A", epochs=1, lr=1e-3)
+        offline_train_repr(pairs, "SCHEMA_A", epochs=1, lr=1e-3,
+                           dist_cfg=DistanceConfig(0.8, 12, 4))
 
 
 def test_training_loss_schema_mismatch():
@@ -473,11 +490,14 @@ def test_offline_training_loss_monotone_small_lr():
     # full-batch plain gradient descent at lr=1e-4 on a frozen batch
     pairs = rows(logged_pairs(), slice(0, 40))
     dist_cfg = DistanceConfig(0.8, 12, 4)
+    net0 = default_estimator_net("SCHEMA_A", 12, seed=5)
+    loss_fn = block_distance_loss(dist_cfg, 12)
+    full_batch = [np.arange(len(pairs))]
     losses = []
     for epochs in (0, 1, 2, 4, 8, 16):
-        est = offline_train_repr(pairs, "SCHEMA_A", epochs=epochs, lr=1e-4,
-                                 optimizer="sgd", batch_size=None,
-                                 dist_cfg=dist_cfg, seed=5)
+        net = nn.fit(net0, loss_fn, pairs.obs, pairs.state, nn.SGD(1e-4),
+                     full_batch * epochs)
+        est = StateEstimator(net, "SCHEMA_A", 12, 12)
         losses.append(training_loss(est, pairs, dist_cfg))
     assert all(np.isfinite(losses))
     for earlier, later in zip(losses, losses[1:]):

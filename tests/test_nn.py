@@ -8,6 +8,11 @@ from gridlight import nn
 from gridlight.errors import ConfigurationError, ShapeError
 
 
+def grad(net, loss_fn, inputs, targets):
+    """Gradient of the mean batch loss w.r.t. all parameters."""
+    return nn.loss_and_grad(net, loss_fn, inputs, targets)[1]
+
+
 def test_param_counts():
     assert nn.param_count([4, 1]) == 5
     assert nn.param_count([3, 5, 2]) == 32
@@ -72,7 +77,7 @@ def test_forward_shape_error():
 def test_grad_hand_case():
     # f(x) = w*x + b, loss (f - y)^2 with x=1, y=0, w=3, b=0: dL/dw = 6
     net = nn.net_new([1, 1], "identity", seed=0).with_params(np.array([3.0, 0.0]))
-    g = nn.grad(net, nn.squared_error_loss, np.array([[1.0]]), np.array([[0.0]]))
+    g = grad(net, nn.squared_error_loss, np.array([[1.0]]), np.array([[0.0]]))
     assert g[0] == pytest.approx(6.0)
     assert g[1] == pytest.approx(6.0)
 
@@ -83,7 +88,7 @@ def test_grad_constant_loss_is_zero():
     def constant_loss(pred, target):
         return 3.0, np.zeros_like(pred)
 
-    g = nn.grad(net, constant_loss, np.zeros((4, 2)), np.zeros((4, 2)))
+    g = grad(net, constant_loss, np.zeros((4, 2)), np.zeros((4, 2)))
     assert np.all(g == 0.0)
 
 
@@ -124,8 +129,8 @@ def test_grad_linearity():
         v2, g2 = l2(pred, t)
         return a * v1 + b * v2, a * g1 + b * g2
 
-    g_comb = nn.grad(net, combined, x, y1)
-    g_sep = a * nn.grad(net, l1, x, y1) + b * nn.grad(net, l2, x, y1)
+    g_comb = grad(net, combined, x, y1)
+    g_sep = a * grad(net, l1, x, y1) + b * grad(net, l2, x, y1)
     assert np.max(np.abs(g_comb - g_sep)) < 1e-10
 
 
@@ -133,7 +138,7 @@ def test_forward_and_grad_do_not_mutate():
     net = nn.net_new([2, 4, 1], "softplus", seed=0)
     before = net.params.copy()
     nn.forward(net, np.ones(2))
-    nn.grad(net, nn.squared_error_loss, np.ones((3, 2)), np.zeros((3, 1)))
+    grad(net, nn.squared_error_loss, np.ones((3, 2)), np.zeros((3, 1)))
     assert np.array_equal(net.params, before)
 
 
