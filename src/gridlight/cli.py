@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 
 from .errors import ConfigurationError
 from .harness import io
@@ -25,9 +24,7 @@ from .harness.config import (
 )
 from .harness.runners import (
     adapt_stage,
-    baseline_controller,
     collect_source_datasets,
-    evaluate_controller,
     evaluate_planner,
     meta_train_stage,
     metrics_row,
@@ -37,6 +34,7 @@ from .harness.runners import (
     run_main,
     run_offline_case,
     run_source_selection,
+    seed_rows,
     stage_seeds,
 )
 from .planner import DynamicsModel, default_dynamics_net
@@ -61,14 +59,11 @@ def _cmd_simulate(args) -> int:
     if method not in BASELINE_METHODS:
         raise ConfigurationError(
             f"simulate runs baseline controllers only, got {method!r}")
-    rows = []
-    for seed in cfg.seeds:
-        ctrl = baseline_controller(method, np.random.default_rng([seed, 3]))
-        m = evaluate_controller(cfg.target, ctrl, seed)
-        rows.append(metrics_row(cfg.target, seed, method, m))
-        print(f"{cfg.target.name} seed={seed} {method}: "
-              f"travel={m.avg_travel_time_s:.2f}s "
-              f"queue={m.avg_queue_length:.3f}")
+    rows, _ = seed_rows(cfg.with_method(method))
+    for r in rows:
+        print(f"{cfg.target.name} seed={r['seed']} {method}: "
+              f"travel={r['avg_travel_time']:.2f}s "
+              f"queue={r['avg_queue_length']:.3f}")
     io.write_metrics_csv(Path(cfg.out_dir) / "simulate" / "metrics.csv", rows)
     return 0
 

@@ -70,13 +70,13 @@ class RunReport:
 
     @classmethod
     def from_rows(cls, method: str, rows: list[dict], digest: str,
-                  wall: float, extras: dict | None = None) -> "RunReport":
+                  extras: dict | None = None) -> "RunReport":
         travel = np.array([r["avg_travel_time"] for r in rows], dtype=float)
         queue = np.array([r["avg_queue_length"] for r in rows], dtype=float)
         std = (float(np.std(travel, ddof=1)), float(np.std(queue, ddof=1))) \
             if len(rows) > 1 else (0.0, 0.0)
         return cls(method, rows, float(travel.mean()), std[0],
-                   float(queue.mean()), std[1], digest, wall, extras or {})
+                   float(queue.mean()), std[1], digest, 0.0, extras or {})
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -341,24 +341,46 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
 # -- runners -------------------------------------------------------------------
 
 
-def _finish_report(cfg: ExperimentConfig, method: str, rows: list[dict],
-                   t0: float, extras: dict, out_name: str) -> RunReport:
-    digest = io.config_digest(cfg.to_json())
-    report = RunReport.from_rows(method, rows, digest,
-                                 time.perf_counter() - t0, extras)
-    base = f"{cfg.out_dir}/{out_name}"
-    io.write_metrics_csv(f"{base}/metrics.csv", rows)
-    io.write_json(f"{base}/report.json", report.to_json())
+def seed_rows(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+    """Run ``cfg.method`` once per seed on ``cfg.target``: one metrics row
+    per seed, and the pipeline methods' per-seed extras keyed by seed."""
+    rows = []
+    per_seed = {}
+    for seed in cfg.seeds:
+        if cfg.method in BASELINE_METHODS:
+            ctrl = baseline_controller(
+                cfg.method, np.random.default_rng([seed, 3]))
+            metrics = evaluate_controller(cfg.target, ctrl, seed)
+        elif cfg.method == "monolithic":
+            metrics, art = monolithic_pipeline(cfg, seed)
+            per_seed[str(seed)] = {"interactions": art["interactions"]}
+        elif cfg.method in PIPELINE_METHODS:
+            modular = cfg.method == "modular"
+            metrics, art = modular_pipeline(
+                cfg, seed, aggregator="maml" if modular else "seq")
+            keys = ("interactions", "timings") + (
+                ("heldout_dist_adapted", "heldout_dist_meta_init")
+                if modular else ())
+            per_seed[str(seed)] = {k: art[k] for k in keys}
+        else:
+            raise ConfigurationError(f"unknown method {cfg.method!r}")
+        rows.append(metrics_row(cfg.target, seed, cfg.method, metrics))
+    return rows, per_seed
+
+
+def write_outputs(cfg: ExperimentConfig, name: str, t0: float,
+                  tables: dict, report: dict) -> float:
+    """Write each of ``tables`` (file name -> (columns, rows)) as a CSV,
+    ``report`` with ``wall_clock_s`` (seconds since ``t0``) as
+    ``report.json``, and ``manifest.json``, all under ``<out_dir>/<name>/``.
+    Returns the wall seconds."""
+    wall = time.perf_counter() - t0
+    base = f"{cfg.out_dir}/{name}"
+    for file, (columns, rows) in tables.items():
+        io.write_csv(f"{base}/{file}", columns, rows)
+    io.write_json(f"{base}/report.json", {**report, "wall_clock_s": wall})
     io.write_manifest(f"{base}/manifest.json", cfg.to_json(), cfg.seeds)
-    return report
-
-
-def _pipeline_method(cfg: ExperimentConfig, seed: int):
-    """(metrics, artifacts) of one seed of the configured pipeline method."""
-    if cfg.method == "monolithic":
-        return monolithic_pipeline(cfg, seed)
-    return modular_pipeline(
-        cfg, seed, aggregator="seq" if cfg.method == "seq_pretrain" else "maml")
+    return wall
 
 
 def run_main(cfg: ExperimentConfig) -> RunReport:
@@ -366,26 +388,14 @@ def run_main(cfg: ExperimentConfig) -> RunReport:
     target scenario and aggregate metrics."""
     cfg.validate()
     t0 = time.perf_counter()
-    rows = []
-    extras: dict = {"per_seed": {}}
-    for seed in cfg.seeds:
-        if cfg.method in BASELINE_METHODS:
-            ctrl = baseline_controller(
-                cfg.method, np.random.default_rng([seed, 3]))
-            metrics = evaluate_controller(cfg.target, ctrl, seed)
-        elif cfg.method in PIPELINE_METHODS:
-            metrics, art = _pipeline_method(cfg, seed)
-            keys = (("interactions", "heldout_dist_adapted",
-                     "heldout_dist_meta_init") if cfg.method == "modular"
-                    else ("interactions",))
-            if "timings" in art:
-                keys += ("timings",)
-            extras["per_seed"][str(seed)] = {k: art[k] for k in keys}
-        else:
-            raise ConfigurationError(f"unknown method {cfg.method!r}")
-        rows.append(metrics_row(cfg.target, seed, cfg.method, metrics))
-    return _finish_report(cfg, cfg.method, rows, t0, extras,
-                          f"main-{cfg.method}")
+    rows, per_seed = seed_rows(cfg)
+    report = RunReport.from_rows(cfg.method, rows,
+                                 io.config_digest(cfg.to_json()),
+                                 {"per_seed": per_seed})
+    report.wall_clock_s = write_outputs(
+        cfg, f"main-{cfg.method}", t0,
+        {"metrics.csv": (io.METRICS_COLUMNS, rows)}, report.to_json())
+    return report
 
 
 def run_ablation(cfg: ExperimentConfig) -> dict[str, RunReport]:
@@ -400,31 +410,22 @@ def run_ablation(cfg: ExperimentConfig) -> dict[str, RunReport]:
     cfg.validate()
     t0 = time.perf_counter()
     reports = {}
-    all_rows = []
     for method in PIPELINE_METHODS:
         sub = cfg.with_method(method)
-        rows = []
-        for seed in cfg.seeds:
-            metrics, _ = _pipeline_method(sub, seed)
-            rows.append(metrics_row(cfg.target, seed, method, metrics))
-        all_rows.extend(rows)
+        rows, _ = seed_rows(sub)
         reports[method] = RunReport.from_rows(
-            method, rows, io.config_digest(sub.to_json()), 0.0)
-    wall = time.perf_counter() - t0
+            method, rows, io.config_digest(sub.to_json()))
     directional = {
         "modular_beats_monolithic":
             reports["modular"].mean_travel <= reports["monolithic"].mean_travel,
         "maml_beats_sequential":
             reports["modular"].mean_travel <= reports["seq_pretrain"].mean_travel,
     }
-    base = f"{cfg.out_dir}/ablation"
-    io.write_metrics_csv(f"{base}/metrics.csv", all_rows)
-    io.write_json(f"{base}/report.json", {
-        "variants": {m: r.to_json() for m, r in reports.items()},
-        "directional_expectations": directional,
-        "wall_clock_s": wall,
-    })
-    io.write_manifest(f"{base}/manifest.json", cfg.to_json(), cfg.seeds)
+    all_rows = [row for r in reports.values() for row in r.rows]
+    write_outputs(cfg, "ablation", t0,
+                  {"metrics.csv": (io.METRICS_COLUMNS, all_rows)},
+                  {"variants": {m: r.to_json() for m, r in reports.items()},
+                   "directional_expectations": directional})
     return reports
 
 
@@ -464,11 +465,11 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
                 "std_queue": report.std_queue,
             }
             results.append(entry)
-    io.write_csv(f"{cfg.out_dir}/sweep/summary.csv",
-                 ("width_scale", "depth", "param_count", "mean_travel",
-                  "std_travel", "mean_queue", "std_queue"), results)
-    io.write_json(f"{cfg.out_dir}/sweep/report.json", {
-        "grid": results, "wall_clock_s": time.perf_counter() - t0})
+    write_outputs(cfg, "sweep", t0,
+                  {"summary.csv": (("width_scale", "depth", "param_count",
+                                    "mean_travel", "std_travel", "mean_queue",
+                                    "std_queue"), results)},
+                  {"grid": results})
     return results
 
 
@@ -486,55 +487,35 @@ def run_source_selection(cfg: ExperimentConfig) -> dict:
         for dst in pool:
             if src.name == dst.name:
                 continue
-            travels, queues = [], []
-            for seed in cfg.seeds:
-                sub = replace(cfg, sources=(src,), target=dst,
-                              maml=replace(cfg.maml, task_batch_size=1))
-                metrics, _ = modular_pipeline(sub, seed)
-                travels.append(metrics.avg_travel_time_s)
-                queues.append(metrics.avg_queue_length)
-                rows.append({
-                    "source": src.name, "target": dst.name, "seed": seed,
-                    "avg_travel_time": metrics.avg_travel_time_s,
-                    "avg_queue_length": metrics.avg_queue_length,
-                })
-            cells[(src.name, dst.name)] = {
-                "mean_travel": float(np.mean(travels)),
-                "std_travel": float(np.std(travels, ddof=1))
-                if len(travels) > 1 else 0.0,
-                "mean_queue": float(np.mean(queues)),
-            }
+            sub = replace(cfg, sources=(src,), target=dst, method="modular",
+                          maml=replace(cfg.maml, task_batch_size=1))
+            pair_rows, _ = seed_rows(sub)
+            rows += [{"source": src.name, "target": dst.name, **r}
+                     for r in pair_rows]
+            pair = RunReport.from_rows(sub.method, pair_rows, "")
+            cells[(src.name, dst.name)] = {"mean_travel": pair.mean_travel,
+                                           "std_travel": pair.std_travel,
+                                           "mean_queue": pair.mean_queue}
     baseline_rows = {}
     for method in ("fixed_time", "max_pressure"):
         baseline_rows[method] = {}
         for dst in pool:
-            ctrl = baseline_controller(method, np.random.default_rng(0))
-            m = evaluate_controller(dst, ctrl, cfg.seeds[0])
+            (row,), _ = seed_rows(replace(cfg, target=dst, method=method,
+                                          seeds=cfg.seeds[:1]))
             baseline_rows[method][dst.name] = {
-                "mean_travel": m.avg_travel_time_s,
-                "mean_queue": m.avg_queue_length,
+                "mean_travel": row["avg_travel_time"],
+                "mean_queue": row["avg_queue_length"],
             }
-    # matrix rendering with "/" on the diagonal
     names = [s.name for s in pool]
-    matrix_rows = []
-    for src_name in names:
-        row = {"source": src_name}
-        for dst_name in names:
-            if src_name == dst_name:
-                row[dst_name] = "/"
-            else:
-                row[dst_name] = f"{cells[(src_name, dst_name)]['mean_travel']:.2f}"
-        matrix_rows.append(row)
-    base = f"{cfg.out_dir}/source-matrix"
-    io.write_csv(f"{base}/cells.csv",
-                 ("source", "target", "seed", "avg_travel_time",
-                  "avg_queue_length"), rows)
-    io.write_csv(f"{base}/matrix.csv", ("source", *names), matrix_rows)
-    io.write_json(f"{base}/report.json", {
-        "cells": {f"{a}->{b}": v for (a, b), v in cells.items()},
-        "baselines": baseline_rows,
-        "wall_clock_s": time.perf_counter() - t0,
-    })
+    matrix_rows = [{"source": a, **{  # "/" on the diagonal
+        b: "/" if a == b else f"{cells[(a, b)]['mean_travel']:.2f}"
+        for b in names}} for a in names]
+    write_outputs(cfg, "source-matrix", t0,
+                  {"cells.csv": (("source", "target", "seed",
+                                  "avg_travel_time", "avg_queue_length"), rows),
+                   "matrix.csv": (("source", *names), matrix_rows)},
+                  {"cells": {f"{a}->{b}": v for (a, b), v in cells.items()},
+                   "baselines": baseline_rows})
     return {"cells": cells, "baselines": baseline_rows, "matrix": matrix_rows}
 
 
@@ -574,17 +555,12 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
                           ("modular_offline", metrics_off),
                           ("fixed_time", metrics_fixed)):
             rows.append(metrics_row(target, seed, method, m))
-    by_method = {}
-    for method in ("modular", "modular_offline", "fixed_time"):
-        sel = [r for r in rows if r["method"] == method]
-        by_method[method] = float(np.mean([r["avg_travel_time"] for r in sel]))
-    base = f"{cfg.out_dir}/offline"
-    io.write_metrics_csv(f"{base}/metrics.csv", rows)
-    io.write_json(f"{base}/report.json", {
-        "mean_travel_by_method": by_method,
-        "per_seed": per_seed,
-        "wall_clock_s": time.perf_counter() - t0,
-    })
+    by_method = {m: float(np.mean([r["avg_travel_time"] for r in rows
+                                   if r["method"] == m]))
+                 for m in ("modular", "modular_offline", "fixed_time")}
+    write_outputs(cfg, "offline", t0,
+                  {"metrics.csv": (io.METRICS_COLUMNS, rows)},
+                  {"mean_travel_by_method": by_method, "per_seed": per_seed})
     return {"rows": rows, "mean_travel_by_method": by_method,
             "per_seed": per_seed}
 
@@ -603,20 +579,14 @@ def run_data_volume_curve(cfg: ExperimentConfig,
     rows = []
     for frac in fractions:
         budget = int(np.ceil(frac * cfg.adapt.target_episode_budget))
-        sub = replace(cfg, adapt=replace(cfg.adapt,
-                                         target_episode_budget=budget))
-        for seed in cfg.seeds:
-            metrics, _ = modular_pipeline(sub, seed)
-            rows.append({
-                "fraction": frac,
-                "budget_episodes": budget,
-                "seed": seed,
-                "travel_time": metrics.avg_travel_time_s,
-                "queue_length": metrics.avg_queue_length,
-            })
-    io.write_csv(f"{cfg.out_dir}/curve/curve.csv",
-                 ("fraction", "budget_episodes", "seed", "travel_time",
-                  "queue_length"), rows)
-    io.write_json(f"{cfg.out_dir}/curve/report.json", {
-        "rows": rows, "wall_clock_s": time.perf_counter() - t0})
+        sub = replace(cfg, method="modular", adapt=replace(
+            cfg.adapt, target_episode_budget=budget))
+        rows += [{"fraction": frac, "budget_episodes": budget,
+                  "seed": r["seed"], "travel_time": r["avg_travel_time"],
+                  "queue_length": r["avg_queue_length"]}
+                 for r in seed_rows(sub)[0]]
+    write_outputs(cfg, "curve", t0,
+                  {"curve.csv": (("fraction", "budget_episodes", "seed",
+                                  "travel_time", "queue_length"), rows)},
+                  {"rows": rows})
     return rows
