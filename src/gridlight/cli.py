@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-
 from .errors import ConfigurationError
 from .harness import io
 from .harness.config import (
@@ -64,7 +63,8 @@ def _cmd_simulate(args) -> int:
         print(f"{cfg.target.name} seed={r['seed']} {method}: "
               f"travel={r['avg_travel_time']:.2f}s "
               f"queue={r['avg_queue_length']:.3f}")
-    io.write_metrics_csv(Path(cfg.out_dir) / "simulate" / "metrics.csv", rows)
+    io.write_csv(Path(cfg.out_dir) / "simulate" / "metrics.csv",
+                 io.METRICS_COLUMNS, rows)
     return 0
 
 
@@ -73,11 +73,14 @@ def _cmd_collect(args) -> int:
     datasets = collect_source_datasets(cfg,
                                        stage_seeds(cfg.seeds[0])["collect"])
     out = Path(cfg.out_dir) / "datasets"
+    sha256 = {}
     for ds in datasets:
         path = out / f"{ds.city_id}.jsonl"
         io.save_dataset(path, ds)
+        sha256[path.name] = io.file_sha256(path)
         print(f"wrote {len(ds)} records to {path}")
-    io.write_manifest(out / "manifest.json", cfg.to_json(), cfg.seeds)
+    io.write_manifest(out / "manifest.json", cfg.to_json(), cfg.seeds,
+                      sha256=sha256)
     return 0
 
 
@@ -95,6 +98,10 @@ def _collected_datasets(cfg: ExperimentConfig) -> list:
         raise ConfigurationError(
             f"the datasets in {out} were collected under another config or "
             f"seed; run collect again")
+    for p in paths[1:]:
+        if manifest.get("sha256", {}).get(p.name) != io.file_sha256(p):
+            raise ConfigurationError(
+                f"{p} is not the file collect wrote; run collect again")
     return [io.load_dataset(p) for p in paths[1:]]
 
 
@@ -157,7 +164,8 @@ def _cmd_evaluate(args) -> int:
         rows.append(metrics_row(cfg.target, seed, "modular", m))
         print(f"seed={seed}: travel={m.avg_travel_time_s:.2f}s "
               f"queue={m.avg_queue_length:.3f}")
-    io.write_metrics_csv(Path(cfg.out_dir) / "evaluate" / "metrics.csv", rows)
+    io.write_csv(Path(cfg.out_dir) / "evaluate" / "metrics.csv",
+                 io.METRICS_COLUMNS, rows)
     return 0
 
 

@@ -38,10 +38,6 @@ def write_csv(path, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_metrics_csv(path, rows) -> None:
-    write_csv(path, METRICS_COLUMNS, rows)
-
-
 def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -52,6 +48,10 @@ def write_json(path, obj) -> None:
 def config_digest(doc: dict) -> str:
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # -- datasets ---------------------------------------------------------------
@@ -75,8 +75,17 @@ def save_dataset(path, dataset: TaskDataset) -> None:
 
 
 def load_dataset(path) -> TaskDataset:
+    """The dataset ``save_dataset`` wrote; a line that is not JSON or lacks
+    a field raises ConfigurationError naming the file and line."""
+    docs = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        docs = [json.loads(line) for line in fh]
+        for n, line in enumerate(fh, 1):
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"{path} line {n}: {exc}") from exc
+            docs.append(_fields(doc, ("city_id", "schema_id", *COLUMNS),
+                                f"{path} line {n}"))
     if not docs:
         raise ConfigurationError(f"dataset file {path} is empty")
     schemas = {d["schema_id"] for d in docs}
@@ -165,9 +174,10 @@ def load_checkpoint(path) -> dict:
     return out
 
 
-def write_manifest(path, config_doc: dict, seeds) -> None:
+def write_manifest(path, config_doc: dict, seeds, **extra) -> None:
     write_json(path, {
         "config_digest": config_digest(config_doc),
         "config": config_doc,
         "seeds": list(seeds),
+        **extra,
     })

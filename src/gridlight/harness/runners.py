@@ -95,15 +95,12 @@ def dist_config_for(cfg: ExperimentConfig, scenario: ScenarioSpec) -> DistanceCo
 
 
 def baseline_controller(method: str, rng: np.random.Generator):
-    if method == "fixed_time":
-        return FixedTimeController()
-    if method == "sotl":
-        return SotlController()
-    if method == "max_pressure":
-        return MaxPressureController()
-    if method == "random":
-        return RandomController(rng)
-    raise ConfigurationError(f"{method!r} is not a baseline method")
+    makers = {"fixed_time": FixedTimeController, "sotl": SotlController,
+              "max_pressure": MaxPressureController,
+              "random": lambda: RandomController(rng)}
+    if method not in makers:
+        raise ConfigurationError(f"{method!r} is not a baseline method")
+    return makers[method]()
 
 
 def evaluate_controller(scenario: ScenarioSpec, controller,
@@ -429,6 +426,9 @@ def run_ablation(cfg: ExperimentConfig) -> dict[str, RunReport]:
     return reports
 
 
+SUMMARY_KEYS = ("mean_travel", "std_travel", "mean_queue", "std_queue")
+
+
 def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
                          depths=(2, 3)) -> list[dict]:
     """Repeat the main run across dynamics-net widths and depths, reporting
@@ -452,23 +452,15 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
             est_params = default_estimator_net(cfg.target.schema, n_grids,
                                                est_hidden).params.size
             report = run_main(sub)
-            entry = {
-                "width_scale": ws,
-                "depth": depth,
-                "dyn_hidden": list(hidden),
+            results.append({
+                "width_scale": ws, "depth": depth, "dyn_hidden": list(hidden),
                 "param_count": dyn_params + est_params,
                 "dyn_param_count": dyn_params,
                 "estimator_param_count": est_params,
-                "mean_travel": report.mean_travel,
-                "std_travel": report.std_travel,
-                "mean_queue": report.mean_queue,
-                "std_queue": report.std_queue,
-            }
-            results.append(entry)
+                **{k: getattr(report, k) for k in SUMMARY_KEYS}})
     write_outputs(cfg, "sweep", t0,
                   {"summary.csv": (("width_scale", "depth", "param_count",
-                                    "mean_travel", "std_travel", "mean_queue",
-                                    "std_queue"), results)},
+                                    *SUMMARY_KEYS), results)},
                   {"grid": results})
     return results
 
@@ -496,16 +488,14 @@ def run_source_selection(cfg: ExperimentConfig) -> dict:
             cells[(src.name, dst.name)] = {"mean_travel": pair.mean_travel,
                                            "std_travel": pair.std_travel,
                                            "mean_queue": pair.mean_queue}
-    baseline_rows = {}
+    baseline_rows: dict[str, dict] = {}
     for method in ("fixed_time", "max_pressure"):
-        baseline_rows[method] = {}
         for dst in pool:
             (row,), _ = seed_rows(replace(cfg, target=dst, method=method,
                                           seeds=cfg.seeds[:1]))
-            baseline_rows[method][dst.name] = {
+            baseline_rows.setdefault(method, {})[dst.name] = {
                 "mean_travel": row["avg_travel_time"],
-                "mean_queue": row["avg_queue_length"],
-            }
+                "mean_queue": row["avg_queue_length"]}
     names = [s.name for s in pool]
     matrix_rows = [{"source": a, **{  # "/" on the diagonal
         b: "/" if a == b else f"{cells[(a, b)]['mean_travel']:.2f}"
@@ -541,6 +531,7 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
         est_off = offline_train_repr(
             logged, target.schema, epochs=cfg.adapt.epochs_per_episode * 2,
             lr=cfg.adapt.lr, hidden=cfg.estimator_hidden,
+            batch_size=cfg.adapt.batch_size,
             dist_cfg=dist_config_for(cfg, target), seed=seed)
 
         metrics_off = evaluate_planner(cfg, est_off, art["dynamics"], seed)

@@ -307,6 +307,45 @@ def test_meta_train_needs_datasets_of_this_config(config_path, capsys):
     assert not (out_dir / "meta").exists()
 
 
+def _cut_mid_line(text: str) -> str:
+    cut = text[:len(text) // 2]
+    assert not cut.endswith("\n")
+    return cut
+
+
+def _drop_state(text: str) -> str:
+    first, rest = text.split("\n", 1)
+    row = json.loads(first)
+    del row["state"]
+    return json.dumps(row) + "\n" + rest
+
+
+def _first_quarter(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:len(lines) // 4])
+
+
+@pytest.mark.parametrize("damage", [_cut_mid_line, _drop_state,
+                                    _first_quarter])
+def test_meta_train_refuses_damaged_datasets(config_path, capsys, damage):
+    """A dataset file that is not the one collect wrote, cut mid-line, with
+    a field gone or cut at a line boundary, makes meta-train exit 2 naming
+    it, and no checkpoint is written."""
+    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+    assert main(["--config", str(config_path), "collect"]) == 0
+    manifest = json.loads(
+        (out_dir / "datasets" / "manifest.json").read_text())
+    path = out_dir / "datasets" / "city-a.jsonl"
+    assert manifest["sha256"] == {
+        name: io.file_sha256(out_dir / "datasets" / name)
+        for name in ("city-a.jsonl", "city-b.jsonl")}
+    path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "meta-train"]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (out_dir / "meta" / "initialization.json").exists()
+
+
 def test_adapt_rejects_checkpoint_of_other_hidden_sizes(config_path, capsys,
                                                        count_steps):
     """A checkpoint meta-trained with "dyn_hidden": [32] does not fit a

@@ -283,6 +283,55 @@ def test_run_main_modular_reports_interactions(tmp_path):
                           ).hexdigest() == GOLDEN_MODULAR_CSV
 
 
+# sha256 of each runner's CSVs on the tiny config with seeds 0 and 1,
+# recorded before the runners shared one seed loop and one output writer.
+# The offline case's was recorded after its estimator took the config's
+# batch size (64, not 128); before, it was cc8d7b7f...
+GOLDEN_RUNNER_CSVS = {
+    "main-modular/metrics.csv":
+        "62b8fdd546a0a873faa122843c69551597f244162f2cab1044117dbf12d4221a",
+    "main-max_pressure/metrics.csv":
+        "627d9b4f90683c3675105a670f51150249bfdfef116917192321ee432ecf8673",
+    "ablation/metrics.csv":
+        "18e4a0b1bfaa8738e04334eea5d9325a291aa77b22356c224b0958c302dd10d1",
+    "sweep/summary.csv":
+        "1c177ebff00f88ffcde2d4dd5eeb1305cea938d519db2107dcb509e963b6287b",
+    "source-matrix/cells.csv":
+        "29ba8e2e26819ab9149f308de24c5377654bba44227ab691a7d5dc41c63ba246",
+    "source-matrix/matrix.csv":
+        "956100bc6de2f3cc3a1b95bcef721728e7c4f0e79e2fdc4ae81dce0a6ffb819a",
+    "offline/metrics.csv":
+        "50d652150a6a8d425c8387e9b70ddbdcad387daadc90bd796111438e599f96d3",
+    "curve/curve.csv":
+        "99b14c11c3971f2ae385a2b9740a6e70063592bb50880a196d7a083ceb87e3db",
+}
+
+
+def test_every_runner_output_pinned(tmp_path):
+    """Each runner's CSV bytes on the tiny config, and in each runner's
+    directory a report.json with its wall time and a manifest.json with
+    the digest of the config it ran."""
+    cfg = tiny_config(tmp_path, seeds=(0, 1))
+    max_pressure = cfg.with_method("max_pressure")
+    run_main(cfg)
+    run_main(max_pressure)
+    run_ablation(cfg)
+    run_complexity_sweep(cfg, width_scales=(0.25,), depths=(1,))
+    run_source_selection(cfg)
+    run_offline_case(cfg)
+    run_data_volume_curve(cfg)
+    out = Path(cfg.out_dir)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_RUNNER_CSVS} == GOLDEN_RUNNER_CSVS
+    for name in ("main-modular", "main-max_pressure", "ablation", "sweep",
+                 "source-matrix", "offline", "curve"):
+        ran = max_pressure if name == "main-max_pressure" else cfg
+        report = json.loads((out / name / "report.json").read_text())
+        assert report["wall_clock_s"] > 0
+        manifest = json.loads((out / name / "manifest.json").read_text())
+        assert manifest["config_digest"] == io.config_digest(ran.to_json())
+
+
 def test_run_ablation_outputs(tmp_path):
     cfg = tiny_config(tmp_path, seeds=(0,))
     reports = run_ablation(cfg)
@@ -360,6 +409,24 @@ def test_offline_case_runs_with_zero_extra_interactions(tmp_path):
     assert len(csv_path.read_text().strip().split("\n")) == 1 + 3
 
 
+def test_offline_case_trains_with_the_configured_estimator(tmp_path,
+                                                         monkeypatch):
+    from gridlight.harness import runners
+
+    seen = {}
+    train = runners.offline_train_repr
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(runners, "offline_train_repr", spy)
+    cfg = tiny_config(tmp_path)
+    run_offline_case(cfg)
+    assert (seen["batch_size"], seen["hidden"]) == (
+        cfg.adapt.batch_size, cfg.estimator_hidden) == (64, (16,))
+
+
 def test_offline_case_rejects_counted_offline_interactions(tmp_path,
                                                            monkeypatch):
     from gridlight.harness import runners
@@ -433,6 +500,28 @@ def test_dataset_jsonl_roundtrip(tmp_path):
     assert back.schema_id == ds.schema_id
     for column in ("t", "obs", "state", "action", "state_next", "obs_next"):
         assert np.array_equal(getattr(back, column), getattr(ds, column))
+
+
+def test_dataset_load_names_the_damaged_line(tmp_path):
+    from gridlight.baselines import FixedTimeController
+    from gridlight.meta import collect_experience
+
+    sc = desk_city_a(episode_s=100)
+    ds = collect_experience(lambda s: sc.make(s), FixedTimeController(),
+                            episodes=1, rng=np.random.default_rng(0),
+                            city_id="a", intervals=sc.intervals)
+    path = tmp_path / "a.jsonl"
+    io.save_dataset(path, ds)
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[2])
+    del row["state"]
+    for damaged, message in (
+            (lines[:2] + [lines[2][:40]], "line 3: Unterminated string"),
+            (lines[:2] + [json.dumps(row) + "\n"] + lines[3:],
+             r"line 3 is missing fields \['state'\]")):
+        path.write_text("".join(damaged))
+        with pytest.raises(ConfigurationError, match=message):
+            io.load_dataset(path)
 
 
 def test_scenario_json_roundtrip():
