@@ -93,13 +93,20 @@ def _collected_datasets(cfg: ExperimentConfig) -> list:
     if missing:
         raise ConfigurationError(
             f"no collected datasets at {missing}; run collect first")
-    manifest = json.loads(paths[0].read_text(encoding="utf-8"))
+    damaged = f"{paths[0]} is not the manifest collect writes"
+    try:
+        manifest = json.loads(paths[0].read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigurationError(f"{damaged}: {exc}") from exc
+    if not isinstance(manifest, dict) or \
+            not isinstance(manifest.get("sha256"), dict):
+        raise ConfigurationError(f"{damaged}; run collect again")
     if manifest.get("config_digest") != io.config_digest(cfg.to_json()):
         raise ConfigurationError(
             f"the datasets in {out} were collected under another config or "
             f"seed; run collect again")
     for p in paths[1:]:
-        if manifest.get("sha256", {}).get(p.name) != io.file_sha256(p):
+        if manifest["sha256"].get(p.name) != io.file_sha256(p):
             raise ConfigurationError(
                 f"{p} is not the file collect wrote; run collect again")
     return [io.load_dataset(p) for p in paths[1:]]

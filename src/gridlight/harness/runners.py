@@ -26,6 +26,7 @@ from ..baselines import (
 from ..errors import ConfigurationError
 from ..meta import (
     TaskDataset,
+    _forked,
     adapt,
     collect_experience,
     dynamics_error,
@@ -139,19 +140,36 @@ def timed(timings: dict, phase: str):
 def collect_source_datasets(cfg: ExperimentConfig,
                             seed_seq) -> list[TaskDataset]:
     """Source-city experience under max-pressure control with epsilon-random
-    phases mixed in for coverage, one dataset per ``cfg.sources`` entry."""
-    datasets = []
-    for src in cfg.sources:
-        child = np.random.default_rng(seed_seq.spawn(1)[0])
-        behavior = EpsilonMixController(
-            MaxPressureController(), cfg.behavior_epsilon,
-            np.random.default_rng(child.integers(2 ** 31 - 1)))
-        datasets.append(collect_experience(
-            lambda s, src=src: src.make(s), behavior, cfg.collect_episodes,
-            np.random.default_rng(child.integers(2 ** 31 - 1)),
-            city_id=src.name, intervals=src.intervals,
-            interval_s=src.interval_s))
-    return datasets
+    phases mixed in for coverage, one dataset per ``cfg.sources`` entry.
+
+    Each source draws from its own child of ``seed_seq``, so a forked child
+    collects the later half of the sources while this process collects
+    the first half (with one source, this process collects it)."""
+    jobs = list(zip(cfg.sources, seed_seq.spawn(len(cfg.sources))))
+
+    def collect(jobs) -> list[TaskDataset]:
+        datasets = []
+        for src, seq in jobs:
+            child = np.random.default_rng(seq)
+            behavior = EpsilonMixController(
+                MaxPressureController(), cfg.behavior_epsilon,
+                np.random.default_rng(child.integers(2 ** 31 - 1)))
+            datasets.append(collect_experience(
+                lambda s, src=src: src.make(s), behavior, cfg.collect_episodes,
+                np.random.default_rng(child.integers(2 ** 31 - 1)),
+                city_id=src.name, intervals=src.intervals,
+                interval_s=src.interval_s))
+        return datasets
+
+    cut = (len(jobs) + 1) // 2
+    if cut == len(jobs):
+        return collect(jobs)
+    wait = _forked(lambda: collect(jobs[cut:]))
+    try:
+        first = collect(jobs[:cut])
+    finally:
+        later = wait()
+    return first + later
 
 
 def _draw_seed(seq: np.random.SeedSequence) -> int:
@@ -217,6 +235,10 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
     dynamics errors for the adapted and un-fine-tuned models, and the wall
     seconds of each phase (``timings``: ``collect_s``, ``meta_train_s``,
     ``adapt_s``, ``evaluate_s`` and ``heldout_s``).
+
+    A forked child runs the held-out episode and both dynamics errors while
+    this process runs the greedy evaluation, so ``heldout_s`` is the wait
+    for that child after the evaluation.
     """
     target = cfg.target
     timings: dict = {}
@@ -227,20 +249,25 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
     del datasets  # adaptation, the peak of memory, needs only phi
     with timed(timings, "adapt_s"):
         estimator, dynamics, interactions = adapt_stage(cfg, seed, phi)
-    with timed(timings, "evaluate_s"):
-        metrics = evaluate_planner(cfg, estimator, dynamics, seed)
 
-    with timed(timings, "heldout_s"):
+    def heldout_errors() -> tuple[float, float]:
         held = collect_experience(
             lambda s: target.make(s), FixedTimeController(),
             episodes=1, rng=np.random.default_rng(20_000 + seed),
             city_id="heldout", intervals=target.intervals,
             interval_s=target.interval_s)
         dist_cfg = dist_config_for(cfg, target)
-        err_adapted = dynamics_error(dynamics, held, dist_cfg)
-        err_meta = dynamics_error(
-            DynamicsModel(g0.net.with_params(phi), g0.lanes, g0.state_grids),
-            held, dist_cfg)
+        return (dynamics_error(dynamics, held, dist_cfg),
+                dynamics_error(DynamicsModel(g0.net.with_params(phi), g0.lanes,
+                                             g0.state_grids), held, dist_cfg))
+
+    wait = _forked(heldout_errors)
+    try:
+        with timed(timings, "evaluate_s"):
+            metrics = evaluate_planner(cfg, estimator, dynamics, seed)
+    finally:
+        with timed(timings, "heldout_s"):
+            err_adapted, err_meta = wait()
 
     artifacts = {
         "interactions": interactions,

@@ -11,7 +11,9 @@ sees each state's lane rows, and single-net loops go through ``nn.fit``.
 adapted parameters on a query batch, and applies the summed outer gradient.
 First-order mode evaluates the outer gradient at the adapted parameters;
 exact second-order mode differentiates through the inner step by central
-finite differences and is only practical for tiny test models.
+finite differences and is only practical for tiny test models. With two or
+more tasks per iteration, a forked child process (``_Child``) computes the
+later half of the outer gradients.
 
 ``adapt`` spends a fixed episode budget on a target city (``spend_budget``):
 the dynamics model starts from the meta-trained parameters, the observation
@@ -23,6 +25,7 @@ dynamics net over the same minibatches.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import pickle
@@ -228,7 +231,13 @@ def _fd_outer_grad(theta: np.ndarray, task, support_batches, query_batch,
 def maml_run(theta0: np.ndarray, tasks: Sequence, cfg: MamlConfig,
              seed: int) -> np.ndarray:
     """Generic meta-training loop over tasks exposing ``support_batch``,
-    ``query_batch``, and ``loss_and_grad``; returns the final parameters."""
+    ``query_batch``, and ``loss_and_grad``; returns the final parameters.
+
+    Each iteration draws its tasks and their minibatches first. With two or
+    more tasks, one forked ``_Child`` (the same for every iteration)
+    computes the outer gradients of the later half of them from the
+    parameters and the drawn indices while this process computes the
+    first half; the gradients are summed in task order either way."""
     if not tasks:
         raise ConfigurationError("at least one task is required")
     if cfg.task_batch_size > len(tasks):
@@ -240,26 +249,45 @@ def maml_run(theta0: np.ndarray, tasks: Sequence, cfg: MamlConfig,
     theta = np.array(theta0, dtype=np.float64, copy=True)
     opt = (nn.Adam(lr=cfg.outer_lr) if cfg.outer_optimizer == "adam"
            else nn.SGD(cfg.outer_lr))
-    for _ in range(cfg.meta_iterations):
-        chosen = sorted(rng.choice(len(tasks), size=cfg.task_batch_size,
-                                   replace=False))
-        outer = np.zeros_like(theta)
-        for ti in chosen:
-            task = tasks[ti]
-            support_batches = [task.support_batch(rng)
-                               for _ in range(cfg.inner_steps)]
-            query_batch = task.query_batch(rng)
-            if cfg.first_order:
-                adapted = theta
-                for b in support_batches:
-                    _, g = task.loss_and_grad(adapted, b)
-                    adapted = adapted - cfg.inner_lr * g
-                _, gq = task.loss_and_grad(adapted, query_batch)
-                outer += gq
+
+    def outer_grad(theta, job) -> np.ndarray:
+        ti, support_batches, query_batch = job
+        task = tasks[ti]
+        if not cfg.first_order:
+            return _fd_outer_grad(theta, task, support_batches, query_batch,
+                                  cfg.inner_lr)
+        adapted = theta
+        for b in support_batches:
+            _, g = task.loss_and_grad(adapted, b)
+            adapted = adapted - cfg.inner_lr * g
+        return task.loss_and_grad(adapted, query_batch)[1]
+
+    def outer_grads(request) -> list[np.ndarray]:
+        theta, jobs = request
+        return [outer_grad(theta, job) for job in jobs]
+
+    child = (_Child(outer_grads)
+             if cfg.task_batch_size > 1 and cfg.meta_iterations else None)
+    try:
+        for _ in range(cfg.meta_iterations):
+            chosen = sorted(rng.choice(len(tasks), size=cfg.task_batch_size,
+                                       replace=False))
+            jobs = [(ti, [tasks[ti].support_batch(rng)
+                          for _ in range(cfg.inner_steps)],
+                     tasks[ti].query_batch(rng)) for ti in chosen]
+            if child is None:
+                grads = outer_grads((theta, jobs))
             else:
-                outer += _fd_outer_grad(theta, task, support_batches,
-                                        query_batch, cfg.inner_lr)
-        theta = opt.step(theta, outer)
+                cut = (len(jobs) + 1) // 2
+                child.ask((theta, jobs[cut:]))
+                grads = outer_grads((theta, jobs[:cut])) + child.answer()
+            outer = np.zeros_like(theta)
+            for g in grads:
+                outer += g
+            theta = opt.step(theta, outer)
+    finally:
+        if child is not None:
+            child.close()
     return theta
 
 
@@ -388,59 +416,134 @@ def _openblas_threads():
     return None
 
 
-def _forked(fn: Callable[[], object]) -> Callable[[], object]:
-    """Start ``fn()`` in a forked child process (POSIX only). Returns
-    ``wait()``, which reaps the child and returns what ``fn`` returned, or
-    re-raises what it raised. Call ``wait()`` exactly once.
+def _send(pipe, obj) -> None:
+    """Write ``obj`` to ``pipe`` as one frame: its pickle's length, then
+    the pickle."""
+    data = pickle.dumps(obj)
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The next frame's object from ``pipe``; EOFError when the writer
+    closed its end before a whole frame arrived."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return pickle.loads(data)
+    raise EOFError("the pipe closed before a whole frame arrived")
+
+
+class _Child:
+    """A forked child process (POSIX only) that answers requests: each
+    object passed to ``ask`` goes to the child, which sends back
+    ``serve(request)``, or the exception that raised; ``answer`` returns
+    the next of these, or re-raises it with its type and message. Call
+    ``close`` in a ``finally``: the child ends once its requests are
+    closed, and ``close`` reaps it.
 
     Until the child is reaped, OpenBLAS runs one thread in each process:
     its threads spin while they wait for work, so two processes with a
     BLAS thread per CPU each slow each other down several times over."""
-    blas = _openblas_threads()
-    threads = blas[0]() if blas else 1
 
-    def set_blas_threads(n: int) -> None:
-        if blas:
-            blas[1](n)
-
-    read_fd, write_fd = os.pipe()
-    set_blas_threads(1)
-    try:
-        pid = os.fork()
-    except OSError:
-        set_blas_threads(threads)
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
+    def __init__(self, serve: Callable[[object], object]):
+        self._blas = _openblas_threads()
+        self._threads = self._blas[0]() if self._blas else 1
+        self._code = None
+        fds: list[int] = []  # requests (read, write), answers (read, write)
         try:
-            os.close(read_fd)
+            fds += os.pipe()
+            fds += os.pipe()
+            self._set_blas_threads(1)
+            self.pid = os.fork()
+        except OSError:
+            self._set_blas_threads(self._threads)
+            for fd in fds:
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
             try:
-                out = (True, fn())
-            except BaseException as exc:
-                out = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(out, pipe)
-            code = 0
-        finally:
-            os._exit(code)  # skip atexit handlers and inherited stdio buffers
-    os.close(write_fd)
+                os.close(fds[1])
+                os.close(fds[2])
+                with open(fds[0], "rb") as requests, \
+                        open(fds[3], "wb") as answers:
+                    while True:
+                        try:
+                            request = _receive(requests)
+                        except EOFError:
+                            break
+                        try:
+                            out = (True, serve(request))
+                        except BaseException as exc:
+                            out = (False, exc)
+                        _send(answers, out)
+                code = 0
+            finally:
+                os._exit(code)  # skip atexit handlers and inherited stdio
+        os.close(fds[0])
+        os.close(fds[3])
+        self._requests = open(fds[1], "wb")
+        self._answers = open(fds[2], "rb")
 
-    def wait():
+    def _set_blas_threads(self, n: int) -> None:
+        if self._blas:
+            self._blas[1](n)
+
+    def _ended(self) -> RuntimeError:
+        return RuntimeError(f"forked child {self.pid} ended without a "
+                            f"result (exit code {self.close()})")
+
+    def ask(self, request) -> None:
         try:
-            with open(read_fd, "rb") as pipe:
-                data = pipe.read()
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            set_blas_threads(threads)
-        if code != 0:
-            raise RuntimeError(f"forked child {pid} ended without a result "
-                               f"(exit code {code})")
-        ok, value = pickle.loads(data)
+            _send(self._requests, request)
+        except BrokenPipeError:
+            raise self._ended() from None
+
+    def answer(self):
+        try:
+            ok, value = _receive(self._answers)
+        except EOFError:
+            raise self._ended() from None
         if not ok:
             raise value
         return value
+
+    def close(self) -> int:
+        """Close both pipes, reap the child, restore OpenBLAS's thread
+        count, and return the child's exit code; a later call returns the
+        same code."""
+        if self._code is None:
+            try:
+                with contextlib.suppress(BrokenPipeError):  # a cut request
+                    self._requests.close()
+                self._answers.close()
+                self._code = os.waitstatus_to_exitcode(
+                    os.waitpid(self.pid, 0)[1])
+            finally:
+                self._set_blas_threads(self._threads)
+        return self._code
+
+
+def _forked(fn: Callable[[], object]) -> Callable[[], object]:
+    """Start ``fn()`` in a forked ``_Child``. Returns ``wait()``, which
+    reaps the child and returns what ``fn`` returned, or re-raises what it
+    raised. Call ``wait()`` exactly once."""
+    child = _Child(lambda _: fn())
+    try:
+        child.ask(None)
+    except BaseException:
+        child.close()
+        raise
+
+    def wait():
+        try:
+            return child.answer()
+        finally:
+            child.close()
 
     return wait
 

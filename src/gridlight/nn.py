@@ -99,6 +99,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    z = a @ w.T
+    z += b
+    return z
+
+
 def _forward_cached(net: Net, x2: np.ndarray, params: np.ndarray):
     """Forward pass keeping pre-activations and activations per layer."""
     views = _layer_views(net.layer_sizes, params)
@@ -106,7 +112,7 @@ def _forward_cached(net: Net, x2: np.ndarray, params: np.ndarray):
     pre = []
     a = x2
     for k, (w, b) in enumerate(views):
-        z = a @ w.T + b
+        z = _affine(a, w, b)
         pre.append(z)
         if k < len(views) - 1:
             a = np.maximum(z, 0.0)
@@ -133,9 +139,15 @@ def _as_batch(net: Net, x) -> tuple[np.ndarray, bool]:
 def forward(net: Net, x) -> np.ndarray:
     """Evaluate the net on a vector or a (batch x in) matrix."""
     x2, single = _as_batch(net, x)
-    acts, _ = _forward_cached(net, x2, net.params)
-    y = acts[-1]
-    return y[0] if single else y
+    views = _layer_views(net.layer_sizes, net.params)
+    a = x2
+    for k, (w, b) in enumerate(views):
+        a = _affine(a, w, b)
+        if k < len(views) - 1:
+            np.maximum(a, 0.0, out=a)
+        elif net.output_activation == "softplus":
+            np.logaddexp(0.0, a, out=a)
+    return a[0] if single else a
 
 
 def loss_and_grad(net: Net, loss_fn: LossFn, inputs, targets,
@@ -156,24 +168,20 @@ def loss_and_grad(net: Net, loss_fn: LossFn, inputs, targets,
             f"loss gradient has shape {d_out.shape}, outputs have "
             f"shape {acts[-1].shape}"
         )
-    grad_vec = np.zeros_like(p)
+    grad_vec = np.empty_like(p)
     views = _layer_views(net.layer_sizes, grad_vec)
     w_views = _layer_views(net.layer_sizes, p)
-    da = d_out
+    dz = d_out
+    if pre and net.output_activation == "softplus":
+        dz = _sigmoid(pre[-1])
+        dz *= d_out
     for k in range(len(views) - 1, -1, -1):
-        z = pre[k]
-        if k == len(views) - 1:
-            if net.output_activation == "softplus":
-                dz = da * _sigmoid(z)
-            else:
-                dz = da
-        else:
-            dz = da * (z > 0)
         gw, gb = views[k]
-        gw += dz.T @ acts[k]
-        gb += dz.sum(axis=0)
+        np.matmul(dz.T, acts[k], out=gw)
+        np.sum(dz, axis=0, out=gb)
         if k:  # the first layer's input gradient is never used
-            da = dz @ w_views[k][0]
+            dz = dz @ w_views[k][0]
+            dz *= pre[k - 1] > 0
     return float(loss), grad_vec
 
 
@@ -215,16 +223,27 @@ class Adam:
     _t: int = field(default=0, repr=False)
 
     def step(self, params: np.ndarray, grad_vec: np.ndarray) -> np.ndarray:
+        """Update the moments in place and return new parameters, in a
+        vector of their own: callers keep earlier parameter versions."""
         params, grad_vec = _step_operands(params, grad_vec)
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
         self._t += 1
-        self._m = self.beta1 * self._m + (1 - self.beta1) * grad_vec
-        self._v = self.beta2 * self._v + (1 - self.beta2) * grad_vec ** 2
-        m_hat = self._m / (1 - self.beta1 ** self._t)
-        v_hat = self._v / (1 - self.beta2 ** self._t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        out = np.multiply(grad_vec, 1 - self.beta1)
+        self._m *= self.beta1
+        self._m += out
+        np.square(grad_vec, out=out)
+        out *= 1 - self.beta2
+        self._v *= self.beta2
+        self._v += out
+        den = np.divide(self._v, 1 - self.beta2 ** self._t)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(self._m, 1 - self.beta1 ** self._t, out=out)
+        out *= self.lr
+        out /= den
+        return np.subtract(params, out, out=out)
 
 
 def epoch_batches(rng: np.random.Generator, m: int, batch_size: int,

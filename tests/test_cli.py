@@ -346,6 +346,24 @@ def test_meta_train_refuses_damaged_datasets(config_path, capsys, damage):
     assert not (out_dir / "meta" / "initialization.json").exists()
 
 
+@pytest.mark.parametrize("damage", [
+    lambda text: "[]",
+    lambda text: text[:50],
+    lambda text: json.dumps({**json.loads(text), "sha256": 5}),
+], ids=["list", "cut-to-50", "sha256-not-object"])
+def test_meta_train_refuses_a_damaged_manifest(config_path, capsys, damage):
+    """A manifest that is a list, cut short, or holds a number for its
+    hashes makes meta-train exit 2 naming it; no checkpoint is written."""
+    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+    assert main(["--config", str(config_path), "collect"]) == 0
+    path = out_dir / "datasets" / "manifest.json"
+    path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "meta-train"]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (out_dir / "meta" / "initialization.json").exists()
+
+
 def test_adapt_rejects_checkpoint_of_other_hidden_sizes(config_path, capsys,
                                                        count_steps):
     """A checkpoint meta-trained with "dyn_hidden": [32] does not fit a

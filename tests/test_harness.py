@@ -9,12 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import FAILURES, fail_in, no_child_left
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlight import nn
+from gridlight.baselines import (
+    EpsilonMixController,
+    FixedTimeController,
+    MaxPressureController,
+)
 from gridlight.errors import ConfigurationError
-from gridlight.harness import io
+from gridlight.harness import io, runners
 from gridlight.harness.config import (
     DESK_CITIES,
     METHODS,
@@ -25,6 +31,9 @@ from gridlight.harness.config import (
     desk_city_c,
 )
 from gridlight.harness.runners import (
+    collect_source_datasets,
+    dist_config_for,
+    modular_pipeline,
     monolithic_pipeline,
     run_ablation,
     run_complexity_sweep,
@@ -33,7 +42,13 @@ from gridlight.harness.runners import (
     run_offline_case,
     run_source_selection,
 )
-from gridlight.meta import AdaptConfig, MamlConfig
+from gridlight.meta import (
+    COLUMNS,
+    AdaptConfig,
+    MamlConfig,
+    collect_experience,
+    dynamics_error,
+)
 from gridlight.planner import DynamicsModel, StateEstimator, default_dynamics_net, default_estimator_net
 from gridlight.scenario import ScenarioSpec
 from gridlight.sim import Flow
@@ -575,3 +590,96 @@ def test_scenario_documents_reject_unknown_keys(tmp_path):
         cfg = tiny_config(tmp_path).to_json()
         with pytest.raises(ConfigurationError, match="unknown keys"):
             ExperimentConfig.from_json({**cfg, "target": bad})
+
+
+# -- the pipeline's forked children -------------------------------------------
+
+def collect_in_sequence(cfg, seed_seq):
+    """The loop ``collect_source_datasets`` ran before a forked child
+    collected the later half of the sources; kept as its oracle."""
+    datasets = []
+    for src in cfg.sources:
+        child = np.random.default_rng(seed_seq.spawn(1)[0])
+        behavior = EpsilonMixController(
+            MaxPressureController(), cfg.behavior_epsilon,
+            np.random.default_rng(child.integers(2 ** 31 - 1)))
+        datasets.append(collect_experience(
+            lambda s, src=src: src.make(s), behavior, cfg.collect_episodes,
+            np.random.default_rng(child.integers(2 ** 31 - 1)),
+            city_id=src.name, intervals=src.intervals,
+            interval_s=src.interval_s))
+    return datasets
+
+
+def hooked(real, hook):
+    """``real``, calling ``hook()`` first."""
+    def call(*args, **kwargs):
+        hook()
+        return real(*args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 3])
+def test_collect_source_datasets_matches_the_sequential_loop(
+        tmp_path, monkeypatch, n_sources):
+    """The forked child collects the later half of the sources; with one
+    source nothing is forked."""
+    cities = (desk_city_a(100), desk_city_b(100), desk_city_c(100))
+    cfg = replace(tiny_config(tmp_path), sources=cities[:n_sources])
+    forks = []
+    monkeypatch.setattr(runners, "_forked",
+                        hooked(runners._forked, lambda: forks.append(1)))
+    seqs = [np.random.SeedSequence([7, 17]) for _ in range(2)]
+    got = collect_source_datasets(cfg, seqs[0])
+    want = collect_in_sequence(cfg, seqs[1])
+    assert len(forks) == (n_sources > 1)
+    assert [ds.city_id for ds in got] == [c.name for c in cities[:n_sources]]
+    for a, b in zip(got, want, strict=True):
+        assert (a.city_id, a.schema_id) == (b.city_id, b.schema_id)
+        for c in COLUMNS:
+            x, y = getattr(a, c), getattr(b, c)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+            assert x.tobytes() == y.tobytes()
+    assert seqs[0].n_children_spawned == seqs[1].n_children_spawned
+
+
+@pytest.mark.parametrize("failure", FAILURES)
+def test_collect_child_failure_leaves_no_child(tmp_path, monkeypatch,
+                                               failure):
+    monkeypatch.setattr(runners, "collect_experience", hooked(
+        runners.collect_experience, fail_in(failure)))
+    error, message = FAILURES[failure]
+    with no_child_left(), pytest.raises(error, match=message):
+        collect_source_datasets(tiny_config(tmp_path, episode_s=100),
+                                np.random.SeedSequence(0))
+
+
+def test_heldout_errors_match_the_sequential_computation(tmp_path):
+    cfg = tiny_config(tmp_path, episode_s=100)
+    target = cfg.target
+    _, art = modular_pipeline(cfg, 0)
+    held = collect_experience(
+        lambda s: target.make(s), FixedTimeController(), episodes=1,
+        rng=np.random.default_rng(20_000), city_id="heldout",
+        intervals=target.intervals, interval_s=target.interval_s)
+    g0, dist_cfg = art["g0"], dist_config_for(cfg, target)
+    meta_init = DynamicsModel(g0.net.with_params(art["phi"]), g0.lanes,
+                              g0.state_grids)
+    assert art["heldout_dist_adapted"] == dynamics_error(
+        art["dynamics"], held, dist_cfg)
+    assert art["heldout_dist_meta_init"] == dynamics_error(
+        meta_init, held, dist_cfg)
+
+
+@pytest.mark.parametrize("failure", FAILURES)
+def test_heldout_child_failure_leaves_no_child(tmp_path, monkeypatch,
+                                               failure):
+    """The held-out child computes the dynamics errors while this process
+    runs the greedy evaluation."""
+    hook = fail_in(failure)
+    for name in ("dynamics_error", "evaluate_planner"):
+        monkeypatch.setattr(runners, name, hooked(getattr(runners, name),
+                                                  hook))
+    error, message = FAILURES[failure]
+    with no_child_left(), pytest.raises(error, match=message):
+        modular_pipeline(tiny_config(tmp_path, episode_s=100), 0)

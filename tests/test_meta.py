@@ -1,8 +1,8 @@
 """Meta-training and adaptation tests: experience collection counts and
 determinism, the two-loop trainer against the scalar hand oracle (verified
 numerically before these values were frozen), budget discipline, offline
-estimator training, and the forked child that fits the estimator during
-adaptation."""
+estimator training, and the forked children that compute outer gradients
+during meta-training and fit the estimator during adaptation."""
 
 import hashlib
 import os
@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import FAILURES, assert_no_child_left, fail_in, no_child_left
 
 from gridlight import nn
 from gridlight.baselines import FixedTimeController, MaxPressureController
@@ -19,8 +20,10 @@ from gridlight.harness.config import desk_city_c
 from gridlight.meta import (
     COLUMNS,
     AdaptConfig,
+    ArrayTask,
     MamlConfig,
     TaskDataset,
+    _fd_outer_grad,
     _forked,
     _openblas_threads,
     _mean_distance,
@@ -130,6 +133,80 @@ def test_maml_task_batch_size_validation():
         maml_run(np.array([1.0]), [ScalarTask()], cfg, seed=0)
     with pytest.raises(ConfigurationError):
         maml_run(np.array([1.0]), [], cfg, seed=0)
+
+
+def maml_run_in_sequence(theta0, tasks, cfg, seed):
+    """The loop ``maml_run`` ran before it computed part of each
+    iteration's outer gradients in a forked child; kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    theta = np.array(theta0, dtype=np.float64, copy=True)
+    opt = (nn.Adam(lr=cfg.outer_lr) if cfg.outer_optimizer == "adam"
+           else nn.SGD(cfg.outer_lr))
+    for _ in range(cfg.meta_iterations):
+        chosen = sorted(rng.choice(len(tasks), size=cfg.task_batch_size,
+                                   replace=False))
+        outer = np.zeros_like(theta)
+        for ti in chosen:
+            task = tasks[ti]
+            support_batches = [task.support_batch(rng)
+                               for _ in range(cfg.inner_steps)]
+            query_batch = task.query_batch(rng)
+            if cfg.first_order:
+                adapted = theta
+                for b in support_batches:
+                    _, g = task.loss_and_grad(adapted, b)
+                    adapted = adapted - cfg.inner_lr * g
+                _, gq = task.loss_and_grad(adapted, query_batch)
+                outer += gq
+            else:
+                outer += _fd_outer_grad(theta, task, support_batches,
+                                        query_batch, cfg.inner_lr)
+        theta = opt.step(theta, outer)
+    return theta
+
+
+def net_tasks(before_step=lambda: None):
+    """Three regression tasks on one small softplus net, its initial
+    parameters, and a loss that calls ``before_step()`` first."""
+    net = nn.net_new((3, 5, 2), "softplus", seed=1)
+    rng = np.random.default_rng(5)
+
+    def lag(theta, xb, yb):
+        before_step()
+        return nn.loss_and_grad(net, nn.squared_error_loss, xb, yb,
+                                params=theta)
+
+    return net.params, [ArrayTask(rng.normal(size=(20, 3)),
+                                  rng.uniform(size=(20, 2)), lag, 6, rng)
+                        for _ in range(3)]
+
+
+@pytest.mark.parametrize("task_batch_size", [1, 2, 3])
+@pytest.mark.parametrize("first_order", [True, False],
+                         ids=["first-order", "second-order"])
+def test_maml_run_matches_the_sequential_loop_bit_for_bit(first_order,
+                                                          task_batch_size):
+    theta0, tasks = net_tasks()
+    cfg = MamlConfig(inner_lr=0.05, outer_lr=0.01, meta_iterations=6,
+                     task_batch_size=task_batch_size, inner_steps=2,
+                     first_order=first_order)
+    out = maml_run(theta0, tasks, cfg, seed=3)
+    assert out.tobytes() == maml_run_in_sequence(theta0, tasks, cfg,
+                                                 seed=3).tobytes()
+    assert not np.array_equal(out, theta0)
+
+
+@pytest.mark.parametrize("failure", FAILURES)
+def test_maml_child_failure_leaves_no_child(failure):
+    """The child computes the later task's outer gradient: its error comes
+    back with its type and message, its death as a RuntimeError, and an
+    error in this process propagates once the child is reaped."""
+    theta0, tasks = net_tasks(fail_in(failure))
+    cfg = MamlConfig(inner_lr=0.05, outer_lr=0.01, meta_iterations=3,
+                     task_batch_size=2)
+    error, message = FAILURES[failure]
+    with no_child_left(), pytest.raises(error, match=message):
+        maml_run(theta0, tasks, cfg, seed=3)
 
 
 # -- experience collection --------------------------------------------------
@@ -316,11 +393,6 @@ def test_golden_adapt_pin():
 
 
 # -- the forked child of adaptation ------------------------------------------
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
 
 def test_forked_returns_the_childs_result():
     wait = _forked(lambda: (os.getpid(), np.arange(3.0)))

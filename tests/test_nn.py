@@ -187,6 +187,55 @@ def test_adam_moves_toward_minimum():
     assert np.max(np.abs(p - 3.0)) < 1e-3
 
 
+class AdamByFormula:
+    """The Adam step ``nn.Adam`` took before it updated its moments in
+    place; kept as its oracle."""
+
+    def __init__(self, lr):
+        self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8
+        self.m = self.v = 0.0
+        self.t = 0
+
+    def step(self, params, grad_vec):
+        self.t += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad_vec
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad_vec ** 2
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def test_adam_in_place_matches_the_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    opt, oracle = nn.Adam(lr=1e-2), AdamByFormula(lr=1e-2)
+    p = ref = rng.normal(size=1000)
+    returned = [(p, p.copy())]
+    for _ in range(250):
+        g = rng.normal(size=p.size) * 10.0 ** rng.integers(-8, 3)
+        g[rng.integers(p.size)] = 0.0
+        p, ref = opt.step(p, g), oracle.step(ref, g)
+        assert p.tobytes() == ref.tobytes()
+        assert opt._m.tobytes() == oracle.m.tobytes()
+        assert opt._v.tobytes() == oracle.v.tobytes()
+        for other in (opt._m, opt._v, *(r for r, _ in returned)):
+            assert not np.shares_memory(p, other)
+        returned.append((p, p.copy()))
+    # no step wrote into a vector an earlier step returned
+    assert all(r.tobytes() == kept.tobytes() for r, kept in returned)
+
+
+@pytest.mark.parametrize("activation", ["identity", "softplus"])
+def test_forward_matches_the_cached_forward_bit_for_bit(activation):
+    rng = np.random.default_rng(1)
+    net = nn.net_new((152, 128, 128, 144), activation, seed=3)
+    for rows in (1, 48, 1080):
+        x = rng.normal(size=(rows, 152)) * 3.0
+        cached = nn._forward_cached(net, x, net.params)[0][-1]
+        assert nn.forward(net, x).tobytes() == cached.tobytes()
+    one = nn._forward_cached(net, x[:1], net.params)[0][-1]
+    assert nn.forward(net, x[0]).tobytes() == one[0].tobytes()
+
+
 def _sigmoid_masked(z):
     """The masked sigmoid ``nn._sigmoid`` replaced, kept as its oracle."""
     out = np.empty_like(z)
