@@ -26,6 +26,7 @@ from ..baselines import (
 from ..errors import ConfigurationError
 from ..meta import (
     TaskDataset,
+    _dynamics_xy,
     _forked,
     adapt,
     collect_experience,
@@ -46,7 +47,6 @@ from ..planner import (
     block_distance_loss,
     default_dynamics_net,
     default_estimator_net,
-    phase_encode,
 )
 from ..scenario import EnvFactory, ScenarioSpec
 from ..sim.engine import MetricsReport
@@ -292,13 +292,6 @@ class _ObservationStates:
         return np.stack([obs.values for obs in observations])
 
 
-def _monolithic_xy(ds: TaskDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Observation-and-phase inputs and next-state targets."""
-    m = len(ds)
-    return (phase_encode(ds.obs.reshape(m, -1), ds.action),
-            ds.state_next.reshape(m, -1))
-
-
 def _carry_trailing_layers(src: nn.Net, dst: nn.Net) -> nn.Net:
     """Copy every layer after the first from src into dst; the first layer
     keeps dst's fresh initialization (input widths differ per city)."""
@@ -336,7 +329,8 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
 
     net = None
     for ds in datasets:
-        net = nn.fit(fresh_net(ds.schema_id, net), loss_fn, *_monolithic_xy(ds),
+        net = nn.fit(fresh_net(ds.schema_id, net), loss_fn,
+                     *_dynamics_xy(ds, ds.obs, lanes, n_grids),
                      nn.Adam(lr=cfg.maml.outer_lr),
                      nn.sampled_batches(train_rng, len(ds), cfg.maml.batch_size,
                                         cfg.maml.meta_iterations))
@@ -350,7 +344,8 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
                                  PolicyConfig(epsilon=epsilon), vc, rng)
 
     def train(ds: TaskDataset) -> None:
-        dyn.net = nn.fit(dyn.net, loss_fn, *_monolithic_xy(ds), opt,
+        dyn.net = nn.fit(dyn.net, loss_fn,
+                         *_dynamics_xy(ds, ds.obs, lanes, n_grids), opt,
                          nn.epoch_batches(adapt_rng, len(ds),
                                           cfg.adapt.batch_size,
                                           cfg.adapt.epochs_per_episode))

@@ -291,17 +291,18 @@ def maml_run(theta0: np.ndarray, tasks: Sequence, cfg: MamlConfig,
     return theta
 
 
-def _dynamics_xy(ds: TaskDataset, lanes: int,
+def _dynamics_xy(ds: TaskDataset, rows: np.ndarray, lanes: int,
                  n_grids: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dynamics-net inputs (state and phase) and targets (next state) for
-    a dynamics model over ``lanes`` x ``n_grids`` states."""
+    """Dynamics-net inputs (each of ``rows``, ``ds.state`` or in the
+    monolithic ablation ``ds.obs``, flattened, and its phase) and targets
+    (next state) for a dynamics model over ``lanes`` x ``n_grids`` states."""
     if ds.state.shape[1:] != (lanes, n_grids):
         raise ShapeError(
             f"dataset {ds.city_id!r} has states of shape {ds.state.shape[1:]}, "
             f"the dynamics model expects ({lanes}, {n_grids})"
         )
     m = len(ds)
-    return (phase_encode(ds.state.reshape(m, -1), ds.action),
+    return (phase_encode(rows.reshape(m, -1), ds.action),
             ds.state_next.reshape(m, -1))
 
 
@@ -319,8 +320,8 @@ def maml_train(tasks: Sequence[TaskDataset], cfg: MamlConfig,
         return nn.loss_and_grad(dyn.net, loss_fn, xb, yb, params=theta)
 
     return maml_run(dyn.net.params, [
-        ArrayTask(*_dynamics_xy(ds, dyn.lanes, dyn.state_grids), lag,
-                  cfg.batch_size, rng) for ds in tasks], cfg, seed)
+        ArrayTask(*_dynamics_xy(ds, ds.state, dyn.lanes, dyn.state_grids),
+                  lag, cfg.batch_size, rng) for ds in tasks], cfg, seed)
 
 
 def seq_pretrain(tasks: Sequence[TaskDataset], cfg: MamlConfig,
@@ -336,7 +337,8 @@ def seq_pretrain(tasks: Sequence[TaskDataset], cfg: MamlConfig,
     net = dyn.net
     for ds in tasks:
         net = nn.fit(net, loss_fn,
-                     *_dynamics_xy(ds, dyn.lanes, dyn.state_grids), opt,
+                     *_dynamics_xy(ds, ds.state, dyn.lanes, dyn.state_grids),
+                     opt,
                      nn.sampled_batches(rng, len(ds), cfg.batch_size,
                                         cfg.meta_iterations))
     return net.params
@@ -416,34 +418,14 @@ def _openblas_threads():
     return None
 
 
-def _send(pipe, obj) -> None:
-    """Write ``obj`` to ``pipe`` as one frame: its pickle's length, then
-    the pickle."""
-    data = pickle.dumps(obj)
-    pipe.write(len(data).to_bytes(8, "little"))
-    pipe.write(data)
-    pipe.flush()
-
-
-def _receive(pipe):
-    """The next frame's object from ``pipe``; EOFError when the writer
-    closed its end before a whole frame arrived."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        data = pipe.read(size)
-        if len(data) == size:
-            return pickle.loads(data)
-    raise EOFError("the pipe closed before a whole frame arrived")
-
-
 class _Child:
     """A forked child process (POSIX only) that answers requests: each
     object passed to ``ask`` goes to the child, which sends back
     ``serve(request)``, or the exception that raised; ``answer`` returns
-    the next of these, or re-raises it with its type and message. Call
-    ``close`` in a ``finally``: the child ends once its requests are
-    closed, and ``close`` reaps it.
+    the next of these, or re-raises it with its type and message. Both go
+    as pickles, one after another on a pipe. Call ``close`` in a
+    ``finally``: the child ends once its requests are closed, and ``close``
+    reaps it.
 
     Until the child is reaped, OpenBLAS runs one thread in each process:
     its threads spin while they wait for work, so two processes with a
@@ -473,14 +455,15 @@ class _Child:
                         open(fds[3], "wb") as answers:
                     while True:
                         try:
-                            request = _receive(requests)
+                            request = pickle.load(requests)
                         except EOFError:
                             break
                         try:
                             out = (True, serve(request))
                         except BaseException as exc:
                             out = (False, exc)
-                        _send(answers, out)
+                        pickle.dump(out, answers)
+                        answers.flush()
                 code = 0
             finally:
                 os._exit(code)  # skip atexit handlers and inherited stdio
@@ -499,14 +482,15 @@ class _Child:
 
     def ask(self, request) -> None:
         try:
-            _send(self._requests, request)
+            pickle.dump(request, self._requests)
+            self._requests.flush()
         except BrokenPipeError:
             raise self._ended() from None
 
     def answer(self):
         try:
-            ok, value = _receive(self._answers)
-        except EOFError:
+            ok, value = pickle.load(self._answers)
+        except (EOFError, pickle.UnpicklingError):
             raise self._ended() from None
         if not ok:
             raise value
@@ -600,7 +584,7 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
                                        ds.state, opt_f, batches), opt_f))
         try:
             dynamics.net = nn.fit(dynamics.net, g_loss, *_dynamics_xy(
-                ds, lanes, n_grids), opt_g, batches)
+                ds, ds.state, lanes, n_grids), opt_g, batches)
         finally:
             estimator.net, opt_f = wait()
 
@@ -611,8 +595,7 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
 
 def offline_train_repr(logged: TaskDataset, schema_id: str, epochs: int,
                        lr: float, *, dist_cfg: DistanceConfig,
-                       hidden: tuple[int, ...] = (32, 32),
-                       batch_size: int = 128,
+                       hidden: tuple[int, ...], batch_size: int,
                        seed: int = 0) -> StateEstimator:
     """Train the observation-to-state estimator purely on a logged
     dataset's observations and states; no environment interaction happens
@@ -659,7 +642,6 @@ def training_loss(estimator: StateEstimator, logged: TaskDataset,
 def dynamics_error(dyn: DynamicsModel, ds: TaskDataset,
                    dist_cfg: DistanceConfig) -> float:
     """Mean one-step prediction distance over a dataset's transitions."""
-    pred = nn.forward(dyn.net, _dynamics_xy(ds, dyn.lanes,
-                                            dyn.state_grids)[0])
+    pred = dyn.predict_flat(ds.state.reshape(len(ds), -1), ds.action)
     return _mean_distance(pred.reshape(ds.state.shape), ds.state_next,
                           dist_cfg)

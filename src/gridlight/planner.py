@@ -164,8 +164,7 @@ rowwise_block_distance_loss = block_distance_loss
 
 
 def default_estimator_net(schema_id: str, state_grids: int,
-                          hidden: tuple[int, ...] = (32, 32),
-                          seed: int = 0) -> nn.Net:
+                          hidden: tuple[int, ...], seed: int = 0) -> nn.Net:
     if schema_id not in SCHEMA_DIMS:
         raise ConfigurationError(f"unknown observation schema {schema_id!r}")
     sizes = (SCHEMA_DIMS[schema_id], *hidden, state_grids)
@@ -173,8 +172,7 @@ def default_estimator_net(schema_id: str, state_grids: int,
 
 
 def default_dynamics_net(lanes: int, state_grids: int,
-                         hidden: tuple[int, ...] = (128, 128),
-                         seed: int = 0) -> nn.Net:
+                         hidden: tuple[int, ...], seed: int = 0) -> nn.Net:
     sizes = (lanes * state_grids + len(PHASE_IDS), *hidden, lanes * state_grids)
     return nn.net_new(sizes, output_activation="softplus", seed=seed)
 

@@ -44,9 +44,10 @@ the lanes or vehicles on the network:
   within a grid, so the walk jumps past a whole grid once one of its
   vehicles is blocked, and each lane keeps its segment counts as vehicles
   move, so the samples and the stationary count need no rescan.
-* Entries. Only entry lanes with a vehicle scheduled on this tick, or one
-  deferred by a full origin grid, are visited: a reset lists each
-  vehicle's entry lane under its scheduled tick.
+* Entries. The entry step scans the scenario's entry lanes, a few per
+  city, and takes each one's due vehicles from the front of its own
+  queue, which a reset sorts by scheduled tick; a due vehicle waits there
+  while its origin grid is full.
 
 ``validate=True`` checks all of this bookkeeping against recounts on
 every tick.
@@ -219,8 +220,9 @@ class Sim:
         }
         # Per node: ((approach, movement), approach lane, receiving link) in
         # approach-then-movement order. Approach lane k in node-major order
-        # owns bit k of the stop-line masks; _stop_lanes[k] is its
-        # (lane, receiving lanes, is_exit), and _phase_bits[node][phase]
+        # owns bit k of the stop-line masks; _stop_lanes[k] is its (lane,
+        # receiving lanes, route offset of the receiving lane's index: 0
+        # into an exit link, 1 into an approach), and _phase_bits[node][phase]
         # the bits of the node's lanes the phase permits.
         self._movements = {}
         self._stop_lanes = []
@@ -237,7 +239,8 @@ class Sim:
                          if net.on_grid(nxt)
                          else self.exit_links[(node, heading)])
                 lane.bit = 1 << len(self._stop_lanes)
-                self._stop_lanes.append((lane, dlink.lanes, dlink.node is None))
+                self._stop_lanes.append(
+                    (lane, dlink.lanes, int(dlink.node is not None)))
                 moves.append(((approach, movement), lane, dlink))
             self._movements[node] = moves
             self._phase_bits[node] = {
@@ -264,12 +267,7 @@ class Sim:
     def _schedule_flows(self):
         net = self.network
         self.vehicles: list[_Vehicle] = []
-        per_lane: dict[int, list[_Vehicle]] = {}
-        # the entry lanes with a vehicle scheduled on each tick, and the
-        # lanes with a vehicle due now: scheduled on this tick, or deferred
-        # while the origin grid is full
-        arrivals = self._arrivals = defaultdict(list)
-        self._due: dict[_Lane, None] = {}
+        per_lane: dict[_Lane, list[_Vehicle]] = {}
         vid = 0
         for flow in self.flows:
             trace_route(net, flow)  # raises ConfigurationError when invalid
@@ -284,21 +282,16 @@ class Sim:
                     f"flow origin {flow.origin} is not a boundary edge"
                 )
             route_idx = tuple(MOVEMENTS.index(m) for m in flow.route)
-            lane = entry.lanes[route_idx[0]]
-            key = id(lane)
-            if key not in per_lane:
-                per_lane[key] = (lane, [])
+            queue = per_lane.setdefault(entry.lanes[route_idx[0]], [])
             for sched in flow.schedule():
                 v = _Vehicle(vid, sched, route_idx)
                 vid += 1
                 self.vehicles.append(v)
-                per_lane[key][1].append(v)
-                arrivals[sched].append(lane)
-        for sched in [s for s in arrivals if s < 0]:  # due on tick 0
-            arrivals[0] += arrivals.pop(sched)
-        for lane, vs in per_lane.values():
+                queue.append(v)
+        for lane, vs in per_lane.items():
             vs.sort(key=lambda v: (v.sched_s, v.vid))
             lane.pending = deque(vs)
+        self._entry_lanes = list(per_lane)
 
     # -- queries -----------------------------------------------------------
 
@@ -507,27 +500,20 @@ class Sim:
         while pass_mask:
             low = pass_mask & -pass_mask
             pass_mask ^= low
-            lane, dlanes, is_exit = self._stop_lanes[low.bit_length() - 1]
+            lane, dlanes, offset = self._stop_lanes[low.bit_length() - 1]
             vehs = lane.vehs
             while True:  # its bit says: head at grid 0, pass capacity left
                 v = vehs[0]
-                if is_exit:
-                    dest = dlanes[v.route[v.route_pos]]
-                    dvehs = dest.vehs
-                    # full when its cap-th newest vehicle is in the top grid
-                    if len(dvehs) >= cap and dvehs[-cap].moved_tick >= t - 1:
+                dest = dlanes[v.route[v.route_pos + offset]]
+                # full when its cap-th newest vehicle is in the top grid:
+                # walked, or conveyed and in since the last tick (an exit
+                # lane walks none)
+                k = len(dest.vehs) - cap
+                if k >= 0:
+                    last_in = dest.vehs[k]
+                    if last_in.grid == top and (
+                            k < dest.walked or last_in.moved_tick >= t - 1):
                         break
-                else:
-                    dest = dlanes[v.route[v.route_pos + 1]]
-                    # full when its cap-th newest vehicle is in the top
-                    # grid: walked, or free and in since the last tick
-                    k = len(dest.vehs) - cap
-                    if k >= 0:
-                        last_in = dest.vehs[k]
-                        if last_in.grid == top and (
-                                k < dest.walked
-                                or last_in.moved_tick >= t - 1):
-                            break
                 vehs.popleft()
                 if lane in settled:
                     wake(lane, t)
@@ -539,8 +525,8 @@ class Sim:
                 v.grid = top
                 v.route_pos += 1
                 v.moved_tick = t
-                if is_exit:
-                    dvehs.append(v)
+                if not offset:
+                    dest.vehs.append(v)
                     exits.append((v, dest))
                 elif (admit(dest, v, t, t) and not top
                       and dest.crossings < n_cross):
@@ -626,12 +612,9 @@ class Sim:
             del active[lane]
             settled[lane] = stamp
 
-        # 5. scheduled entries, on the lanes with a vehicle due; a lane stays
-        # due, its vehicle deferred, while the origin grid is full
-        due = self._due
-        for lane in self._arrivals.pop(t, ()):
-            due[lane] = None
-        for lane in tuple(due):
+        # 5. scheduled entries: each entry lane's due vehicles, in schedule
+        # order, while its origin grid has room
+        for lane in self._entry_lanes:
             pending = lane.pending
             vehs = lane.vehs
             while pending and pending[0].sched_s <= t:
@@ -651,8 +634,6 @@ class Sim:
                 if (admit(lane, v, t, stamp) and not top
                         and lane.crossings < n_cross):
                     ready |= lane.bit
-            if not pending or pending[0].sched_s > t:
-                del due[lane]
 
         self._ready = ready
         self.clock = stamp
@@ -798,13 +779,6 @@ class Sim:
                     for v, owner in self._exits if owner is ln]):
             raise RuntimeError(
                 f"exit FIFO differs from the exit-lane vehicles at t={stamp}")
-        next_due = {ln: ln.pending[0].sched_s for ln in self._approach_lanes
-                    if ln.pending}
-        if (self._due.keys() != {ln for ln, s in next_due.items() if s <= t}
-                or min(self._arrivals, default=stamp) < stamp
-                or any(ln not in self._arrivals.get(s, ())
-                       for ln, s in next_due.items() if s > t)):
-            raise RuntimeError(f"entry-lane schedule differs at t={stamp}")
         ready = 0
         for lane in self._all_lanes:
             vehs = lane.vehs
@@ -850,6 +824,10 @@ class Sim:
             counts = _counts(grids, length)
             if max(counts) > cap:
                 raise RuntimeError(f"grid over capacity at t={stamp}")
+            if lane.pending and lane.pending[0].sched_s <= t and (
+                    counts[top] < cap):
+                raise RuntimeError(
+                    f"due vehicle left waiting with room at t={stamp}")
             # occupancy: walked vehicles at their grids, free ones at their
             # anchors
             occ = counts[:]

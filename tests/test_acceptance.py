@@ -301,6 +301,8 @@ def test_criterion_10_offline_case(pipeline_runs):
             city_id=target.name, intervals=target.intervals)
         est_off = offline_train_repr(logged, target.schema, epochs=40,
                                      lr=cfg.adapt.lr, dist_cfg=dist_cfg,
+                                     hidden=cfg.estimator_hidden,
+                                     batch_size=cfg.adapt.batch_size,
                                      seed=seed)
         ctrl = PlannerController(est_off, art["dynamics"],
                                  PolicyConfig(epsilon=0.0), vc,

@@ -51,7 +51,17 @@ from gridlight.meta import (
 )
 from gridlight.planner import DynamicsModel, StateEstimator, default_dynamics_net, default_estimator_net
 from gridlight.scenario import ScenarioSpec
-from gridlight.sim import Flow
+from gridlight.sim import Flow, RoadNetwork
+from gridlight.sim.network import (
+    APPROACHES,
+    HEADING_DELTA,
+    HEADING_OF_APPROACH,
+    MOVEMENTS,
+    SCHEMA_DIMS,
+    TURN,
+    origin_node,
+    trace_route,
+)
 
 
 def tiny_config(tmp_path, method="modular", seeds=(0,), episode_s=300):
@@ -476,7 +486,8 @@ def test_data_volume_curve_budgets(tmp_path):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    est = StateEstimator(default_estimator_net("SCHEMA_C", 12, seed=1),
+    est = StateEstimator(default_estimator_net("SCHEMA_C", 12, (32, 32),
+                                               seed=1),
                          "SCHEMA_C", 12, 12)
     dyn = DynamicsModel(default_dynamics_net(12, 12, (16,), seed=2), 12, 12)
     path = tmp_path / "ck.json"
@@ -546,6 +557,61 @@ def test_scenario_json_roundtrip():
         assert back == sc
         assert back.network.to_json()["N"] == 12
         assert back.network.to_json()["n"] == 4
+
+
+@st.composite
+def _flows(draw, net: RoadNetwork):
+    """A flow from any boundary edge whose route leaves the grid: a few
+    drawn movements, then straight on to the edge."""
+    side = draw(st.sampled_from(APPROACHES))
+    index = draw(st.integers(0, (net.cols if side in "NS" else net.rows) - 1))
+    node, heading = origin_node(net, (side, index)), HEADING_OF_APPROACH[side]
+    route = []
+    while net.on_grid(node):
+        movement = (draw(st.sampled_from(MOVEMENTS)) if len(route) < 6
+                    else "through")
+        route.append(movement)
+        heading = TURN[heading][movement]
+        dr, dc = HEADING_DELTA[heading]
+        node = (node[0] + dr, node[1] + dc)
+    start = draw(st.integers(-100, 3600))
+    flow = Flow((side, index), tuple(route), start,
+                start + draw(st.integers(1, 3600)), draw(st.integers(1, 120)))
+    trace_route(net, flow)  # raises unless the route leaves the grid
+    return flow
+
+
+@st.composite
+def _scenarios(draw):
+    """Any valid scenario: network shape and lane discretization, flows,
+    schema, episode and interval lengths, and seed."""
+    n = draw(st.integers(1, 4))
+    state_grids = n * draw(st.integers(1, 4))
+    net = RoadNetwork(rows=draw(st.integers(1, 4)),
+                      cols=draw(st.integers(1, 4)),
+                      state_grids=state_grids, pass_capacity=n,
+                      grid_capacity=draw(st.integers(1, 8)),
+                      lane_grids=draw(st.integers(state_grids,
+                                                  3 * state_grids)))
+    interval_s = draw(st.integers(1, 60))
+    return ScenarioSpec(
+        name=draw(st.text(max_size=12)), network=net,
+        flows=tuple(draw(st.lists(_flows(net), max_size=4))),
+        schema=draw(st.sampled_from(sorted(SCHEMA_DIMS))),
+        episode_s=draw(st.integers(interval_s, 7200)), interval_s=interval_s,
+        seed=draw(st.integers(0, 2 ** 63 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios(), st.lists(_scenarios(), max_size=3))
+def test_scenario_document_roundtrip(target, sources):
+    """Any valid scenario written as JSON text reads back equal, alone and
+    as an experiment's target and sources."""
+    doc = json.loads(json.dumps(target.to_json()))
+    assert ScenarioSpec.from_json(doc) == target
+    cfg = replace(default_experiment(), target=target, sources=tuple(sources))
+    back = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+    assert (back.target, back.sources) == (target, tuple(sources))
 
 
 def test_flow_documents_refuse_malformed_origins():

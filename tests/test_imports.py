@@ -1,6 +1,6 @@
-"""Source hygiene: every imported name is used, and importing the program
-stays cheap. No linter ships with the project, so this scan stands in for
-one."""
+"""Source hygiene: every imported name is used, importing the program
+stays cheap, and only ``meta._Child`` forks. No linter ships with the
+project, so this scan stands in for one."""
 
 import ast
 import subprocess
@@ -97,10 +97,15 @@ def unreferenced_definitions(trees: dict[str, ast.Module]) -> list[str]:
         and node.name not in used)
 
 
+def program_trees() -> dict[str, ast.Module]:
+    """Each module under ``src/``, keyed by its path there."""
+    return {str(p.relative_to(ROOT / "src")): ast.parse(p.read_text())
+            for p in sorted((ROOT / "src").rglob("*.py"))}
+
+
 def test_every_definition_is_referenced_or_allowed():
-    trees = {str(p.relative_to(ROOT / "src")): ast.parse(p.read_text())
-             for p in sorted((ROOT / "src").rglob("*.py"))}
-    flagged = {entry.split(":")[1] for entry in unreferenced_definitions(trees)}
+    flagged = {entry.split(":")[1]
+               for entry in unreferenced_definitions(program_trees())}
     assert flagged == set(UNREFERENCED_ALLOWED)
 
 
@@ -109,3 +114,39 @@ def test_scan_finds_an_unreferenced_definition():
                                "def g():\n    pass\n\nclass C:\n    pass\n"),
              "b.py": ast.parse("import a\na.C\n")}
     assert unreferenced_definitions(trees) == ["a.py:f"]
+
+
+def forks_outside_the_child(trees: dict[str, ast.Module]) -> list[str]:
+    """``module:line`` of each ``os.fork`` reference, or import of ``fork``
+    from ``os``, outside the ``_Child`` class of ``gridlight/meta.py``."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if (module == "gridlight/meta.py"
+                    and isinstance(top, ast.ClassDef)
+                    and top.name == "_Child"):
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "os"
+                        or isinstance(node, ast.ImportFrom)
+                        and node.module == "os"
+                        and any(a.name == "fork" for a in node.names)):
+                    found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_only_the_child_class_forks():
+    """Every child process comes from ``meta._Child``, so each one is reaped
+    and runs BLAS on one thread, as ``tests/conftest.py`` checks."""
+    assert forks_outside_the_child(program_trees()) == []
+
+
+def test_scan_finds_a_fork_outside_the_child():
+    trees = {"gridlight/meta.py": ast.parse(
+                 "import os\nclass _Child:\n    def f(self):\n"
+                 "        os.fork()\n\ndef g():\n    return os.fork()\n"),
+             "gridlight/x.py": ast.parse("from os import fork\n")}
+    assert forks_outside_the_child(trees) == ["gridlight/meta.py:7",
+                                              "gridlight/x.py:1"]

@@ -16,13 +16,14 @@ from conftest import FAILURES, assert_no_child_left, fail_in, no_child_left
 from gridlight import nn
 from gridlight.baselines import FixedTimeController, MaxPressureController
 from gridlight.errors import ConfigurationError, ShapeError
-from gridlight.harness.config import desk_city_c
+from gridlight.harness.config import default_experiment, desk_city_c
 from gridlight.meta import (
     COLUMNS,
     AdaptConfig,
     ArrayTask,
     MamlConfig,
     TaskDataset,
+    _Child,
     _fd_outer_grad,
     _forked,
     _openblas_threads,
@@ -425,6 +426,21 @@ def test_forked_child_dying_without_a_result_raises(die, code):
     assert_no_child_left()
 
 
+def test_child_answer_that_cannot_be_pickled_raises():
+    """The answer's large array reaches the pipe before pickling fails at
+    the lambda after it: the cut answer reads as a child that ended
+    without a result."""
+    child = _Child(lambda _: (np.zeros(1 << 20), lambda: None))
+    try:
+        child.ask(None)
+        with pytest.raises(RuntimeError,
+                           match=r"without a result \(exit code 1\)$"):
+            child.answer()
+    finally:
+        child.close()
+    assert_no_child_left()
+
+
 def test_forked_runs_blas_on_one_thread_until_the_child_is_reaped():
     blas = _openblas_threads()
     if blas is None:
@@ -494,6 +510,10 @@ def test_diverging_adaptation_raises_in_both_processes():
 
 # -- offline estimator training ----------------------------------------------
 
+# the desk configuration's estimator layers and adaptation batch size
+DESK_ESTIMATOR = {"hidden": default_experiment().estimator_hidden,
+                  "batch_size": default_experiment().adapt.batch_size}
+
 def logged_pairs(schema="SCHEMA_A", episodes=1, episode_s=400):
     sc = small_scenario(schema=schema, episode_s=episode_s)
     return collect_experience(lambda s: sc.make(s), FixedTimeController(),
@@ -511,10 +531,10 @@ def test_offline_train_overfits_single_pair():
     pairs = rows(logged_pairs(), [12] * 4)
     dist_cfg = DistanceConfig(0.8, 12, 4)
     est0 = offline_train_repr(pairs, "SCHEMA_A", epochs=0, lr=1e-2,
-                              dist_cfg=dist_cfg)
+                              dist_cfg=dist_cfg, **DESK_ESTIMATOR)
     initial = training_loss(est0, pairs, dist_cfg)
     est = offline_train_repr(pairs, "SCHEMA_A", epochs=400, lr=1e-2,
-                             dist_cfg=dist_cfg)
+                             dist_cfg=dist_cfg, **DESK_ESTIMATOR)
     final = training_loss(est, pairs, dist_cfg)
     assert final < 0.01 * initial
 
@@ -523,19 +543,21 @@ def test_offline_train_empty_log_rejected():
     # an empty log is refused as soon as it is built
     with pytest.raises(ConfigurationError):
         offline_train_repr(rows(logged_pairs(), []), "SCHEMA_A", epochs=1,
-                           lr=1e-3, dist_cfg=DistanceConfig(0.8, 12, 4))
+                           lr=1e-3, dist_cfg=DistanceConfig(0.8, 12, 4),
+                           **DESK_ESTIMATOR)
 
 
 def test_offline_train_schema_mismatch():
     pairs = logged_pairs("SCHEMA_B")
     with pytest.raises(ConfigurationError):
         offline_train_repr(pairs, "SCHEMA_A", epochs=1, lr=1e-3,
-                           dist_cfg=DistanceConfig(0.8, 12, 4))
+                           dist_cfg=DistanceConfig(0.8, 12, 4),
+                           **DESK_ESTIMATOR)
 
 
 def test_training_loss_schema_mismatch():
-    est = StateEstimator(default_estimator_net("SCHEMA_A", 12, seed=0),
-                         "SCHEMA_A", 12, 12)
+    est = StateEstimator(default_estimator_net("SCHEMA_A", 12, (32, 32),
+                                               seed=0), "SCHEMA_A", 12, 12)
     with pytest.raises(ShapeError):
         training_loss(est, logged_pairs("SCHEMA_B"),
                       DistanceConfig(0.8, 12, 4))
@@ -562,7 +584,7 @@ def test_offline_training_loss_monotone_small_lr():
     # full-batch plain gradient descent at lr=1e-4 on a frozen batch
     pairs = rows(logged_pairs(), slice(0, 40))
     dist_cfg = DistanceConfig(0.8, 12, 4)
-    net0 = default_estimator_net("SCHEMA_A", 12, seed=5)
+    net0 = default_estimator_net("SCHEMA_A", 12, (32, 32), seed=5)
     loss_fn = block_distance_loss(dist_cfg, 12)
     full_batch = [np.arange(len(pairs))]
     losses = []

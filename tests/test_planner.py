@@ -219,7 +219,7 @@ def test_block_distance_loss_layouts_agree(bsz, lanes, blocks, pass_grids,
 
 
 def test_estimator_output_shape_and_softplus_offset():
-    est_net = default_estimator_net("SCHEMA_C", 12, seed=0)
+    est_net = default_estimator_net("SCHEMA_C", 12, (32, 32), seed=0)
     est_net = est_net.with_params(np.zeros_like(est_net.params))
     est = StateEstimator(est_net, "SCHEMA_C", 12, 12)
     obs = Observation("SCHEMA_C", np.zeros((12, 3)))
@@ -230,7 +230,8 @@ def test_estimator_output_shape_and_softplus_offset():
 
 
 def test_estimator_schema_mismatch():
-    est = StateEstimator(default_estimator_net("SCHEMA_A", 12, seed=0),
+    est = StateEstimator(default_estimator_net("SCHEMA_A", 12, (32, 32),
+                                               seed=0),
                          "SCHEMA_A", 12, 12)
     with pytest.raises(ShapeError):
         est.estimate([Observation("SCHEMA_A", np.zeros((12, 2))),
@@ -387,7 +388,8 @@ def test_policy_config_validation():
 
 
 def test_dynamics_model_shapes():
-    dyn = DynamicsModel(default_dynamics_net(12, 12, seed=0), 12, 12)
+    dyn = DynamicsModel(default_dynamics_net(12, 12, (128, 128), seed=0),
+                        12, 12)
     s = np.zeros((12, 12))
     out = predict(dyn, s, 3)
     assert out.shape == (12, 12)
@@ -441,10 +443,11 @@ def _golden_planner_run(epsilon, intervals=30):
     spec = DESK_CITIES["city-c"]()
     net = spec.network
     lanes, grids = net.lanes_per_intersection, net.state_grids
-    est = StateEstimator(default_estimator_net(spec.schema, grids, seed=3),
+    est = StateEstimator(default_estimator_net(spec.schema, grids, (32, 32),
+                                               seed=3),
                          spec.schema, lanes, grids)
-    dyn = DynamicsModel(default_dynamics_net(lanes, grids, seed=4), lanes,
-                        grids)
+    dyn = DynamicsModel(default_dynamics_net(lanes, grids, (128, 128),
+                                             seed=4), lanes, grids)
     vc = ValueConfig(2, 0.9, 0.8, grids, net.pass_capacity)
     ctrl = PlannerController(est, dyn, PolicyConfig(epsilon=epsilon), vc,
                              np.random.default_rng(5))
