@@ -8,6 +8,7 @@ and bootstrap experience collection.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ class FixedTimeController:
     def begin_episode(self, env) -> None:
         pass
 
-    def decide(self, env, interval_index: int, obs: dict) -> dict:
+    def decide(self, env, interval_index: int, obs: Mapping) -> dict:
         phase = fixed_time_act(self.cfg, interval_index)
         return {node: phase for node in env.nodes}
 
@@ -114,7 +115,7 @@ class RandomController:
     def begin_episode(self, env) -> None:
         pass
 
-    def decide(self, env, interval_index: int, obs: dict) -> dict:
+    def decide(self, env, interval_index: int, obs: Mapping) -> dict:
         return {node: int(self.rng.integers(1, len(PHASE_IDS) + 1))
                 for node in env.nodes}
 
@@ -131,7 +132,7 @@ class SotlController:
         self._phase = {node: PHASE_IDS[0] for node in env.nodes}
         self._held = {node: 0 for node in env.nodes}
 
-    def decide(self, env, interval_index: int, obs: dict) -> dict:
+    def decide(self, env, interval_index: int, obs: Mapping) -> dict:
         out = {}
         for node in env.nodes:
             waiting = env.waiting_counts(node)
@@ -158,7 +159,7 @@ class MaxPressureController:
     def begin_episode(self, env) -> None:
         pass
 
-    def decide(self, env, interval_index: int, obs: dict) -> dict:
+    def decide(self, env, interval_index: int, obs: Mapping) -> dict:
         return {node: max_pressure_act(env.movement_queues(node))
                 for node in env.nodes}
 
@@ -177,7 +178,7 @@ class EpsilonMixController:
     def begin_episode(self, env) -> None:
         self.base.begin_episode(env)
 
-    def decide(self, env, interval_index: int, obs: dict) -> dict:
+    def decide(self, env, interval_index: int, obs: Mapping) -> dict:
         acts = self.base.decide(env, interval_index, obs)
         for node in env.nodes:
             if self.rng.random() < self.epsilon:

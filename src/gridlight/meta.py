@@ -29,6 +29,7 @@ import contextlib
 import ctypes
 import os
 import pickle
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -97,24 +98,62 @@ class TaskDataset:
                      for c in COLUMNS))
 
 
+class _IntervalObservations(Mapping):
+    """A simulator's observations for the interval about to be decided,
+    read-only. The first read builds all of them with one ``observe_all``
+    call; any read after the simulator has stepped raises RuntimeError."""
+
+    def __init__(self, sim: Sim):
+        self._sim = sim
+        self._clock = sim.clock
+        self._obs = None
+
+    def _built(self) -> dict:
+        if self._sim.clock != self._clock:
+            raise RuntimeError(
+                f"observations of t={self._clock} s read after the simulator "
+                f"stepped to t={self._sim.clock} s")
+        if self._obs is None:
+            self._obs = self._sim.observe_all()
+        return self._obs
+
+    def __getitem__(self, node):
+        return self._built()[node]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+
 def run_episode(sim: Sim, controller, intervals: int, interval_s: int = 20,
                 record: bool = False, city_id: str = ""):
     """Drive one episode at the action-interval cadence.
 
     Returns (final metrics, transitions): a ``TaskDataset`` with one row
     per intersection per interval when recording is on, else an empty tuple.
+    A recording episode takes a ``snapshot`` after every step. Otherwise
+    no state is built, and ``controller.decide`` gets a read-only mapping
+    that builds the interval's observations on its first read, so a
+    controller that never reads them costs no observation either.
     """
+    if intervals < 1:
+        raise ConfigurationError(f"intervals must be >= 1, got {intervals}")
     controller.begin_episode(sim)
-    obs, states = sim.snapshot()
     rows = []
+    if record:
+        obs, states = sim.snapshot()
     for t in range(intervals):
-        acts = controller.decide(sim, t, obs)
-        obs_next, states_next, _ = sim.step(acts, interval_s)
+        acts = controller.decide(
+            sim, t, obs if record else _IntervalObservations(sim))
+        sim.step(acts, interval_s)
         if record:
+            obs_next, states_next = sim.snapshot()
             rows.extend((t, obs[node].values, states[node], acts[node],
                          states_next[node], obs_next[node].values)
                         for node in sim.nodes)
-        obs, states = obs_next, states_next
+            obs, states = obs_next, states_next
     if not record:
         return sim.metrics(), ()
     return sim.metrics(), TaskDataset(

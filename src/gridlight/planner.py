@@ -13,7 +13,7 @@ their block sums, and doubles as the training loss for both models.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,7 +308,7 @@ class PlannerController:
     def begin_episode(self, env) -> None:
         pass
 
-    def decide(self, env, interval_index: int, obs: dict) -> dict:
+    def decide(self, env, interval_index: int, obs: Mapping) -> dict:
         picks = select_actions(self.estimator, self.dynamics,
                                [obs[node] for node in env.nodes],
                                self.policy, self.vc, self.rng)

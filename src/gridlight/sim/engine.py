@@ -8,12 +8,15 @@ other vehicle advances one grid toward the intersection when the grid
 ahead has room, and scheduled vehicles enter at their origin grid when it
 has room (deferred tick by tick otherwise, so no vehicle is ever lost).
 
-Commanded phases are held for the whole interval. Everything is a pure
-function of (network, flows, action trace): nothing is random, and the
-seed is only recorded on the handle. Lane state is plain Python ints and
-containers; numpy appears only in the arrays the queries return and in
-the int64 bytes ``digest()`` hashes. A handle is single-threaded; run
-independent handles for parallelism.
+Commanded phases are held for the whole interval. ``step`` only advances
+the simulation and returns the interval's metrics. Observations and states
+are built when a caller reads them (``observe_all``, ``snapshot`` or the
+per-node queries), so an episode whose controller reads neither builds
+none. Everything is a pure function of (network, flows, action trace):
+nothing is random, and the seed is only recorded on the handle. Lane
+state is plain Python ints and containers; numpy appears only in the
+arrays the queries return and in the int64 bytes ``digest()`` hashes. A
+handle is single-threaded; run independent handles for parallelism.
 
 Each step of a tick costs in proportion to the lanes that can act, not to
 the lanes or vehicles on the network:
@@ -355,20 +358,25 @@ class Sim:
             out[key] = (float(sum(lane.occ[:n])), down[dlink])
         return out
 
-    def snapshot(self):
-        """Current per-intersection observations and states without
-        stepping: every node's rows come from one pass over the approach
-        lanes, equal to ``observe`` and ``extract_state`` node by node."""
+    def _per_node(self, values: np.ndarray) -> dict:
+        """Node-major approach-lane rows, split into one block per node."""
         per_node = self.network.lanes_per_intersection
-        lanes = self._approach_lanes
-        values = self._observations(lanes, self.schema)
-        occupancy = self._states(lanes)
-        obs, states = {}, {}
-        for i, node in enumerate(self.nodes):
-            rows = slice(i * per_node, (i + 1) * per_node)
-            obs[node] = Observation(self.schema, values[rows])
-            states[node] = occupancy[rows]
-        return obs, states
+        return {node: values[i * per_node:(i + 1) * per_node]
+                for i, node in enumerate(self.nodes)}
+
+    def observe_all(self) -> dict:
+        """Every intersection's current observation, from one pass over the
+        approach lanes; equal to ``observe`` node by node."""
+        values = self._observations(self._approach_lanes, self.schema)
+        return {node: Observation(self.schema, rows)
+                for node, rows in self._per_node(values).items()}
+
+    def snapshot(self):
+        """Current per-intersection observations (``observe_all``) and
+        states without stepping, equal to ``observe`` and ``extract_state``
+        node by node."""
+        return (self.observe_all(),
+                self._per_node(self._states(self._approach_lanes)))
 
     def metrics(self) -> MetricsReport:
         """Cumulative metrics; vehicles still on the network contribute
@@ -404,11 +412,13 @@ class Sim:
 
     # -- dynamics ----------------------------------------------------------
 
-    def step(self, actions, interval_s: int = 20):
+    def step(self, actions, interval_s: int = 20) -> MetricsReport:
         """Advance one action interval holding the commanded phases.
 
-        Returns (observations, states, interval metrics delta), each keyed
-        by intersection.
+        Returns the interval's ``MetricsReport``: the mean travel time of
+        the vehicles that left during it and its mean queue length. It
+        builds no observations or states; read them afterwards with
+        ``snapshot``, ``observe_all`` or the per-node queries.
         """
         if interval_s < 1:
             raise ConfigurationError(f"interval_s must be >= 1, got {interval_s}")
@@ -453,8 +463,7 @@ class Sim:
         n_exited = self.exited - exited_before
         travel = ((self._travel_sum_exited - travel_before) / n_exited
                   if n_exited else 0.0)
-        obs, states = self.snapshot()
-        return obs, states, MetricsReport(travel, queue_mean)
+        return MetricsReport(travel, queue_mean)
 
     def _tick(self, permit: int, last: bool):
         net = self.network

@@ -138,7 +138,8 @@ def test_controllers_return_valid_phases_on_sim():
             acts = ctrl.decide(sim, t, obs)
             assert set(acts) == set(sim.nodes)
             assert all(a in PHASE_IDS for a in acts.values())
-            obs, _, _ = sim.step(acts)
+            sim.step(acts)
+            obs, _ = sim.snapshot()
 
 
 def test_max_pressure_drains_queue_on_sim():
@@ -152,5 +153,6 @@ def test_max_pressure_drains_queue_on_sim():
     obs, _ = sim.snapshot()
     for t in range(30):
         acts = ctrl.decide(sim, t, obs)
-        obs, _, _ = sim.step(acts)
+        sim.step(acts)
+        obs, _ = sim.snapshot()
     assert sim.exited > 0

@@ -608,3 +608,12 @@ def test_run_episode_matches_manual_loop():
     assert set(records.action) <= set(range(1, 9))
     assert records.state.shape[1:] == (12, 12)
     assert records.obs.shape[1:] == (12, 2)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("intervals", [0, -1])
+def test_run_episode_rejects_fewer_than_one_interval(intervals, record):
+    sim = small_scenario().make(0)
+    with pytest.raises(ConfigurationError, match="intervals must be >= 1"):
+        run_episode(sim, FixedTimeController(), intervals, record=record)
+    assert sim.clock == 0

@@ -457,7 +457,8 @@ def _golden_planner_run(epsilon, intervals=30):
     for t in range(intervals):
         acts = ctrl.decide(sim, t, obs)
         actions.append("".join(str(acts[node]) for node in sim.nodes))
-        obs, _, _ = sim.step(acts, spec.interval_s)
+        sim.step(acts, spec.interval_s)
+        obs, _ = sim.snapshot()
     m = sim.metrics()
     return (" ".join(actions), sim.digest(), m.avg_travel_time_s,
             m.avg_queue_length)

@@ -1,19 +1,22 @@
 """Simulator tests: reset/step contracts, hand-traced movement oracles,
-conservation, capacity, schema observations, metrics, properties over
-random scenarios, and a pin of recorded behaviour."""
+conservation, capacity, schema observations and the episode mapping that
+builds them on read, metrics, properties over random scenarios, and a pin
+of recorded behaviour."""
 
 import hashlib
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlight.baselines import (FixedTimeController, MaxPressureController,
-                                 RandomController, SotlController)
+from gridlight.baselines import (EpsilonMixController, FixedTimeController,
+                                 MaxPressureController, RandomController,
+                                 SotlController)
 from gridlight.errors import ConfigurationError
 from gridlight.harness.config import DESK_CITIES
-from gridlight.meta import run_episode
+from gridlight.meta import COLUMNS, run_episode
 from gridlight.sim import Flow, RoadNetwork, Sim, reset
 from gridlight.sim.network import (APPROACHES, HEADING_DELTA,
                                    HEADING_OF_APPROACH, MOVEMENTS, PHASE_IDS,
@@ -142,7 +145,8 @@ def test_full_green_interval_crosses_within_20s():
 
 def test_empty_network_step():
     sim = reset(NET, [], seed=0, validate=True)
-    obs, states, delta = sim.step(all_phase(sim, 1))
+    delta = sim.step(all_phase(sim, 1))
+    obs, states = sim.snapshot()
     for node in sim.nodes:
         assert np.array_equal(states[node], np.zeros((12, 12)))
         assert np.array_equal(obs[node].values, np.zeros((12, 1)))
@@ -429,7 +433,8 @@ def _replay(net, flows, schema, trace):
     are checked inside every tick) and check the public state each step."""
     sim = reset(net, flows, seed=0, schema=schema, validate=True)
     for phases, interval_s in trace:
-        _, states, _ = sim.step(dict(zip(sim.nodes, phases)), interval_s)
+        sim.step(dict(zip(sim.nodes, phases)), interval_s)
+        _, states = sim.snapshot()
         entered = sum(v.enter_s >= 0 for v in sim.vehicles)
         exited = sum(v.exit_s >= 0 for v in sim.vehicles)
         assert (sim.entered, sim.exited) == (entered, exited)
@@ -579,7 +584,7 @@ class _WalkEveryLane(Sim):
 
 
 def _interval_record(sim, actions, interval_s):
-    _, _, delta = sim.step(actions, interval_s)
+    delta = sim.step(actions, interval_s)
     observations = [sim.observe(node, schema).values.tolist()
                     for node in sim.nodes for schema in sorted(SCHEMA_DIMS)]
     waiting = [sim.waiting_counts(node).tolist() for node in sim.nodes]
@@ -640,16 +645,221 @@ def test_snapshot_equals_per_node_queries(city, schema):
             sim.step(controller.decide(sim, t, obs), spec.interval_s)
 
 
+# -- observations on demand --------------------------------------------------
+
+BASELINES = {
+    "fixed_time": FixedTimeController,
+    "sotl": SotlController,
+    "max_pressure": MaxPressureController,
+    "random": lambda: RandomController(np.random.default_rng(11)),
+    "epsilon_mix": lambda: EpsilonMixController(
+        MaxPressureController(), 0.3, np.random.default_rng(12)),
+}
+
+
+class _Logged:
+    """Pass-through controller keeping every decision and the observation
+    mapping each one was given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.actions = []
+        self.seen = []
+
+    def begin_episode(self, env):
+        self.inner.begin_episode(env)
+
+    def decide(self, env, interval_index, obs):
+        acts = self.inner.decide(env, interval_index, obs)
+        self.actions.append(dict(acts))
+        self.seen.append(obs)
+        return acts
+
+
+def _eager_replay(sim, actions, interval_s):
+    """A fresh simulator stepped through the action trace with a snapshot
+    after every step, as episodes ran when ``step`` built them: (digest,
+    metrics)."""
+    sim.snapshot()
+    for acts in actions:
+        sim.step(acts, interval_s)
+        sim.snapshot()
+    return sim.digest(), sim.metrics()
+
+
+def _count_builds(monkeypatch):
+    """Count the calls that build observation or state arrays."""
+    calls = {"obs": 0, "states": 0}
+    for name, key in (("_observations", "obs"), ("_states", "states")):
+        build = getattr(Sim, name)
+
+        def counted(self, *args, _build=build, _key=key):
+            calls[_key] += 1
+            return _build(self, *args)
+
+        monkeypatch.setattr(Sim, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", sorted(BASELINES))
+def test_unrecorded_baseline_episode_builds_no_observations(method,
+                                                            monkeypatch):
+    """A baseline reads queues and waiting counts, never the observation
+    mapping, so an episode that records nothing builds no observation or
+    state, and ends as the same actions stepped with a snapshot after
+    every step do."""
+    spec = DESK_CITIES["city-b"]()
+    sim = spec.make(seed=0)
+    controller = _Logged(BASELINES[method]())
+    calls = _count_builds(monkeypatch)
+    m, records = run_episode(sim, controller, 40, spec.interval_s)
+    assert calls == {"obs": 0, "states": 0} and records == ()
+    monkeypatch.undo()
+    assert (sim.digest(), m) == _eager_replay(
+        spec.make(seed=0), controller.actions, spec.interval_s)
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMA_DIMS))
+def test_observation_mapping_equals_snapshot_and_observe(schema,
+                                                         monkeypatch):
+    """Each interval's mapping is read-only, holds every node's
+    observation in ``sim.nodes`` order, equal in bytes, dtype and shape to
+    ``snapshot()`` and ``observe()``, and builds them in one call however
+    often it is read."""
+    spec = DESK_CITIES["city-c"]()
+    sim = reset(spec.network, list(spec.flows), seed=0, schema=schema)
+    built = []
+    observe_all = Sim.observe_all
+    monkeypatch.setattr(Sim, "observe_all",
+                        lambda self: built.append(self.clock)
+                        or observe_all(self))
+
+    class Checking(MaxPressureController):
+        def decide(self, env, interval_index, obs):
+            assert isinstance(obs, Mapping)
+            assert not isinstance(obs, MutableMapping)
+            with pytest.raises(TypeError):
+                obs[env.nodes[0]] = None
+            assert list(obs) == list(env.nodes) and len(obs) == len(env.nodes)
+            snap, _ = env.snapshot()
+            for node in env.nodes:
+                want = env.observe(node)
+                for got in (obs[node], snap[node]):
+                    assert got.schema_id == want.schema_id == schema
+                    assert (got.values.dtype, got.values.shape) == (
+                        want.values.dtype, want.values.shape)
+                    assert got.values.tobytes() == want.values.tobytes()
+                assert obs.get(node) is obs[node]
+            assert (-1, -1) not in obs
+            return super().decide(env, interval_index, obs)
+
+    run_episode(sim, Checking(), 12, spec.interval_s)
+    # one build per interval from the mapping, one per snapshot() above
+    assert built == [t * spec.interval_s for t in range(12)
+                     for _ in range(2)]
+
+
+def test_observation_mapping_raises_after_the_simulator_steps():
+    """A mapping read after its interval was stepped raises, whether it
+    was read before the step or not."""
+    spec = DESK_CITIES["city-a"]()
+    sim = spec.make(seed=0)
+    read = []
+
+    class ReadEveryOther(FixedTimeController):
+        def decide(self, env, interval_index, obs):
+            if interval_index % 2:
+                read.append(obs[env.nodes[0]])
+            return super().decide(env, interval_index, obs)
+
+    controller = _Logged(ReadEveryOther())
+    run_episode(sim, controller, 4, spec.interval_s)
+    assert len(read) == 2
+    for obs in controller.seen:
+        with pytest.raises(RuntimeError, match="after the simulator stepped"):
+            obs[sim.nodes[0]]
+        with pytest.raises(RuntimeError):
+            list(obs)
+
+
+def _eager_recording(sim, controller, intervals, interval_s):
+    """The recording loop as it ran when ``step`` returned observations
+    and states, each interval's taken from its result."""
+    controller.begin_episode(sim)
+    obs, states = sim.snapshot()
+    rows = []
+    for t in range(intervals):
+        acts = controller.decide(sim, t, obs)
+        sim.step(acts, interval_s)
+        obs_next, states_next = sim.snapshot()
+        rows.extend((t, obs[node].values, states[node], acts[node],
+                     states_next[node], obs_next[node].values)
+                    for node in sim.nodes)
+        obs, states = obs_next, states_next
+    return sim.metrics(), [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("city", sorted(DESK_CITIES))
+def test_recorded_dataset_matches_the_eager_loop(city):
+    """A recording episode's dataset arrays have the bytes, dtype and
+    shape of the eager loop's."""
+    spec = DESK_CITIES[city]()
+    runs = []
+    for record in (True, False):
+        controller = EpsilonMixController(MaxPressureController(), 0.3,
+                                          np.random.default_rng(5))
+        sim = spec.make(seed=0)
+        if record:
+            m, ds = run_episode(sim, controller, 30, spec.interval_s,
+                                record=True, city_id=city)
+            cols = [getattr(ds, c) for c in COLUMNS]
+        else:
+            m, cols = _eager_recording(sim, controller, 30, spec.interval_s)
+        runs.append((m, sim.digest(),
+                     [(c.dtype, c.shape, c.tobytes()) for c in cols]))
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios() | scenarios(one_grid=True) | scenarios(long_lanes=True))
+def test_observation_mapping_fuzz(scenario):
+    """Over random scenarios and phase traces under validate=True: at
+    every interval the mapping, ``snapshot()`` and ``observe()`` agree, the
+    mapping raises once stepped, and the episode ends with the digest and
+    metrics of the trace stepped with a snapshot after every step."""
+    net, flows, schema, trace = scenario
+    interval_s = trace[0][1]
+    phases = [dict(zip(net.nodes, p)) for p, _ in trace]
+    seen = []
+
+    class Trace:
+        def begin_episode(self, env):
+            pass
+
+        def decide(self, env, t, obs):
+            snap, _ = env.snapshot()
+            for node in env.nodes:
+                want = env.observe(node).values.tobytes()
+                assert obs[node].values.tobytes() == want
+                assert snap[node].values.tobytes() == want
+            seen.append(obs)
+            return phases[t]
+
+    sim = reset(net, flows, seed=0, schema=schema, validate=True)
+    m, _ = run_episode(sim, Trace(), len(phases), interval_s)
+    for obs in seen:
+        with pytest.raises(RuntimeError):
+            obs[net.nodes[0]]
+    assert (sim.digest(), m) == _eager_replay(
+        reset(net, flows, seed=0, schema=schema, validate=True), phases,
+        interval_s)
+
+
 # -- golden behaviour pin ----------------------------------------------------
 
 def _golden_run(city, method, validate=False, intervals=30):
     """One short baseline episode: (digest, metrics, movement-queue hash)."""
-    controller = {
-        "fixed_time": FixedTimeController,
-        "sotl": SotlController,
-        "max_pressure": MaxPressureController,
-        "random": lambda: RandomController(np.random.default_rng(11)),
-    }[method]()
+    controller = BASELINES[method]()
     sim = DESK_CITIES[city]().make(seed=0, validate=validate)
     m, _ = run_episode(sim, controller, intervals)
     queues = repr([sorted(sim.movement_queues(node).items())
@@ -719,8 +929,7 @@ def _observation_run(city, method, intervals=60):
     """One baseline episode under validate=True, hashing every interval's
     observations (in every schema) and waiting counts for every node: the
     final digest only holds the last interval's statistics."""
-    controller = {"fixed_time": FixedTimeController,
-                  "max_pressure": MaxPressureController}[method]()
+    controller = BASELINES[method]()
     sim = DESK_CITIES[city]().make(seed=0, validate=True)
     h = hashlib.sha256()
     obs, _ = sim.snapshot()
@@ -786,7 +995,7 @@ def test_stationary_count_when_a_vehicle_crosses_two_nodes_in_one_tick():
     sim = reset(net, flows, seed=0, validate=True)
     west_through = [0, 0, 1, 2, 2, 1, 1, 0]  # (0, 0)'s lane 10
     for waiting in west_through:
-        _, _, metrics = sim.step(all_phase(sim, 3), interval_s=1)
+        metrics = sim.step(all_phase(sim, 3), interval_s=1)
         assert sim.waiting_counts((0, 0)).tolist() == [0] * 10 + [waiting, 0]
         assert sim.waiting_counts((0, 1)).tolist() == [0] * 12
         assert metrics.avg_queue_length == waiting / 24
