@@ -52,6 +52,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _flag_values(text: str, flag: str, kind) -> tuple:
+    """The comma-separated values of ``flag``, each read as ``kind``."""
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     method = args.method or cfg.method
@@ -197,8 +205,8 @@ def _cmd_ablation(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    widths = tuple(float(w) for w in args.widths.split(","))
-    depths = tuple(int(d) for d in args.depths.split(","))
+    widths = _flag_values(args.widths, "--widths", float)
+    depths = _flag_values(args.depths, "--depths", int)
     results = run_complexity_sweep(cfg, widths, depths)
     for entry in results:
         print(f"width x{entry['width_scale']} depth {entry['depth']}: "
@@ -225,7 +233,7 @@ def _cmd_offline(args) -> int:
 
 def _cmd_curve(args) -> int:
     cfg = _load_config(args)
-    fractions = tuple(float(f) for f in args.fractions.split(","))
+    fractions = _flag_values(args.fractions, "--fractions", float)
     rows = run_data_volume_curve(cfg, fractions)
     for r in rows:
         print(f"fraction={r['fraction']} seed={r['seed']}: "

@@ -130,6 +130,9 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigurationError(
+                f"seeds must be >= 0, got {list(self.seeds)}")
         if self.method in PIPELINE_METHODS and not self.sources:
             raise ConfigurationError(
                 f"method {self.method!r} needs at least one source scenario"
@@ -147,7 +150,8 @@ class ExperimentConfig:
         if self.horizon < 0:
             raise ConfigurationError(
                 f"horizon must be >= 0, got {self.horizon}")
-        for name in ("step_discount", "block_discount", "dist_discount"):
+        for name in ("behavior_epsilon", "step_discount", "block_discount",
+                     "dist_discount"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {getattr(self, name)}")

@@ -457,6 +457,13 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
     parameter counts alongside the metrics."""
     if not width_scales or not depths:
         raise ConfigurationError("sweep grid must be nonempty")
+    for ws in width_scales:
+        if not 0.0 < ws < np.inf:
+            raise ConfigurationError(
+                f"widths must be finite and > 0, got {ws}")
+    for depth in depths:
+        if depth < 1:
+            raise ConfigurationError(f"depths must be >= 1, got {depth}")
     cfg.validate()
     t0 = time.perf_counter()
     results = []

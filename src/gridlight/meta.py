@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import os
 import pickle
 from collections.abc import Mapping
@@ -192,8 +193,11 @@ class MamlConfig:
     outer_optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.inner_lr < 0 or self.outer_lr < 0:
-            raise ConfigurationError("learning rates must be >= 0")
+        for name in ("inner_lr", "outer_lr"):
+            lr = getattr(self, name)
+            if not 0 <= lr < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {lr}")
         if self.meta_iterations < 0:
             raise ConfigurationError("meta_iterations must be >= 0")
         if self.task_batch_size < 1:
@@ -395,8 +399,9 @@ class AdaptConfig:
     epsilon_decay: float = 0.99
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigurationError(
+                f"lr must be finite and > 0, got {self.lr}")
         if self.target_episode_budget < 1:
             raise ConfigurationError(
                 f"target_episode_budget must be >= 1, got "
@@ -404,6 +409,9 @@ class AdaptConfig:
             )
         if self.epochs_per_episode < 1:
             raise ConfigurationError("epochs_per_episode must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigurationError(
+                f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.epsilon0 <= 1.0 or not 0.0 < self.epsilon_decay <= 1.0:
             raise ConfigurationError("invalid exploration schedule")
 

@@ -79,15 +79,33 @@ def block_sums(state: np.ndarray, state_grids: int, pass_grids: int) -> np.ndarr
     """Occupancy per distance block, summed over lanes.
 
     Accepts (lanes, N) or a batch (..., lanes, N); returns (..., N/n).
+
+    Bit for bit this is ``reshape(..., lanes, N/n, n).sum(axis=(-1, -3))``,
+    whose summation order the golden pins depend on. For n < 8 numpy adds
+    each lane's n grids of a block left to right, starting from +0.0, then
+    adds the lanes' block sums one after another in lane order; here that is
+    n - 1 elementwise adds over strided views and one add per lane, with no
+    reshape-and-reduce. For n >= 8 numpy sums each block pairwise with eight
+    accumulators, so that case keeps numpy's reduction.
     """
     s = np.asarray(state, dtype=np.float64)
-    if s.shape[-1] != state_grids:
+    if s.ndim < 2 or s.shape[-1] != state_grids:
         raise ShapeError(
-            f"state has {s.shape[-1]} grid columns, expected {state_grids}"
+            f"state of shape {s.shape} is not (..., lanes, {state_grids})"
         )
-    blocks = state_grids // pass_grids
-    shaped = s.reshape(*s.shape[:-1], blocks, pass_grids)
-    return shaped.sum(axis=(-1, -3))
+    n = pass_grids
+    if n >= 8:
+        shaped = s.reshape(*s.shape[:-1], state_grids // n, n)
+        return shaped.sum(axis=(-1, -3))
+    grids = s[..., 0::n]                                  # (..., lanes, blocks)
+    if n > 1:
+        grids = grids + s[..., 1::n]
+        for j in range(2, n):
+            grids += s[..., j::n]
+    out = grids[..., 0, :] + 0.0    # + 0.0: a block of -0.0s sums to +0.0
+    for lane in range(1, s.shape[-2]):
+        out += grids[..., lane, :]
+    return out
 
 
 def trajectory_value(states, vc: ValueConfig):
@@ -149,11 +167,12 @@ def block_distance_loss(dc: DistanceConfig, lanes: int) -> nn.LossFn:
                 f"batch of {pred.size} values is not a whole number of "
                 f"({lanes}, {dc.state_grids}) states"
             )
-        diff = (pred - target).reshape(bsz, lanes, blocks, n).sum(axis=(1, 3))
+        diff = block_sums((pred - target).reshape(bsz, lanes, dc.state_grids),
+                          dc.state_grids, n)                  # (B, blocks)
         per = (w * diff * diff).sum(axis=1)
-        dblocks = (2.0 / bsz) * w * diff                      # (B, blocks)
-        dpred = np.repeat(dblocks, n, axis=1)                 # (B, N)
-        dpred = np.broadcast_to(dpred[:, None, :], (bsz, lanes, blocks * n))
+        dblocks = (2.0 / bsz) * w * diff
+        dpred = np.broadcast_to(dblocks[:, None, :, None],
+                                (bsz, lanes, blocks, n))
         return float(per.mean()), dpred.reshape(pred.shape)
 
     return loss_fn
@@ -276,11 +295,14 @@ def select_actions(estimator, dynamics, observations, policy: PolicyConfig,
         g = len(greedy)
         flat = np.repeat(s0.reshape(g, -1), k, axis=0)     # node-major rows
         phases = np.tile(PHASE_IDS, g)
-        steps = []
-        for _ in range(vc.horizon + 1):
+        lanes = s0.shape[1]
+        traj = np.empty((g * k, vc.horizon + 1, lanes * vc.state_grids))
+        for step in range(vc.horizon + 1):
             flat = dynamics.predict_flat(flat, phases)
-            steps.append(flat.reshape(g * k, -1, vc.state_grids))
-        values = trajectory_value(np.stack(steps, axis=1), vc).reshape(g, k)
+            traj[:, step] = flat
+        values = trajectory_value(
+            traj.reshape(g * k, vc.horizon + 1, lanes, vc.state_grids),
+            vc).reshape(g, k)
         for i, v in zip(greedy, values):
             picks[i] = PHASE_IDS[int(np.argmax(v))]
     return picks

@@ -270,7 +270,8 @@ def test_old_checkpoint_with_planning_fields_evaluates(config_path, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("horizon", -1), ("step_discount", 1.5), ("block_discount", 2.0),
-    ("dist_discount", -0.5)])
+    ("dist_discount", -0.5), ("behavior_epsilon", 1.5),
+    ("behavior_epsilon", -0.1)])
 def test_run_rejects_out_of_range_planning_values_up_front(
         config_path, capsys, count_steps, field, value):
     doc = json.loads(config_path.read_text())
@@ -280,6 +281,51 @@ def test_run_rejects_out_of_range_planning_values_up_front(
     assert rc == 2
     assert f"{field} must be" in capsys.readouterr().err
     assert count_steps == [0]
+
+
+@pytest.mark.parametrize("part, field, value", [
+    ("adapt", "batch_size", 0), ("adapt", "lr", "nan"),
+    ("maml", "inner_lr", "inf"), ("maml", "outer_lr", "nan")])
+def test_run_rejects_bad_training_values_up_front(
+        config_path, capsys, count_steps, part, field, value):
+    doc = json.loads(config_path.read_text())
+    doc["method"] = "modular"
+    doc[part][field] = value
+    config_path.write_text(json.dumps(doc))
+    rc = main(["--config", str(config_path), "run"])
+    assert rc == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert count_steps == [0]
+    assert not Path(doc["out_dir"]).exists()
+
+
+@pytest.mark.parametrize("flags, seeds", [([], [-1]), (["--seed", "-1"], [0])])
+def test_negative_seed_exit_two(config_path, capsys, count_steps, flags,
+                                seeds):
+    doc = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**doc, "seeds": seeds}))
+    rc = main(["--config", str(config_path), *flags, "run"])
+    assert rc == 2
+    assert "seeds must" in capsys.readouterr().err
+    assert count_steps == [0]
+    assert not Path(doc["out_dir"]).exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--widths", "x"], "--widths"),
+    (["sweep", "--depths", "2.5"], "--depths"),
+    (["sweep", "--widths", "-1"], "widths"),
+    (["sweep", "--widths", "0.5,nan"], "widths"),
+    (["sweep", "--depths", "0"], "depths"),
+    (["curve", "--fractions", "a"], "--fractions"),
+    (["curve", "--fractions", "0.5,,1"], "--fractions")])
+def test_bad_grid_flags_exit_two(config_path, capsys, count_steps, argv,
+                                 flag):
+    rc = main(["--config", str(config_path), *argv])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert count_steps == [0]
+    assert not Path(json.loads(config_path.read_text())["out_dir"]).exists()
 
 
 def test_collect_writes_datasets(config_path, capsys):

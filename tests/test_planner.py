@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlight import nn
+from gridlight import meta, nn, planner
 from gridlight.errors import ConfigurationError, ShapeError
 from gridlight.harness.config import DESK_CITIES
 from gridlight.planner import (
@@ -18,14 +18,16 @@ from gridlight.planner import (
     StateEstimator,
     ValueConfig,
     block_distance_loss,
+    block_sums,
     default_dynamics_net,
     default_estimator_net,
     rowwise_block_distance_loss,
     select_action,
+    select_actions,
     state_distance,
     trajectory_value,
 )
-from gridlight.sim.network import PHASE_IDS, Observation
+from gridlight.sim.network import PHASE_IDS, SCHEMA_DIMS, Observation
 
 
 def value_bruteforce(states, horizon, g1, g2, n_grids, n_pass):
@@ -216,6 +218,193 @@ def test_block_distance_loss_layouts_agree(bsz, lanes, blocks, pass_grids,
     oracle = np.mean([state_distance(p.reshape(lanes, n), t.reshape(lanes, n),
                                      dc) for p, t in zip(pred, target)])
     assert loss_state == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+# -- the block-sum kernel ------------------------------------------------------
+
+def _numpy_block_sums(s, state_grids, pass_grids):
+    """The reshape-and-reduce form whose bits the kernel must keep."""
+    shaped = s.reshape(*s.shape[:-1], state_grids // pass_grids, pass_grids)
+    return shaped.sum(axis=(-1, -3))
+
+
+def _mixed_values(rng, shape, zero_share):
+    """Signed values over 24 decades, with a share of +0.0 and -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    zeros = rng.random(shape) < zero_share
+    x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return x
+
+
+@st.composite
+def _block_cases(draw):
+    state_grids = draw(st.sampled_from((12, 16, 24, 30)))
+    pass_grids = draw(st.sampled_from(
+        [d for d in range(1, state_grids + 1) if state_grids % d == 0]))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    lanes = draw(st.integers(1, 16))
+    return state_grids, pass_grids, (*lead, lanes, state_grids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_block_cases(), zero_share=st.sampled_from((0.0, 0.3, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_sums_equals_numpy_reduction_bit_for_bit(case, zero_share,
+                                                       seed):
+    state_grids, pass_grids, shape = case
+    s = _mixed_values(np.random.default_rng(seed), shape, zero_share)
+    got = block_sums(s, state_grids, pass_grids)
+    want = _numpy_block_sums(s, state_grids, pass_grids)
+    assert got.shape == want.shape == (*shape[:-2], state_grids // pass_grids)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_sums_of_negative_zeros_is_positive_zero():
+    s = np.full((2, 3, 12), -0.0)
+    for pass_grids in (1, 2, 3, 4, 6, 12):
+        got = block_sums(s, 12, pass_grids)
+        assert got.tobytes() == np.zeros(12 // pass_grids * 2).tobytes()
+
+
+def test_block_sums_shape_errors():
+    with pytest.raises(ShapeError):
+        block_sums(np.zeros((3, 10)), 12, 4)
+    with pytest.raises(ShapeError):
+        block_sums(np.zeros(12), 12, 4)
+
+
+def _repeat_block_distance_loss(dc, lanes):
+    """The loss as written before it called ``block_sums``: its own reduce
+    and an ``np.repeat`` of the block gradient."""
+    blocks, n = dc.blocks, dc.pass_grids
+    w = dc.block_discount ** np.arange(blocks)
+
+    def loss_fn(pred, target):
+        bsz = pred.size // (lanes * dc.state_grids)
+        diff = (pred - target).reshape(bsz, lanes, blocks, n).sum(axis=(1, 3))
+        per = (w * diff * diff).sum(axis=1)
+        dblocks = (2.0 / bsz) * w * diff
+        dpred = np.repeat(dblocks, n, axis=1)
+        dpred = np.broadcast_to(dpred[:, None, :], (bsz, lanes, blocks * n))
+        return float(per.mean()), dpred.reshape(pred.shape)
+
+    return loss_fn
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_block_cases(), bsz=st.integers(1, 6), rowwise=st.booleans(),
+       discount=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_distance_loss_keeps_the_repeat_form_bytes(case, bsz, rowwise,
+                                                         discount, seed):
+    state_grids, pass_grids, shape = case
+    lanes = shape[-2]
+    dc = DistanceConfig(discount, state_grids, pass_grids)
+    rng = np.random.default_rng(seed)
+    layout = ((bsz * lanes, state_grids) if rowwise
+              else (bsz, lanes * state_grids))
+    pred = _mixed_values(rng, layout, 0.2)
+    target = rng.integers(0, 4, size=layout).astype(float)
+    loss, grad = block_distance_loss(dc, lanes)(pred, target)
+    want_loss, want_grad = _repeat_block_distance_loss(dc, lanes)(pred, target)
+    assert loss.hex() == want_loss.hex()
+    assert grad.shape == want_grad.shape == pred.shape
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def _stacked_select_actions(estimator, dynamics, observations, policy, vc,
+                            rng, seen):
+    """``select_actions`` as written with an ``np.stack`` of the rollout
+    steps; appends each scored trajectory batch and its values to seen."""
+    k = len(PHASE_IDS)
+    picks = [PHASE_IDS[int(rng.integers(k))]
+             if policy.epsilon > 0.0 and rng.random() < policy.epsilon
+             else None for _ in observations]
+    greedy = [i for i, pick in enumerate(picks) if pick is None]
+    if greedy:
+        s0 = np.asarray(estimator.estimate([observations[i] for i in greedy]),
+                        dtype=np.float64)
+        g = len(greedy)
+        flat = np.repeat(s0.reshape(g, -1), k, axis=0)
+        phases = np.tile(PHASE_IDS, g)
+        steps = []
+        for _ in range(vc.horizon + 1):
+            flat = dynamics.predict_flat(flat, phases)
+            steps.append(flat.reshape(g * k, -1, vc.state_grids))
+        traj = np.stack(steps, axis=1)
+        values = trajectory_value(traj, vc)
+        seen.append((traj.tobytes(), values.tobytes()))
+        for i, v in zip(greedy, values.reshape(g, k)):
+            picks[i] = PHASE_IDS[int(np.argmax(v))]
+    return picks
+
+
+@settings(max_examples=30, deadline=None)
+@given(schema=st.sampled_from(sorted(SCHEMA_DIMS)), lanes=st.integers(1, 12),
+       grids=st.sampled_from(((8, 4), (12, 4), (12, 3), (16, 8))),
+       horizon=st.integers(0, 3), nodes=st.integers(1, 8),
+       epsilon=st.sampled_from((0.0, 0.3)), seed=st.integers(0, 2 ** 31 - 1))
+def test_select_actions_keeps_the_stacked_rollout_bits(
+        schema, lanes, grids, horizon, nodes, epsilon, seed):
+    state_grids, pass_grids = grids
+    rng = np.random.default_rng(seed)
+    est = StateEstimator(default_estimator_net(
+        schema, state_grids, (8,), seed=int(rng.integers(2 ** 31))),
+        schema, lanes, state_grids)
+    dyn = DynamicsModel(default_dynamics_net(
+        lanes, state_grids, (16,), seed=int(rng.integers(2 ** 31))),
+        lanes, state_grids)
+    vc = ValueConfig(horizon, 0.9, 0.8, state_grids, pass_grids)
+    policy = PolicyConfig(epsilon=epsilon)
+    seen, want = [], []
+    value = planner.trajectory_value
+
+    def recorded(states, cfg):
+        out = value(states, cfg)
+        seen.append((np.ascontiguousarray(states).tobytes(), out.tobytes()))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "trajectory_value", recorded)
+        for _ in range(3):
+            obs = [Observation(schema,
+                               rng.uniform(0, 6, (lanes, SCHEMA_DIMS[schema])))
+                   for _ in range(nodes)]
+            draw = int(rng.integers(2 ** 31))
+            picks = select_actions(est, dyn, obs, policy, vc,
+                                   np.random.default_rng(draw))
+            assert picks == _stacked_select_actions(
+                est, dyn, obs, policy, vc, np.random.default_rng(draw), want)
+    assert seen == want
+
+
+def test_every_block_reduction_goes_through_block_sums(monkeypatch):
+    """The value, the distance, the training loss and the mean distance all
+    reduce blocks through ``block_sums``: no inline copy of the reduction."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return block_sums(*args, **kwargs)
+
+    for module in (planner, meta):
+        monkeypatch.setattr(module, "block_sums", counted)
+    rng = np.random.default_rng(0)
+    vc = ValueConfig(1, 0.9, 0.8, 12, 4)
+    dc = DistanceConfig(0.8, 12, 4)
+    states = rng.uniform(0, 3, (5, 2, 4, 12))
+    uses = {
+        "trajectory_value": lambda: trajectory_value(states, vc),
+        "state_distance": lambda: state_distance(states[0, 0], states[1, 0],
+                                                 dc),
+        "block_distance_loss": lambda: block_distance_loss(dc, 4)(
+            states[:, 0].reshape(5, -1), states[:, 1].reshape(5, -1)),
+        "_mean_distance": lambda: meta._mean_distance(states[:, 0],
+                                                      states[:, 1], dc),
+    }
+    for name, use in uses.items():
+        calls.clear()
+        use()
+        assert calls, f"{name} reduced blocks without block_sums"
 
 
 def test_estimator_output_shape_and_softplus_offset():
