@@ -48,7 +48,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, seeds=(args.seed,))
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    cfg.validate()
     return cfg
 
 
@@ -66,7 +65,7 @@ def _cmd_simulate(args) -> int:
     if method not in BASELINE_METHODS:
         raise ConfigurationError(
             f"simulate runs baseline controllers only, got {method!r}")
-    rows, _ = seed_rows(cfg.with_method(method))
+    rows, _ = seed_rows(replace(cfg, method=method))
     for r in rows:
         print(f"{cfg.target.name} seed={r['seed']} {method}: "
               f"travel={r['avg_travel_time']:.2f}s "
@@ -195,7 +194,7 @@ def _cmd_run(args) -> int:
 def _cmd_ablation(args) -> int:
     cfg = _load_config(args)
     if cfg.method not in PIPELINE_METHODS:
-        cfg = cfg.with_method("modular")
+        cfg = replace(cfg, method="modular")
     reports = run_ablation(cfg)
     for method, rep in reports.items():
         print(f"{method}: mean_travel={rep.mean_travel:.2f} "

@@ -105,7 +105,8 @@ DESK_CITIES = {"city-a": desk_city_a, "city-b": desk_city_b,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs: scenarios, method, training configs, seeds."""
+    """Everything a run needs: scenarios, method, training configs, seeds.
+    Checked when built, so each derived config (``replace``) is too."""
 
     sources: tuple[ScenarioSpec, ...]
     target: ScenarioSpec
@@ -123,7 +124,7 @@ class ExperimentConfig:
     dyn_hidden: tuple[int, ...] = (128, 128)
     estimator_hidden: tuple[int, ...] = (32, 32)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
@@ -155,6 +156,11 @@ class ExperimentConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("dyn_hidden", "estimator_hidden"):
+            if any(size < 1 for size in getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must hold integers >= 1, "
+                    f"got {list(getattr(self, name))}")
 
     def to_json(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -178,20 +184,19 @@ class ExperimentConfig:
             refuse_unknown_keys(doc.get(part, {}),
                                 (f.name for f in fields(kind)), part)
         try:
-            cfg = replace(
-                base,
+            return _merged(
+                base, doc,
                 sources=tuple(ScenarioSpec.from_json(s) for s in
                               read_list(doc.get("sources", []), "sources")),
                 target=ScenarioSpec.from_json(doc["target"]),
-                method=str(doc["method"]),
+                method=_read_as(base.method, doc["method"], "method"),
                 maml=_merged(base.maml, doc.get("maml", {})),
                 adapt=_merged(base.adapt, doc.get("adapt", {})),
-                seeds=_ints(doc, "seeds", base.seeds, least=0),
-                dyn_hidden=_ints(doc, "dyn_hidden", base.dyn_hidden, least=1),
+                seeds=_ints(doc, "seeds", base.seeds),
+                dyn_hidden=_ints(doc, "dyn_hidden", base.dyn_hidden),
                 estimator_hidden=_ints(doc, "estimator_hidden",
-                                       base.estimator_hidden, least=1),
+                                       base.estimator_hidden),
             )
-            return _merged(cfg, doc)
         except KeyError as exc:
             raise ConfigurationError(
                 f"experiment config missing field {exc}") from exc
@@ -201,29 +206,23 @@ class ExperimentConfig:
         with Path(path).open("r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 
-    def with_method(self, method: str) -> "ExperimentConfig":
-        return replace(self, method=method)
+
+def _ints(doc: dict, name: str, default: tuple[int, ...]):
+    """``doc[name]``, else ``default``, as a tuple of ints."""
+    return tuple(read_int(v, name)
+                 for v in read_list(doc.get(name, default), name))
 
 
-def _ints(doc: dict, name: str, default: tuple[int, ...], least: int):
-    """``doc[name]``, else ``default``, as a tuple of ints >= ``least``."""
-    value = doc.get(name, default)
-    ints = tuple(read_int(v, name) for v in read_list(value, name))
-    if any(i < least for i in ints):
-        raise ConfigurationError(
-            f"{name} must hold integers >= {least}, got {value!r}")
-    return ints
-
-
-def _merged(base, doc: dict):
-    """``base`` with each scalar field that ``doc`` gives replaced, read as
-    the type of ``base``'s value. An int field takes only a whole number
+def _merged(base, doc: dict, **given):
+    """``base`` with the fields in ``given``, and each other scalar field
+    that ``doc`` gives, replaced; ``doc``'s values are read as the type of
+    ``base``'s value. An int field takes only a whole number
     (:func:`read_int`), a bool field only a JSON boolean, and no other field
     a boolean: casting would read 2.7 as 2, the string "false" as true and
     true as 1.0."""
-    return replace(base, **{
+    return replace(base, **given, **{
         f.name: _read_as(getattr(base, f.name), doc[f.name], f.name)
-        for f in fields(base) if f.name in doc
+        for f in fields(base) if f.name in doc and f.name not in given
         and isinstance(getattr(base, f.name), (int, float, str))})
 
 

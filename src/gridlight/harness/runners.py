@@ -28,6 +28,7 @@ from ..meta import (
     TaskDataset,
     _dynamics_xy,
     _forked,
+    _mean_distance,
     adapt,
     collect_experience,
     dynamics_error,
@@ -36,6 +37,7 @@ from ..meta import (
     run_episode,
     seq_pretrain,
     spend_budget,
+    training_loss,
 )
 from ..planner import (
     DistanceConfig,
@@ -232,11 +234,12 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
 
     Returns (metrics, artifacts). Artifacts include the adapted models, the
     meta-trained initialization, the exact interaction count, held-out
-    dynamics errors for the adapted and un-fine-tuned models, and the wall
-    seconds of each phase (``timings``: ``collect_s``, ``meta_train_s``,
-    ``adapt_s``, ``evaluate_s`` and ``heldout_s``).
+    distances (the dynamics errors of the adapted and un-fine-tuned models,
+    the adapted estimator's error, and persistence's ``s' = s`` error), and
+    the wall seconds of each phase (``timings``: ``collect_s``,
+    ``meta_train_s``, ``adapt_s``, ``evaluate_s`` and ``heldout_s``).
 
-    A forked child runs the held-out episode and both dynamics errors while
+    A forked child runs the held-out episode and its distances while
     this process runs the greedy evaluation, so ``heldout_s`` is the wait
     for that child after the evaluation.
     """
@@ -250,7 +253,7 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
     with timed(timings, "adapt_s"):
         estimator, dynamics, interactions = adapt_stage(cfg, seed, phi)
 
-    def heldout_errors() -> tuple[float, float]:
+    def heldout_errors() -> tuple[float, float, float, float]:
         held = collect_experience(
             lambda s: target.make(s), FixedTimeController(),
             episodes=1, rng=np.random.default_rng(20_000 + seed),
@@ -259,7 +262,9 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
         dist_cfg = dist_config_for(cfg, target)
         return (dynamics_error(dynamics, held, dist_cfg),
                 dynamics_error(DynamicsModel(g0.net.with_params(phi), g0.lanes,
-                                             g0.state_grids), held, dist_cfg))
+                                             g0.state_grids), held, dist_cfg),
+                training_loss(estimator, held, dist_cfg),
+                _mean_distance(held.state, held.state_next, dist_cfg))
 
     wait = _forked(heldout_errors)
     try:
@@ -267,12 +272,14 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
             metrics = evaluate_planner(cfg, estimator, dynamics, seed)
     finally:
         with timed(timings, "heldout_s"):
-            err_adapted, err_meta = wait()
+            err_adapted, err_meta, err_estimator, err_persistence = wait()
 
     artifacts = {
         "interactions": interactions,
         "heldout_dist_adapted": err_adapted,
         "heldout_dist_meta_init": err_meta,
+        "heldout_dist_estimator": err_estimator,
+        "heldout_dist_persistence": err_persistence,
         "estimator": estimator,
         "dynamics": dynamics,
         "phi": phi,
@@ -294,13 +301,11 @@ class _ObservationStates:
 
 def _carry_trailing_layers(src: nn.Net, dst: nn.Net) -> nn.Net:
     """Copy every layer after the first from src into dst; the first layer
-    keeps dst's fresh initialization (input widths differ per city)."""
+    keeps dst's fresh initialization (input widths differ per city). Both
+    nets have the same hidden and output sizes, so the rest aligns."""
     params = dst.params.copy()
     src_off = (src.layer_sizes[0] + 1) * src.layer_sizes[1]
     dst_off = (dst.layer_sizes[0] + 1) * dst.layer_sizes[1]
-    if src.params.size - src_off != params.size - dst_off:
-        raise ConfigurationError(
-            "trailing layers of source and destination nets do not align")
     params[dst_off:] = src.params[src_off:]
     return dst.with_params(params)
 
@@ -373,16 +378,15 @@ def seed_rows(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         elif cfg.method == "monolithic":
             metrics, art = monolithic_pipeline(cfg, seed)
             per_seed[str(seed)] = {"interactions": art["interactions"]}
-        elif cfg.method in PIPELINE_METHODS:
+        else:
             modular = cfg.method == "modular"
             metrics, art = modular_pipeline(
                 cfg, seed, aggregator="maml" if modular else "seq")
             keys = ("interactions", "timings") + (
-                ("heldout_dist_adapted", "heldout_dist_meta_init")
+                ("heldout_dist_adapted", "heldout_dist_meta_init",
+                 "heldout_dist_estimator", "heldout_dist_persistence")
                 if modular else ())
             per_seed[str(seed)] = {k: art[k] for k in keys}
-        else:
-            raise ConfigurationError(f"unknown method {cfg.method!r}")
         rows.append(metrics_row(cfg.target, seed, cfg.method, metrics))
     return rows, per_seed
 
@@ -405,7 +409,6 @@ def write_outputs(cfg: ExperimentConfig, name: str, t0: float,
 def run_main(cfg: ExperimentConfig) -> RunReport:
     """The core comparison: run the configured method once per seed on the
     target scenario and aggregate metrics."""
-    cfg.validate()
     t0 = time.perf_counter()
     rows, per_seed = seed_rows(cfg)
     report = RunReport.from_rows(cfg.method, rows,
@@ -426,11 +429,10 @@ def run_ablation(cfg: ExperimentConfig) -> dict[str, RunReport]:
     if cfg.method not in PIPELINE_METHODS:
         raise ConfigurationError(
             f"run_ablation requires a pipeline method, got {cfg.method!r}")
-    cfg.validate()
     t0 = time.perf_counter()
     reports = {}
     for method in PIPELINE_METHODS:
-        sub = cfg.with_method(method)
+        sub = replace(cfg, method=method)
         rows, _ = seed_rows(sub)
         reports[method] = RunReport.from_rows(
             method, rows, io.config_digest(sub.to_json()))
@@ -464,7 +466,6 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
     for depth in depths:
         if depth < 1:
             raise ConfigurationError(f"depths must be >= 1, got {depth}")
-    cfg.validate()
     t0 = time.perf_counter()
     results = []
     lanes = cfg.target.network.lanes_per_intersection
@@ -497,26 +498,24 @@ def run_complexity_sweep(cfg: ExperimentConfig, width_scales=(0.5, 1.0),
 def run_source_selection(cfg: ExperimentConfig) -> dict:
     """Every ordered (source, target) city pair: meta-train on the single
     source, adapt to the target, and tabulate against the baselines."""
-    cfg.validate()
     pool = list(cfg.sources) + [cfg.target]
     if len(pool) < 2:
         raise ConfigurationError("source selection needs >= 2 scenarios")
     t0 = time.perf_counter()
+    # every pair's config is built, and so checked, before any pair runs
+    pairs = [(src.name, dst.name,
+              replace(cfg, sources=(src,), target=dst, method="modular",
+                      maml=replace(cfg.maml, task_batch_size=1)))
+             for src in pool for dst in pool if src.name != dst.name]
     cells: dict[tuple[str, str], dict] = {}
     rows = []
-    for src in pool:
-        for dst in pool:
-            if src.name == dst.name:
-                continue
-            sub = replace(cfg, sources=(src,), target=dst, method="modular",
-                          maml=replace(cfg.maml, task_batch_size=1))
-            pair_rows, _ = seed_rows(sub)
-            rows += [{"source": src.name, "target": dst.name, **r}
-                     for r in pair_rows]
-            pair = RunReport.from_rows(sub.method, pair_rows, "")
-            cells[(src.name, dst.name)] = {"mean_travel": pair.mean_travel,
-                                           "std_travel": pair.std_travel,
-                                           "mean_queue": pair.mean_queue}
+    for a, b, sub in pairs:
+        pair_rows, _ = seed_rows(sub)
+        rows += [{"source": a, "target": b, **r} for r in pair_rows]
+        pair = RunReport.from_rows(sub.method, pair_rows, "")
+        cells[(a, b)] = {"mean_travel": pair.mean_travel,
+                         "std_travel": pair.std_travel,
+                         "mean_queue": pair.mean_queue}
     baseline_rows: dict[str, dict] = {}
     for method in ("fixed_time", "max_pressure"):
         for dst in pool:
@@ -542,7 +541,6 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
     """Train the estimator on one episode of fixed-time logs only, pair it
     with the online-adapted dynamics model, and compare three ways: online
     planner, offline-estimator planner, and fixed-time control."""
-    cfg.validate()
     t0 = time.perf_counter()
     target = cfg.target
     rows = []
@@ -594,7 +592,6 @@ def run_data_volume_curve(cfg: ExperimentConfig,
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ConfigurationError(f"fractions must be in (0, 1], got {f}")
-    cfg.validate()
     t0 = time.perf_counter()
     rows = []
     for frac in fractions:

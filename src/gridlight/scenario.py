@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import (ConfigurationError, read_int, read_list,
                      refuse_unknown_keys)
-from .sim import Flow, RoadNetwork, Sim, reset
+from .sim import Flow, RoadNetwork, Sim, reset, trace_route
 from .sim.network import SCHEMA_DIMS
 
 
@@ -29,6 +29,8 @@ class ScenarioSpec:
                 f"episode_s ({self.episode_s}) must cover at least one "
                 f"interval of {self.interval_s}s"
             )
+        for flow in self.flows:
+            trace_route(self.network, flow)
 
     @property
     def intervals(self) -> int:

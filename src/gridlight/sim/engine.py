@@ -79,7 +79,6 @@ from .network import (
     Flow,
     Observation,
     RoadNetwork,
-    origin_node,
     permits,
     trace_route,
 )
@@ -268,22 +267,12 @@ class Sim:
                          lambda g: third1 <= g < third2))
 
     def _schedule_flows(self):
-        net = self.network
         self.vehicles: list[_Vehicle] = []
         per_lane: dict[_Lane, list[_Vehicle]] = {}
         vid = 0
         for flow in self.flows:
-            trace_route(net, flow)  # raises ConfigurationError when invalid
-            node = origin_node(net, flow.origin)
+            node = trace_route(self.network, flow)[0]  # raises when invalid
             entry = self.in_links[(node, flow.origin[0])]
-            # Entry side must be a true boundary (no upstream intersection).
-            heading = HEADING_OF_APPROACH[flow.origin[0]]
-            dr, dc = HEADING_DELTA[OPPOSITE[heading]]
-            upstream = (node[0] + dr, node[1] + dc)
-            if net.on_grid(upstream):
-                raise ConfigurationError(
-                    f"flow origin {flow.origin} is not a boundary edge"
-                )
             route_idx = tuple(MOVEMENTS.index(m) for m in flow.route)
             queue = per_lane.setdefault(entry.lanes[route_idx[0]], [])
             for sched in flow.schedule():

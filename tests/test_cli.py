@@ -311,6 +311,26 @@ def test_negative_seed_exit_two(config_path, capsys, count_steps, flags,
     assert not Path(doc["out_dir"]).exists()
 
 
+@pytest.mark.parametrize("command", ["run", "collect", "meta-train"])
+@pytest.mark.parametrize("edit, message", [
+    ({"origin": ["N", 7]}, "origin column 7 outside grid with 3 cols"),
+    ({"route": ["right", "through"]}, "leaves the grid after movement 0")],
+    ids=["origin-off-grid", "leaves-early"])
+def test_flow_off_the_grid_exit_two(config_path, capsys, count_steps,
+                                    command, edit, message):
+    """A target flow the simulator cannot run is refused when the document
+    is read, before any stage runs or writes."""
+    doc = json.loads(config_path.read_text())
+    doc["method"] = "modular"
+    doc["target"]["flows"][0].update(edit)
+    config_path.write_text(json.dumps(doc))
+    rc = main(["--config", str(config_path), command])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert count_steps == [0]
+    assert not Path(doc["out_dir"]).exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["sweep", "--widths", "x"], "--widths"),
     (["sweep", "--depths", "2.5"], "--depths"),

@@ -4,7 +4,7 @@ trips, and byte-level reproducibility of CSV outputs."""
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +46,14 @@ from gridlight.meta import (
     COLUMNS,
     AdaptConfig,
     MamlConfig,
+    _mean_distance,
     collect_experience,
     dynamics_error,
+    training_loss,
 )
 from gridlight.planner import DynamicsModel, StateEstimator, default_dynamics_net, default_estimator_net
 from gridlight.scenario import ScenarioSpec
-from gridlight.sim import Flow, RoadNetwork
+from gridlight.sim import Flow, RoadNetwork, Sim
 from gridlight.sim.network import (
     APPROACHES,
     HEADING_DELTA,
@@ -85,17 +87,65 @@ def tiny_config(tmp_path, method="modular", seeds=(0,), episode_s=300):
 
 def test_config_validation_schema_overlap(tmp_path):
     cfg = tiny_config(tmp_path)
-    bad = replace(cfg, target=replace(cfg.target, schema="SCHEMA_A"))
     with pytest.raises(ConfigurationError):
-        bad.validate()
+        replace(cfg, target=replace(cfg.target, schema="SCHEMA_A"))
 
 
 def test_config_validation_unknown_method(tmp_path):
     cfg = tiny_config(tmp_path)
     with pytest.raises(ConfigurationError):
-        replace(cfg, method="dqn").validate()
+        replace(cfg, method="dqn")
     with pytest.raises(ConfigurationError):
-        replace(cfg, seeds=()).validate()
+        replace(cfg, seeds=())
+
+
+_outside_unit = st.one_of(st.floats(max_value=-1e-9),
+                          st.floats(min_value=1.0, exclude_min=True),
+                          st.just(float("nan")))
+
+# each field ExperimentConfig checks: bad values, and a pattern of the
+# message that names the field
+_BAD_FIELDS = {
+    "method": (st.text(max_size=8).filter(lambda m: m not in METHODS),
+               "method"),
+    "seeds": (st.one_of(st.just(()), st.lists(
+        st.integers(-9, 9), min_size=1, max_size=3).filter(
+            lambda s: min(s) < 0).map(tuple)), "seed"),
+    "sources": (st.just(()), "source scenario"),
+    "target": (st.sampled_from((desk_city_a, desk_city_b)).map(
+        lambda make: make()), "target schema"),
+    "collect_episodes": (st.integers(max_value=0), "collect_episodes"),
+    "horizon": (st.integers(max_value=-1), "horizon"),
+    **{name: (_outside_unit, name) for name in (
+        "behavior_epsilon", "step_discount", "block_discount",
+        "dist_discount")},
+    **{name: (st.lists(st.integers(-3, 64), min_size=1, max_size=3).filter(
+        lambda h: min(h) < 1).map(tuple), name)
+       for name in ("dyn_hidden", "estimator_hidden")},
+}
+
+
+def _as_document(value):
+    return value.to_json() if isinstance(value, ScenarioSpec) else (
+        list(value) if isinstance(value, tuple) else value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_checks_every_field_when_built(data):
+    """A bad value is refused however the config is built: directly, by
+    ``replace`` and from a document, each time naming its field."""
+    field = data.draw(st.sampled_from(sorted(_BAD_FIELDS)))
+    values, names = _BAD_FIELDS[field]
+    value = data.draw(values)
+    base = default_experiment()
+    kwargs = {f.name: getattr(base, f.name) for f in fields(base)}
+    doc = {**base.to_json(), field: _as_document(value)}
+    for build in (lambda: ExperimentConfig(**{**kwargs, field: value}),
+                  lambda: replace(base, **{field: value}),
+                  lambda: ExperimentConfig.from_json(doc)):
+        with pytest.raises(ConfigurationError, match=names):
+            build()
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -302,6 +352,8 @@ def test_run_main_modular_reports_interactions(tmp_path):
                          )["extras"]["per_seed"]["0"]["timings"]
     assert set(timings) == {"collect_s", "meta_train_s", "adapt_s",
                             "evaluate_s", "heldout_s"}
+    for name in ("adapted", "meta_init", "estimator", "persistence"):
+        assert np.isfinite(per_seed[f"heldout_dist_{name}"])
     assert all(t > 0 for t in timings.values())
     assert sum(timings.values()) <= report.wall_clock_s
     assert hashlib.sha256((out / "metrics.csv").read_bytes()
@@ -337,7 +389,7 @@ def test_every_runner_output_pinned(tmp_path):
     directory a report.json with its wall time and a manifest.json with
     the digest of the config it ran."""
     cfg = tiny_config(tmp_path, seeds=(0, 1))
-    max_pressure = cfg.with_method("max_pressure")
+    max_pressure = replace(cfg, method="max_pressure")
     run_main(cfg)
     run_main(max_pressure)
     run_ablation(cfg)
@@ -422,6 +474,20 @@ def test_source_selection_matrix(tmp_path):
     assert "fixed_time" in out["baselines"]
     for name in names:
         assert name in out["baselines"]["fixed_time"]
+
+
+def test_source_selection_checks_every_pair_before_running(
+        tmp_path, monkeypatch):
+    """A pool where two scenarios share a schema holds a pair that cannot
+    run modular; it is refused before the first pair runs."""
+    cfg = tiny_config(tmp_path, method="fixed_time")
+    cfg = replace(cfg, target=replace(cfg.target, schema="SCHEMA_A"))
+    steps = []
+    monkeypatch.setattr(Sim, "step", lambda *a, **k: steps.append(1))
+    with pytest.raises(ConfigurationError, match="target schema"):
+        run_source_selection(cfg)
+    assert steps == []
+    assert not Path(cfg.out_dir).exists()
 
 
 def test_offline_case_runs_with_zero_extra_interactions(tmp_path):
@@ -609,9 +675,43 @@ def test_scenario_document_roundtrip(target, sources):
     as an experiment's target and sources."""
     doc = json.loads(json.dumps(target.to_json()))
     assert ScenarioSpec.from_json(doc) == target
-    cfg = replace(default_experiment(), target=target, sources=tuple(sources))
+    cfg = replace(default_experiment("fixed_time"), target=target,
+                  sources=tuple(sources))
     back = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
     assert (back.target, back.sources) == (target, tuple(sources))
+
+
+@st.composite
+def _any_flows(draw, net: RoadNetwork):
+    """A flow from any side and index, on the grid or off it, with a route
+    that may leave the grid early or end inside it; or one that fits."""
+    if draw(st.booleans()):
+        return draw(_flows(net))
+    side = draw(st.sampled_from(APPROACHES))
+    index = draw(st.integers(-1, max(net.rows, net.cols)))
+    route = draw(st.lists(st.sampled_from(MOVEMENTS), min_size=1, max_size=6))
+    return Flow((side, index), tuple(route), 0, 60, 5)
+
+
+def _refusal(check):
+    """The message ``check()`` raises ``ConfigurationError`` with, or None."""
+    try:
+        check()
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scenarios_refuse_exactly_the_flows_trace_route_refuses(data):
+    net = RoadNetwork(rows=data.draw(st.integers(1, 4)),
+                      cols=data.draw(st.integers(1, 4)))
+    flows = data.draw(st.lists(_any_flows(net), min_size=1, max_size=3))
+    first = next(filter(None, (_refusal(lambda f=f: trace_route(net, f))
+                               for f in flows)), None)
+    assert _refusal(lambda: ScenarioSpec("s", net, tuple(flows),
+                                         "BASE")) == first
 
 
 def test_flow_documents_refuse_malformed_origins():
@@ -691,7 +791,8 @@ def test_collect_source_datasets_matches_the_sequential_loop(
     """The forked child collects the later half of the sources; with one
     source nothing is forked."""
     cities = (desk_city_a(100), desk_city_b(100), desk_city_c(100))
-    cfg = replace(tiny_config(tmp_path), sources=cities[:n_sources])
+    cfg = replace(tiny_config(tmp_path, method="seq_pretrain"),
+                  sources=cities[:n_sources])
     forks = []
     monkeypatch.setattr(runners, "_forked",
                         hooked(runners._forked, lambda: forks.append(1)))
@@ -735,6 +836,10 @@ def test_heldout_errors_match_the_sequential_computation(tmp_path):
         art["dynamics"], held, dist_cfg)
     assert art["heldout_dist_meta_init"] == dynamics_error(
         meta_init, held, dist_cfg)
+    assert art["heldout_dist_estimator"] == training_loss(
+        art["estimator"], held, dist_cfg)
+    assert art["heldout_dist_persistence"] == _mean_distance(
+        held.state, held.state_next, dist_cfg)
 
 
 @pytest.mark.parametrize("failure", FAILURES)

@@ -75,8 +75,6 @@ UNREFERENCED_ALLOWED = {
     "grad_check": "acceptance oracle for the gradients",
     "select_action": "called and patched by perfbench",
     "squared_error_loss": "called by perfbench",
-    "training_loss": "the estimator's distance on a dataset; tests call it, "
-                     "and run reports are to carry it",
 }
 
 
