@@ -97,8 +97,8 @@ def max_pressure_act(movement_queues: dict[tuple[str, str], tuple[float, float]]
 
 
 class FixedTimeController:
-    def __init__(self, cfg: FixedTimeConfig | None = None):
-        self.cfg = cfg or FixedTimeConfig()
+    def __init__(self):
+        self.cfg = FixedTimeConfig()
 
     def begin_episode(self, env) -> None:
         pass
@@ -123,8 +123,8 @@ class RandomController:
 class SotlController:
     """Per-intersection threshold switcher fed by waiting-vehicle counts."""
 
-    def __init__(self, cfg: SotlConfig | None = None):
-        self.cfg = cfg or SotlConfig()
+    def __init__(self):
+        self.cfg = SotlConfig()
         self._phase: dict = {}
         self._held: dict = {}
 

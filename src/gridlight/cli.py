@@ -15,12 +15,8 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .harness import io
-from .harness.config import (
-    BASELINE_METHODS,
-    PIPELINE_METHODS,
-    ExperimentConfig,
-    default_experiment,
-)
+from .harness.config import (BASELINE_METHODS, ExperimentConfig,
+                             default_experiment)
 from .harness.runners import (
     adapt_stage,
     collect_source_datasets,
@@ -59,8 +55,7 @@ def _flag_values(text: str, flag: str, kind) -> tuple:
         raise ConfigurationError(f"{flag}: {exc}") from exc
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     method = args.method or cfg.method
     if method not in BASELINE_METHODS:
         raise ConfigurationError(
@@ -75,8 +70,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_collect(args) -> int:
-    cfg = _load_config(args)
+def _cmd_collect(cfg: ExperimentConfig, args) -> int:
+    names = [src.name for src in cfg.sources]
+    if len(set(names)) < len(names):
+        raise ConfigurationError(
+            f"collect writes one dataset per source name; {names} repeat")
     datasets = collect_source_datasets(cfg,
                                        stage_seeds(cfg.seeds[0])["collect"])
     out = Path(cfg.out_dir) / "datasets"
@@ -119,8 +117,7 @@ def _collected_datasets(cfg: ExperimentConfig) -> list:
     return [io.load_dataset(p) for p in paths[1:]]
 
 
-def _cmd_meta_train(args) -> int:
-    cfg = _load_config(args)
+def _cmd_meta_train(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     g0, phi = meta_train_stage(cfg, seed, _collected_datasets(cfg))
     path = Path(cfg.out_dir) / "meta" / "initialization.json"
@@ -133,8 +130,7 @@ def _cmd_meta_train(args) -> int:
     return 0
 
 
-def _cmd_adapt(args) -> int:
-    cfg = _load_config(args)
+def _cmd_adapt(cfg: ExperimentConfig, args) -> int:
     seed = cfg.seeds[0]
     dyn = io.load_checkpoint(args.checkpoint)["dynamics"]
     net = cfg.target.network
@@ -157,8 +153,7 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     ck = io.load_checkpoint(args.checkpoint)
     est, dyn = ck["estimator"], ck["dynamics"]
     if est is None:
@@ -172,10 +167,11 @@ def _cmd_evaluate(args) -> int:
             f"checkpoint estimator (schema, lanes, state_grids) {found} and "
             f"dynamics (lanes, state_grids) {(dyn.lanes, dyn.state_grids)} "
             f"do not match target {cfg.target.name!r} {target}")
+    method = "seq_pretrain" if cfg.method == "seq_pretrain" else "modular"
     rows = []
     for seed in cfg.seeds:
         m = evaluate_planner(cfg, est, dyn, seed)
-        rows.append(metrics_row(cfg.target, seed, "modular", m))
+        rows.append(metrics_row(cfg.target, seed, method, m))
         print(f"seed={seed}: travel={m.avg_travel_time_s:.2f}s "
               f"queue={m.avg_queue_length:.3f}")
     io.write_csv(Path(cfg.out_dir) / "evaluate" / "metrics.csv",
@@ -183,18 +179,14 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args)
+def _cmd_run(cfg: ExperimentConfig, args) -> int:
     report = run_main(cfg)
     print(f"method={report.method} mean_travel={report.mean_travel:.2f} "
           f"(std {report.std_travel:.2f}) mean_queue={report.mean_queue:.3f}")
     return 0
 
 
-def _cmd_ablation(args) -> int:
-    cfg = _load_config(args)
-    if cfg.method not in PIPELINE_METHODS:
-        cfg = replace(cfg, method="modular")
+def _cmd_ablation(cfg: ExperimentConfig, args) -> int:
     reports = run_ablation(cfg)
     for method, rep in reports.items():
         print(f"{method}: mean_travel={rep.mean_travel:.2f} "
@@ -202,8 +194,7 @@ def _cmd_ablation(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     widths = _flag_values(args.widths, "--widths", float)
     depths = _flag_values(args.depths, "--depths", int)
     results = run_complexity_sweep(cfg, widths, depths)
@@ -214,24 +205,21 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_source_matrix(args) -> int:
-    cfg = _load_config(args)
+def _cmd_source_matrix(cfg: ExperimentConfig, args) -> int:
     out = run_source_selection(cfg)
     for row in out["matrix"]:
         print(row)
     return 0
 
 
-def _cmd_offline(args) -> int:
-    cfg = _load_config(args)
+def _cmd_offline(cfg: ExperimentConfig, args) -> int:
     out = run_offline_case(cfg)
     for method, travel in out["mean_travel_by_method"].items():
         print(f"{method}: mean_travel={travel:.2f}")
     return 0
 
 
-def _cmd_curve(args) -> int:
-    cfg = _load_config(args)
+def _cmd_curve(cfg: ExperimentConfig, args) -> int:
     fractions = _flag_values(args.fractions, "--fractions", float)
     rows = run_data_volume_curve(cfg, fractions)
     for r in rows:
@@ -300,7 +288,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(_load_config(args), args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -19,12 +19,11 @@ from ..meta import AdaptConfig, MamlConfig
 from ..scenario import ScenarioSpec
 from ..sim import Flow, RoadNetwork
 
-METHODS = ("modular", "monolithic", "seq_pretrain", "fixed_time", "sotl",
-           "max_pressure", "random")
-
 BASELINE_METHODS = ("fixed_time", "sotl", "max_pressure", "random")
 
 PIPELINE_METHODS = ("modular", "monolithic", "seq_pretrain")
+
+METHODS = PIPELINE_METHODS + BASELINE_METHODS
 
 
 def desk_city_a(episode_s: int = 3600) -> ScenarioSpec:
@@ -138,7 +137,18 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"method {self.method!r} needs at least one source scenario"
             )
+        grids = self.target.network.state_grids
+        for src in self.sources if self.method in PIPELINE_METHODS else ():
+            if src.network.state_grids != grids:
+                raise ConfigurationError(
+                    f"source {src.name!r} has {src.network.state_grids} state "
+                    f"grids per lane, target {self.target.name!r} has {grids};"
+                    f" one dynamics model serves them all")
         if self.method == "modular":
+            if self.maml.task_batch_size > len(self.sources):
+                raise ConfigurationError(
+                    f"maml.task_batch_size ({self.maml.task_batch_size}) "
+                    f"exceeds the number of sources ({len(self.sources)})")
             for src in self.sources:
                 if src.schema == self.target.schema:
                     raise ConfigurationError(
@@ -243,9 +253,9 @@ def _read_as(default, value, name: str):
         raise ConfigurationError(f"bad config value: {exc}") from exc
 
 
-def default_experiment(method: str = "modular", out_dir: str = "runs",
-                       seeds: tuple[int, ...] = (0, 1, 2)) -> ExperimentConfig:
-    """The standard desk configuration: sources A and B, target C."""
+def default_experiment(method: str = "modular",
+                       out_dir: str = "runs") -> ExperimentConfig:
+    """The desk configuration: sources A and B, target C, seeds 0 to 2."""
     return ExperimentConfig(
         sources=(desk_city_a(), desk_city_b()),
         target=desk_city_c(),
@@ -254,6 +264,6 @@ def default_experiment(method: str = "modular", out_dir: str = "runs",
                         task_batch_size=2),
         adapt=AdaptConfig(lr=1e-3, target_episode_budget=5,
                           epochs_per_episode=20),
-        seeds=seeds,
+        seeds=(0, 1, 2),
         out_dir=out_dir,
     )

@@ -64,13 +64,11 @@ def save_dataset(path, dataset: TaskDataset) -> None:
         for i in range(len(dataset)):
             fh.write(json.dumps({
                 "city_id": dataset.city_id,
-                "t": int(dataset.t[i]),
                 "schema_id": dataset.schema_id,
                 "obs": dataset.obs[i].tolist(),
                 "state": dataset.state[i].tolist(),
                 "action": int(dataset.action[i]),
                 "state_next": dataset.state_next[i].tolist(),
-                "obs_next": dataset.obs_next[i].tolist(),
             }) + "\n")
 
 
@@ -91,8 +89,8 @@ def load_dataset(path) -> TaskDataset:
     schemas = {d["schema_id"] for d in docs}
     if len(schemas) != 1:
         raise ConfigurationError(f"dataset file {path} mixes schemas {schemas}")
-    dtypes = {"t": np.int64, "obs": float, "state": np.int64,
-              "action": np.int64, "state_next": np.int64, "obs_next": float}
+    dtypes = {"obs": float, "state": np.int64, "action": np.int64,
+              "state_next": np.int64}
     return TaskDataset(docs[-1]["city_id"], docs[-1]["schema_id"], *(
         np.array([d[c] for d in docs], dtype=dtypes[c]) for c in COLUMNS))
 

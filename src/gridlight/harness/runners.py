@@ -189,18 +189,17 @@ def stage_seeds(seed: int) -> dict:
 
 
 def meta_train_stage(cfg: ExperimentConfig, seed: int,
-                     datasets: list[TaskDataset], *, aggregator: str = "maml"):
+                     datasets: list[TaskDataset]):
     """Aggregate the source datasets into an initialization of the
-    target-shaped dynamics model; returns (g0, phi)."""
-    if aggregator not in ("maml", "seq"):
-        raise ConfigurationError(f"unknown aggregator {aggregator!r}")
+    target-shaped dynamics model, by ``seq_pretrain`` for a ``seq_pretrain``
+    config and ``maml_train`` otherwise; returns (g0, phi)."""
     seeds = stage_seeds(seed)
     lanes = cfg.target.network.lanes_per_intersection
     n_grids = cfg.target.network.state_grids
     g0 = DynamicsModel(default_dynamics_net(lanes, n_grids, cfg.dyn_hidden,
                                             seed=seeds["net"]),
                        lanes, n_grids)
-    train = maml_train if aggregator == "maml" else seq_pretrain
+    train = seq_pretrain if cfg.method == "seq_pretrain" else maml_train
     phi = train(datasets, cfg.maml, g0, dist_config_for(cfg, cfg.target),
                 seeds["train"])
     return g0, phi
@@ -228,8 +227,11 @@ def evaluate_planner(cfg: ExperimentConfig, estimator: StateEstimator,
     return evaluate_controller(cfg.target, controller, seed)
 
 
-def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
-                     aggregator: str = "maml"):
+HELDOUT_KEYS = ("heldout_dist_adapted", "heldout_dist_meta_init",
+                "heldout_dist_estimator", "heldout_dist_persistence")
+
+
+def modular_pipeline(cfg: ExperimentConfig, seed: int):
     """Collect -> meta-train -> adapt -> evaluate greedily, for one seed.
 
     Returns (metrics, artifacts). Artifacts include the adapted models, the
@@ -248,23 +250,24 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
     with timed(timings, "collect_s"):
         datasets = collect_source_datasets(cfg, stage_seeds(seed)["collect"])
     with timed(timings, "meta_train_s"):
-        g0, phi = meta_train_stage(cfg, seed, datasets, aggregator=aggregator)
+        g0, phi = meta_train_stage(cfg, seed, datasets)
     del datasets  # adaptation, the peak of memory, needs only phi
     with timed(timings, "adapt_s"):
         estimator, dynamics, interactions = adapt_stage(cfg, seed, phi)
 
-    def heldout_errors() -> tuple[float, float, float, float]:
+    def heldout_errors() -> dict[str, float]:
         held = collect_experience(
             lambda s: target.make(s), FixedTimeController(),
             episodes=1, rng=np.random.default_rng(20_000 + seed),
             city_id="heldout", intervals=target.intervals,
             interval_s=target.interval_s)
         dist_cfg = dist_config_for(cfg, target)
-        return (dynamics_error(dynamics, held, dist_cfg),
-                dynamics_error(DynamicsModel(g0.net.with_params(phi), g0.lanes,
-                                             g0.state_grids), held, dist_cfg),
-                training_loss(estimator, held, dist_cfg),
-                _mean_distance(held.state, held.state_next, dist_cfg))
+        return dict(zip(HELDOUT_KEYS, (
+            dynamics_error(dynamics, held, dist_cfg),
+            dynamics_error(DynamicsModel(g0.net.with_params(phi), g0.lanes,
+                                         g0.state_grids), held, dist_cfg),
+            training_loss(estimator, held, dist_cfg),
+            _mean_distance(held.state, held.state_next, dist_cfg))))
 
     wait = _forked(heldout_errors)
     try:
@@ -272,14 +275,11 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int, *,
             metrics = evaluate_planner(cfg, estimator, dynamics, seed)
     finally:
         with timed(timings, "heldout_s"):
-            err_adapted, err_meta, err_estimator, err_persistence = wait()
+            heldout = wait()
 
     artifacts = {
         "interactions": interactions,
-        "heldout_dist_adapted": err_adapted,
-        "heldout_dist_meta_init": err_meta,
-        "heldout_dist_estimator": err_estimator,
-        "heldout_dist_persistence": err_persistence,
+        **heldout,
         "estimator": estimator,
         "dynamics": dynamics,
         "phi": phi,
@@ -379,14 +379,9 @@ def seed_rows(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             metrics, art = monolithic_pipeline(cfg, seed)
             per_seed[str(seed)] = {"interactions": art["interactions"]}
         else:
-            modular = cfg.method == "modular"
-            metrics, art = modular_pipeline(
-                cfg, seed, aggregator="maml" if modular else "seq")
-            keys = ("interactions", "timings") + (
-                ("heldout_dist_adapted", "heldout_dist_meta_init",
-                 "heldout_dist_estimator", "heldout_dist_persistence")
-                if modular else ())
-            per_seed[str(seed)] = {k: art[k] for k in keys}
+            metrics, art = modular_pipeline(cfg, seed)
+            per_seed[str(seed)] = {k: art[k] for k in (
+                "interactions", "timings", *HELDOUT_KEYS)}
         rows.append(metrics_row(cfg.target, seed, cfg.method, metrics))
     return rows, per_seed
 
@@ -431,11 +426,12 @@ def run_ablation(cfg: ExperimentConfig) -> dict[str, RunReport]:
             f"run_ablation requires a pipeline method, got {cfg.method!r}")
     t0 = time.perf_counter()
     reports = {}
-    for method in PIPELINE_METHODS:
-        sub = replace(cfg, method=method)
-        rows, _ = seed_rows(sub)
-        reports[method] = RunReport.from_rows(
-            method, rows, io.config_digest(sub.to_json()))
+    # every variant's config is built, and so checked, before any runs
+    for sub in [replace(cfg, method=method) for method in PIPELINE_METHODS]:
+        rows, per_seed = seed_rows(sub)
+        reports[sub.method] = RunReport.from_rows(
+            sub.method, rows, io.config_digest(sub.to_json()),
+            {"per_seed": per_seed})
     directional = {
         "modular_beats_monolithic":
             reports["modular"].mean_travel <= reports["monolithic"].mean_travel,
@@ -501,6 +497,10 @@ def run_source_selection(cfg: ExperimentConfig) -> dict:
     pool = list(cfg.sources) + [cfg.target]
     if len(pool) < 2:
         raise ConfigurationError("source selection needs >= 2 scenarios")
+    names = [s.name for s in pool]
+    if len(set(names)) < len(names):
+        raise ConfigurationError(
+            f"source selection keys cells by scenario name; {names} repeat")
     t0 = time.perf_counter()
     # every pair's config is built, and so checked, before any pair runs
     pairs = [(src.name, dst.name,
@@ -524,7 +524,6 @@ def run_source_selection(cfg: ExperimentConfig) -> dict:
             baseline_rows.setdefault(method, {})[dst.name] = {
                 "mean_travel": row["avg_travel_time"],
                 "mean_queue": row["avg_queue_length"]}
-    names = [s.name for s in pool]
     matrix_rows = [{"source": a, **{  # "/" on the diagonal
         b: "/" if a == b else f"{cells[(a, b)]['mean_travel']:.2f}"
         for b in names}} for a in names]
@@ -540,7 +539,9 @@ def run_source_selection(cfg: ExperimentConfig) -> dict:
 def run_offline_case(cfg: ExperimentConfig) -> dict:
     """Train the estimator on one episode of fixed-time logs only, pair it
     with the online-adapted dynamics model, and compare three ways: online
-    planner, offline-estimator planner, and fixed-time control."""
+    planner, offline-estimator planner, and fixed-time control. The online
+    planner is the ``modular`` pipeline's, whatever ``cfg.method``."""
+    cfg = replace(cfg, method="modular")
     t0 = time.perf_counter()
     target = cfg.target
     rows = []
@@ -568,7 +569,8 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
         if factory.interactions != interactions_before:
             raise RuntimeError(
                 "offline training consumed environment interactions")
-        per_seed[str(seed)] = {"interactions": factory.interactions}
+        per_seed[str(seed)] = {"interactions": factory.interactions,
+                               **{k: art[k] for k in HELDOUT_KEYS}}
         for method, m in (("modular", metrics_online),
                           ("modular_offline", metrics_off),
                           ("fixed_time", metrics_fixed)):

@@ -56,27 +56,25 @@ from .scenario import EnvFactory
 from .sim import Sim
 from .sim.network import SCHEMA_DIMS
 
-COLUMNS = ("t", "obs", "state", "action", "state_next", "obs_next")
+COLUMNS = ("obs", "state", "action", "state_next")
 
 
 @dataclass
 class TaskDataset:
     """All logged transitions for one city, one row per intersection per
-    interval: the interval index ``t`` and ``action`` (m,), observations
-    ``obs``/``obs_next`` (m, lanes, d_o) and true states
-    ``state``/``state_next`` (m, lanes, N)."""
+    interval: observations ``obs`` (m, lanes, d_o), true states
+    ``state``/``state_next`` (m, lanes, N) and the phase taken, ``action``
+    (m,)."""
 
     city_id: str
     schema_id: str
-    t: np.ndarray
     obs: np.ndarray
     state: np.ndarray
     action: np.ndarray
     state_next: np.ndarray
-    obs_next: np.ndarray
 
     def __post_init__(self):
-        if len(self.t) == 0:
+        if len(self.action) == 0:
             raise ConfigurationError(f"task dataset {self.city_id!r} is empty")
         if self.obs.shape[-1] != SCHEMA_DIMS.get(self.schema_id):
             raise ConfigurationError(
@@ -86,7 +84,7 @@ class TaskDataset:
             )
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.action)
 
     @classmethod
     def concat(cls, parts: Sequence["TaskDataset"]) -> "TaskDataset":
@@ -151,9 +149,8 @@ def run_episode(sim: Sim, controller, intervals: int, interval_s: int = 20,
         sim.step(acts, interval_s)
         if record:
             obs_next, states_next = sim.snapshot()
-            rows.extend((t, obs[node].values, states[node], acts[node],
-                         states_next[node], obs_next[node].values)
-                        for node in sim.nodes)
+            rows.extend((obs[node].values, states[node], acts[node],
+                         states_next[node]) for node in sim.nodes)
             obs, states = obs_next, states_next
     if not record:
         return sim.metrics(), ()
@@ -248,9 +245,10 @@ class ArrayTask:
 
 
 def _fd_outer_grad(theta: np.ndarray, task, support_batches, query_batch,
-                   inner_lr: float, eps: float = 1e-6) -> np.ndarray:
+                   inner_lr: float) -> np.ndarray:
     """Exact outer gradient through the inner adaptation, by central
-    differences over the initial parameters. Test scale only."""
+    differences (step 1e-6) over the initial parameters. Test scale only."""
+    eps = 1e-6
 
     def adapted_query_loss(t0: np.ndarray) -> float:
         t = t0
@@ -370,7 +368,7 @@ def maml_train(tasks: Sequence[TaskDataset], cfg: MamlConfig,
 def seq_pretrain(tasks: Sequence[TaskDataset], cfg: MamlConfig,
                  dyn: DynamicsModel, dist_cfg: DistanceConfig,
                  seed: int) -> np.ndarray:
-    """Ablation of the aggregator: plain minibatch gradient descent over the
+    """Ablation of meta-training: plain minibatch gradient descent over the
     city datasets one after another, same per-step budget as the meta loop."""
     if not tasks:
         raise ConfigurationError("at least one task dataset is required")

@@ -4,13 +4,22 @@ files. Uses a shrunken config document to keep runs fast."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridlight.cli import main
 from gridlight.harness import io
-from gridlight.harness.config import desk_city_a, desk_city_b, desk_city_c
+from gridlight.harness.config import (
+    PIPELINE_METHODS,
+    ExperimentConfig,
+    desk_city_a,
+    desk_city_b,
+    desk_city_c,
+)
+from gridlight.harness.runners import dist_config_for, stage_seeds
+from gridlight.meta import seq_pretrain
 from gridlight.planner import (
     DynamicsModel,
     StateEstimator,
@@ -374,7 +383,9 @@ def test_meta_train_needs_datasets_of_this_config(config_path, capsys):
 
 
 def _cut_mid_line(text: str) -> str:
-    cut = text[:len(text) // 2]
+    lines = text.splitlines(keepends=True)
+    middle = lines[len(lines) // 2]
+    cut = "".join(lines[:len(lines) // 2]) + middle[:len(middle) // 2]
     assert not cut.endswith("\n")
     return cut
 
@@ -488,6 +499,100 @@ def test_stage_chain_reproduces_run(config_path):
     assert main(cfg + ["run"]) == 0
     chain = (out_dir / "evaluate" / "metrics.csv").read_text()
     assert chain == (out_dir / "main-modular" / "metrics.csv").read_text()
+
+
+def test_seq_pretrain_stage_chain_reproduces_run(config_path):
+    """A seq_pretrain document pretrains sequentially in meta-train too:
+    the checkpoint holds seq_pretrain's parameters on the collected
+    datasets, and evaluate's rows are run's, method label included."""
+    doc = json.loads(config_path.read_text())
+    doc["method"] = "seq_pretrain"
+    config_path.write_text(json.dumps(doc))
+    out_dir = Path(doc["out_dir"])
+    cfg = ["--config", str(config_path)]
+    assert main(cfg + ["collect"]) == 0
+    assert main(cfg + ["meta-train"]) == 0
+    ck = out_dir / "meta" / "initialization.json"
+    assert main(cfg + ["adapt", "--checkpoint", str(ck)]) == 0
+    assert main(cfg + ["evaluate", "--checkpoint",
+                       str(out_dir / "adapted" / "checkpoint.json")]) == 0
+    assert main(cfg + ["run"]) == 0
+    chain = (out_dir / "evaluate" / "metrics.csv").read_text()
+    assert chain == (out_dir / "main-seq_pretrain" / "metrics.csv").read_text()
+    assert ",seq_pretrain," in chain
+
+    exp = ExperimentConfig.load(config_path)
+    net = exp.target.network
+    lanes, grids = net.lanes_per_intersection, net.state_grids
+    g0 = DynamicsModel(default_dynamics_net(lanes, grids, exp.dyn_hidden,
+                                            seed=stage_seeds(0)["net"]),
+                       lanes, grids)
+    datasets = [io.load_dataset(out_dir / "datasets" / f"{src.name}.jsonl")
+                for src in exp.sources]
+    want = seq_pretrain(datasets, exp.maml, g0,
+                        dist_config_for(exp, exp.target),
+                        stage_seeds(0)["train"])
+    assert np.array_equal(io.load_checkpoint(ck)["dynamics"].net.params, want)
+
+
+def _refused_up_front(config_path, doc, command, message, capsys,
+                      count_steps):
+    """``command`` on ``doc`` exits 2 naming ``message``, before any
+    ``Sim.step`` and before writing anything."""
+    config_path.write_text(json.dumps(doc))
+    assert main(["--config", str(config_path), command]) == 2
+    assert message in capsys.readouterr().err
+    assert count_steps == [0]
+    assert not Path(doc["out_dir"]).exists()
+
+
+@pytest.mark.parametrize("command, part", [
+    ("collect", ("sources", 1)), ("source-matrix", ("target",))])
+def test_repeated_scenario_names_exit_two(config_path, capsys, count_steps,
+                                          command, part):
+    """collect writes, and source-matrix tabulates, one entry per scenario
+    name, so a second scenario named "city-a" is refused."""
+    doc = json.loads(config_path.read_text())
+    scenario = doc[part[0]] if len(part) == 1 else doc[part[0]][part[1]]
+    scenario["name"] = "city-a"
+    _refused_up_front(config_path, doc, command, "repeat", capsys,
+                      count_steps)
+
+
+@pytest.mark.parametrize("command", ["run", "collect", "ablation"])
+@pytest.mark.parametrize("method", PIPELINE_METHODS)
+def test_source_of_other_state_grids_exit_two(config_path, capsys,
+                                              count_steps, command, method):
+    """One dynamics model serves every city, so a source whose lanes
+    expose 8 state grids cannot train one for a 12-grid target."""
+    doc = json.loads(config_path.read_text())
+    doc["method"] = method
+    doc["sources"][0]["network"]["N"] = 8
+    _refused_up_front(config_path, doc, command, "8 state grids per lane",
+                      capsys, count_steps)
+
+
+@pytest.mark.parametrize("method, command", [
+    ("modular", "run"), ("modular", "collect"), ("modular", "ablation"),
+    ("seq_pretrain", "ablation")])
+def test_task_batch_over_sources_exit_two(config_path, capsys, count_steps,
+                                          method, command):
+    """MAML cannot draw three tasks from two sources; ablation runs the
+    modular variant of a seq_pretrain document, so it refuses it too."""
+    doc = json.loads(config_path.read_text())
+    doc["method"] = method
+    doc["maml"]["task_batch_size"] = 3
+    _refused_up_front(config_path, doc, command, "task_batch_size (3)",
+                      capsys, count_steps)
+
+
+def test_ablation_of_a_baseline_method_exit_two(config_path, capsys,
+                                                count_steps):
+    """ablation compares the pipeline methods, as run_ablation does; it
+    does not rewrite a fixed_time document into a modular one."""
+    _refused_up_front(config_path, json.loads(config_path.read_text()),
+                      "ablation", "requires a pipeline method", capsys,
+                      count_steps)
 
 
 def test_evaluate_rejects_unadapted_checkpoint(config_path):

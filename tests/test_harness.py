@@ -238,13 +238,17 @@ _positive = st.integers(1, 512)
 @st.composite
 def _experiments(draw):
     base = default_experiment()
+    method = draw(st.sampled_from(METHODS))
     return replace(
         base,
-        method=draw(st.sampled_from(METHODS)),
+        method=method,
         maml=replace(base.maml, inner_lr=draw(st.floats(0.0, 1.0)),
                      outer_lr=draw(st.floats(0.0, 1.0)),
                      meta_iterations=draw(st.integers(0, 1000)),
-                     task_batch_size=draw(_positive),
+                     # modular draws at most one task per source
+                     task_batch_size=draw(
+                         st.integers(1, len(base.sources))
+                         if method == "modular" else _positive),
                      inner_steps=draw(_positive),
                      first_order=draw(st.booleans()),
                      batch_size=draw(_positive),
@@ -410,6 +414,9 @@ def test_every_runner_output_pinned(tmp_path):
 
 
 def test_run_ablation_outputs(tmp_path):
+    """Each variant's report.json entry keeps run's per-seed record: the
+    held-out distances for the two pretrained variants, the interaction
+    count for all three."""
     cfg = tiny_config(tmp_path, seeds=(0,))
     reports = run_ablation(cfg)
     assert set(reports) == {"modular", "monolithic", "seq_pretrain"}
@@ -419,6 +426,17 @@ def test_run_ablation_outputs(tmp_path):
     csv_path = Path(cfg.out_dir) / "ablation" / "metrics.csv"
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) == 1 + 3  # header + one row per variant per seed
+    variants = json.loads((Path(cfg.out_dir) / "ablation" / "report.json")
+                          .read_text())["variants"]
+    for method, variant in variants.items():
+        per_seed = variant["extras"]["per_seed"]["0"]
+        assert per_seed["interactions"] == cfg.adapt.target_episode_budget
+        heldout = {k: v for k, v in per_seed.items() if k.startswith("heldout")}
+        if method == "monolithic":
+            assert heldout == {}
+        else:
+            assert set(heldout) == set(runners.HELDOUT_KEYS)
+            assert all(np.isfinite(v) for v in heldout.values())
 
 
 GOLDEN_MONOLITHIC = (
@@ -498,6 +516,20 @@ def test_offline_case_runs_with_zero_extra_interactions(tmp_path):
     assert out["per_seed"]["0"]["interactions"] == cfg.adapt.target_episode_budget
     csv_path = Path(cfg.out_dir) / "offline" / "metrics.csv"
     assert len(csv_path.read_text().strip().split("\n")) == 1 + 3
+    # the online modular run's held-out distances reach report.json
+    report = json.loads((Path(cfg.out_dir) / "offline" / "report.json")
+                        .read_text())
+    for key in runners.HELDOUT_KEYS:
+        assert report["per_seed"]["0"][key] == out["per_seed"]["0"][key]
+        assert np.isfinite(out["per_seed"]["0"][key])
+
+
+def test_offline_case_runs_modular_whatever_the_method(tmp_path):
+    """The online planner comes from the modular pipeline, so a
+    seq_pretrain document gives the modular document's rows."""
+    rows = [run_offline_case(tiny_config(tmp_path / m, method=m))["rows"]
+            for m in ("modular", "seq_pretrain")]
+    assert rows[0] == rows[1]
 
 
 def test_offline_case_trains_with_the_configured_estimator(tmp_path,
@@ -587,10 +619,12 @@ def test_dataset_jsonl_roundtrip(tmp_path):
                             city_id="a", intervals=sc.intervals)
     path = tmp_path / "a.jsonl"
     io.save_dataset(path, ds)
+    assert {tuple(json.loads(line)) for line in path.open()} == {
+        ("city_id", "schema_id", "obs", "state", "action", "state_next")}
     back = io.load_dataset(path)
     assert len(back) == len(ds)
     assert back.schema_id == ds.schema_id
-    for column in ("t", "obs", "state", "action", "state_next", "obs_next"):
+    for column in ("obs", "state", "action", "state_next"):
         assert np.array_equal(getattr(back, column), getattr(ds, column))
 
 
@@ -608,7 +642,7 @@ def test_dataset_load_names_the_damaged_line(tmp_path):
     row = json.loads(lines[2])
     del row["state"]
     for damaged, message in (
-            (lines[:2] + [lines[2][:40]], "line 3: Unterminated string"),
+            (lines[:2] + [lines[2][:36]], "line 3: Unterminated string"),
             (lines[:2] + [json.dumps(row) + "\n"] + lines[3:],
              r"line 3 is missing fields \['state'\]")):
         path.write_text("".join(damaged))

@@ -1,8 +1,10 @@
 """Source hygiene: every imported name is used, importing the program
-stays cheap, and only ``meta._Child`` forks. No linter ships with the
-project, so this scan stands in for one."""
+stays cheap, only ``meta._Child`` forks, and every defaulted parameter is
+passed somewhere. No linter ships with the project, so these scans stand
+in for one."""
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -148,3 +150,73 @@ def test_scan_finds_a_fork_outside_the_child():
              "gridlight/x.py": ast.parse("from os import fork\n")}
     assert forks_outside_the_child(trees) == ["gridlight/meta.py:7",
                                               "gridlight/x.py:1"]
+
+
+# Defaulted parameters that no call passes, each kept for a reason.
+UNPASSED_ALLOWED = {
+    "saturated_city(episode_s)":
+        "every DESK_CITIES builder takes the same arguments",
+}
+
+
+def unpassed_parameters(defs: dict[str, ast.Module],
+                        calls: list[ast.Module]) -> list[str]:
+    """``module:function(parameter)`` of each defaulted parameter of a
+    function in ``defs`` that no call in ``calls`` passes, by keyword or by
+    position. Calls match by name alone: ``f(...)`` and ``x.f(...)`` count
+    for every function named ``f``, and a call of a class's name for its
+    ``__init__``. A call with ``*`` or ``**`` passes every parameter, and a
+    leading ``self`` or ``cls`` takes no position."""
+    positions: dict[str, float] = {}
+    keywords: dict[str, set] = {}
+    for tree in calls:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            positions[name] = max(positions.get(name, 0),
+                                  math.inf if starred else len(node.args))
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords)
+    found = []
+    for module, tree in defs.items():
+        inits = {id(f): c.name for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for f in c.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = inits.get(id(fn), fn.name)
+            params = fn.args.posonlyargs + fn.args.args
+            if params and params[0].arg in ("self", "cls"):
+                params = params[1:]
+            first = len(params) - len(fn.args.defaults)
+            defaulted = [p for i, p in enumerate(params)
+                         if first <= i and positions.get(name, 0) <= i]
+            defaulted += [p for p, d in zip(fn.args.kwonlyargs,
+                                            fn.args.kw_defaults)
+                          if d is not None and positions.get(name) != math.inf]
+            found += [f"{module}:{name}({p.arg})" for p in defaulted
+                      if p.arg not in keywords.get(name, ())]
+    return sorted(found)
+
+
+def test_every_defaulted_parameter_is_passed_or_allowed():
+    calls = [ast.parse(p.read_text()) for p in
+             SOURCES + sorted((ROOT / "perfbench").rglob("*.py"))]
+    flagged = {entry.split(":")[1]
+               for entry in unpassed_parameters(program_trees(), calls)}
+    assert flagged == set(UNPASSED_ALLOWED)
+
+
+def test_scan_finds_an_unpassed_parameter():
+    defs = {"a.py": ast.parse(
+        "def f(x, y=1, z=2, *, k=3, j=4):\n    pass\n\n"
+        "def g(x=1, *, k=2):\n    pass\n\n"
+        "class C:\n    def __init__(self, u=1, v=2):\n        pass\n\n"
+        "    def m(self, w=1):\n        pass\n")}
+    calls = [ast.parse("f(0, 1)\nf(0, k=4)\ng(*args)\nC(5)\nc.m(w=2)\n")]
+    assert unpassed_parameters(defs, calls) == [
+        "a.py:C(v)", "a.py:f(j)", "a.py:f(z)"]

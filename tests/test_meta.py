@@ -254,7 +254,7 @@ def test_collect_experience_zero_flow_states():
 
 def test_task_dataset_validation():
     with pytest.raises(ConfigurationError):
-        TaskDataset("x", "SCHEMA_A", *(np.zeros((0, 12, 2)),) * 6)
+        TaskDataset("x", "SCHEMA_A", *(np.zeros((0, 12, 2)),) * 4)
 
 
 # -- dynamics meta-training ---------------------------------------------
@@ -308,9 +308,9 @@ def test_seq_pretrain_runs_and_is_finite():
 def test_dynamics_training_rejects_other_state_layout(train):
     # 8 lanes x 18 grids has as many cells as the model's 12 x 12
     m = 4
-    ds = TaskDataset("wide", "SCHEMA_A", np.arange(m), np.zeros((m, 8, 2)),
+    ds = TaskDataset("wide", "SCHEMA_A", np.zeros((m, 8, 2)),
                      np.zeros((m, 8, 18)), np.ones(m, dtype=np.int64),
-                     np.zeros((m, 8, 18)), np.zeros((m, 8, 2)))
+                     np.zeros((m, 8, 18)))
     dyn = DynamicsModel(default_dynamics_net(12, 12, hidden=(8,), seed=0),
                         12, 12)
     cfg = MamlConfig(inner_lr=1e-4, outer_lr=1e-4, meta_iterations=1,

@@ -792,9 +792,8 @@ def _eager_recording(sim, controller, intervals, interval_s):
         acts = controller.decide(sim, t, obs)
         sim.step(acts, interval_s)
         obs_next, states_next = sim.snapshot()
-        rows.extend((t, obs[node].values, states[node], acts[node],
-                     states_next[node], obs_next[node].values)
-                    for node in sim.nodes)
+        rows.extend((obs[node].values, states[node], acts[node],
+                     states_next[node]) for node in sim.nodes)
         obs, states = obs_next, states_next
     return sim.metrics(), [np.array(col) for col in zip(*rows)]
 
