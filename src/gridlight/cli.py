@@ -60,7 +60,8 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     if method not in BASELINE_METHODS:
         raise ConfigurationError(
             f"simulate runs baseline controllers only, got {method!r}")
-    rows, _ = seed_rows(replace(cfg, method=method))
+    # a baseline reads no sources, so their MAML settings do not apply
+    rows, _ = seed_rows(replace(cfg, method=method, sources=()))
     for r in rows:
         print(f"{cfg.target.name} seed={r['seed']} {method}: "
               f"travel={r['avg_travel_time']:.2f}s "
@@ -170,7 +171,7 @@ def _cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     method = "seq_pretrain" if cfg.method == "seq_pretrain" else "modular"
     rows = []
     for seed in cfg.seeds:
-        m = evaluate_planner(cfg, est, dyn, seed)
+        m, _ = evaluate_planner(cfg, est, dyn, seed)
         rows.append(metrics_row(cfg.target, seed, method, m))
         print(f"seed={seed}: travel={m.avg_travel_time_s:.2f}s "
               f"queue={m.avg_queue_length:.3f}")

@@ -144,11 +144,13 @@ class ExperimentConfig:
                     f"source {src.name!r} has {src.network.state_grids} state "
                     f"grids per lane, target {self.target.name!r} has {grids};"
                     f" one dynamics model serves them all")
+        # meta-train runs MAML on the sources of every method but seq_pretrain
+        if self.sources and self.method != "seq_pretrain" and \
+                self.maml.task_batch_size > len(self.sources):
+            raise ConfigurationError(
+                f"maml.task_batch_size ({self.maml.task_batch_size}) "
+                f"exceeds the number of sources ({len(self.sources)})")
         if self.method == "modular":
-            if self.maml.task_batch_size > len(self.sources):
-                raise ConfigurationError(
-                    f"maml.task_batch_size ({self.maml.task_batch_size}) "
-                    f"exceeds the number of sources ({len(self.sources)})")
             for src in self.sources:
                 if src.schema == self.target.schema:
                     raise ConfigurationError(

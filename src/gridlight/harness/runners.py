@@ -218,13 +218,22 @@ def adapt_stage(cfg: ExperimentConfig, seed: int, phi: np.ndarray):
 
 
 def evaluate_planner(cfg: ExperimentConfig, estimator: StateEstimator,
-                     dynamics: DynamicsModel, seed: int) -> MetricsReport:
-    """One greedy planner episode on the target, not charged to the budget."""
+                     dynamics: DynamicsModel, seed: int):
+    """One greedy planner episode on the target, not charged to the budget;
+    returns its metrics and :func:`evaluate_phase_counts`' counts."""
     controller = PlannerController(estimator, dynamics,
                                    PolicyConfig(epsilon=0.0),
                                    value_config_for(cfg, cfg.target),
                                    np.random.default_rng(0))
-    return evaluate_controller(cfg.target, controller, seed)
+    return evaluate_phase_counts(cfg.target, controller, seed)
+
+
+def evaluate_phase_counts(scenario: ScenarioSpec,
+                          controller: PlannerController, seed: int):
+    """``evaluate_controller`` for a planner; also returns the episode's
+    count of decisions per phase, keyed by the phase id as a string."""
+    metrics = evaluate_controller(scenario, controller, seed)
+    return metrics, {str(p): n for p, n in controller.phase_counts.items()}
 
 
 HELDOUT_KEYS = ("heldout_dist_adapted", "heldout_dist_meta_init",
@@ -237,8 +246,9 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int):
     Returns (metrics, artifacts). Artifacts include the adapted models, the
     meta-trained initialization, the exact interaction count, held-out
     distances (the dynamics errors of the adapted and un-fine-tuned models,
-    the adapted estimator's error, and persistence's ``s' = s`` error), and
-    the wall seconds of each phase (``timings``: ``collect_s``,
+    the adapted estimator's error, and persistence's ``s' = s`` error), the
+    greedy evaluation's decisions per phase (``phase_counts``), and the wall
+    seconds of each phase (``timings``: ``collect_s``,
     ``meta_train_s``, ``adapt_s``, ``evaluate_s`` and ``heldout_s``).
 
     A forked child runs the held-out episode and its distances while
@@ -272,7 +282,8 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int):
     wait = _forked(heldout_errors)
     try:
         with timed(timings, "evaluate_s"):
-            metrics = evaluate_planner(cfg, estimator, dynamics, seed)
+            metrics, phase_counts = evaluate_planner(cfg, estimator,
+                                                     dynamics, seed)
     finally:
         with timed(timings, "heldout_s"):
             heldout = wait()
@@ -280,6 +291,7 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int):
     artifacts = {
         "interactions": interactions,
         **heldout,
+        "phase_counts": phase_counts,
         "estimator": estimator,
         "dynamics": dynamics,
         "phi": phi,
@@ -357,9 +369,10 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
 
     factory = EnvFactory(target)
     spend_budget(factory, cfg.adapt, controller, train, adapt_rng)
-    metrics = evaluate_controller(
+    metrics, phase_counts = evaluate_phase_counts(
         target, controller(0.0, np.random.default_rng(0)), seed)
-    return metrics, {"interactions": factory.interactions, "net": dyn.net}
+    return metrics, {"interactions": factory.interactions, "net": dyn.net,
+                     "phase_counts": phase_counts}
 
 
 # -- runners -------------------------------------------------------------------
@@ -377,11 +390,12 @@ def seed_rows(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             metrics = evaluate_controller(cfg.target, ctrl, seed)
         elif cfg.method == "monolithic":
             metrics, art = monolithic_pipeline(cfg, seed)
-            per_seed[str(seed)] = {"interactions": art["interactions"]}
+            per_seed[str(seed)] = {k: art[k] for k in (
+                "interactions", "phase_counts")}
         else:
             metrics, art = modular_pipeline(cfg, seed)
             per_seed[str(seed)] = {k: art[k] for k in (
-                "interactions", "timings", *HELDOUT_KEYS)}
+                "interactions", "timings", "phase_counts", *HELDOUT_KEYS)}
         rows.append(metrics_row(cfg.target, seed, cfg.method, metrics))
     return rows, per_seed
 
@@ -519,7 +533,8 @@ def run_source_selection(cfg: ExperimentConfig) -> dict:
     baseline_rows: dict[str, dict] = {}
     for method in ("fixed_time", "max_pressure"):
         for dst in pool:
-            (row,), _ = seed_rows(replace(cfg, target=dst, method=method,
+            (row,), _ = seed_rows(replace(cfg, sources=(), target=dst,
+                                          method=method,
                                           seeds=cfg.seeds[:1]))
             baseline_rows.setdefault(method, {})[dst.name] = {
                 "mean_travel": row["avg_travel_time"],
@@ -562,7 +577,8 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
             batch_size=cfg.adapt.batch_size,
             dist_cfg=dist_config_for(cfg, target), seed=seed)
 
-        metrics_off = evaluate_planner(cfg, est_off, art["dynamics"], seed)
+        metrics_off, counts_off = evaluate_planner(cfg, est_off,
+                                                   art["dynamics"], seed)
         metrics_fixed = evaluate_controller(
             target, FixedTimeController(), seed)
 
@@ -570,7 +586,9 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
             raise RuntimeError(
                 "offline training consumed environment interactions")
         per_seed[str(seed)] = {"interactions": factory.interactions,
-                               **{k: art[k] for k in HELDOUT_KEYS}}
+                               **{k: art[k] for k in HELDOUT_KEYS},
+                               "phase_counts": art["phase_counts"],
+                               "phase_counts_offline": counts_off}
         for method, m in (("modular", metrics_online),
                           ("modular_offline", metrics_off),
                           ("fixed_time", metrics_fixed)):

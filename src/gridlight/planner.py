@@ -273,38 +273,77 @@ class PolicyConfig:
             )
 
 
+def _plan(estimator, dynamics, observations, vc: ValueConfig) -> list[int]:
+    """The greedy phase of each observation, planned together: one estimator
+    pass maps the observations to estimated states, each phase held for h+1
+    steps is rolled out from every state through the dynamics model with one
+    pass per step, and each observation gets the phase of maximal trajectory
+    value (ties to the lowest phase id)."""
+    k = len(PHASE_IDS)
+    s0 = np.asarray(estimator.estimate(observations),
+                    dtype=np.float64)                      # (G, lanes, N)
+    g = len(observations)
+    flat = np.repeat(s0.reshape(g, -1), k, axis=0)         # node-major rows
+    phases = np.tile(PHASE_IDS, g)
+    lanes = s0.shape[1]
+    traj = np.empty((g * k, vc.horizon + 1, lanes * vc.state_grids))
+    for step in range(vc.horizon + 1):
+        flat = dynamics.predict_flat(flat, phases)
+        traj[:, step] = flat
+    values = trajectory_value(
+        traj.reshape(g * k, vc.horizon + 1, lanes, vc.state_grids),
+        vc).reshape(g, k)
+    return [PHASE_IDS[int(np.argmax(v))] for v in values]
+
+
+def _plan_key(obs: Observation) -> tuple:
+    """What a plan depends on in one observation: its schema, shape, dtype
+    and bytes."""
+    v = obs.values
+    return obs.schema_id, v.shape, v.dtype.str, v.tobytes()
+
+
 def select_actions(estimator, dynamics, observations, policy: PolicyConfig,
-                   vc: ValueConfig, rng: np.random.Generator) -> list[int]:
+                   vc: ValueConfig, rng: np.random.Generator,
+                   memo: dict | None = None) -> list[int]:
     """Pick a phase for each observation, in order.
 
     For each observation, with probability epsilon a uniformly random phase
-    is drawn. The others are planned together: one estimator pass maps
-    their observations to estimated states, each phase held for h+1 steps
-    is rolled out from every state through the dynamics model with one pass
-    per step, and each observation gets the phase of maximal trajectory
-    value (ties to the lowest phase id). Callers re-plan every interval.
+    is drawn. The others are planned together (:func:`_plan`). Callers
+    re-plan every interval.
+
+    ``memo`` maps an observation's key (schema, shape, dtype and bytes) to
+    the phase it was planned to, and holds only for the estimator and
+    dynamics that filled it. A greedy observation whose key is in it takes
+    the stored phase; each distinct key that is not is planned once, in one
+    batched pass, and stored. The exploration draws are the same either
+    way. The memo relies on a node's greedy pick depending on that node's
+    observation alone: a value that reads other nodes' rows (a neighbour's
+    queue, say) must key the memo on those rows too, or memoise per-node
+    rollouts instead. BLAS rounds batches of other row counts differently,
+    so a value planned with a memo can differ in its last bit from one
+    planned without.
     """
     k = len(PHASE_IDS)
     picks = [PHASE_IDS[int(rng.integers(k))]
              if policy.epsilon > 0.0 and rng.random() < policy.epsilon
              else None for _ in observations]
     greedy = [i for i, pick in enumerate(picks) if pick is None]
-    if greedy:
-        s0 = np.asarray(estimator.estimate([observations[i] for i in greedy]),
-                        dtype=np.float64)                  # (G, lanes, N)
-        g = len(greedy)
-        flat = np.repeat(s0.reshape(g, -1), k, axis=0)     # node-major rows
-        phases = np.tile(PHASE_IDS, g)
-        lanes = s0.shape[1]
-        traj = np.empty((g * k, vc.horizon + 1, lanes * vc.state_grids))
-        for step in range(vc.horizon + 1):
-            flat = dynamics.predict_flat(flat, phases)
-            traj[:, step] = flat
-        values = trajectory_value(
-            traj.reshape(g * k, vc.horizon + 1, lanes, vc.state_grids),
-            vc).reshape(g, k)
-        for i, v in zip(greedy, values):
-            picks[i] = PHASE_IDS[int(np.argmax(v))]
+    if memo is None:
+        plan = greedy
+    else:
+        keys = {i: _plan_key(observations[i]) for i in greedy}
+        # one node per distinct key not planned yet
+        plan = list({keys[i]: i for i in greedy
+                     if keys[i] not in memo}.values())
+    if plan:
+        for i, phase in zip(plan, _plan(
+                estimator, dynamics, [observations[i] for i in plan], vc)):
+            picks[i] = phase
+    if memo is not None:
+        memo.update((keys[i], picks[i]) for i in plan)
+        for i in greedy:
+            picks[i] = memo[keys[i]]
     return picks
 
 
@@ -316,7 +355,13 @@ def select_action(estimator, dynamics, obs, policy: PolicyConfig,
 
 class PlannerController:
     """Per-interval controller: one shared estimator/dynamics pair drives
-    every intersection, re-planning all of them together each interval."""
+    every intersection, re-planning all of them together each interval.
+
+    An observation already planned this episode takes its stored phase
+    (``memo``, see :func:`select_actions`); ``phase_counts`` counts this
+    episode's decisions per phase. ``begin_episode`` clears both, so nets
+    replaced between episodes are planned afresh.
+    """
 
     def __init__(self, estimator: StateEstimator, dynamics: DynamicsModel,
                  policy: PolicyConfig, vc: ValueConfig,
@@ -326,12 +371,16 @@ class PlannerController:
         self.policy = policy
         self.vc = vc
         self.rng = rng
+        self.begin_episode(env=None)
 
     def begin_episode(self, env) -> None:
-        pass
+        self.memo: dict = {}
+        self.phase_counts = dict.fromkeys(PHASE_IDS, 0)
 
     def decide(self, env, interval_index: int, obs: Mapping) -> dict:
         picks = select_actions(self.estimator, self.dynamics,
                                [obs[node] for node in env.nodes],
-                               self.policy, self.vc, self.rng)
+                               self.policy, self.vc, self.rng, self.memo)
+        for phase in picks:
+            self.phase_counts[phase] += 1
         return dict(zip(env.nodes, picks))

@@ -60,6 +60,17 @@ def test_simulate_exit_zero(config_path, tmp_path, capsys):
             / "simulate" / "metrics.csv").exists()
 
 
+def test_simulate_seq_pretrain_document_with_a_large_task_batch(config_path):
+    """seq_pretrain reads no task batch, and simulate's baselines no
+    sources, so such a document simulates a baseline."""
+    doc = json.loads(config_path.read_text())
+    doc["method"] = "seq_pretrain"
+    doc["maml"]["task_batch_size"] = 3
+    config_path.write_text(json.dumps(doc))
+    assert main(["--config", str(config_path), "simulate", "--method",
+                 "fixed_time"]) == 0
+
+
 def test_simulate_bad_method_exit_two(config_path):
     rc = main(["--config", str(config_path), "simulate", "--method", "dqn"])
     assert rc == 2
@@ -574,11 +585,14 @@ def test_source_of_other_state_grids_exit_two(config_path, capsys,
 
 @pytest.mark.parametrize("method, command", [
     ("modular", "run"), ("modular", "collect"), ("modular", "ablation"),
-    ("seq_pretrain", "ablation")])
+    ("seq_pretrain", "ablation"), ("fixed_time", "collect"),
+    ("monolithic", "collect")])
 def test_task_batch_over_sources_exit_two(config_path, capsys, count_steps,
                                           method, command):
-    """MAML cannot draw three tasks from two sources; ablation runs the
-    modular variant of a seq_pretrain document, so it refuses it too."""
+    """MAML cannot draw three tasks from two sources. meta-train runs MAML
+    for every method but seq_pretrain, so collect refuses such a document
+    up front, not meta-train after it; ablation runs the modular variant of
+    a seq_pretrain document, so it refuses it too."""
     doc = json.loads(config_path.read_text())
     doc["method"] = method
     doc["maml"]["task_batch_size"] = 3

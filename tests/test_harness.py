@@ -59,6 +59,7 @@ from gridlight.sim.network import (
     HEADING_DELTA,
     HEADING_OF_APPROACH,
     MOVEMENTS,
+    PHASE_IDS,
     SCHEMA_DIMS,
     TURN,
     origin_node,
@@ -245,10 +246,11 @@ def _experiments(draw):
         maml=replace(base.maml, inner_lr=draw(st.floats(0.0, 1.0)),
                      outer_lr=draw(st.floats(0.0, 1.0)),
                      meta_iterations=draw(st.integers(0, 1000)),
-                     # modular draws at most one task per source
+                     # MAML, the meta-training of every method but
+                     # seq_pretrain, draws at most one task per source
                      task_batch_size=draw(
-                         st.integers(1, len(base.sources))
-                         if method == "modular" else _positive),
+                         _positive if method == "seq_pretrain"
+                         else st.integers(1, len(base.sources))),
                      inner_steps=draw(_positive),
                      first_order=draw(st.booleans()),
                      batch_size=draw(_positive),
@@ -337,6 +339,14 @@ def test_run_main_csv_bytes_reproducible(tmp_path, method):
     assert csv_path.read_bytes() == first
 
 
+def assert_phase_counts(counts, cfg):
+    """``counts`` holds one greedy target episode's decisions per phase,
+    keyed by phase id as a string: one decision per node per interval."""
+    net = cfg.target.network
+    assert set(counts) == {str(p) for p in PHASE_IDS}
+    assert sum(counts.values()) == cfg.target.intervals * net.rows * net.cols
+
+
 # sha256 of the tiny modular run's metrics.csv, recorded before the phase
 # timings existed: wall times must not reach the CSV
 GOLDEN_MODULAR_CSV = \
@@ -352,8 +362,11 @@ def test_run_main_modular_reports_interactions(tmp_path):
     assert per_seed["interactions"] == cfg.adapt.target_episode_budget
     assert np.isfinite(report.mean_travel)
     out = Path(cfg.out_dir) / "main-modular"
-    timings = json.loads((out / "report.json").read_text()
-                         )["extras"]["per_seed"]["0"]["timings"]
+    written = json.loads((out / "report.json").read_text()
+                         )["extras"]["per_seed"]["0"]
+    timings = written["timings"]
+    assert written["phase_counts"] == per_seed["phase_counts"]
+    assert_phase_counts(written["phase_counts"], cfg)
     assert set(timings) == {"collect_s", "meta_train_s", "adapt_s",
                             "evaluate_s", "heldout_s"}
     for name in ("adapted", "meta_init", "estimator", "persistence"):
@@ -431,6 +444,7 @@ def test_run_ablation_outputs(tmp_path):
     for method, variant in variants.items():
         per_seed = variant["extras"]["per_seed"]["0"]
         assert per_seed["interactions"] == cfg.adapt.target_episode_budget
+        assert_phase_counts(per_seed["phase_counts"], cfg)
         heldout = {k: v for k, v in per_seed.items() if k.startswith("heldout")}
         if method == "monolithic":
             assert heldout == {}
@@ -471,6 +485,10 @@ def test_complexity_sweep_param_counts(tmp_path):
         sizes = [lanes * n + 8] + [width] * entry["depth"] + [lanes * n]
         assert entry["dyn_param_count"] == nn.param_count(sizes)
         assert np.isfinite(entry["mean_travel"])
+        cell = json.loads((Path(cfg.out_dir) / f"sweep-w0.25-d{entry['depth']}"
+                           / "main-modular" / "report.json").read_text())
+        assert_phase_counts(cell["extras"]["per_seed"]["0"]["phase_counts"],
+                            cfg)
     assert (Path(cfg.out_dir) / "sweep" / "summary.csv").exists()
 
 
@@ -508,6 +526,19 @@ def test_source_selection_checks_every_pair_before_running(
     assert not Path(cfg.out_dir).exists()
 
 
+def test_source_selection_baselines_run_without_sources(tmp_path,
+                                                       monkeypatch):
+    """The baselines' configs carry no sources, so a seq_pretrain pool whose
+    task_batch_size exceeds its sources, which only MAML would read, is not
+    refused after every pair has run."""
+    cfg = tiny_config(tmp_path, method="seq_pretrain")
+    cfg = replace(cfg, maml=replace(cfg.maml, task_batch_size=3))
+    row = {"seed": 0, "avg_travel_time": 1.0, "avg_queue_length": 0.0}
+    monkeypatch.setattr(runners, "seed_rows", lambda sub: ([row], {}))
+    out = run_source_selection(cfg)
+    assert set(out["baselines"]) == {"fixed_time", "max_pressure"}
+
+
 def test_offline_case_runs_with_zero_extra_interactions(tmp_path):
     cfg = tiny_config(tmp_path, seeds=(0,))
     out = run_offline_case(cfg)
@@ -522,6 +553,10 @@ def test_offline_case_runs_with_zero_extra_interactions(tmp_path):
     for key in runners.HELDOUT_KEYS:
         assert report["per_seed"]["0"][key] == out["per_seed"]["0"][key]
         assert np.isfinite(out["per_seed"]["0"][key])
+    # and both greedy planner episodes' decisions per phase
+    for key in ("phase_counts", "phase_counts_offline"):
+        assert report["per_seed"]["0"][key] == out["per_seed"]["0"][key]
+        assert_phase_counts(report["per_seed"]["0"][key], cfg)
 
 
 def test_offline_case_runs_modular_whatever_the_method(tmp_path):
@@ -709,8 +744,9 @@ def test_scenario_document_roundtrip(target, sources):
     as an experiment's target and sources."""
     doc = json.loads(json.dumps(target.to_json()))
     assert ScenarioSpec.from_json(doc) == target
-    cfg = replace(default_experiment("fixed_time"), target=target,
-                  sources=tuple(sources))
+    base = default_experiment("fixed_time")
+    cfg = replace(base, target=target, sources=tuple(sources),
+                  maml=replace(base.maml, task_batch_size=1))
     back = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
     assert (back.target, back.sources) == (target, tuple(sources))
 

@@ -626,9 +626,19 @@ def test_decide_equals_per_node_select_action_loop(n_nodes):
 
 # -- golden decision pin -----------------------------------------------------
 
-def _golden_planner_run(epsilon, intervals=30):
-    """Untrained nets with fixed seeds plan city-c for ``intervals``:
-    (each interval's phases, one digit per node; final digest; metrics)."""
+class _Unmemoised(PlannerController):
+    """Plans every greedy node every interval: select_actions with no memo."""
+
+    def decide(self, env, interval_index, obs):
+        return dict(zip(env.nodes, select_actions(
+            self.estimator, self.dynamics, [obs[node] for node in env.nodes],
+            self.policy, self.vc, self.rng)))
+
+
+def _planner_run(epsilon, intervals=None, controller=PlannerController):
+    """Untrained nets with fixed seeds plan city-c for ``intervals`` (the
+    whole episode by default): (each interval's phases, one digit per node;
+    final digest; metrics; the controller)."""
     spec = DESK_CITIES["city-c"]()
     net = spec.network
     lanes, grids = net.lanes_per_intersection, net.state_grids
@@ -638,19 +648,23 @@ def _golden_planner_run(epsilon, intervals=30):
     dyn = DynamicsModel(default_dynamics_net(lanes, grids, (128, 128),
                                              seed=4), lanes, grids)
     vc = ValueConfig(2, 0.9, 0.8, grids, net.pass_capacity)
-    ctrl = PlannerController(est, dyn, PolicyConfig(epsilon=epsilon), vc,
-                             np.random.default_rng(5))
+    ctrl = controller(est, dyn, PolicyConfig(epsilon=epsilon), vc,
+                      np.random.default_rng(5))
     sim = spec.make(seed=0)
+    ctrl.begin_episode(sim)
     obs, _ = sim.snapshot()
     actions = []
-    for t in range(intervals):
+    for t in range(spec.intervals if intervals is None else intervals):
         acts = ctrl.decide(sim, t, obs)
         actions.append("".join(str(acts[node]) for node in sim.nodes))
         sim.step(acts, spec.interval_s)
         obs, _ = sim.snapshot()
-    m = sim.metrics()
-    return (" ".join(actions), sim.digest(), m.avg_travel_time_s,
-            m.avg_queue_length)
+    return " ".join(actions), sim.digest(), sim.metrics(), ctrl
+
+
+def _golden_planner_run(epsilon, intervals=30):
+    actions, digest, m, _ = _planner_run(epsilon, intervals)
+    return actions, digest, m.avg_travel_time_s, m.avg_queue_length
 
 
 GOLDEN_DECISIONS = {
@@ -676,3 +690,107 @@ def test_golden_decisions_pin(epsilon):
     """Decisions, digest and metrics recorded when each node was planned by
     its own select_action call: batching the nodes changed none of them."""
     assert _golden_planner_run(epsilon) == GOLDEN_DECISIONS[epsilon]
+
+
+# -- the plan memo -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_memo_matches_planning_every_node(epsilon):
+    """A whole city-c episode makes the same decisions, metrics, digest and
+    rng draws with the controller's memo as with every node planned every
+    interval, though most observations repeat one already planned."""
+    memo_run = _planner_run(epsilon)
+    plain_run = _planner_run(epsilon, controller=_Unmemoised)
+    assert memo_run[:3] == plain_run[:3]
+    ctrl = memo_run[3]
+    assert (ctrl.rng.bit_generator.state
+            == plain_run[3].rng.bit_generator.state)
+    decisions = sum(ctrl.phase_counts.values())
+    assert decisions == DESK_CITIES["city-c"]().intervals * 6
+    assert len(ctrl.memo) < 0.7 * decisions
+
+
+def _schema_a_estimator(lanes=4):
+    return StateEstimator(default_estimator_net("SCHEMA_A", 8, (8,), seed=0),
+                          "SCHEMA_A", lanes, 8)
+
+
+@pytest.mark.parametrize("schema, shape", [("SCHEMA_B", (4, 2)),
+                                           ("BASE", (8, 1))])
+def test_memo_hit_keeps_the_estimator_checks(schema, shape):
+    """An observation with the bytes of one already planned, but another
+    schema or lane count, is planned, so the estimator refuses it."""
+    est = _schema_a_estimator()
+    dyn = DynamicsModel(default_dynamics_net(4, 8, (8,), seed=1), 4, 8)
+    vc = ValueConfig(1, 0.9, 0.8, 8, 4)
+    values = np.arange(8.0).reshape(4, 2)
+    memo = {}
+    select_actions(est, dyn, [Observation("SCHEMA_A", values)],
+                   PolicyConfig(epsilon=0.0), vc, np.random.default_rng(0),
+                   memo)
+    assert len(memo) == 1
+    other = Observation(schema, values.reshape(shape))
+    assert other.values.tobytes() == values.tobytes()
+    with pytest.raises(ShapeError):
+        select_actions(est, dyn, [other], PolicyConfig(epsilon=0.0), vc,
+                       np.random.default_rng(0), memo)
+
+
+def _favouring_net(lanes, grids, phase):
+    """A one-layer dynamics net that predicts an almost empty state after
+    ``phase`` and ln 2 per grid after every other phase."""
+    net = default_dynamics_net(lanes, grids, (), seed=0)
+    params = np.zeros_like(net.params)
+    w = params[:net.params.size - lanes * grids].reshape(lanes * grids, -1)
+    w[:, lanes * grids + phase - 1] = -20.0
+    return net.with_params(params)
+
+
+def test_begin_episode_forgets_plans_of_replaced_nets():
+    """Adaptation replaces the nets between episodes; the next episode plans
+    with the new nets instead of reusing the old nets' phases."""
+    est = _schema_a_estimator()
+    dyn = DynamicsModel(_favouring_net(4, 8, 3), 4, 8)
+    ctrl = PlannerController(est, dyn, PolicyConfig(epsilon=0.0),
+                             ValueConfig(1, 0.9, 0.8, 8, 4),
+                             np.random.default_rng(0))
+    env = _Nodes(2)
+    obs = {node: Observation("SCHEMA_A", np.ones((4, 2))) for node in env.nodes}
+    assert set(ctrl.decide(env, 0, obs).values()) == {3}
+    dyn.net = _favouring_net(4, 8, 6)
+    ctrl.begin_episode(env)
+    assert ctrl.memo == {} and sum(ctrl.phase_counts.values()) == 0
+    assert set(ctrl.decide(env, 0, obs).values()) == {6}
+    assert ctrl.phase_counts == {**dict.fromkeys(PHASE_IDS, 0), 6: 2}
+
+
+def test_a_greedy_pick_reads_its_own_observation_only():
+    """The memo keys a node's phase on that node's observation alone: with
+    real nets, changing every other node's observation leaves each node's
+    greedy pick as it was."""
+    spec = DESK_CITIES["city-c"]()
+    lanes, grids = spec.network.lanes_per_intersection, spec.network.state_grids
+    est = StateEstimator(default_estimator_net(spec.schema, grids, (32, 32),
+                                               seed=3),
+                         spec.schema, lanes, grids)
+    dyn = DynamicsModel(default_dynamics_net(lanes, grids, (128, 128),
+                                             seed=4), lanes, grids)
+    vc = ValueConfig(2, 0.9, 0.8, grids, spec.network.pass_capacity)
+    rng = np.random.default_rng(6)
+    width = SCHEMA_DIMS[spec.schema]
+
+    def observations(n):
+        return [Observation(spec.schema, rng.uniform(0, 4, (lanes, width)))
+                for _ in range(n)]
+
+    def picks(obs):
+        return select_actions(est, dyn, obs, PolicyConfig(epsilon=0.0), vc,
+                              np.random.default_rng(0))
+
+    for _ in range(5):
+        obs = observations(6)
+        want = picks(obs)
+        for i in range(6):
+            others = observations(5)
+            assert picks(others[:i] + [obs[i]] + others[i:])[i] == want[i]
