@@ -18,6 +18,7 @@ from .. import nn
 from ..errors import ConfigurationError, read_int, read_list
 from ..meta import COLUMNS, TaskDataset
 from ..planner import DynamicsModel, StateEstimator
+from ..sim.network import PHASE_IDS
 
 METRICS_COLUMNS = ("scenario", "seed", "method", "avg_travel_time",
                    "avg_queue_length")
@@ -73,26 +74,49 @@ def save_dataset(path, dataset: TaskDataset) -> None:
 
 
 def load_dataset(path) -> TaskDataset:
-    """The dataset ``save_dataset`` wrote; a line that is not JSON or lacks
-    a field raises ConfigurationError naming the file and line."""
-    docs = []
+    """The dataset ``save_dataset`` wrote. A line that is not JSON, lacks a
+    field, or holds what ``_dataset_array`` refuses or another city, schema
+    or shape than line 1 raises ConfigurationError naming file and line."""
+    rows, first = [], None
     with Path(path).open("r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
+            where = f"{path} line {n}"
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path} line {n}: {exc}") from exc
-            docs.append(_fields(doc, ("city_id", "schema_id", *COLUMNS),
-                                f"{path} line {n}"))
-    if not docs:
+                raise ConfigurationError(f"{where}: {exc}") from exc
+            doc = _fields(doc, ("city_id", "schema_id", *COLUMNS), where)
+            row = [_dataset_array(doc[c], c, where) for c in COLUMNS]
+            kind = (doc["city_id"], doc["schema_id"], *(a.shape for a in row))
+            first = first or kind
+            if kind != first:
+                raise ConfigurationError(f"{where}: (city, schema, shapes) "
+                                         f"{kind} differ from line 1's")
+            rows.append(row)
+    if first is None:
         raise ConfigurationError(f"dataset file {path} is empty")
-    schemas = {d["schema_id"] for d in docs}
-    if len(schemas) != 1:
-        raise ConfigurationError(f"dataset file {path} mixes schemas {schemas}")
-    dtypes = {"obs": float, "state": np.int64, "action": np.int64,
-              "state_next": np.int64}
-    return TaskDataset(docs[-1]["city_id"], docs[-1]["schema_id"], *(
-        np.array([d[c] for d in docs], dtype=dtypes[c]) for c in COLUMNS))
+    return TaskDataset(first[0], first[1], *map(np.array, zip(*rows)))
+
+
+def _dataset_array(value, column: str, where: str) -> np.ndarray:
+    """Field ``column`` of a dataset line: an ``action`` must be a phase id,
+    ``obs`` a finite 2-D array, and a state one of whole counts >= 0."""
+    if column == "action":
+        if read_int(value, f"{where} action") not in PHASE_IDS:
+            raise ConfigurationError(
+                f"{where}: action {value} is not a phase id {PHASE_IDS}")
+        return np.array(int(value))
+    try:  # ragged or non-numeric
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: {column}: {exc}") from exc
+    counts = column != "obs"
+    if a.ndim != 2 or not np.isfinite(a).all() or counts and (
+            (a < 0) | (a % 1 != 0)).any():
+        kind = "array of whole counts >= 0" if counts else "array"
+        raise ConfigurationError(f"{where}: {column} must be a finite 2-D "
+                                 f"{kind}")
+    return a.astype(np.int64) if counts else a
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Experiment runners: the main method comparison, ablations, the model
-complexity sweep, single-source transfer matrix, offline estimator training,
-and the data-volume curve.
+"""Experiment runners: the main method comparison, the budget table (every
+pipeline method after each target episode of the budget), the model
+complexity sweep, single-source transfer matrix, and offline estimator
+training.
 
 Every runner is reproducible from (config, seeds): all randomness descends
 from the per-seed SeedSequence, and CSV outputs carry no timestamps. Wall
@@ -80,9 +81,6 @@ class RunReport:
             if len(rows) > 1 else (0.0, 0.0)
         return cls(method, rows, float(travel.mean()), std[0],
                    float(queue.mean()), std[1], digest, 0.0, extras or {})
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def value_config_for(cfg: ExperimentConfig, scenario: ScenarioSpec) -> ValueConfig:
@@ -192,7 +190,7 @@ def meta_train_stage(cfg: ExperimentConfig, seed: int,
                      datasets: list[TaskDataset]):
     """Aggregate the source datasets into an initialization of the
     target-shaped dynamics model, by ``seq_pretrain`` for a ``seq_pretrain``
-    config and ``maml_train`` otherwise; returns (g0, phi)."""
+    config and ``maml_train`` otherwise; returns that model."""
     seeds = stage_seeds(seed)
     lanes = cfg.target.network.lanes_per_intersection
     n_grids = cfg.target.network.state_grids
@@ -202,103 +200,88 @@ def meta_train_stage(cfg: ExperimentConfig, seed: int,
     train = seq_pretrain if cfg.method == "seq_pretrain" else maml_train
     phi = train(datasets, cfg.maml, g0, dist_config_for(cfg, cfg.target),
                 seeds["train"])
-    return g0, phi
+    return DynamicsModel(g0.net.with_params(phi), lanes, n_grids)
 
 
-def adapt_stage(cfg: ExperimentConfig, seed: int, phi: np.ndarray):
-    """Adapt ``phi`` to the target city within the episode budget; returns
-    (estimator, dynamics, target interactions consumed)."""
+def adapt_stage(cfg: ExperimentConfig, seed: int, init: DynamicsModel,
+                scored=None):
+    """Adapt ``init`` to the target city within the episode budget, passing
+    ``scored`` to ``meta.adapt``; returns (estimator, dynamics, target
+    interactions consumed)."""
     factory = EnvFactory(cfg.target)
     estimator, dynamics = adapt(
-        phi, factory, cfg.adapt, cfg.target.schema, stage_seeds(seed)["adapt"],
+        init.net.params, factory, cfg.adapt, cfg.target.schema, stage_seeds(seed)["adapt"],
         dyn_hidden=cfg.dyn_hidden, estimator_hidden=cfg.estimator_hidden,
         value_cfg=value_config_for(cfg, cfg.target),
-        dist_cfg=dist_config_for(cfg, cfg.target))
+        dist_cfg=dist_config_for(cfg, cfg.target), scored=scored)
     return estimator, dynamics, factory.interactions
 
 
 def evaluate_planner(cfg: ExperimentConfig, estimator: StateEstimator,
                      dynamics: DynamicsModel, seed: int):
-    """One greedy planner episode on the target, not charged to the budget;
-    returns its metrics and :func:`evaluate_phase_counts`' counts."""
+    """One greedy planner episode on the target, charged to no budget: its
+    metrics, and extras with its decisions per phase id (``phase_counts``)."""
     controller = PlannerController(estimator, dynamics,
                                    PolicyConfig(epsilon=0.0),
                                    value_config_for(cfg, cfg.target),
                                    np.random.default_rng(0))
-    return evaluate_phase_counts(cfg.target, controller, seed)
-
-
-def evaluate_phase_counts(scenario: ScenarioSpec,
-                          controller: PlannerController, seed: int):
-    """``evaluate_controller`` for a planner; also returns the episode's
-    count of decisions per phase, keyed by the phase id as a string."""
-    metrics = evaluate_controller(scenario, controller, seed)
-    return metrics, {str(p): n for p, n in controller.phase_counts.items()}
+    metrics = evaluate_controller(cfg.target, controller, seed)
+    return metrics, {"phase_counts": {
+        str(p): n for p, n in controller.phase_counts.items()}}
 
 
 HELDOUT_KEYS = ("heldout_dist_adapted", "heldout_dist_meta_init",
                 "heldout_dist_estimator", "heldout_dist_persistence")
 
 
+def heldout_episode(target: ScenarioSpec) -> TaskDataset:
+    """One recorded fixed-time episode of the target, charged to no budget.
+    The simulator draws nothing from its seed, so it serves every seed."""
+    return collect_experience(
+        lambda s: target.make(s), FixedTimeController(), episodes=1,
+        rng=np.random.default_rng(20_000), city_id="heldout",
+        intervals=target.intervals, interval_s=target.interval_s)
+
+
+def planner_score(cfg: ExperimentConfig, seed: int, held: TaskDataset,
+                  meta_init: DynamicsModel, estimator: StateEstimator,
+                  dynamics: DynamicsModel):
+    """``evaluate_planner`` with ``HELDOUT_KEYS`` distances on ``held`` in its
+    extras: the dynamics errors of the adapted model and of ``meta_init``,
+    the estimator's, and persistence's (s' = s)."""
+    dist_cfg = dist_config_for(cfg, cfg.target)
+    metrics, extras = evaluate_planner(cfg, estimator, dynamics, seed)
+    return metrics, {**extras, **dict(zip(HELDOUT_KEYS, (
+        dynamics_error(dynamics, held, dist_cfg),
+        dynamics_error(meta_init, held, dist_cfg),
+        training_loss(estimator, held, dist_cfg),
+        _mean_distance(held.state, held.state_next, dist_cfg))))}
+
+
 def modular_pipeline(cfg: ExperimentConfig, seed: int):
-    """Collect -> meta-train -> adapt -> evaluate greedily, for one seed.
-
-    Returns (metrics, artifacts). Artifacts include the adapted models, the
-    meta-trained initialization, the exact interaction count, held-out
-    distances (the dynamics errors of the adapted and un-fine-tuned models,
-    the adapted estimator's error, and persistence's ``s' = s`` error), the
-    greedy evaluation's decisions per phase (``phase_counts``), and the wall
-    seconds of each phase (``timings``: ``collect_s``,
-    ``meta_train_s``, ``adapt_s``, ``evaluate_s`` and ``heldout_s``).
-
-    A forked child runs the held-out episode and its distances while
-    this process runs the greedy evaluation, so ``heldout_s`` is the wait
-    for that child after the evaluation.
-    """
-    target = cfg.target
+    """Collect -> meta-train -> adapt -> score, for one seed: the
+    full-budget case of ``run_budget_table``'s ``modular`` method. Returns
+    (metrics, artifacts): the models, the interaction count,
+    ``planner_score``'s extras, and each phase's wall seconds (``timings``:
+    ``collect_s``, ``meta_train_s``, ``adapt_s``, ``heldout_s`` for the
+    held-out episode, and ``evaluate_s`` for ``planner_score``)."""
     timings: dict = {}
     with timed(timings, "collect_s"):
         datasets = collect_source_datasets(cfg, stage_seeds(seed)["collect"])
     with timed(timings, "meta_train_s"):
-        g0, phi = meta_train_stage(cfg, seed, datasets)
-    del datasets  # adaptation, the peak of memory, needs only phi
+        meta_init = meta_train_stage(cfg, seed, datasets)
+    del datasets  # adaptation, the peak of memory, needs only meta_init
     with timed(timings, "adapt_s"):
-        estimator, dynamics, interactions = adapt_stage(cfg, seed, phi)
-
-    def heldout_errors() -> dict[str, float]:
-        held = collect_experience(
-            lambda s: target.make(s), FixedTimeController(),
-            episodes=1, rng=np.random.default_rng(20_000 + seed),
-            city_id="heldout", intervals=target.intervals,
-            interval_s=target.interval_s)
-        dist_cfg = dist_config_for(cfg, target)
-        return dict(zip(HELDOUT_KEYS, (
-            dynamics_error(dynamics, held, dist_cfg),
-            dynamics_error(DynamicsModel(g0.net.with_params(phi), g0.lanes,
-                                         g0.state_grids), held, dist_cfg),
-            training_loss(estimator, held, dist_cfg),
-            _mean_distance(held.state, held.state_next, dist_cfg))))
-
-    wait = _forked(heldout_errors)
-    try:
-        with timed(timings, "evaluate_s"):
-            metrics, phase_counts = evaluate_planner(cfg, estimator,
-                                                     dynamics, seed)
-    finally:
-        with timed(timings, "heldout_s"):
-            heldout = wait()
-
-    artifacts = {
-        "interactions": interactions,
-        **heldout,
-        "phase_counts": phase_counts,
-        "estimator": estimator,
-        "dynamics": dynamics,
-        "phi": phi,
-        "g0": g0,
-        "timings": timings,
-    }
-    return metrics, artifacts
+        estimator, dynamics, interactions = adapt_stage(cfg, seed, meta_init)
+    with timed(timings, "heldout_s"):
+        held = heldout_episode(cfg.target)
+    with timed(timings, "evaluate_s"):
+        metrics, extras = planner_score(cfg, seed, held, meta_init,
+                                        estimator, dynamics)
+    return metrics, {"interactions": interactions, **extras,
+                     "estimator": estimator, "dynamics": dynamics,
+                     "phi": meta_init.net.params, "meta_init": meta_init,
+                     "timings": timings}
 
 
 # -- the non-modular ablation ---------------------------------------------------
@@ -322,15 +305,17 @@ def _carry_trailing_layers(src: nn.Net, dst: nn.Net) -> nn.Net:
     return dst.with_params(params)
 
 
-def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
-    """Train one observation-to-next-state net per source city in sequence,
-    carrying the trailing layers across cities and into the target, then
-    fine-tune within the same episode budget, planning at horizon 0."""
+def monolithic_adapt(cfg: ExperimentConfig, seed: int,
+                     datasets: list[TaskDataset], scored=None):
+    """Train one observation-to-next-state net per source dataset in
+    sequence, carrying the trailing layers across cities and into the
+    target, then fine-tune it within the same episode budget, planning at
+    ``cfg.horizon`` (0 for the monolithic method). ``scored`` is as in
+    ``meta.adapt``; returns (estimator, dynamics, interactions)."""
     target = cfg.target
-    ss = np.random.SeedSequence([seed, 29])
-    collect_seq, net_seq, train_seq, adapt_seq = ss.spawn(4)
-    datasets = collect_source_datasets(cfg, collect_seq)
-
+    # skip the first child, so the other three keep their spawn keys
+    _, net_seq, train_seq, adapt_seq = \
+        np.random.SeedSequence([seed, 29]).spawn(4)
     lanes = target.network.lanes_per_intersection
     n_grids = target.network.state_grids
     net_rng = np.random.default_rng(net_seq)
@@ -351,14 +336,14 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
                      nn.Adam(lr=cfg.maml.outer_lr),
                      nn.sampled_batches(train_rng, len(ds), cfg.maml.batch_size,
                                         cfg.maml.meta_iterations))
+    est = _ObservationStates()
     dyn = DynamicsModel(fresh_net(target.schema, net), lanes, n_grids)
-    vc = replace(value_config_for(cfg, target), horizon=0)
     adapt_rng = np.random.default_rng(adapt_seq)
     opt = nn.Adam(lr=cfg.adapt.lr)
 
     def controller(epsilon, rng):
-        return PlannerController(_ObservationStates(), dyn,
-                                 PolicyConfig(epsilon=epsilon), vc, rng)
+        return PlannerController(est, dyn, PolicyConfig(epsilon=epsilon),
+                                 value_config_for(cfg, target), rng)
 
     def train(ds: TaskDataset) -> None:
         dyn.net = nn.fit(dyn.net, loss_fn,
@@ -368,11 +353,22 @@ def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
                                           cfg.adapt.epochs_per_episode))
 
     factory = EnvFactory(target)
-    spend_budget(factory, cfg.adapt, controller, train, adapt_rng)
-    metrics, phase_counts = evaluate_phase_counts(
-        target, controller(0.0, np.random.default_rng(0)), seed)
-    return metrics, {"interactions": factory.interactions, "net": dyn.net,
-                     "phase_counts": phase_counts}
+    for spent in spend_budget(factory, cfg.adapt, controller, train,
+                              adapt_rng):
+        if scored is not None:
+            scored(spent, est, dyn)
+    return est, dyn, factory.interactions
+
+
+def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
+    """``monolithic_adapt`` at horizon 0 on the sources ``modular_pipeline``
+    collects, then ``evaluate_planner``: ``run_budget_table``'s full-budget
+    case."""
+    cfg = replace(cfg, horizon=0)
+    est, dyn, interactions = monolithic_adapt(
+        cfg, seed, collect_source_datasets(cfg, stage_seeds(seed)["collect"]))
+    metrics, extras = evaluate_planner(cfg, est, dyn, seed)
+    return metrics, {"interactions": interactions, "net": dyn.net, **extras}
 
 
 # -- runners -------------------------------------------------------------------
@@ -388,13 +384,10 @@ def seed_rows(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             ctrl = baseline_controller(
                 cfg.method, np.random.default_rng([seed, 3]))
             metrics = evaluate_controller(cfg.target, ctrl, seed)
-        elif cfg.method == "monolithic":
-            metrics, art = monolithic_pipeline(cfg, seed)
-            per_seed[str(seed)] = {k: art[k] for k in (
-                "interactions", "phase_counts")}
         else:
-            metrics, art = modular_pipeline(cfg, seed)
-            per_seed[str(seed)] = {k: art[k] for k in (
+            metrics, art = (monolithic_pipeline if cfg.method == "monolithic"
+                            else modular_pipeline)(cfg, seed)
+            per_seed[str(seed)] = {k: v for k, v in art.items() if k in (
                 "interactions", "timings", "phase_counts", *HELDOUT_KEYS)}
         rows.append(metrics_row(cfg.target, seed, cfg.method, metrics))
     return rows, per_seed
@@ -425,39 +418,74 @@ def run_main(cfg: ExperimentConfig) -> RunReport:
                                  {"per_seed": per_seed})
     report.wall_clock_s = write_outputs(
         cfg, f"main-{cfg.method}", t0,
-        {"metrics.csv": (io.METRICS_COLUMNS, rows)}, report.to_json())
+        {"metrics.csv": (io.METRICS_COLUMNS, rows)}, asdict(report))
     return report
 
 
-def run_ablation(cfg: ExperimentConfig) -> dict[str, RunReport]:
-    """Modular vs monolithic vs sequential pretraining, paired per seed.
+BUDGET_METHODS = ("modular", "seq_pretrain", "no_sources", "monolithic")
 
-    Directional expectations (modular beats monolithic, meta-aggregation
-    beats sequential) are recorded as informational flags, not hard
-    failures: a three-seed desk run cannot certify them."""
+
+def run_budget_table(cfg: ExperimentConfig) -> dict:
+    """One ``budget/metrics.csv`` row per (method of ``BUDGET_METHODS``,
+    budget b = 1..B, seed). Per seed, every method trains on one source
+    collection and adapts once, scored after each episode: a budget of b
+    spends, bit for bit, the first b episodes of B. ``no_sources`` is
+    ``modular`` with ``maml.meta_iterations=0``. Flags in ``report.json``
+    are informational: three desk seeds cannot certify them."""
     if cfg.method not in PIPELINE_METHODS:
         raise ConfigurationError(
-            f"run_ablation requires a pipeline method, got {cfg.method!r}")
+            f"run_budget_table requires a pipeline method, got {cfg.method!r}")
+    # every method's config is built, and so checked, before any runs
+    variants = dict(zip(BUDGET_METHODS, (
+        replace(cfg, method="modular"), replace(cfg, method="seq_pretrain"),
+        replace(cfg, method="modular",
+                maml=replace(cfg.maml, meta_iterations=0)),
+        replace(cfg, method="monolithic", horizon=0))))
     t0 = time.perf_counter()
-    reports = {}
-    # every variant's config is built, and so checked, before any runs
-    for sub in [replace(cfg, method=method) for method in PIPELINE_METHODS]:
-        rows, per_seed = seed_rows(sub)
-        reports[sub.method] = RunReport.from_rows(
-            sub.method, rows, io.config_digest(sub.to_json()),
-            {"per_seed": per_seed})
-    directional = {
-        "modular_beats_monolithic":
-            reports["modular"].mean_travel <= reports["monolithic"].mean_travel,
-        "maml_beats_sequential":
-            reports["modular"].mean_travel <= reports["seq_pretrain"].mean_travel,
-    }
-    all_rows = [row for r in reports.values() for row in r.rows]
-    write_outputs(cfg, "ablation", t0,
-                  {"metrics.csv": (io.METRICS_COLUMNS, all_rows)},
-                  {"variants": {m: r.to_json() for m, r in reports.items()},
-                   "directional_expectations": directional})
-    return reports
+    held = heldout_episode(cfg.target)
+    rows, per_seed = [], {name: {} for name in variants}
+    for seed in cfg.seeds:
+        datasets = collect_source_datasets(cfg, stage_seeds(seed)["collect"])
+        for name, sub in variants.items():
+            budgets = {}
+
+            def add(spent, metrics, extras):
+                rows.append({**metrics_row(cfg.target, seed, name, metrics),
+                             "budget": spent, "heldout_dist_adapted":
+                                 extras.get("heldout_dist_adapted", "")})
+                budgets[str(spent)] = extras
+
+            if name == "monolithic":
+                *_, interactions = monolithic_adapt(
+                    sub, seed, datasets, lambda spent, est, dyn: add(
+                        spent, *evaluate_planner(sub, est, dyn, seed)))
+            else:
+                meta_init = meta_train_stage(sub, seed, datasets)
+                *_, interactions = adapt_stage(
+                    sub, seed, meta_init, scored=lambda spent, est, dyn: add(
+                        spent, *planner_score(sub, seed, held, meta_init,
+                                              est, dyn)))
+            per_seed[name][str(seed)] = {"interactions": interactions,
+                                         "budgets": budgets}
+    rows.sort(key=lambda r: (BUDGET_METHODS.index(r["method"]), r["budget"]))
+
+    def beats(other, spent, key="avg_travel_time") -> bool:
+        mean = [np.mean([r[key] for r in rows if (r["method"], r["budget"])
+                         == (m, spent)]) for m in ("modular", other)]
+        return bool(mean[0] <= mean[1])
+
+    full = cfg.adapt.target_episode_budget
+    report = {"per_seed": per_seed,
+              "directional_expectations": {
+                  "modular_beats_monolithic": beats("monolithic", full),
+                  "maml_beats_sequential": beats("seq_pretrain", full)},
+              "maml_beats_no_sources": {
+                  str(b): beats("no_sources", b, "heldout_dist_adapted")
+                  for b in range(1, full + 1)}}
+    write_outputs(cfg, "budget", t0, {"metrics.csv": (
+        ("scenario", "method", "budget", "seed", "avg_travel_time",
+         "avg_queue_length", "heldout_dist_adapted"), rows)}, report)
+    return {"rows": rows, **report}
 
 
 SUMMARY_KEYS = ("mean_travel", "std_travel", "mean_queue", "std_queue")
@@ -577,8 +605,8 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
             batch_size=cfg.adapt.batch_size,
             dist_cfg=dist_config_for(cfg, target), seed=seed)
 
-        metrics_off, counts_off = evaluate_planner(cfg, est_off,
-                                                   art["dynamics"], seed)
+        metrics_off, off = evaluate_planner(cfg, est_off, art["dynamics"],
+                                            seed)
         metrics_fixed = evaluate_controller(
             target, FixedTimeController(), seed)
 
@@ -588,7 +616,7 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
         per_seed[str(seed)] = {"interactions": factory.interactions,
                                **{k: art[k] for k in HELDOUT_KEYS},
                                "phase_counts": art["phase_counts"],
-                               "phase_counts_offline": counts_off}
+                               "phase_counts_offline": off["phase_counts"]}
         for method, m in (("modular", metrics_online),
                           ("modular_offline", metrics_off),
                           ("fixed_time", metrics_fixed)):
@@ -601,29 +629,3 @@ def run_offline_case(cfg: ExperimentConfig) -> dict:
                   {"mean_travel_by_method": by_method, "per_seed": per_seed})
     return {"rows": rows, "mean_travel_by_method": by_method,
             "per_seed": per_seed}
-
-
-def run_data_volume_curve(cfg: ExperimentConfig,
-                          fractions=(0.25, 0.5, 1.0)) -> list[dict]:
-    """Adaptation quality versus interaction budget: run the pipeline at a
-    ceiling-rounded fraction of the configured episode budget
-    (``cfg.adapt.target_episode_budget``) and emit one CSV row per
-    (fraction, seed). The fraction-1.0 rows are ``run_main``'s."""
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise ConfigurationError(f"fractions must be in (0, 1], got {f}")
-    t0 = time.perf_counter()
-    rows = []
-    for frac in fractions:
-        budget = int(np.ceil(frac * cfg.adapt.target_episode_budget))
-        sub = replace(cfg, method="modular", adapt=replace(
-            cfg.adapt, target_episode_budget=budget))
-        rows += [{"fraction": frac, "budget_episodes": budget,
-                  "seed": r["seed"], "travel_time": r["avg_travel_time"],
-                  "queue_length": r["avg_queue_length"]}
-                 for r in seed_rows(sub)[0]]
-    write_outputs(cfg, "curve", t0,
-                  {"curve.csv": (("fraction", "budget_episodes", "seed",
-                                  "travel_time", "queue_length"), rows)},
-                  {"rows": rows})
-    return rows

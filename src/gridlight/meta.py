@@ -32,7 +32,7 @@ import os
 import pickle
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -417,23 +417,25 @@ class AdaptConfig:
 def spend_budget(env_factory: EnvFactory, cfg: AdaptConfig,
                  controller: Callable[[float, np.random.Generator], object],
                  train: Callable[[TaskDataset], None],
-                 rng: np.random.Generator) -> None:
+                 rng: np.random.Generator) -> Iterator[int]:
     """Run ``cfg.target_episode_budget`` recorded episodes, each on an env
     and under ``controller(epsilon, rng)`` seeded in that order from ``rng``;
-    after each, epsilon decays and ``train`` gets every record so far."""
+    after each, epsilon decays, ``train`` gets one dataset of every record
+    so far, in order, and the count of episodes spent is yielded."""
     scenario = env_factory.scenario
-    episodes: list[TaskDataset] = []
+    records = None
     epsilon = cfg.epsilon0
-    for _ in range(cfg.target_episode_budget):
+    for spent in range(1, cfg.target_episode_budget + 1):
         env = env_factory.make(int(rng.integers(2 ** 31 - 1)))
         ctrl = controller(epsilon,
                           np.random.default_rng(rng.integers(2 ** 31 - 1)))
         _, ep = run_episode(env, ctrl, scenario.intervals,
                             scenario.interval_s, record=True,
                             city_id=scenario.name)
-        episodes.append(ep)
+        records = ep if records is None else TaskDataset.concat((records, ep))
         epsilon *= cfg.epsilon_decay
-        train(TaskDataset.concat(episodes))
+        train(records)
+        yield spent
 
 
 def _openblas_threads():
@@ -580,7 +582,8 @@ def _forked(fn: Callable[[], object]) -> Callable[[], object]:
 def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
           schema_id: str, seed: int, *, dyn_hidden: tuple[int, ...],
           estimator_hidden: tuple[int, ...], value_cfg: ValueConfig,
-          dist_cfg: DistanceConfig) -> tuple[StateEstimator, DynamicsModel]:
+          dist_cfg: DistanceConfig, scored: Callable | None = None
+          ) -> tuple[StateEstimator, DynamicsModel]:
     """Adapt to a target city within an exact episode budget.
 
     The dynamics net starts from the meta-trained parameters, the estimator
@@ -590,7 +593,8 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
     before either fit starts: the estimator in a forked child that sends back
     the fitted net and its Adam state, the dynamics net meanwhile in this
     process. No child outlives a call to ``train``, whether it returns or
-    raises.
+    raises. Then ``scored``, if given, gets the count of episodes spent and
+    both models, which it must not change.
     """
     scenario = env_factory.scenario
     if schema_id != scenario.schema:
@@ -633,8 +637,10 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
         finally:
             estimator.net, opt_f = wait()
 
-    spend_budget(env_factory, cfg, controller, train,
-                 np.random.default_rng(seeds[2]))
+    for spent in spend_budget(env_factory, cfg, controller, train,
+                              np.random.default_rng(seeds[2])):
+        if scored is not None:
+            scored(spent, estimator, dynamics)
     return estimator, dynamics
 
 

@@ -2,6 +2,7 @@
 files. Uses a shrunken config document to keep runs fast."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -356,9 +357,7 @@ def test_flow_off_the_grid_exit_two(config_path, capsys, count_steps,
     (["sweep", "--depths", "2.5"], "--depths"),
     (["sweep", "--widths", "-1"], "widths"),
     (["sweep", "--widths", "0.5,nan"], "widths"),
-    (["sweep", "--depths", "0"], "depths"),
-    (["curve", "--fractions", "a"], "--fractions"),
-    (["curve", "--fractions", "0.5,,1"], "--fractions")])
+    (["sweep", "--depths", "0"], "depths")])
 def test_bad_grid_flags_exit_two(config_path, capsys, count_steps, argv,
                                  flag):
     rc = main(["--config", str(config_path), *argv])
@@ -432,6 +431,48 @@ def test_meta_train_refuses_damaged_datasets(config_path, capsys, damage):
     assert main(["--config", str(config_path), "meta-train"]) == 2
     assert str(path) in capsys.readouterr().err
     assert not (out_dir / "meta" / "initialization.json").exists()
+
+
+def _ragged(rows):
+    rows[0] = rows[0][:-1]
+    return rows
+
+
+@pytest.mark.parametrize("field, edit, message", [
+    ("obs", _ragged, "obs: setting an array element"),
+    ("obs", lambda obs: obs[:-1], r"shapes\) .* differ from line 1's"),
+    ("state", lambda state: [["many"] + row[1:] for row in state],
+     "state: could not convert"),
+    ("state", lambda state: [[0.5] + row[1:] for row in state],
+     "state must be a finite 2-D array of whole counts >= 0"),
+    ("action", lambda action: "left", "action must be an integer"),
+    ("action", lambda action: 9, "action 9 is not a phase id"),
+    ("action", lambda action: 0, "action 0 is not a phase id"),
+    ("city_id", lambda city: "city-b", "differ from line 1's")],
+    ids=["ragged-obs", "fewer-lanes", "non-numeric-state", "half-a-vehicle",
+         "string-action", "action-9", "action-0", "mixed-cities"])
+def test_meta_train_refuses_malformed_dataset_rows(config_path, capsys,
+                                                   field, edit, message):
+    """A dataset line whose hash matches but whose row training cannot use
+    makes meta-train exit 2 naming the file and line, before training."""
+    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+    assert main(["--config", str(config_path), "collect"]) == 0
+    path = out_dir / "datasets" / "city-a.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[2])
+    row[field] = edit(row[field])
+    lines[2] = json.dumps(row) + "\n"
+    path.write_text("".join(lines))
+    manifest_path = out_dir / "datasets" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sha256"][path.name] = io.file_sha256(path)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "meta-train"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} line 3" in err
+    assert re.search(message, err)
+    assert not (out_dir / "meta").exists()
 
 
 @pytest.mark.parametrize("damage", [
@@ -570,7 +611,7 @@ def test_repeated_scenario_names_exit_two(config_path, capsys, count_steps,
                       count_steps)
 
 
-@pytest.mark.parametrize("command", ["run", "collect", "ablation"])
+@pytest.mark.parametrize("command", ["run", "collect", "budget"])
 @pytest.mark.parametrize("method", PIPELINE_METHODS)
 def test_source_of_other_state_grids_exit_two(config_path, capsys,
                                               count_steps, command, method):
@@ -584,14 +625,14 @@ def test_source_of_other_state_grids_exit_two(config_path, capsys,
 
 
 @pytest.mark.parametrize("method, command", [
-    ("modular", "run"), ("modular", "collect"), ("modular", "ablation"),
-    ("seq_pretrain", "ablation"), ("fixed_time", "collect"),
+    ("modular", "run"), ("modular", "collect"), ("modular", "budget"),
+    ("seq_pretrain", "budget"), ("fixed_time", "collect"),
     ("monolithic", "collect")])
 def test_task_batch_over_sources_exit_two(config_path, capsys, count_steps,
                                           method, command):
     """MAML cannot draw three tasks from two sources. meta-train runs MAML
     for every method but seq_pretrain, so collect refuses such a document
-    up front, not meta-train after it; ablation runs the modular variant of
+    up front, not meta-train after it; budget runs the modular variant of
     a seq_pretrain document, so it refuses it too."""
     doc = json.loads(config_path.read_text())
     doc["method"] = method
@@ -600,12 +641,12 @@ def test_task_batch_over_sources_exit_two(config_path, capsys, count_steps,
                       capsys, count_steps)
 
 
-def test_ablation_of_a_baseline_method_exit_two(config_path, capsys,
-                                                count_steps):
-    """ablation compares the pipeline methods, as run_ablation does; it
+def test_budget_of_a_baseline_method_exit_two(config_path, capsys,
+                                              count_steps):
+    """budget compares the pipeline methods, as run_budget_table does; it
     does not rewrite a fixed_time document into a modular one."""
     _refused_up_front(config_path, json.loads(config_path.read_text()),
-                      "ablation", "requires a pipeline method", capsys,
+                      "budget", "requires a pipeline method", capsys,
                       count_steps)
 
 
@@ -646,9 +687,11 @@ def test_seed_override(config_path, capsys):
     assert "seed=7" in capsys.readouterr().out
 
 
-def test_curve_command(config_path, capsys):
-    rc = main(["--config", str(config_path), "curve",
-               "--fractions", "0.5,1.0"])
-    assert rc == 0
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
-    assert (out_dir / "curve" / "curve.csv").exists()
+def test_budget_command(config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    doc["method"] = "modular"
+    config_path.write_text(json.dumps(doc))
+    assert main(["--config", str(config_path), "budget"]) == 0
+    assert capsys.readouterr().out.count(" budget=1 seed=0: travel=") == 4
+    table = Path(doc["out_dir"]) / "budget" / "metrics.csv"
+    assert len(table.read_text().splitlines()) == 1 + 4

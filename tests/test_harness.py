@@ -35,9 +35,8 @@ from gridlight.harness.runners import (
     dist_config_for,
     modular_pipeline,
     monolithic_pipeline,
-    run_ablation,
+    run_budget_table,
     run_complexity_sweep,
-    run_data_volume_curve,
     run_main,
     run_offline_case,
     run_source_selection,
@@ -380,14 +379,16 @@ def test_run_main_modular_reports_interactions(tmp_path):
 # sha256 of each runner's CSVs on the tiny config with seeds 0 and 1,
 # recorded before the runners shared one seed loop and one output writer.
 # The offline case's was recorded after its estimator took the config's
-# batch size (64, not 128); before, it was cc8d7b7f...
+# batch size (64, not 128); before, it was cc8d7b7f... The budget table's
+# replaced the ablation's (18e4a0b1...) and the data-volume curve's
+# (99b14c11...).
 GOLDEN_RUNNER_CSVS = {
     "main-modular/metrics.csv":
         "62b8fdd546a0a873faa122843c69551597f244162f2cab1044117dbf12d4221a",
     "main-max_pressure/metrics.csv":
         "627d9b4f90683c3675105a670f51150249bfdfef116917192321ee432ecf8673",
-    "ablation/metrics.csv":
-        "18e4a0b1bfaa8738e04334eea5d9325a291aa77b22356c224b0958c302dd10d1",
+    "budget/metrics.csv":
+        "1714c7760842ef032f9797abfa499fa9c06684c61fe64062abe924a07f351559",
     "sweep/summary.csv":
         "1c177ebff00f88ffcde2d4dd5eeb1305cea938d519db2107dcb509e963b6287b",
     "source-matrix/cells.csv":
@@ -396,8 +397,6 @@ GOLDEN_RUNNER_CSVS = {
         "956100bc6de2f3cc3a1b95bcef721728e7c4f0e79e2fdc4ae81dce0a6ffb819a",
     "offline/metrics.csv":
         "50d652150a6a8d425c8387e9b70ddbdcad387daadc90bd796111438e599f96d3",
-    "curve/curve.csv":
-        "99b14c11c3971f2ae385a2b9740a6e70063592bb50880a196d7a083ceb87e3db",
 }
 
 
@@ -409,16 +408,15 @@ def test_every_runner_output_pinned(tmp_path):
     max_pressure = replace(cfg, method="max_pressure")
     run_main(cfg)
     run_main(max_pressure)
-    run_ablation(cfg)
+    run_budget_table(cfg)
     run_complexity_sweep(cfg, width_scales=(0.25,), depths=(1,))
     run_source_selection(cfg)
     run_offline_case(cfg)
-    run_data_volume_curve(cfg)
     out = Path(cfg.out_dir)
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in GOLDEN_RUNNER_CSVS} == GOLDEN_RUNNER_CSVS
-    for name in ("main-modular", "main-max_pressure", "ablation", "sweep",
-                 "source-matrix", "offline", "curve"):
+    for name in ("main-modular", "main-max_pressure", "budget", "sweep",
+                 "source-matrix", "offline"):
         ran = max_pressure if name == "main-max_pressure" else cfg
         report = json.loads((out / name / "report.json").read_text())
         assert report["wall_clock_s"] > 0
@@ -426,52 +424,120 @@ def test_every_runner_output_pinned(tmp_path):
         assert manifest["config_digest"] == io.config_digest(ran.to_json())
 
 
-def test_run_ablation_outputs(tmp_path):
-    """Each variant's report.json entry keeps run's per-seed record: the
-    held-out distances for the two pretrained variants, the interaction
-    count for all three."""
+def test_run_budget_table_outputs(tmp_path):
+    """Per method and seed, report.json keeps the interaction count and,
+    for every budget, run's per-seed record: the greedy evaluation's
+    ``phase_counts``, and the held-out distances for every method but
+    ``monolithic``, whose CSV field is blank."""
     cfg = tiny_config(tmp_path, seeds=(0,))
-    reports = run_ablation(cfg)
-    assert set(reports) == {"modular", "monolithic", "seq_pretrain"}
-    for rep in reports.values():
-        assert np.isfinite(rep.mean_travel)
-        assert len(rep.rows) == 1
-    csv_path = Path(cfg.out_dir) / "ablation" / "metrics.csv"
-    lines = csv_path.read_text().strip().split("\n")
-    assert len(lines) == 1 + 3  # header + one row per variant per seed
-    variants = json.loads((Path(cfg.out_dir) / "ablation" / "report.json")
-                          .read_text())["variants"]
-    for method, variant in variants.items():
-        per_seed = variant["extras"]["per_seed"]["0"]
-        assert per_seed["interactions"] == cfg.adapt.target_episode_budget
-        assert_phase_counts(per_seed["phase_counts"], cfg)
-        heldout = {k: v for k, v in per_seed.items() if k.startswith("heldout")}
-        if method == "monolithic":
-            assert heldout == {}
+    table = run_budget_table(cfg)
+    budget = cfg.adapt.target_episode_budget
+    lines = (Path(cfg.out_dir) / "budget" / "metrics.csv").read_text(
+        ).strip().split("\n")
+    assert lines[0] == ("scenario,method,budget,seed,avg_travel_time,"
+                        "avg_queue_length,heldout_dist_adapted")
+    assert [line.split(",")[1:3] for line in lines[1:]] == [
+        [m, str(b)] for m in runners.BUDGET_METHODS
+        for b in range(1, budget + 1)]
+    report = json.loads((Path(cfg.out_dir) / "budget" / "report.json")
+                        .read_text())
+    assert set(report["per_seed"]) == set(runners.BUDGET_METHODS)
+    assert set(report["maml_beats_no_sources"]) == {"1", "2"}
+    assert set(report["directional_expectations"]) == {
+        "modular_beats_monolithic", "maml_beats_sequential"}
+    for row, line in zip(table["rows"], lines[1:]):
+        assert np.isfinite(row["avg_travel_time"])
+        per_seed = report["per_seed"][row["method"]]["0"]
+        assert per_seed["interactions"] == budget
+        extras = per_seed["budgets"][str(row["budget"])]
+        assert_phase_counts(extras["phase_counts"], cfg)
+        heldout = {k: v for k, v in extras.items() if k.startswith("heldout")}
+        if row["method"] == "monolithic":
+            assert heldout == {} and line.endswith(",")
         else:
             assert set(heldout) == set(runners.HELDOUT_KEYS)
             assert all(np.isfinite(v) for v in heldout.values())
+            assert line.endswith(f",{heldout['heldout_dist_adapted']:.6f}")
 
 
+# rows of the ablation's metrics.csv and the data-volume curve's curve.csv
+# (fraction, budget, seed, travel, queue) on the tiny config with seeds 0
+# and 1, recorded before the budget table replaced both runners
+ABLATION_ROWS = (
+    "city-c,0,modular,147.367347,1.175000",
+    "city-c,1,modular,148.178571,1.209259",
+    "city-c,0,seq_pretrain,83.943878,0.277778",
+    "city-c,1,seq_pretrain,143.331633,1.118519")
+CURVE_ROWS = (
+    "0.250000,1,0,144.678571,1.139815",
+    "0.250000,1,1,144.719388,1.152778",
+    "1.000000,2,0,147.367347,1.175000",
+    "1.000000,2,1,148.178571,1.209259")
+
+
+def test_budget_table_reproduces_the_runs_it_replaces(tmp_path):
+    """At budget B, the table's modular and seq_pretrain rows are the old
+    ablation's and its held-out distances are run's; its modular rows at
+    budgets 1 and 2 are the old curve's; each no_sources row is run's with
+    ``maml.meta_iterations=0`` at that budget; and its budget-B monolithic
+    rows are run's, now that monolithic trains on modular's sources."""
+    cfg = tiny_config(tmp_path, seeds=(0, 1))
+    table = run_budget_table(cfg)
+    report = json.loads((Path(cfg.out_dir) / "budget" / "report.json")
+                        .read_text())
+
+    def fields(row, *columns):
+        return ",".join(io._fmt(row[c]) for c in columns)
+
+    def rows(method, budget):
+        return [r for r in table["rows"]
+                if (r["method"], r["budget"]) == (method, budget)]
+
+    assert [fields(r, *io.METRICS_COLUMNS) for method in ("modular",
+            "seq_pretrain") for r in rows(method, 2)] == list(ABLATION_ROWS)
+    assert [fields(r, "budget", "seed", "avg_travel_time",
+                   "avg_queue_length") for b in (1, 2)
+            for r in rows("modular", b)] == [
+        row.split(",", 1)[1] for row in CURVE_ROWS]
+    no_sources = replace(cfg, maml=replace(cfg.maml, meta_iterations=0))
+    for method, budget, sub in (
+            ("modular", 2, cfg), ("seq_pretrain", 2,
+                                  replace(cfg, method="seq_pretrain")),
+            ("monolithic", 2, replace(cfg, method="monolithic")),
+            ("no_sources", 1, replace(no_sources, adapt=replace(
+                cfg.adapt, target_episode_budget=1))),
+            ("no_sources", 2, no_sources)):
+        run = run_main(replace(sub, out_dir=str(tmp_path / method / str(
+            budget))))
+        assert [fields(r, "seed", "avg_travel_time", "avg_queue_length")
+                for r in rows(method, budget)] == [
+            fields(r, "seed", "avg_travel_time", "avg_queue_length")
+            for r in run.rows]
+        for seed, extras in run.extras["per_seed"].items():
+            budgets = report["per_seed"][method][seed]["budgets"]
+            assert {k: v for k, v in extras.items()
+                    if k not in ("interactions", "timings")} \
+                == budgets[str(budget)]
 GOLDEN_MONOLITHIC = (
-    "468d7606c9a7f19c3384860d6c3003d42ca0862de78e090213ed1c6f29f27bbe",
-    145.16836734693877, 1.1388888888888888)
+    "1f48a8e60f074d3f1272e38d27459fa4c7f970a8f86e8c7585e50c1e51830b58",
+    145.7704081632653, 1.1453703703703704)
 
 
 def test_golden_monolithic_pin(tmp_path):
     """The final monolithic net's params (sha256) and its greedy episode's
-    metrics on the tiny config, recorded when the ablation had a controller
-    and a budget loop of its own."""
+    metrics on the tiny config, recorded when monolithic first trained on
+    the sources modular collects; before, it collected its own, and the pin
+    read (468d7606..., 145.16836734693877, 1.1388888888888888)."""
     metrics, art = monolithic_pipeline(tiny_config(tmp_path), 0)
     assert (hashlib.sha256(art["net"].params.tobytes()).hexdigest(),
             metrics.avg_travel_time_s,
             metrics.avg_queue_length) == GOLDEN_MONOLITHIC
 
 
-def test_run_ablation_requires_pipeline_method(tmp_path):
+def test_run_budget_table_requires_pipeline_method(tmp_path):
     cfg = tiny_config(tmp_path, method="fixed_time")
-    with pytest.raises(ConfigurationError):
-        run_ablation(cfg)
+    with pytest.raises(ConfigurationError, match="requires a pipeline"):
+        run_budget_table(cfg)
 
 
 def test_complexity_sweep_param_counts(tmp_path):
@@ -600,22 +666,20 @@ def test_offline_case_rejects_counted_offline_interactions(tmp_path,
 
 
 def test_data_volume_curve_budgets(tmp_path):
+    """The table's rows at each budget b are run's with
+    ``target_episode_budget=b``: one adaptation yields every budget."""
     cfg = tiny_config(tmp_path, seeds=(0,))
-    cfg = replace(cfg, adapt=replace(cfg.adapt, target_episode_budget=4))
-    rows = run_data_volume_curve(cfg, fractions=(0.25, 0.5, 1.0))
-    budgets = sorted({r["budget_episodes"] for r in rows})
-    assert budgets == [1, 2, 4]  # ceiling of fraction * the config's 4
-    csv_path = Path(cfg.out_dir) / "curve" / "curve.csv"
-    header = csv_path.read_text().split("\n")[0]
-    assert header == "fraction,budget_episodes,seed,travel_time,queue_length"
-    # the full budget is the one run spends, so its row is run's row
-    full = rows[-1]
-    assert (full["fraction"], full["budget_episodes"]) == (1.0, 4)
-    (main,) = run_main(cfg).rows
-    assert (full["travel_time"], full["queue_length"]) == (
-        main["avg_travel_time"], main["avg_queue_length"])
-    with pytest.raises(ConfigurationError):
-        run_data_volume_curve(cfg, fractions=(0.0,))
+    cfg = replace(cfg, adapt=replace(cfg.adapt, target_episode_budget=3))
+    table = run_budget_table(cfg)
+    assert [r["budget"] for r in table["rows"]
+            if r["method"] == "modular"] == [1, 2, 3]
+    for budget in (1, 3):
+        (main,) = run_main(replace(cfg, adapt=replace(
+            cfg.adapt, target_episode_budget=budget))).rows
+        (row,) = [r for r in table["rows"]
+                  if (r["method"], r["budget"]) == ("modular", budget)]
+        assert (row["avg_travel_time"], row["avg_queue_length"]) == (
+            main["avg_travel_time"], main["avg_queue_length"])
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -899,9 +963,8 @@ def test_heldout_errors_match_the_sequential_computation(tmp_path):
         lambda s: target.make(s), FixedTimeController(), episodes=1,
         rng=np.random.default_rng(20_000), city_id="heldout",
         intervals=target.intervals, interval_s=target.interval_s)
-    g0, dist_cfg = art["g0"], dist_config_for(cfg, target)
-    meta_init = DynamicsModel(g0.net.with_params(art["phi"]), g0.lanes,
-                              g0.state_grids)
+    meta_init, dist_cfg = art["meta_init"], dist_config_for(cfg, target)
+    assert meta_init.net.params.tobytes() == art["phi"].tobytes()
     assert art["heldout_dist_adapted"] == dynamics_error(
         art["dynamics"], held, dist_cfg)
     assert art["heldout_dist_meta_init"] == dynamics_error(
@@ -912,15 +975,14 @@ def test_heldout_errors_match_the_sequential_computation(tmp_path):
         held.state, held.state_next, dist_cfg)
 
 
-@pytest.mark.parametrize("failure", FAILURES)
-def test_heldout_child_failure_leaves_no_child(tmp_path, monkeypatch,
-                                               failure):
-    """The held-out child computes the dynamics errors while this process
-    runs the greedy evaluation."""
-    hook = fail_in(failure)
-    for name in ("dynamics_error", "evaluate_planner"):
-        monkeypatch.setattr(runners, name, hooked(getattr(runners, name),
-                                                  hook))
-    error, message = FAILURES[failure]
-    with no_child_left(), pytest.raises(error, match=message):
-        modular_pipeline(tiny_config(tmp_path, episode_s=100), 0)
+def test_heldout_episode_does_not_depend_on_the_seed(tmp_path):
+    """The budget table collects the held-out episode once for every run
+    seed, which holds while the simulator draws nothing from its seed."""
+    target = tiny_config(tmp_path, episode_s=100).target
+    held = runners.heldout_episode(target)
+    other = collect_experience(
+        lambda s: target.make(s), FixedTimeController(), episodes=1,
+        rng=np.random.default_rng(7), city_id="heldout",
+        intervals=target.intervals, interval_s=target.interval_s)
+    for c in COLUMNS:
+        assert getattr(held, c).tobytes() == getattr(other, c).tobytes()

@@ -13,8 +13,12 @@ import numpy as np
 import pytest
 from conftest import FAILURES, assert_no_child_left, fail_in, no_child_left
 
-from gridlight import nn
-from gridlight.baselines import FixedTimeController, MaxPressureController
+from gridlight import meta, nn
+from gridlight.baselines import (
+    EpsilonMixController,
+    FixedTimeController,
+    MaxPressureController,
+)
 from gridlight.errors import ConfigurationError, ShapeError
 from gridlight.harness.config import default_experiment, desk_city_c
 from gridlight.meta import (
@@ -36,6 +40,7 @@ from gridlight.meta import (
     offline_train_repr,
     run_episode,
     seq_pretrain,
+    spend_budget,
     training_loss,
 )
 from gridlight.planner import (
@@ -375,22 +380,69 @@ GOLDEN_ADAPT = (
     "9c761af4407f7be73dd35785eee9ff3097a4a52be8d45c45bc2a5bba1d6dbe10")
 
 
-def test_golden_adapt_pin():
-    """The sha256 of the adapted estimator's and dynamics net's params on a
-    short city-c target, with exploration on, recorded when adaptation
-    stepped both nets in one hand-written minibatch loop."""
+def golden_adaptation(budget: int, **scored):
+    """``adapt`` on a short city-c target with exploration on, within
+    ``budget`` episodes; returns the sha256 of both nets' params."""
     target = desk_city_c(300)
     net = target.network
     phi = default_dynamics_net(net.lanes_per_intersection, net.state_grids,
                                hidden=(32,), seed=2).params
-    cfg = AdaptConfig(lr=1e-3, target_episode_budget=2, epochs_per_episode=2,
-                      batch_size=64, epsilon0=0.3)
-    est, dyn = adapt(phi, EnvFactory(target), cfg, target.schema, seed=4,
-                     dyn_hidden=(32,), estimator_hidden=(16,),
-                     value_cfg=ValueConfig(2, 0.9, 0.8, 12, 4),
-                     dist_cfg=DistanceConfig(0.8, 12, 4))
-    assert tuple(hashlib.sha256(m.net.params.tobytes()).hexdigest()
-                 for m in (est, dyn)) == GOLDEN_ADAPT
+    cfg = AdaptConfig(lr=1e-3, target_episode_budget=budget,
+                      epochs_per_episode=2, batch_size=64, epsilon0=0.3)
+    return param_hashes(*adapt(
+        phi, EnvFactory(target), cfg, target.schema, seed=4,
+        dyn_hidden=(32,), estimator_hidden=(16,),
+        value_cfg=ValueConfig(2, 0.9, 0.8, 12, 4),
+        dist_cfg=DistanceConfig(0.8, 12, 4), **scored))
+
+
+def param_hashes(*models) -> tuple[str, ...]:
+    return tuple(hashlib.sha256(m.net.params.tobytes()).hexdigest()
+                 for m in models)
+
+
+def test_golden_adapt_pin():
+    """The sha256 of the adapted estimator's and dynamics net's params,
+    recorded when adaptation stepped both nets in one hand-written
+    minibatch loop."""
+    assert golden_adaptation(2) == GOLDEN_ADAPT
+
+
+def test_a_smaller_budget_is_a_prefix_of_a_larger_one():
+    """``scored`` sees after episode b the models that a budget of b
+    episodes ends with, bit for bit, and changes none of them."""
+    seen = {}
+    final = golden_adaptation(3, scored=lambda spent, est, dyn: seen.update(
+        {spent: param_hashes(est, dyn)}))
+    assert list(seen) == [1, 2, 3]
+    assert seen[3] == final
+    assert seen[2] == golden_adaptation(2) == GOLDEN_ADAPT
+    assert seen[1] == golden_adaptation(1)
+
+
+def test_spend_budget_trains_on_one_growing_dataset(monkeypatch):
+    """After episode b, ``train`` gets the rows of episodes 1..b in order,
+    byte for byte, and the count b is yielded."""
+    episodes, trained = [], []
+
+    def recorded(*args, **kwargs):
+        out = run_episode(*args, **kwargs)
+        episodes.append(out[1])
+        return out
+
+    monkeypatch.setattr(meta, "run_episode", recorded)
+    target = desk_city_c(100)
+    spent = list(spend_budget(
+        EnvFactory(target), AdaptConfig(lr=1e-3, target_episode_budget=3),
+        lambda epsilon, rng: EpsilonMixController(MaxPressureController(),
+                                                  epsilon, rng),
+        trained.append, np.random.default_rng(0)))
+    assert spent == [1, 2, 3]
+    for b, ds in enumerate(trained, 1):
+        for c in COLUMNS:
+            whole = np.concatenate([getattr(ep, c) for ep in episodes[:b]])
+            assert getattr(ds, c).dtype == whole.dtype
+            assert getattr(ds, c).tobytes() == whole.tobytes()
 
 
 # -- the forked child of adaptation ------------------------------------------
