@@ -3,11 +3,6 @@
 Subcommands: simulate, collect, meta-train, adapt, evaluate, run, budget,
 sweep, source-matrix, offline. Global flags --config/--seed/--out.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
-
-``budget`` scores every pipeline method after each budgeted episode; its
-``monolithic`` rows are paired with the others by data. On the desk config
-with 3 seeds (2-vCPU host) it took 131 s, and the ``ablation`` and
-``curve`` commands it replaces 102 + 75 s, run one after another.
 """
 
 from __future__ import annotations
@@ -120,7 +115,14 @@ def _collected_datasets(cfg: ExperimentConfig) -> list:
     return [io.load_dataset(p) for p in paths[1:]]
 
 
+def _modular_stages(cfg: ExperimentConfig) -> None:
+    if cfg.method == "monolithic":  # one net, trained end to end
+        raise ConfigurationError("the monolithic method has no separate "
+                                 "stages; run it with `run` or `budget`")
+
+
 def _cmd_meta_train(cfg: ExperimentConfig, args) -> None:
+    _modular_stages(cfg)
     seed = cfg.seeds[0]
     meta_init = meta_train_stage(cfg, seed, _collected_datasets(cfg))
     path = Path(cfg.out_dir) / "meta" / "initialization.json"
@@ -131,6 +133,7 @@ def _cmd_meta_train(cfg: ExperimentConfig, args) -> None:
 
 
 def _cmd_adapt(cfg: ExperimentConfig, args) -> None:
+    _modular_stages(cfg)
     seed = cfg.seeds[0]
     dyn = io.load_checkpoint(args.checkpoint)["dynamics"]
     net = cfg.target.network
@@ -152,6 +155,7 @@ def _cmd_adapt(cfg: ExperimentConfig, args) -> None:
 
 
 def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
+    _modular_stages(cfg)
     ck = io.load_checkpoint(args.checkpoint)
     est, dyn = ck["estimator"], ck["dynamics"]
     if est is None:

@@ -27,6 +27,7 @@ from ..baselines import (
 from ..errors import ConfigurationError
 from ..meta import (
     TaskDataset,
+    _ObservationStates,
     _dynamics_xy,
     _forked,
     _mean_distance,
@@ -243,19 +244,28 @@ def heldout_episode(target: ScenarioSpec) -> TaskDataset:
         intervals=target.intervals, interval_s=target.interval_s)
 
 
+def heldout_references(cfg: ExperimentConfig, held: TaskDataset,
+                       meta_init: DynamicsModel) -> dict:
+    """The ``HELDOUT_KEYS`` distances on ``held`` that adaptation does not
+    change: ``meta_init``'s dynamics error and persistence's (s' = s)."""
+    dist_cfg = dist_config_for(cfg, cfg.target)
+    return {"heldout_dist_meta_init": dynamics_error(meta_init, held, dist_cfg),
+            "heldout_dist_persistence": _mean_distance(
+                held.state, held.state_next, dist_cfg)}
+
+
 def planner_score(cfg: ExperimentConfig, seed: int, held: TaskDataset,
-                  meta_init: DynamicsModel, estimator: StateEstimator,
+                  references: dict, estimator: StateEstimator,
                   dynamics: DynamicsModel):
-    """``evaluate_planner`` with ``HELDOUT_KEYS`` distances on ``held`` in its
-    extras: the dynamics errors of the adapted model and of ``meta_init``,
-    the estimator's, and persistence's (s' = s)."""
+    """``evaluate_planner`` with the ``HELDOUT_KEYS`` distances on ``held``
+    in its extras: the adapted model's and the estimator's, and the
+    ``heldout_references``."""
     dist_cfg = dist_config_for(cfg, cfg.target)
     metrics, extras = evaluate_planner(cfg, estimator, dynamics, seed)
-    return metrics, {**extras, **dict(zip(HELDOUT_KEYS, (
-        dynamics_error(dynamics, held, dist_cfg),
-        dynamics_error(meta_init, held, dist_cfg),
-        training_loss(estimator, held, dist_cfg),
-        _mean_distance(held.state, held.state_next, dist_cfg))))}
+    return metrics, {
+        **extras, **references,
+        "heldout_dist_adapted": dynamics_error(dynamics, held, dist_cfg),
+        "heldout_dist_estimator": training_loss(estimator, held, dist_cfg)}
 
 
 def modular_pipeline(cfg: ExperimentConfig, seed: int):
@@ -276,8 +286,9 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int):
     with timed(timings, "heldout_s"):
         held = heldout_episode(cfg.target)
     with timed(timings, "evaluate_s"):
-        metrics, extras = planner_score(cfg, seed, held, meta_init,
-                                        estimator, dynamics)
+        metrics, extras = planner_score(
+            cfg, seed, held, heldout_references(cfg, held, meta_init),
+            estimator, dynamics)
     return metrics, {"interactions": interactions, **extras,
                      "estimator": estimator, "dynamics": dynamics,
                      "phi": meta_init.net.params, "meta_init": meta_init,
@@ -285,13 +296,6 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int):
 
 
 # -- the non-modular ablation ---------------------------------------------------
-
-
-class _ObservationStates:
-    """The monolithic estimator: each observation stands in for its state."""
-
-    def estimate(self, observations) -> np.ndarray:
-        return np.stack([obs.values for obs in observations])
 
 
 def _carry_trailing_layers(src: nn.Net, dst: nn.Net) -> nn.Net:
@@ -309,7 +313,7 @@ def monolithic_adapt(cfg: ExperimentConfig, seed: int,
                      datasets: list[TaskDataset], scored=None):
     """Train one observation-to-next-state net per source dataset in
     sequence, carrying the trailing layers across cities and into the
-    target, then fine-tune it within the same episode budget, planning at
+    target, then fine-tune it by ``meta.spend_budget``, planning at
     ``cfg.horizon`` (0 for the monolithic method). ``scored`` is as in
     ``meta.adapt``; returns (estimator, dynamics, interactions)."""
     target = cfg.target
@@ -320,7 +324,8 @@ def monolithic_adapt(cfg: ExperimentConfig, seed: int,
     n_grids = target.network.state_grids
     net_rng = np.random.default_rng(net_seq)
     train_rng = np.random.default_rng(train_seq)
-    loss_fn = block_distance_loss(dist_config_for(cfg, target), lanes)
+    dist_cfg = dist_config_for(cfg, target)
+    loss_fn = block_distance_loss(dist_cfg, lanes)
 
     def fresh_net(schema_id: str, prev: nn.Net | None) -> nn.Net:
         d_o = SCHEMA_DIMS[schema_id]
@@ -339,24 +344,10 @@ def monolithic_adapt(cfg: ExperimentConfig, seed: int,
     est = _ObservationStates()
     dyn = DynamicsModel(fresh_net(target.schema, net), lanes, n_grids)
     adapt_rng = np.random.default_rng(adapt_seq)
-    opt = nn.Adam(lr=cfg.adapt.lr)
-
-    def controller(epsilon, rng):
-        return PlannerController(est, dyn, PolicyConfig(epsilon=epsilon),
-                                 value_config_for(cfg, target), rng)
-
-    def train(ds: TaskDataset) -> None:
-        dyn.net = nn.fit(dyn.net, loss_fn,
-                         *_dynamics_xy(ds, ds.obs, lanes, n_grids), opt,
-                         nn.epoch_batches(adapt_rng, len(ds),
-                                          cfg.adapt.batch_size,
-                                          cfg.adapt.epochs_per_episode))
-
     factory = EnvFactory(target)
-    for spent in spend_budget(factory, cfg.adapt, controller, train,
-                              adapt_rng):
-        if scored is not None:
-            scored(spent, est, dyn)
+    spend_budget(factory, cfg.adapt, est, dyn,
+                 value_cfg=value_config_for(cfg, target), dist_cfg=dist_cfg,
+                 rng=adapt_rng, train_rng=adapt_rng, scored=scored)
     return est, dyn, factory.interactions
 
 
@@ -461,9 +452,10 @@ def run_budget_table(cfg: ExperimentConfig) -> dict:
                         spent, *evaluate_planner(sub, est, dyn, seed)))
             else:
                 meta_init = meta_train_stage(sub, seed, datasets)
+                references = heldout_references(sub, held, meta_init)
                 *_, interactions = adapt_stage(
                     sub, seed, meta_init, scored=lambda spent, est, dyn: add(
-                        spent, *planner_score(sub, seed, held, meta_init,
+                        spent, *planner_score(sub, seed, held, references,
                                               est, dyn)))
             per_seed[name][str(seed)] = {"interactions": interactions,
                                          "budgets": budgets}

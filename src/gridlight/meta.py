@@ -15,12 +15,12 @@ finite differences and is only practical for tiny test models. With two or
 more tasks per iteration, a forked child process (``_Child``) computes the
 later half of the outer gradients.
 
-``adapt`` spends a fixed episode budget on a target city (``spend_budget``):
-the dynamics model starts from the meta-trained parameters, the observation
-estimator starts fresh, and both are fitted on everything collected so far
-after each budgeted episode. The two fits are independent, so the estimator
-is fitted in a forked child process (``_forked``) while the parent fits the
-dynamics net over the same minibatches.
+``spend_budget`` is the one loop that spends a target city's episode
+budget, for both arms of the ablation. After each budgeted episode it fits
+the dynamics net on everything collected so far and, in a forked child
+process (``_forked``) over the same minibatches, the ``StateEstimator``;
+``adapt`` starts from the meta-trained dynamics parameters and a fresh
+estimator. The monolithic ablation's ``_ObservationStates`` is not fitted.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import os
 import pickle
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -360,9 +360,11 @@ def maml_train(tasks: Sequence[TaskDataset], cfg: MamlConfig,
     def lag(theta, xb, yb):
         return nn.loss_and_grad(dyn.net, loss_fn, xb, yb, params=theta)
 
-    return maml_run(dyn.net.params, [
-        ArrayTask(*_dynamics_xy(ds, ds.state, dyn.lanes, dyn.state_grids),
-                  lag, cfg.batch_size, rng) for ds in tasks], cfg, seed)
+    if cfg.meta_iterations:  # else maml_run returns theta0 untrained
+        tasks = [ArrayTask(*_dynamics_xy(ds, ds.state, dyn.lanes,
+                                         dyn.state_grids),
+                           lag, cfg.batch_size, rng) for ds in tasks]
+    return maml_run(dyn.net.params, tasks, cfg, seed)
 
 
 def seq_pretrain(tasks: Sequence[TaskDataset], cfg: MamlConfig,
@@ -412,30 +414,6 @@ class AdaptConfig:
                 f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.epsilon0 <= 1.0 or not 0.0 < self.epsilon_decay <= 1.0:
             raise ConfigurationError("invalid exploration schedule")
-
-
-def spend_budget(env_factory: EnvFactory, cfg: AdaptConfig,
-                 controller: Callable[[float, np.random.Generator], object],
-                 train: Callable[[TaskDataset], None],
-                 rng: np.random.Generator) -> Iterator[int]:
-    """Run ``cfg.target_episode_budget`` recorded episodes, each on an env
-    and under ``controller(epsilon, rng)`` seeded in that order from ``rng``;
-    after each, epsilon decays, ``train`` gets one dataset of every record
-    so far, in order, and the count of episodes spent is yielded."""
-    scenario = env_factory.scenario
-    records = None
-    epsilon = cfg.epsilon0
-    for spent in range(1, cfg.target_episode_budget + 1):
-        env = env_factory.make(int(rng.integers(2 ** 31 - 1)))
-        ctrl = controller(epsilon,
-                          np.random.default_rng(rng.integers(2 ** 31 - 1)))
-        _, ep = run_episode(env, ctrl, scenario.intervals,
-                            scenario.interval_s, record=True,
-                            city_id=scenario.name)
-        records = ep if records is None else TaskDataset.concat((records, ep))
-        epsilon *= cfg.epsilon_decay
-        train(records)
-        yield spent
 
 
 def _openblas_threads():
@@ -579,22 +557,72 @@ def _forked(fn: Callable[[], object]) -> Callable[[], object]:
     return wait
 
 
+class _ObservationStates:
+    """The monolithic estimator: each observation stands in for its state."""
+
+    def estimate(self, observations) -> np.ndarray:
+        return np.stack([obs.values for obs in observations])
+
+
+def spend_budget(env_factory: EnvFactory, cfg: AdaptConfig,
+                 estimator: StateEstimator | _ObservationStates,
+                 dynamics: DynamicsModel, *, value_cfg: ValueConfig,
+                 dist_cfg: DistanceConfig, rng: np.random.Generator,
+                 train_rng: np.random.Generator,
+                 scored: Callable | None = None) -> None:
+    """Spend ``cfg.target_episode_budget`` recorded episodes on the target,
+    training the models in place. Each episode runs on an env and under an
+    epsilon-greedy ``PlannerController`` seeded in that order from ``rng``;
+    then epsilon decays, minibatches over every record so far are drawn
+    from ``train_rng``, and each net is fitted over them to its block
+    distance, with its own Adam kept across episodes: the dynamics net here,
+    on the records' states (observations for ``_ObservationStates``, which
+    is not fitted), and a ``StateEstimator`` meanwhile in a forked child.
+    No child outlives an episode. Then ``scored``, if given, gets the count
+    of episodes spent and both models, which it must not change."""
+    scenario = env_factory.scenario
+    lanes, n_grids = dynamics.lanes, dynamics.state_grids
+    fit_estimator = isinstance(estimator, StateEstimator)
+    f_loss = rowwise_block_distance_loss(dist_cfg, lanes)
+    g_loss = block_distance_loss(dist_cfg, lanes)
+    opt_f, opt_g = nn.Adam(lr=cfg.lr), nn.Adam(lr=cfg.lr)
+    records = None
+    epsilon = cfg.epsilon0
+    for spent in range(1, cfg.target_episode_budget + 1):
+        env = env_factory.make(int(rng.integers(2 ** 31 - 1)))
+        ctrl = PlannerController(
+            estimator, dynamics, PolicyConfig(epsilon=epsilon), value_cfg,
+            np.random.default_rng(rng.integers(2 ** 31 - 1)))
+        _, ep = run_episode(env, ctrl, scenario.intervals,
+                            scenario.interval_s, record=True,
+                            city_id=scenario.name)
+        records = ep if records is None else TaskDataset.concat((records, ep))
+        epsilon *= cfg.epsilon_decay
+        batches = list(nn.epoch_batches(train_rng, len(records),
+                                        cfg.batch_size,
+                                        cfg.epochs_per_episode))
+        wait = _forked(lambda: (nn.fit(estimator.net, f_loss, records.obs,
+                                       records.state, opt_f, batches),
+                                opt_f)) if fit_estimator else None
+        try:
+            dynamics.net = nn.fit(dynamics.net, g_loss, *_dynamics_xy(
+                records, records.state if fit_estimator else records.obs,
+                lanes, n_grids), opt_g, batches)
+        finally:
+            if wait is not None:
+                estimator.net, opt_f = wait()
+        if scored is not None:
+            scored(spent, estimator, dynamics)
+
+
 def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
           schema_id: str, seed: int, *, dyn_hidden: tuple[int, ...],
           estimator_hidden: tuple[int, ...], value_cfg: ValueConfig,
           dist_cfg: DistanceConfig, scored: Callable | None = None
           ) -> tuple[StateEstimator, DynamicsModel]:
-    """Adapt to a target city within an exact episode budget.
-
-    The dynamics net starts from the meta-trained parameters, the estimator
-    from scratch. After each budgeted episode (driven by the current
-    epsilon-greedy planner) each net is fitted to its own block distance on
-    all records collected so far, both over the same minibatches, drawn
-    before either fit starts: the estimator in a forked child that sends back
-    the fitted net and its Adam state, the dynamics net meanwhile in this
-    process. No child outlives a call to ``train``, whether it returns or
-    raises. Then ``scored``, if given, gets the count of episodes spent and
-    both models, which it must not change.
+    """Adapt to a target city within an exact episode budget: ``spend_budget``
+    with the dynamics net started from the meta-trained parameters ``phi``
+    and the estimator from scratch. ``scored`` is as in ``spend_budget``.
     """
     scenario = env_factory.scenario
     if schema_id != scenario.schema:
@@ -603,9 +631,7 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
             f"{scenario.schema!r}"
         )
     net = scenario.network
-    lanes = net.lanes_per_intersection
-    n_grids = net.state_grids
-
+    lanes, n_grids = net.lanes_per_intersection, net.state_grids
     seeds = np.random.SeedSequence(seed).spawn(3)
     init_rng = np.random.default_rng(seeds[0])
     g_net = default_dynamics_net(lanes, n_grids, dyn_hidden,
@@ -614,33 +640,9 @@ def adapt(phi: np.ndarray, env_factory: EnvFactory, cfg: AdaptConfig,
                                   seed=int(init_rng.integers(2 ** 31 - 1)))
     estimator = StateEstimator(f_net, schema_id, lanes, n_grids)
     dynamics = DynamicsModel(g_net.with_params(phi), lanes, n_grids)
-
-    train_rng = np.random.default_rng(seeds[1])
-    f_loss = rowwise_block_distance_loss(dist_cfg, lanes)
-    g_loss = block_distance_loss(dist_cfg, lanes)
-    opt_f = nn.Adam(lr=cfg.lr)
-    opt_g = nn.Adam(lr=cfg.lr)
-
-    def controller(epsilon, rng):
-        return PlannerController(estimator, dynamics,
-                                 PolicyConfig(epsilon=epsilon), value_cfg, rng)
-
-    def train(ds: TaskDataset) -> None:
-        nonlocal opt_f
-        batches = list(nn.epoch_batches(train_rng, len(ds), cfg.batch_size,
-                                        cfg.epochs_per_episode))
-        wait = _forked(lambda: (nn.fit(estimator.net, f_loss, ds.obs,
-                                       ds.state, opt_f, batches), opt_f))
-        try:
-            dynamics.net = nn.fit(dynamics.net, g_loss, *_dynamics_xy(
-                ds, ds.state, lanes, n_grids), opt_g, batches)
-        finally:
-            estimator.net, opt_f = wait()
-
-    for spent in spend_budget(env_factory, cfg, controller, train,
-                              np.random.default_rng(seeds[2])):
-        if scored is not None:
-            scored(spent, estimator, dynamics)
+    spend_budget(env_factory, cfg, estimator, dynamics, value_cfg=value_cfg,
+                 dist_cfg=dist_cfg, rng=np.random.default_rng(seeds[2]),
+                 train_rng=np.random.default_rng(seeds[1]), scored=scored)
     return estimator, dynamics
 
 

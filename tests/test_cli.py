@@ -650,6 +650,23 @@ def test_budget_of_a_baseline_method_exit_two(config_path, capsys,
                       count_steps)
 
 
+@pytest.mark.parametrize("command", ["meta-train", "adapt", "evaluate"])
+def test_stage_commands_refuse_monolithic(config_path, tmp_path, capsys,
+                                          count_steps, command):
+    """The monolithic ablation trains one net end to end and has no
+    separate stages: each stage command exits 2 pointing to run and
+    budget, before any step or write."""
+    doc = json.loads(config_path.read_text())
+    doc["method"] = "monolithic"
+    config_path.write_text(json.dumps(doc))
+    checkpoint = ([] if command == "meta-train"
+                  else ["--checkpoint", str(tmp_path / "checkpoint.json")])
+    assert main(["--config", str(config_path), command, *checkpoint]) == 2
+    assert "run it with `run` or `budget`" in capsys.readouterr().err
+    assert count_steps == [0]
+    assert not Path(doc["out_dir"]).exists()
+
+
 def test_evaluate_rejects_unadapted_checkpoint(config_path):
     main(["--config", str(config_path), "collect"])
     main(["--config", str(config_path), "meta-train"])

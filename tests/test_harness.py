@@ -13,7 +13,7 @@ from conftest import FAILURES, fail_in, no_child_left
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlight import nn
+from gridlight import meta, nn
 from gridlight.baselines import (
     EpsilonMixController,
     FixedTimeController,
@@ -34,12 +34,14 @@ from gridlight.harness.runners import (
     collect_source_datasets,
     dist_config_for,
     modular_pipeline,
+    monolithic_adapt,
     monolithic_pipeline,
     run_budget_table,
     run_complexity_sweep,
     run_main,
     run_offline_case,
     run_source_selection,
+    stage_seeds,
 )
 from gridlight.meta import (
     COLUMNS,
@@ -50,7 +52,13 @@ from gridlight.meta import (
     dynamics_error,
     training_loss,
 )
-from gridlight.planner import DynamicsModel, StateEstimator, default_dynamics_net, default_estimator_net
+from gridlight.planner import (
+    DynamicsModel,
+    StateEstimator,
+    default_dynamics_net,
+    default_estimator_net,
+    phase_encode,
+)
 from gridlight.scenario import ScenarioSpec
 from gridlight.sim import Flow, RoadNetwork, Sim
 from gridlight.sim.network import (
@@ -532,6 +540,77 @@ def test_golden_monolithic_pin(tmp_path):
     assert (hashlib.sha256(art["net"].params.tobytes()).hexdigest(),
             metrics.avg_travel_time_s,
             metrics.avg_queue_length) == GOLDEN_MONOLITHIC
+
+
+def test_monolithic_adapt_fits_one_net_on_the_growing_observations(
+        tmp_path, monkeypatch):
+    """The monolithic arm spends its budget in ``meta.spend_budget`` too:
+    after episode b it fits its one net, in this process, on the
+    phase-coded observations and next states of episodes 1..b, and it
+    forks nothing, having no estimator to fit."""
+    cfg = replace(tiny_config(tmp_path, "monolithic", episode_s=100),
+                  horizon=0)
+    datasets = collect_source_datasets(cfg, stage_seeds(0)["collect"])
+    episodes, fits, forks = [], [], []
+    real_episode, real_fit = meta.run_episode, nn.fit
+
+    def recorded(*args, **kwargs):
+        out = real_episode(*args, **kwargs)
+        episodes.append(out[1])
+        return out
+
+    def fit(net, loss_fn, x, y, opt, batches):
+        fits.append((x, y))
+        return real_fit(net, loss_fn, x, y, opt, batches)
+
+    monkeypatch.setattr(meta, "run_episode", recorded)
+    monkeypatch.setattr(nn, "fit", fit)
+    monkeypatch.setattr(meta, "_forked",
+                        hooked(meta._forked, lambda: forks.append(1)))
+    monolithic_adapt(cfg, 0, datasets)
+    budget = cfg.adapt.target_episode_budget
+    assert forks == []
+    assert len(episodes) == budget
+    assert len(fits) == len(datasets) + budget  # pretraining, then adapting
+    for b, (x, y) in enumerate(fits[len(datasets):], 1):
+        whole = {c: np.concatenate([getattr(ep, c) for ep in episodes[:b]])
+                 for c in COLUMNS}
+        m = len(whole["action"])
+        assert x.tobytes() == phase_encode(whole["obs"].reshape(m, -1),
+                                           whole["action"]).tobytes()
+        assert y.tobytes() == whole["state_next"].reshape(m, -1).tobytes()
+
+
+def test_budget_table_computes_the_reference_distances_once(tmp_path,
+                                                            monkeypatch):
+    """``heldout_dist_meta_init`` and ``heldout_dist_persistence`` do not
+    change with the budget: per method and seed, the meta-trained model's
+    dynamics error and persistence's distance are computed once, and the
+    adapted model's after each of the B episodes."""
+    cfg = tiny_config(tmp_path, seeds=(0, 1), episode_s=100)
+    inits, errors, persistence = [], [], []
+    real_stage, real_error = runners.meta_train_stage, runners.dynamics_error
+
+    def stage(*args):
+        inits.append(real_stage(*args))
+        return inits[-1]
+
+    def error(dyn, *args):
+        errors.append(dyn)
+        return real_error(dyn, *args)
+
+    monkeypatch.setattr(runners, "meta_train_stage", stage)
+    monkeypatch.setattr(runners, "dynamics_error", error)
+    monkeypatch.setattr(runners, "_mean_distance", hooked(
+        runners._mean_distance, lambda: persistence.append(1)))
+    run_budget_table(cfg)
+    budget = cfg.adapt.target_episode_budget
+    assert len(inits) == 3 * len(cfg.seeds)  # every method but monolithic
+    on_init = [i for dyn in errors for i, init in enumerate(inits)
+               if dyn is init]
+    assert on_init == list(range(len(inits)))
+    assert len(errors) == len(inits) * (1 + budget)
+    assert len(persistence) == len(inits)
 
 
 def test_run_budget_table_requires_pipeline_method(tmp_path):

@@ -14,11 +14,7 @@ import pytest
 from conftest import FAILURES, assert_no_child_left, fail_in, no_child_left
 
 from gridlight import meta, nn
-from gridlight.baselines import (
-    EpsilonMixController,
-    FixedTimeController,
-    MaxPressureController,
-)
+from gridlight.baselines import FixedTimeController, MaxPressureController
 from gridlight.errors import ConfigurationError, ShapeError
 from gridlight.harness.config import default_experiment, desk_city_c
 from gridlight.meta import (
@@ -51,6 +47,7 @@ from gridlight.planner import (
     block_distance_loss,
     default_dynamics_net,
     default_estimator_net,
+    phase_encode,
     state_distance,
 )
 from gridlight.scenario import EnvFactory, ScenarioSpec
@@ -294,6 +291,28 @@ def test_maml_train_reduces_prediction_error():
     assert after < before
 
 
+def test_maml_train_without_iterations_builds_no_task(monkeypatch):
+    """With ``meta_iterations=0`` nothing trains: no task's inputs are
+    built, and the start parameters come back byte for byte."""
+    built = []
+    real = meta._dynamics_xy
+    monkeypatch.setattr(meta, "_dynamics_xy",
+                        lambda *args: built.append(1) or real(*args))
+    net = RoadNetwork(rows=2, cols=2)
+    lanes = net.lanes_per_intersection
+    dyn = DynamicsModel(default_dynamics_net(lanes, net.state_grids,
+                                             hidden=(32,), seed=0),
+                        lanes, net.state_grids)
+    cfg = MamlConfig(inner_lr=1e-4, outer_lr=1e-4, meta_iterations=0,
+                     task_batch_size=2)
+    phi = maml_train(collect_small_tasks(), cfg, dyn,
+                     DistanceConfig(0.8, net.state_grids, net.pass_capacity),
+                     seed=0)
+    assert built == []
+    assert phi is not dyn.net.params
+    assert phi.tobytes() == dyn.net.params.tobytes()
+
+
 def test_seq_pretrain_runs_and_is_finite():
     tasks = collect_small_tasks()
     net = RoadNetwork(rows=2, cols=2)
@@ -421,28 +440,56 @@ def test_a_smaller_budget_is_a_prefix_of_a_larger_one():
 
 
 def test_spend_budget_trains_on_one_growing_dataset(monkeypatch):
-    """After episode b, ``train`` gets the rows of episodes 1..b in order,
-    byte for byte, and the count b is yielded."""
-    episodes, trained = [], []
+    """After episode b, the estimator is fitted on the observations and
+    states of episodes 1..b in order, and the dynamics net on their
+    phase-coded states and next states, byte for byte; then ``scored``
+    gets the count b."""
+    episodes, fits, scored = [], [], []
+    real_fit = nn.fit
 
     def recorded(*args, **kwargs):
         out = run_episode(*args, **kwargs)
         episodes.append(out[1])
         return out
 
+    def fit(net, loss_fn, x, y, opt, batches):
+        fits.append((x, y))
+        return real_fit(net, loss_fn, x, y, opt, batches)
+
+    def in_process(fn):  # the child's fit, recorded here
+        out = fn()
+        return lambda: out
+
     monkeypatch.setattr(meta, "run_episode", recorded)
+    monkeypatch.setattr(nn, "fit", fit)
+    monkeypatch.setattr(meta, "_forked", in_process)
     target = desk_city_c(100)
-    spent = list(spend_budget(
-        EnvFactory(target), AdaptConfig(lr=1e-3, target_episode_budget=3),
-        lambda epsilon, rng: EpsilonMixController(MaxPressureController(),
-                                                  epsilon, rng),
-        trained.append, np.random.default_rng(0)))
-    assert spent == [1, 2, 3]
-    for b, ds in enumerate(trained, 1):
-        for c in COLUMNS:
-            whole = np.concatenate([getattr(ep, c) for ep in episodes[:b]])
-            assert getattr(ds, c).dtype == whole.dtype
-            assert getattr(ds, c).tobytes() == whole.tobytes()
+    net = target.network
+    lanes, n_grids = net.lanes_per_intersection, net.state_grids
+    spend_budget(
+        EnvFactory(target), AdaptConfig(lr=1e-3, target_episode_budget=3,
+                                        epochs_per_episode=1, batch_size=64),
+        StateEstimator(default_estimator_net(target.schema, n_grids, (8,),
+                                             seed=0),
+                       target.schema, lanes, n_grids),
+        DynamicsModel(default_dynamics_net(lanes, n_grids, (16,), seed=1),
+                      lanes, n_grids),
+        **planning_configs(net), rng=np.random.default_rng(0),
+        train_rng=np.random.default_rng(1),
+        scored=lambda spent, est, dyn: scored.append((spent, len(fits))))
+    assert scored == [(1, 2), (2, 4), (3, 6)]
+    for b in (1, 2, 3):
+        whole = {c: np.concatenate([getattr(ep, c) for ep in episodes[:b]])
+                 for c in COLUMNS}
+        m = len(whole["action"])
+        (est_x, est_y), (dyn_x, dyn_y) = fits[2 * b - 2:2 * b]
+        for got, want in (
+                (est_x, whole["obs"]), (est_y, whole["state"]),
+                (dyn_x, phase_encode(whole["state"].reshape(m, -1),
+                                     whole["action"])),
+                (dyn_y, whole["state_next"].reshape(m, -1))):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 # -- the forked child of adaptation ------------------------------------------
