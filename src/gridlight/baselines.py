@@ -81,18 +81,30 @@ def sotl_act(cfg: SotlConfig, waiting_by_phase: dict[int, float],
     return best
 
 
+# each phase's permitted movements in sorted order, which fixes the order
+# of max_pressure_act's float additions
+_PHASE_MOVEMENTS = tuple((phase.id, tuple(sorted(phase.permitted_movements)))
+                         for phase in PHASES)
+# each phase's permitted movements as lane indices into waiting_counts
+_PHASE_LANES = tuple(
+    (phase_id, tuple(APPROACHES.index(approach) * len(MOVEMENTS)
+                     + MOVEMENTS.index(movement)
+                     for approach, movement in movements))
+    for phase_id, movements in _PHASE_MOVEMENTS)
+
+
 def max_pressure_act(movement_queues: dict[tuple[str, str], tuple[float, float]]) -> int:
     """Phase whose permitted movements have the largest total upstream minus
     downstream queue; ties resolve to the lowest phase id."""
     best = PHASE_IDS[0]
     best_p = -np.inf
-    for phase in PHASES:
+    for phase_id, movements in _PHASE_MOVEMENTS:
         pressure = 0.0
-        for mv in sorted(phase.permitted_movements):
+        for mv in movements:
             up, down = movement_queues.get(mv, (0.0, 0.0))
             pressure += up - down
         if pressure > best_p:
-            best, best_p = phase.id, pressure
+            best, best_p = phase_id, pressure
     return best
 
 
@@ -135,15 +147,9 @@ class SotlController:
     def decide(self, env, interval_index: int, obs: Mapping) -> dict:
         out = {}
         for node in env.nodes:
-            waiting = env.waiting_counts(node)
-            by_phase = {}
-            for phase in PHASES:
-                total = 0.0
-                for approach, movement in phase.permitted_movements:
-                    lane = (APPROACHES.index(approach) * len(MOVEMENTS)
-                            + MOVEMENTS.index(movement))
-                    total += float(waiting[lane])
-                by_phase[phase.id] = total
+            waiting = env.waiting_counts(node).tolist()
+            by_phase = {phase_id: sum([waiting[i] for i in lanes], 0.0)
+                        for phase_id, lanes in _PHASE_LANES}
             cur = self._phase.get(node, PHASE_IDS[0])
             nxt = sotl_act(self.cfg, by_phase, cur, self._held.get(node, 0))
             if nxt == cur:

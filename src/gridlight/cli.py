@@ -69,7 +69,20 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> None:
                  io.METRICS_COLUMNS, rows)
 
 
+def _modular_stages(cfg: ExperimentConfig) -> None:
+    """Refuse a method that the collect → meta-train → adapt → evaluate
+    chain does not run, before any episode or write."""
+    if cfg.method in BASELINE_METHODS:
+        raise ConfigurationError(
+            f"the stage commands run the modular pipeline; run the "
+            f"{cfg.method!r} baseline with `run` or `simulate`")
+    if cfg.method == "monolithic":  # one net, trained end to end
+        raise ConfigurationError("the monolithic method has no separate "
+                                 "stages; run it with `run` or `budget`")
+
+
 def _cmd_collect(cfg: ExperimentConfig, args) -> None:
+    _modular_stages(cfg)
     names = [src.name for src in cfg.sources]
     if len(set(names)) < len(names):
         raise ConfigurationError(
@@ -113,12 +126,6 @@ def _collected_datasets(cfg: ExperimentConfig) -> list:
             raise ConfigurationError(
                 f"{p} is not the file collect wrote; run collect again")
     return [io.load_dataset(p) for p in paths[1:]]
-
-
-def _modular_stages(cfg: ExperimentConfig) -> None:
-    if cfg.method == "monolithic":  # one net, trained end to end
-        raise ConfigurationError("the monolithic method has no separate "
-                                 "stages; run it with `run` or `budget`")
 
 
 def _cmd_meta_train(cfg: ExperimentConfig, args) -> None:
@@ -169,11 +176,10 @@ def _cmd_evaluate(cfg: ExperimentConfig, args) -> None:
             f"checkpoint estimator (schema, lanes, state_grids) {found} and "
             f"dynamics (lanes, state_grids) {(dyn.lanes, dyn.state_grids)} "
             f"do not match target {cfg.target.name!r} {target}")
-    method = "seq_pretrain" if cfg.method == "seq_pretrain" else "modular"
     rows = []
     for seed in cfg.seeds:
         m, _ = evaluate_planner(cfg, est, dyn, seed)
-        rows.append(metrics_row(cfg.target, seed, method, m))
+        rows.append(metrics_row(cfg.target, seed, cfg.method, m))
         print(f"seed={seed}: travel={m.avg_travel_time_s:.2f}s "
               f"queue={m.avg_queue_length:.3f}")
     io.write_csv(Path(cfg.out_dir) / "evaluate" / "metrics.csv",

@@ -59,6 +59,7 @@ every tick.
 from __future__ import annotations
 
 import hashlib
+import pickle
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -192,6 +193,10 @@ class Sim:
         self._ready = 0  # stop-line mask: head at grid 0, pass capacity left
         self._exits: deque[tuple[_Vehicle, _Lane]] = deque()  # crossing order
         self._exit_shown: dict[_Lane, list[int]] = {}  # occ written nonzero
+        # every lane's state-window sum, built on the first movement_queues
+        # read at the stamped clock
+        self._window: dict[_Lane, int] = {}
+        self._window_clock = -1
 
         self.nodes = network.nodes
         self._build_topology()
@@ -335,16 +340,23 @@ class Sim:
         Upstream is the approach lane's occupancy over the state window;
         downstream is the mean occupancy of the receiving link's lanes over
         the same window: the exact integer sum over the lane count, which
-        is the correctly rounded mean.
+        is the correctly rounded mean. The first read after a step sums
+        every lane's window once for all nodes.
         """
-        n = self.network.state_grids
+        moves = self._of_node(self._movements, node)
+        if self._window_clock != self.clock:
+            n = self.network.state_grids
+            self._window = {lane: sum(lane.occ[:n])
+                            for lane in self._all_lanes}
+            self._window_clock = self.clock
+        window = self._window
         down = {}
         out = {}
-        for key, lane, dlink in self._of_node(self._movements, node):
+        for key, lane, dlink in moves:
             if dlink not in down:
-                down[dlink] = (sum(sum(ln.occ[:n]) for ln in dlink.lanes)
+                down[dlink] = (sum([window[ln] for ln in dlink.lanes])
                                / len(dlink.lanes))
-            out[key] = (float(sum(lane.occ[:n])), down[dlink])
+            out[key] = (float(window[lane]), down[dlink])
         return out
 
     def _per_node(self, values: np.ndarray) -> dict:
@@ -398,6 +410,10 @@ class Sim:
         for v in self.vehicles:
             h.update(repr((v.vid, v.enter_s, v.exit_s)).encode())
         return h.hexdigest()
+
+    def clone(self) -> Sim:
+        """An independent copy of the simulation, by pickle round trip."""
+        return pickle.loads(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))
 
     # -- dynamics ----------------------------------------------------------
 

@@ -3,6 +3,8 @@ max-pressure selection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlight.baselines import (
     EpsilonMixController,
@@ -156,3 +158,115 @@ def test_max_pressure_drains_queue_on_sim():
         sim.step(acts)
         obs, _ = sim.snapshot()
     assert sim.exited > 0
+
+
+# -- the decision rules against reference copies of the per-call code ---------
+
+def _max_pressure_reference(movement_queues):
+    """max_pressure_act as it read when it sorted each phase's movements
+    on every call."""
+    best = PHASE_IDS[0]
+    best_p = -np.inf
+    for phase in PHASES:
+        pressure = 0.0
+        for mv in sorted(phase.permitted_movements):
+            up, down = movement_queues.get(mv, (0.0, 0.0))
+            pressure += up - down
+        if pressure > best_p:
+            best, best_p = phase.id, pressure
+    return best
+
+
+class _ReadOrder(dict):
+    """A queue mapping that logs the movements read, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
+# an approach lane holds whole vehicles and a receiving link's mean counts
+# thirds of one, from few values so that phases tie
+_QUEUE = st.tuples(st.integers(0, 4).map(float),
+                   st.integers(0, 12).map(lambda k: k / 3))
+_QUEUES = st.dictionaries(
+    st.sampled_from([(a, m) for a in APPROACHES for m in MOVEMENTS]), _QUEUE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_QUEUES)
+def test_max_pressure_act_equals_the_per_call_reference(queues):
+    """Equal to the reference on drawn queues, ties and missing movements
+    included, and each phase adds its movements in sorted order, as the
+    reference did, whatever order the phase's frozenset iterates in."""
+    assert max_pressure_act(queues) == _max_pressure_reference(queues)
+    logged = _ReadOrder(queues)
+    max_pressure_act(logged)
+    assert logged.reads == [mv for phase in PHASES
+                            for mv in sorted(phase.permitted_movements)]
+
+
+class _ReferenceSotl(SotlController):
+    """SotlController.decide as it read when it rebuilt the lane indices
+    and read numpy scalars one by one on every call."""
+
+    def decide(self, env, interval_index, obs):
+        out = {}
+        for node in env.nodes:
+            waiting = env.waiting_counts(node)
+            by_phase = {}
+            for phase in PHASES:
+                total = 0.0
+                for approach, movement in phase.permitted_movements:
+                    lane = (APPROACHES.index(approach) * len(MOVEMENTS)
+                            + MOVEMENTS.index(movement))
+                    total += float(waiting[lane])
+                by_phase[phase.id] = total
+            cur = self._phase.get(node, PHASE_IDS[0])
+            nxt = sotl_act(self.cfg, by_phase, cur, self._held.get(node, 0))
+            if nxt == cur:
+                self._held[node] = self._held.get(node, 0) + 1
+            else:
+                self._held[node] = 1
+            self._phase[node] = nxt
+            out[node] = nxt
+        return out
+
+
+class _WaitingTrace:
+    """An environment that answers waiting_counts from a recorded trace."""
+
+    nodes = ((0, 0), (0, 1))
+
+    def __init__(self, trace):
+        self.trace = trace
+        self.t = 0
+
+    def waiting_counts(self, node):
+        return np.array(self.trace[self.t][self.nodes.index(node)],
+                        dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.lists(st.integers(0, 4), min_size=12,
+                                  max_size=12), min_size=2, max_size=2),
+                min_size=1, max_size=12),
+       st.integers(0, 6), st.integers(1, 3))
+def test_sotl_decide_equals_the_per_call_reference(trace, threshold,
+                                                   min_green):
+    """Over drawn waiting counts (ties included) and settings, SOTL's
+    decisions and its held-phase state equal the reference's interval by
+    interval."""
+    fast, ref = SotlController(), _ReferenceSotl()
+    env = _WaitingTrace(trace)
+    for ctrl in (fast, ref):
+        ctrl.cfg = SotlConfig(threshold=threshold, min_green=min_green)
+        ctrl.begin_episode(env)
+    for t in range(len(trace)):
+        env.t = t
+        assert fast.decide(env, t, {}) == ref.decide(env, t, {})
+        assert (fast._phase, fast._held) == (ref._phase, ref._held)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gridlight.cli import main
 from gridlight.harness import io
 from gridlight.harness.config import (
+    BASELINE_METHODS,
     PIPELINE_METHODS,
     ExperimentConfig,
     desk_city_a,
@@ -50,6 +51,16 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture
+def modular_path(config_path):
+    """The shared document with the modular method, whose stages collect,
+    meta-train, adapt and evaluate run one by one."""
+    doc = json.loads(config_path.read_text())
+    doc["method"] = "modular"
+    config_path.write_text(json.dumps(doc))
+    return config_path
 
 
 def test_simulate_exit_zero(config_path, tmp_path, capsys):
@@ -253,11 +264,11 @@ def _without(doc: dict, key: str) -> dict:
 ], ids=["no-dyn", "list", "dyn-without-lanes", "dyn-not-object",
         "fractional-lanes", "string-state-grids", "repr-without-schema",
         "layer-sizes-not-list", "short-params", "string-params"])
-def test_evaluate_malformed_checkpoint_exit_two(config_path, tmp_path,
+def test_evaluate_malformed_checkpoint_exit_two(modular_path, tmp_path,
                                                 capsys, edit, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(_checkpoint_doc(tmp_path))))
-    rc = main(["--config", str(config_path), "evaluate", "--checkpoint",
+    rc = main(["--config", str(modular_path), "evaluate", "--checkpoint",
                str(path)])
     assert rc == 2
     assert message in capsys.readouterr().err
@@ -276,7 +287,7 @@ def count_steps(monkeypatch):
     return calls
 
 
-def test_old_checkpoint_with_planning_fields_evaluates(config_path, tmp_path):
+def test_old_checkpoint_with_planning_fields_evaluates(modular_path, tmp_path):
     """Checkpoints once also stored value, distance and policy settings;
     such a document still loads, and evaluate plans with the config's."""
     doc = {**_checkpoint_doc(tmp_path), "value_params": {"horizon": 2},
@@ -284,7 +295,7 @@ def test_old_checkpoint_with_planning_fields_evaluates(config_path, tmp_path):
            "policy_params": {"epsilon": 0.0}}
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
-    rc = main(["--config", str(config_path), "evaluate", "--checkpoint",
+    rc = main(["--config", str(modular_path), "evaluate", "--checkpoint",
                str(path)])
     assert rc == 0
 
@@ -367,10 +378,10 @@ def test_bad_grid_flags_exit_two(config_path, capsys, count_steps, argv,
     assert not Path(json.loads(config_path.read_text())["out_dir"]).exists()
 
 
-def test_collect_writes_datasets(config_path, capsys):
-    rc = main(["--config", str(config_path), "collect"])
+def test_collect_writes_datasets(modular_path, capsys):
+    rc = main(["--config", str(modular_path), "collect"])
     assert rc == 0
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
     assert (out_dir / "datasets" / "city-a.jsonl").exists()
     assert (out_dir / "datasets" / "city-b.jsonl").exists()
     manifest = json.loads(
@@ -378,12 +389,12 @@ def test_collect_writes_datasets(config_path, capsys):
     assert manifest["seeds"] == [0]
 
 
-def test_meta_train_needs_datasets_of_this_config(config_path, capsys):
+def test_meta_train_needs_datasets_of_this_config(modular_path, capsys):
     """meta-train reads what collect wrote: without datasets, or with
     datasets collected under another seed, it exits 2 and writes no
     checkpoint."""
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
-    cfg = ["--config", str(config_path)]
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
+    cfg = ["--config", str(modular_path)]
     assert main(cfg + ["meta-train"]) == 2
     assert "run collect first" in capsys.readouterr().err
     assert main(cfg + ["--seed", "5", "collect"]) == 0
@@ -414,12 +425,12 @@ def _first_quarter(text: str) -> str:
 
 @pytest.mark.parametrize("damage", [_cut_mid_line, _drop_state,
                                     _first_quarter])
-def test_meta_train_refuses_damaged_datasets(config_path, capsys, damage):
+def test_meta_train_refuses_damaged_datasets(modular_path, capsys, damage):
     """A dataset file that is not the one collect wrote, cut mid-line, with
     a field gone or cut at a line boundary, makes meta-train exit 2 naming
     it, and no checkpoint is written."""
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
-    assert main(["--config", str(config_path), "collect"]) == 0
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
+    assert main(["--config", str(modular_path), "collect"]) == 0
     manifest = json.loads(
         (out_dir / "datasets" / "manifest.json").read_text())
     path = out_dir / "datasets" / "city-a.jsonl"
@@ -428,7 +439,7 @@ def test_meta_train_refuses_damaged_datasets(config_path, capsys, damage):
         for name in ("city-a.jsonl", "city-b.jsonl")}
     path.write_text(damage(path.read_text()))
     capsys.readouterr()
-    assert main(["--config", str(config_path), "meta-train"]) == 2
+    assert main(["--config", str(modular_path), "meta-train"]) == 2
     assert str(path) in capsys.readouterr().err
     assert not (out_dir / "meta" / "initialization.json").exists()
 
@@ -451,12 +462,12 @@ def _ragged(rows):
     ("city_id", lambda city: "city-b", "differ from line 1's")],
     ids=["ragged-obs", "fewer-lanes", "non-numeric-state", "half-a-vehicle",
          "string-action", "action-9", "action-0", "mixed-cities"])
-def test_meta_train_refuses_malformed_dataset_rows(config_path, capsys,
+def test_meta_train_refuses_malformed_dataset_rows(modular_path, capsys,
                                                    field, edit, message):
     """A dataset line whose hash matches but whose row training cannot use
     makes meta-train exit 2 naming the file and line, before training."""
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
-    assert main(["--config", str(config_path), "collect"]) == 0
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
+    assert main(["--config", str(modular_path), "collect"]) == 0
     path = out_dir / "datasets" / "city-a.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     row = json.loads(lines[2])
@@ -468,7 +479,7 @@ def test_meta_train_refuses_malformed_dataset_rows(config_path, capsys,
     manifest["sha256"][path.name] = io.file_sha256(path)
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
-    assert main(["--config", str(config_path), "meta-train"]) == 2
+    assert main(["--config", str(modular_path), "meta-train"]) == 2
     err = capsys.readouterr().err
     assert f"{path} line 3" in err
     assert re.search(message, err)
@@ -480,28 +491,28 @@ def test_meta_train_refuses_malformed_dataset_rows(config_path, capsys,
     lambda text: text[:50],
     lambda text: json.dumps({**json.loads(text), "sha256": 5}),
 ], ids=["list", "cut-to-50", "sha256-not-object"])
-def test_meta_train_refuses_a_damaged_manifest(config_path, capsys, damage):
+def test_meta_train_refuses_a_damaged_manifest(modular_path, capsys, damage):
     """A manifest that is a list, cut short, or holds a number for its
     hashes makes meta-train exit 2 naming it; no checkpoint is written."""
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
-    assert main(["--config", str(config_path), "collect"]) == 0
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
+    assert main(["--config", str(modular_path), "collect"]) == 0
     path = out_dir / "datasets" / "manifest.json"
     path.write_text(damage(path.read_text()))
     capsys.readouterr()
-    assert main(["--config", str(config_path), "meta-train"]) == 2
+    assert main(["--config", str(modular_path), "meta-train"]) == 2
     assert str(path) in capsys.readouterr().err
     assert not (out_dir / "meta" / "initialization.json").exists()
 
 
-def test_adapt_rejects_checkpoint_of_other_hidden_sizes(config_path, capsys,
+def test_adapt_rejects_checkpoint_of_other_hidden_sizes(modular_path, capsys,
                                                        count_steps):
     """A checkpoint meta-trained with "dyn_hidden": [32] does not fit a
     [64] config: adapt exits 2 before any target episode."""
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
-    assert main(["--config", str(config_path), "collect"]) == 0
-    assert main(["--config", str(config_path), "meta-train"]) == 0
-    doc = json.loads(config_path.read_text())
-    wide = config_path.with_name("wide.json")
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
+    assert main(["--config", str(modular_path), "collect"]) == 0
+    assert main(["--config", str(modular_path), "meta-train"]) == 0
+    doc = json.loads(modular_path.read_text())
+    wide = modular_path.with_name("wide.json")
     wide.write_text(json.dumps({**doc, "dyn_hidden": [64]}))
     steps = count_steps[0]
     rc = main(["--config", str(wide), "adapt", "--checkpoint",
@@ -512,16 +523,16 @@ def test_adapt_rejects_checkpoint_of_other_hidden_sizes(config_path, capsys,
     assert not (out_dir / "adapted").exists()
 
 
-def test_meta_train_adapt_evaluate_chain(config_path, capsys):
-    assert main(["--config", str(config_path), "collect"]) == 0
-    rc = main(["--config", str(config_path), "meta-train"])
+def test_meta_train_adapt_evaluate_chain(modular_path, capsys):
+    assert main(["--config", str(modular_path), "collect"]) == 0
+    rc = main(["--config", str(modular_path), "meta-train"])
     assert rc == 0
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
     ck = out_dir / "meta" / "initialization.json"
     assert ck.exists()
     assert set(json.loads(ck.read_text())) == {"repr", "dyn", "provenance"}
 
-    rc = main(["--config", str(config_path), "adapt",
+    rc = main(["--config", str(modular_path), "adapt",
                "--checkpoint", str(ck)])
     assert rc == 0
     adapted = out_dir / "adapted" / "checkpoint.json"
@@ -530,18 +541,16 @@ def test_meta_train_adapt_evaluate_chain(config_path, capsys):
     assert doc["provenance"]["interactions"] == 1
     assert doc["repr"]["schema_id"] == "SCHEMA_C"
 
-    rc = main(["--config", str(config_path), "evaluate",
+    rc = main(["--config", str(modular_path), "evaluate",
                "--checkpoint", str(adapted)])
     assert rc == 0
     assert (out_dir / "evaluate" / "metrics.csv").exists()
 
 
-def test_stage_chain_reproduces_run(config_path):
-    doc = json.loads(config_path.read_text())
-    doc["method"] = "modular"
-    config_path.write_text(json.dumps(doc))
+def test_stage_chain_reproduces_run(modular_path):
+    doc = json.loads(modular_path.read_text())
     out_dir = Path(doc["out_dir"])
-    cfg = ["--config", str(config_path)]
+    cfg = ["--config", str(modular_path)]
     assert main(cfg + ["collect"]) == 0
     assert main(cfg + ["meta-train"]) == 0
     assert main(cfg + ["adapt", "--checkpoint",
@@ -600,14 +609,14 @@ def _refused_up_front(config_path, doc, command, message, capsys,
 
 @pytest.mark.parametrize("command, part", [
     ("collect", ("sources", 1)), ("source-matrix", ("target",))])
-def test_repeated_scenario_names_exit_two(config_path, capsys, count_steps,
+def test_repeated_scenario_names_exit_two(modular_path, capsys, count_steps,
                                           command, part):
     """collect writes, and source-matrix tabulates, one entry per scenario
     name, so a second scenario named "city-a" is refused."""
-    doc = json.loads(config_path.read_text())
+    doc = json.loads(modular_path.read_text())
     scenario = doc[part[0]] if len(part) == 1 else doc[part[0]][part[1]]
     scenario["name"] = "city-a"
-    _refused_up_front(config_path, doc, command, "repeat", capsys,
+    _refused_up_front(modular_path, doc, command, "repeat", capsys,
                       count_steps)
 
 
@@ -650,44 +659,68 @@ def test_budget_of_a_baseline_method_exit_two(config_path, capsys,
                       count_steps)
 
 
-@pytest.mark.parametrize("command", ["meta-train", "adapt", "evaluate"])
+STAGE_COMMANDS = ("collect", "meta-train", "adapt", "evaluate")
+
+
+def _stage_refused(config_path, tmp_path, capsys, count_steps, command,
+                   method, message):
+    """``command`` on the shared document with ``method`` exits 2 naming
+    ``message``, before any step or write."""
+    doc = json.loads(config_path.read_text())
+    doc["method"] = method
+    config_path.write_text(json.dumps(doc))
+    checkpoint = ([] if command in ("collect", "meta-train")
+                  else ["--checkpoint", str(tmp_path / "checkpoint.json")])
+    assert main(["--config", str(config_path), command, *checkpoint]) == 2
+    assert message in capsys.readouterr().err
+    assert count_steps == [0]
+    assert not Path(doc["out_dir"]).exists()
+
+
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
 def test_stage_commands_refuse_monolithic(config_path, tmp_path, capsys,
                                           count_steps, command):
     """The monolithic ablation trains one net end to end and has no
     separate stages: each stage command exits 2 pointing to run and
     budget, before any step or write."""
-    doc = json.loads(config_path.read_text())
-    doc["method"] = "monolithic"
-    config_path.write_text(json.dumps(doc))
-    checkpoint = ([] if command == "meta-train"
-                  else ["--checkpoint", str(tmp_path / "checkpoint.json")])
-    assert main(["--config", str(config_path), command, *checkpoint]) == 2
-    assert "run it with `run` or `budget`" in capsys.readouterr().err
-    assert count_steps == [0]
-    assert not Path(doc["out_dir"]).exists()
+    _stage_refused(config_path, tmp_path, capsys, count_steps, command,
+                   "monolithic", "run it with `run` or `budget`")
 
 
-def test_evaluate_rejects_unadapted_checkpoint(config_path):
-    main(["--config", str(config_path), "collect"])
-    main(["--config", str(config_path), "meta-train"])
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+@pytest.mark.parametrize("method", BASELINE_METHODS)
+def test_stage_commands_refuse_baseline_methods(config_path, tmp_path,
+                                                capsys, count_steps,
+                                                command, method):
+    """A baseline method has no stages: each stage command exits 2
+    pointing to run and simulate, instead of running the modular pipeline
+    and labelling its rows modular."""
+    _stage_refused(config_path, tmp_path, capsys, count_steps, command,
+                   method, "with `run` or `simulate`")
+
+
+def test_evaluate_rejects_unadapted_checkpoint(modular_path):
+    main(["--config", str(modular_path), "collect"])
+    main(["--config", str(modular_path), "meta-train"])
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
     ck = out_dir / "meta" / "initialization.json"
-    rc = main(["--config", str(config_path), "evaluate",
+    rc = main(["--config", str(modular_path), "evaluate",
                "--checkpoint", str(ck)])
     assert rc == 2
 
 
-def test_evaluate_rejects_checkpoint_for_another_target(config_path,
+def test_evaluate_rejects_checkpoint_for_another_target(modular_path,
                                                        tmp_path, capsys):
     """A city-c checkpoint against a city-b target fails up front with a
     configuration error, before any episode runs."""
-    main(["--config", str(config_path), "collect"])
-    main(["--config", str(config_path), "meta-train"])
-    out_dir = Path(json.loads(config_path.read_text())["out_dir"])
-    main(["--config", str(config_path), "adapt", "--checkpoint",
+    main(["--config", str(modular_path), "collect"])
+    main(["--config", str(modular_path), "meta-train"])
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
+    main(["--config", str(modular_path), "adapt", "--checkpoint",
           str(out_dir / "meta" / "initialization.json")])
-    doc = json.loads(config_path.read_text())
-    doc["target"] = desk_city_b(300).to_json()
+    doc = json.loads(modular_path.read_text())
+    # a target's schema differs from every source's
+    doc["sources"][1], doc["target"] = doc["target"], doc["sources"][1]
     other = tmp_path / "city-b.json"
     other.write_text(json.dumps(doc))
     capsys.readouterr()

@@ -19,9 +19,9 @@ from gridlight.harness.config import DESK_CITIES
 from gridlight.meta import COLUMNS, run_episode
 from gridlight.sim import Flow, RoadNetwork, Sim, reset
 from gridlight.sim.network import (APPROACHES, HEADING_DELTA,
-                                   HEADING_OF_APPROACH, MOVEMENTS, PHASE_IDS,
-                                   PHASES, SCHEMA_DIMS, TURN, origin_node,
-                                   permits, trace_route)
+                                   HEADING_OF_APPROACH, MOVEMENTS, OPPOSITE,
+                                   PHASE_IDS, PHASES, SCHEMA_DIMS, TURN,
+                                   origin_node, permits, trace_route)
 
 
 NET = RoadNetwork(rows=2, cols=2)
@@ -998,3 +998,106 @@ def test_stationary_count_when_a_vehicle_crosses_two_nodes_in_one_tick():
         assert sim.waiting_counts((0, 0)).tolist() == [0] * 10 + [waiting, 0]
         assert sim.waiting_counts((0, 1)).tolist() == [0] * 12
         assert metrics.avg_queue_length == waiting / 24
+
+
+# -- movement queues and clones -----------------------------------------------
+
+def _recounted_queues(sim, node):
+    """Each movement's (upstream, downstream) queue recounted from the
+    lanes' grids: the approach lane's state-window sum, and the receiving
+    link's summed over its lanes and divided by their count."""
+    net, n = sim.network, sim.network.state_grids
+    out = {}
+    for approach in APPROACHES:
+        for m, movement in enumerate(MOVEMENTS):
+            lane = sim.in_links[(node, approach)].lanes[m]
+            heading = TURN[HEADING_OF_APPROACH[approach]][movement]
+            dr, dc = HEADING_DELTA[heading]
+            nxt = (node[0] + dr, node[1] + dc)
+            dlink = (sim.in_links[(nxt, OPPOSITE[heading])]
+                     if net.on_grid(nxt) else sim.exit_links[(node, heading)])
+            down = (sum(sum(ln.occ[:n]) for ln in dlink.lanes)
+                    / len(dlink.lanes))
+            out[(approach, movement)] = (float(sum(lane.occ[:n])), down)
+    return list(out.items())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("city", ["city-c", "saturated"])
+def test_movement_queues_equal_a_recount_after_every_step(city, seed):
+    """Over random actions, whichever nodes an interval reads (all of
+    them, one of them twice, or none) get the queues recounted from the
+    lanes at that clock: the once-per-interval window sums are never
+    stale. city-c's border movements feed exit links."""
+    sim = DESK_CITIES[city]().make(seed=0)
+    rng = np.random.default_rng(seed)
+    reads = {"every": 0, "one": 0, "none": 0}
+    for _ in range(60):
+        sim.step({node: int(rng.integers(1, 9)) for node in sim.nodes})
+        pattern = ("every", "one", "none")[int(rng.integers(3))]
+        reads[pattern] += 1
+        if pattern == "every":
+            nodes = sim.nodes
+        elif pattern == "one":
+            node = sim.nodes[int(rng.integers(len(sim.nodes)))]
+            nodes = [node, node]
+        else:
+            nodes = []
+        for node in nodes:
+            assert (list(sim.movement_queues(node).items())
+                    == _recounted_queues(sim, node))
+    assert min(reads.values()) > 0
+    assert sim.vehicles_on_network > 0
+
+
+def _random_actions(sim, rng, intervals):
+    return [{node: int(rng.integers(1, 9)) for node in sim.nodes}
+            for _ in range(intervals)]
+
+
+def test_clone_steps_like_its_parent_and_leaves_it_alone():
+    """A clone taken mid-episode is independent: stepping it leaves the
+    parent's digest and movement queues as they were, it keeps
+    validate=True and passes its checks on every tick, and stepped with
+    the parent's actions it ends with the parent's digest and metrics."""
+    sim = DESK_CITIES["city-c"]().make(seed=0, validate=True)
+    actions = _random_actions(sim, np.random.default_rng(3), 40)
+    for a in actions[:20]:
+        sim.step(a)
+    twin = sim.clone()
+    assert twin is not sim and twin.validate
+    digest = sim.digest()
+    queues = {node: sim.movement_queues(node) for node in sim.nodes}
+    for a in actions[20:]:
+        twin.step(a)
+        assert sim.digest() == digest
+        assert {node: sim.movement_queues(node)
+                for node in sim.nodes} == queues
+    for a in actions[20:]:
+        sim.step(a)
+    assert twin.digest() == sim.digest()
+    assert twin.metrics() == sim.metrics()
+    assert twin.clock == sim.clock
+
+
+@pytest.mark.parametrize("parent_read_first", [True, False])
+def test_clone_between_steps_returns_the_parents_movement_queues(
+        parent_read_first):
+    """A clone taken at a clock reads the parent's movement queues there,
+    whether the parent's window sums for that clock were built before the
+    copy or not; after one more step each reads its own lanes."""
+    sim = DESK_CITIES["saturated"]().make(seed=0)
+    actions = _random_actions(sim, np.random.default_rng(4), 16)
+    for a in actions[:15]:
+        sim.step(a)
+    if parent_read_first:
+        sim.movement_queues(sim.nodes[0])
+    twin = sim.clone()
+    for node in sim.nodes:
+        assert twin.movement_queues(node) == sim.movement_queues(node)
+    twin.step(actions[15])
+    for node in sim.nodes:
+        assert (list(twin.movement_queues(node).items())
+                == _recounted_queues(twin, node))
+        assert (list(sim.movement_queues(node).items())
+                == _recounted_queues(sim, node))
