@@ -8,12 +8,11 @@ Exit codes: 0 success, 2 configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, load_json
 from .harness import io
 from .harness.config import (BASELINE_METHODS, ExperimentConfig,
                              default_experiment)
@@ -109,14 +108,12 @@ def _collected_datasets(cfg: ExperimentConfig) -> list:
     if missing:
         raise ConfigurationError(
             f"no collected datasets at {missing}; run collect first")
-    damaged = f"{paths[0]} is not the manifest collect writes"
-    try:
-        manifest = json.loads(paths[0].read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ConfigurationError(f"{damaged}: {exc}") from exc
+    manifest = load_json(paths[0])
     if not isinstance(manifest, dict) or \
             not isinstance(manifest.get("sha256"), dict):
-        raise ConfigurationError(f"{damaged}; run collect again")
+        raise ConfigurationError(
+            f"{paths[0]} is not the manifest collect writes; run collect "
+            f"again")
     if manifest.get("config_digest") != io.config_digest(cfg.to_json()):
         raise ConfigurationError(
             f"the datasets in {out} were collected under another config or "

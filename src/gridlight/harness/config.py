@@ -9,12 +9,9 @@ can serve, so adaptive control has a clear margin to exploit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass
 
-from ..errors import (ConfigurationError, read_int, read_list,
-                      refuse_unknown_keys)
+from ..errors import ConfigurationError, Document, load_json
 from ..meta import AdaptConfig, MamlConfig
 from ..scenario import ScenarioSpec
 from ..sim import Flow, RoadNetwork
@@ -103,9 +100,11 @@ DESK_CITIES = {"city-a": desk_city_a, "city-b": desk_city_b,
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Document):
     """Everything a run needs: scenarios, method, training configs, seeds.
     Checked when built, so each derived config (``replace``) is too."""
+
+    where = "experiment config"
 
     sources: tuple[ScenarioSpec, ...]
     target: ScenarioSpec
@@ -174,85 +173,18 @@ class ExperimentConfig:
                     f"{name} must hold integers >= 1, "
                     f"got {list(getattr(self, name))}")
 
-    def to_json(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc.update(sources=[s.to_json() for s in self.sources],
-                   target=self.target.to_json(), maml=asdict(self.maml),
-                   adapt=asdict(self.adapt), seeds=list(self.seeds),
-                   dyn_hidden=list(self.dyn_hidden),
-                   estimator_hidden=list(self.estimator_hidden))
-        return doc
-
     @classmethod
-    def from_json(cls, doc: dict) -> "ExperimentConfig":
-        """Read a config document; ``target`` and ``method`` are required,
-        ``sources`` default to none, and every other field missing from the
-        document keeps its value in :func:`default_experiment`. Unknown
-        keys, at the top level or in ``maml`` and ``adapt``, are refused."""
-        base = default_experiment()
-        refuse_unknown_keys(doc, (f.name for f in fields(cls)),
-                            "experiment config")
-        for part, kind in (("maml", MamlConfig), ("adapt", AdaptConfig)):
-            refuse_unknown_keys(doc.get(part, {}),
-                                (f.name for f in fields(kind)), part)
-        try:
-            return _merged(
-                base, doc,
-                sources=tuple(ScenarioSpec.from_json(s) for s in
-                              read_list(doc.get("sources", []), "sources")),
-                target=ScenarioSpec.from_json(doc["target"]),
-                method=_read_as(base.method, doc["method"], "method"),
-                maml=_merged(base.maml, doc.get("maml", {})),
-                adapt=_merged(base.adapt, doc.get("adapt", {})),
-                seeds=_ints(doc, "seeds", base.seeds),
-                dyn_hidden=_ints(doc, "dyn_hidden", base.dyn_hidden),
-                estimator_hidden=_ints(doc, "estimator_hidden",
-                                       base.estimator_hidden),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"experiment config missing field {exc}") from exc
+    def document_defaults(cls, doc: dict) -> dict:
+        """``target`` and ``method`` are required, ``sources`` default to
+        none, and every other field to its value in
+        :func:`default_experiment`."""
+        base = vars(default_experiment())
+        return {**{k: v for k, v in base.items()
+                   if k not in ("target", "method")}, "sources": ()}
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
-
-def _ints(doc: dict, name: str, default: tuple[int, ...]):
-    """``doc[name]``, else ``default``, as a tuple of ints."""
-    return tuple(read_int(v, name)
-                 for v in read_list(doc.get(name, default), name))
-
-
-def _merged(base, doc: dict, **given):
-    """``base`` with the fields in ``given``, and each other scalar field
-    that ``doc`` gives, replaced; ``doc``'s values are read as the type of
-    ``base``'s value. An int field takes only a whole number
-    (:func:`read_int`), a bool field only a JSON boolean, and no other field
-    a boolean: casting would read 2.7 as 2, the string "false" as true and
-    true as 1.0."""
-    return replace(base, **given, **{
-        f.name: _read_as(getattr(base, f.name), doc[f.name], f.name)
-        for f in fields(base) if f.name in doc and f.name not in given
-        and isinstance(getattr(base, f.name), (int, float, str))})
-
-
-def _read_as(default, value, name: str):
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigurationError(
-                f"{name} must be true or false, got {value!r}")
-        return value
-    if isinstance(default, int):
-        return read_int(value, name)
-    if isinstance(value, bool):
-        raise ConfigurationError(
-            f"{name} must be a {type(default).__name__}, got {value!r}")
-    try:
-        return type(default)(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from exc
+        return cls.from_json(load_json(path))
 
 
 def default_experiment(method: str = "modular",

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import nn
-from ..errors import ConfigurationError, read_int, read_list
+from ..errors import ConfigurationError, load_json, read_int, read_list
 from ..meta import COLUMNS, TaskDataset
 from ..planner import DynamicsModel, StateEstimator
 from ..sim.network import PHASE_IDS
@@ -178,8 +178,7 @@ def save_checkpoint(path, estimator: StateEstimator | None,
 def load_checkpoint(path) -> dict:
     """The checkpoint at ``path`` with its ``estimator`` (None if absent)
     and ``dynamics`` models; a malformed one raises ConfigurationError."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        doc = _fields(json.load(fh), ("dyn",), "checkpoint")
+    doc = _fields(load_json(path), ("dyn",), "checkpoint")
     out = dict(doc, estimator=None)
     if doc.get("repr") is not None:
         frag = _fields(doc["repr"], (*_NET_FIELDS, "schema_id", "lanes",

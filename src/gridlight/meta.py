@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, Document, ShapeError
 from .planner import (
     DistanceConfig,
     DynamicsModel,
@@ -177,8 +177,10 @@ def collect_experience(make_env: Callable[[int], Sim], controller,
 
 
 @dataclass(frozen=True)
-class MamlConfig:
+class MamlConfig(Document):
     """Two-loop meta-training hyperparameters."""
+
+    where = "maml"
 
     inner_lr: float
     outer_lr: float
@@ -388,8 +390,10 @@ def seq_pretrain(tasks: Sequence[TaskDataset], cfg: MamlConfig,
 
 
 @dataclass(frozen=True)
-class AdaptConfig:
+class AdaptConfig(Document):
     """Fixed-budget target-city fine-tuning hyperparameters."""
+
+    where = "adapt"
 
     lr: float
     target_episode_budget: int

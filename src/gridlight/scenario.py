@@ -3,16 +3,17 @@ and episode timing, plus the budget-counting environment factory."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .errors import (ConfigurationError, read_int, read_list,
-                     refuse_unknown_keys)
+from .errors import ConfigurationError, Document
 from .sim import Flow, RoadNetwork, Sim, reset, trace_route
 from .sim.network import SCHEMA_DIMS
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Document):
+    where = "scenario document"
+
     name: str
     network: RoadNetwork
     flows: tuple[Flow, ...]
@@ -41,34 +42,11 @@ class ScenarioSpec:
                      self.seed if seed is None else seed,
                      schema=self.schema, validate=validate)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "network": self.network.to_json(),
-            "flows": [f.to_json() for f in self.flows],
-            "schema": self.schema,
-            "episode_s": self.episode_s,
-            "interval_s": self.interval_s,
-            "seed": self.seed,
-        }
-
     @classmethod
-    def from_json(cls, doc: dict) -> "ScenarioSpec":
-        refuse_unknown_keys(doc, (f.name for f in fields(cls)),
-                            "scenario document")
-        try:
-            return cls(
-                name=str(doc.get("name", "scenario")),
-                network=RoadNetwork.from_json(doc["network"]),
-                flows=tuple(Flow.from_json(f)
-                            for f in read_list(doc.get("flows", []), "flows")),
-                schema=str(doc["schema"]),
-                episode_s=read_int(doc.get("episode_s", 3600), "episode_s"),
-                interval_s=read_int(doc.get("interval_s", 20), "interval_s"),
-                seed=read_int(doc.get("seed", 0), "seed"),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"scenario document missing field {exc}") from exc
+    def document_defaults(cls, doc: dict) -> dict:
+        """An unnamed scenario is ``"scenario"``; one without flows has
+        none."""
+        return {"name": "scenario", "flows": ()}
 
 
 @dataclass

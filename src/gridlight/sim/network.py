@@ -16,12 +16,11 @@ Conventions used throughout the simulator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (ConfigurationError, ShapeError, read_int, read_list,
-                      refuse_unknown_keys)
+from ..errors import ConfigurationError, Document, ShapeError, read_int
 
 APPROACHES = ("N", "E", "S", "W")
 MOVEMENTS = ("left", "through", "right")
@@ -107,20 +106,23 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class RoadNetwork:
+class RoadNetwork(Document):
     """Grid network dimensions and lane discretization.
 
     ``state_grids`` is the window of grids nearest the intersection exposed
     as ground-truth state; ``pass_capacity`` is how many vehicles a lane may
     send through the intersection per action interval; ``lane_grids`` is the
-    full physical lane length in grids.
+    full physical lane length in grids. Documents call the first two
+    ``N`` and ``n``.
     """
+
+    where = "network document"
 
     rows: int
     cols: int
     lanes_per_approach: int = 3
-    state_grids: int = 12
-    pass_capacity: int = 4
+    state_grids: int = field(default=12, metadata={"key": "N"})
+    pass_capacity: int = field(default=4, metadata={"key": "n"})
     grid_capacity: int = 4
     lane_grids: int = 24
 
@@ -170,41 +172,19 @@ class RoadNetwork:
         r, c = node
         return 0 <= r < self.rows and 0 <= c < self.cols
 
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "lanes_per_approach": self.lanes_per_approach,
-            "N": self.state_grids,
-            "n": self.pass_capacity,
-            "grid_capacity": self.grid_capacity,
-            "lane_grids": self.lane_grids,
-        }
-
     @classmethod
-    def from_json(cls, doc: dict) -> "RoadNetwork":
-        refuse_unknown_keys(doc, ("rows", "cols", "lanes_per_approach", "N",
-                                  "n", "grid_capacity", "lane_grids"),
-                            "network document")
-        given = {key: read_int(value, key) for key, value in doc.items()}
-        try:
-            return cls(
-                rows=given["rows"],
-                cols=given["cols"],
-                lanes_per_approach=given.get("lanes_per_approach", 3),
-                state_grids=given.get("N", 12),
-                pass_capacity=given.get("n", 4),
-                grid_capacity=given.get("grid_capacity", 4),
-                lane_grids=given.get("lane_grids", 2 * given.get("N", 12)),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"network document missing field {exc}") from exc
+    def document_defaults(cls, doc: dict) -> dict:
+        """A document without ``lane_grids`` gets twice its ``N``."""
+        return {"lane_grids": 2 * read_int(doc.get("N", cls.state_grids),
+                                           "N")}
 
 
 @dataclass(frozen=True)
-class Flow:
+class Flow(Document):
     """A scheduled stream of vehicles: origin boundary edge, a route given
     as one movement per intersection crossed, and a headway schedule."""
+
+    where = "flow document"
 
     origin: tuple[str, int]
     route: tuple[str, ...]
@@ -233,35 +213,6 @@ class Flow:
 
     def schedule(self) -> list[int]:
         return list(range(self.start_s, self.end_s, self.headway_s))
-
-    def to_json(self) -> dict:
-        return {
-            "origin": list(self.origin),
-            "route": list(self.route),
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "headway_s": self.headway_s,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Flow":
-        refuse_unknown_keys(doc, (f.name for f in fields(cls)),
-                            "flow document")
-        try:
-            origin = doc["origin"]
-            if not isinstance(origin, (list, tuple)) or len(origin) != 2:
-                raise ConfigurationError(
-                    f"flow origin must be [side, index], got {origin!r}")
-            side, index = origin
-            return cls(
-                origin=(str(side), read_int(index, "origin index")),
-                route=tuple(read_list(doc["route"], "route")),
-                start_s=read_int(doc["start_s"], "start_s"),
-                end_s=read_int(doc["end_s"], "end_s"),
-                headway_s=read_int(doc["headway_s"], "headway_s"),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"flow document missing field {exc}") from exc
 
 
 def origin_node(net: RoadNetwork, origin: tuple[str, int]) -> tuple[int, int]:

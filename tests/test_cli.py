@@ -3,6 +3,7 @@ files. Uses a shrunken config document to keep runs fast."""
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridlight.cli import main
+from gridlight.errors import ConfigurationError
 from gridlight.harness import io
 from gridlight.harness.config import (
     BASELINE_METHODS,
@@ -21,14 +23,15 @@ from gridlight.harness.config import (
     desk_city_c,
 )
 from gridlight.harness.runners import dist_config_for, stage_seeds
-from gridlight.meta import seq_pretrain
+from gridlight.meta import AdaptConfig, MamlConfig, seq_pretrain
 from gridlight.planner import (
     DynamicsModel,
     StateEstimator,
     default_dynamics_net,
     default_estimator_net,
 )
-from gridlight.sim import Sim
+from gridlight.scenario import ScenarioSpec
+from gridlight.sim import Flow, RoadNetwork, Sim
 
 
 @pytest.fixture
@@ -88,9 +91,28 @@ def test_simulate_bad_method_exit_two(config_path):
     assert rc == 2
 
 
-def test_missing_config_file_exit_one(tmp_path):
-    rc = main(["--config", str(tmp_path / "nope.json"), "simulate"])
-    assert rc != 0
+def test_missing_config_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    rc = main(["--config", str(path), "simulate"])
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["config", "adapt", "evaluate"])
+@pytest.mark.parametrize("text", [None, "{'method': 'modular'}", "\xff"],
+                         ids=["missing", "not-json", "not-utf8"])
+def test_unreadable_json_files_exit_two(modular_path, tmp_path, capsys,
+                                        command, text):
+    """A config or checkpoint file that is missing, not JSON or not UTF-8
+    is a configuration error naming the file, not a runtime failure."""
+    path = tmp_path / "file.json"
+    if text is not None:
+        path.write_bytes(text.encode("latin-1"))
+    argv = (["--config", str(path), "simulate"] if command == "config" else
+            ["--config", str(modular_path), command, "--checkpoint",
+             str(path)])
+    assert main(argv) == 2
+    assert f"cannot read JSON file {path}" in capsys.readouterr().err
 
 
 def test_source_matrix_without_seeds_exit_two(config_path, capsys):
@@ -154,23 +176,45 @@ _NOT_AN_INT = st.one_of(
 _NOT_A_FLOAT = st.one_of(st.none(), st.booleans(), _fails_to_parse(float),
                          _SMALL_LIST, _SMALL_DICT)
 
-# per document kind: its required keys, and the bad values each field takes
+_NOT_A_STRING = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                          st.floats(-9, 9), _SMALL_LIST, _SMALL_DICT)
+_NOT_A_BOOL = st.one_of(st.none(), st.integers(-3, 3), st.floats(-9, 9),
+                        st.text(max_size=4), _SMALL_LIST, _SMALL_DICT)
+
+# per document kind: its class, its required keys, and for each of its
+# fields, by document key, values of another JSON kind than it takes
 _MALFORMED_FIELDS = {
-    "experiment": (("target", "method"), {
+    "experiment": (ExperimentConfig, ("target", "method"), {
+        "sources": _NOT_A_LIST, "target": _NOT_AN_OBJECT,
+        "method": _NOT_A_STRING, "maml": _NOT_AN_OBJECT,
+        "adapt": _NOT_AN_OBJECT, "out_dir": _NOT_A_STRING,
+        "seeds": st.one_of(_NOT_A_LIST,
+                           st.lists(_NOT_AN_INT, min_size=1, max_size=2)),
         "collect_episodes": _NOT_AN_INT, "horizon": _NOT_AN_INT,
-        "behavior_epsilon": _NOT_A_FLOAT, "dist_discount": _NOT_A_FLOAT,
-        "sources": _NOT_A_LIST, "dyn_hidden": _NOT_A_LIST,
-        "seeds": st.lists(_NOT_AN_INT, min_size=1, max_size=2),
-        "maml": _NOT_AN_OBJECT, "adapt": _NOT_AN_OBJECT}),
-    "scenario": (("network", "schema"), {
+        **{key: _NOT_A_FLOAT for key in (
+            "behavior_epsilon", "step_discount", "block_discount",
+            "dist_discount")},
+        "dyn_hidden": _NOT_A_LIST, "estimator_hidden": _NOT_A_LIST}),
+    "maml": (MamlConfig, (), {
+        "inner_lr": _NOT_A_FLOAT, "outer_lr": _NOT_A_FLOAT,
+        **{key: _NOT_AN_INT for key in (
+            "meta_iterations", "task_batch_size", "inner_steps",
+            "batch_size")},
+        "first_order": _NOT_A_BOOL, "outer_optimizer": _NOT_A_STRING}),
+    "adapt": (AdaptConfig, (), {
+        "lr": _NOT_A_FLOAT, "target_episode_budget": _NOT_AN_INT,
+        "epochs_per_episode": _NOT_AN_INT, "batch_size": _NOT_AN_INT,
+        "epsilon0": _NOT_A_FLOAT, "epsilon_decay": _NOT_A_FLOAT}),
+    "scenario": (ScenarioSpec, ("network", "schema"), {
+        "name": _NOT_A_STRING, "network": _NOT_AN_OBJECT,
+        "flows": _NOT_A_LIST, "schema": _NOT_A_STRING,
         "episode_s": _NOT_AN_INT, "interval_s": _NOT_AN_INT,
-        "seed": _NOT_AN_INT, "flows": _NOT_A_LIST,
-        "network": _NOT_AN_OBJECT}),
-    "network": (("rows", "cols"), {
+        "seed": _NOT_AN_INT}),
+    "network": (RoadNetwork, ("rows", "cols"), {
         key: _NOT_AN_INT for key in ("rows", "cols", "lanes_per_approach",
                                      "N", "n", "grid_capacity",
                                      "lane_grids")}),
-    "flow": (("origin", "route", "start_s", "end_s", "headway_s"), {
+    "flow": (Flow, ("origin", "route", "start_s", "end_s", "headway_s"), {
         "start_s": _NOT_AN_INT, "end_s": _NOT_AN_INT,
         "headway_s": _NOT_AN_INT, "route": _NOT_A_LIST,
         "origin": st.one_of(_NOT_A_LIST, st.lists(st.just("N"), max_size=3)
@@ -178,26 +222,42 @@ _MALFORMED_FIELDS = {
 }
 
 
+def test_malformed_field_table_covers_every_field():
+    for kind, (cls, _, bad_values) in _MALFORMED_FIELDS.items():
+        assert set(bad_values) == {f.metadata.get("key", f.name)
+                                   for f in fields(cls)}, kind
+
+
+@st.composite
+def _document_part(draw, doc):
+    """The kind of one document inside ``doc`` (the experiment itself, its
+    ``maml`` or ``adapt``, a scenario, its network, or one of its flows),
+    and the object and key that hold it (None for the experiment)."""
+    kind = draw(st.sampled_from(sorted(_MALFORMED_FIELDS)))
+    if kind == "experiment":
+        return kind, None, None
+    if kind in ("maml", "adapt"):
+        return kind, doc, kind
+    parent, key = draw(st.sampled_from(((doc, "target"),
+                                        (doc["sources"], 0))))
+    if kind == "network":
+        parent, key = parent[key], "network"
+    elif kind == "flow":
+        parent, key = parent[key]["flows"], draw(st.integers(0, 2))
+    return kind, parent, key
+
+
 @st.composite
 def _malformed_documents(draw, doc):
-    """``doc`` with one document inside it (the experiment itself, a
-    scenario, its network, or one of its flows) made malformed: not an
-    object, given an unknown key, missing a required key, or holding a
-    value of the wrong type."""
+    """``doc`` with one document inside it made malformed: not an object,
+    given an unknown key, missing a required key, or holding a value of
+    the wrong type."""
     doc = json.loads(json.dumps(doc))
-    kind = draw(st.sampled_from(sorted(_MALFORMED_FIELDS)))
-    scenario = draw(st.sampled_from(("target", "sources")))
-    parent, key = None, None
-    if kind != "experiment":
-        parent, key = ((doc, "target") if scenario == "target"
-                       else (doc["sources"], 0))
-        if kind == "network":
-            parent, key = parent[key], "network"
-        elif kind == "flow":
-            parent, key = parent[key]["flows"], draw(st.integers(0, 2))
+    kind, parent, key = draw(_document_part(doc))
     part = doc if parent is None else parent[key]
-    required, bad_values = _MALFORMED_FIELDS[kind]
-    how = draw(st.sampled_from(("not_object", "unknown", "missing", "value")))
+    _, required, bad_values = _MALFORMED_FIELDS[kind]
+    how = draw(st.sampled_from(("not_object", "unknown", "value")
+                               + (("missing",) if required else ())))
     if how == "not_object":
         part = draw(_NOT_AN_OBJECT)
     elif how == "unknown":
@@ -225,6 +285,27 @@ def test_malformed_documents_exit_two(config_path, data):
     path = config_path.with_name("malformed.json")
     path.write_text(json.dumps(bad))
     assert main(["--config", str(path), "simulate"]) == 2
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_field_refuses_json_of_another_kind(config_path, data):
+    """Each field of every document refuses a JSON value of another kind
+    than its type takes, read alone or inside the experiment, with a
+    message that names the field's key."""
+    doc = json.loads(config_path.read_text())
+    kind, parent, key = data.draw(_document_part(doc))
+    part = doc if parent is None else parent[key]
+    cls, _, bad_values = _MALFORMED_FIELDS[kind]
+    field = data.draw(st.sampled_from(sorted(bad_values)))
+    part[field] = data.draw(bad_values[field])
+    named = re.compile(rf"(^|: ){re.escape(field)}(\[\d+\])?(:| must be)")
+    for read in (lambda: cls.from_json(part),
+                 lambda: ExperimentConfig.from_json(doc)):
+        with pytest.raises(ConfigurationError) as refused:
+            read()
+        assert named.search(str(refused.value)), str(refused.value)
 
 
 def _checkpoint_doc(tmp_path) -> dict:

@@ -239,6 +239,57 @@ def test_config_integer_fields_refuse_non_integers(tmp_path):
     assert (cfg.collect_episodes, cfg.seeds) == (3, (1, 2))
 
 
+def _numbers(doc):
+    """(object or list, key) of each number in document ``doc``."""
+    for key, value in (doc.items() if isinstance(doc, dict)
+                       else enumerate(doc)):
+        if isinstance(value, (dict, list)):
+            yield from _numbers(value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield doc, key
+
+
+@pytest.mark.parametrize("spell", [str, float], ids=["string", "float"])
+def test_numbers_read_however_they_are_written(spell):
+    """Every number in the desk document, integers in lists included,
+    reads the same written as a numeric string (``"2"``, ``"0.9"``), and
+    every integer written as a float (``2.0``)."""
+    doc = default_experiment().to_json()
+    for part, key in list(_numbers(doc)):
+        part[key] = spell(part[key])
+    assert ExperimentConfig.from_json(doc) == default_experiment()
+
+
+# io.config_digest of each desk document as written before every document
+# had one reader. Manifests compare these digests, so a drift in ``to_json``
+# would make meta-train refuse the datasets that collect wrote.
+_DESK_DIGESTS = {
+    "modular": "74802f7b605fd9c7d45d934c3fdedde28fa5f0e07870cb449af84d0ce1d0aea2",
+    "monolithic":
+        "5fd92865ad11dd7b67ebc4f4ec93084c4f711424e5e73d84716946084036fab6",
+    "seq_pretrain":
+        "067dfe14b1032253d5576152db07cf94aafab8abeb93f2fdc7cd146bd73db353",
+    "fixed_time":
+        "2427935c1e2288be86d8fe969246a244cff8e4e9f2a92c297ed06338d22871ef",
+    "sotl": "9f6835783bc3967d674970fe05cbec3e9cce9d4809c7f66b1a1b50d69710bb22",
+    "max_pressure":
+        "fc2f15f9a8e5d5b4749bf706192d526d4b02df22a8826e13a0eb8a570934f16f",
+    "random": "367a00fa267617e12f91ed13969fb2bd3284546f924f01009551fdd650e803d0",
+    "city-a": "3bfd6aa1ec023c2467090bc323daca451fa9f44b40ebaed1b8e0509fbc1fc66f",
+    "city-b": "0cc18b02573c8cf1ac3d3478bfddf4cf1943d4de27b1eabab63350a04b02694b",
+    "city-c": "3147cf55481a6d75e96b9416c4127c0dc88e4c6787d5a8b91e30ae7e86114c81",
+    "saturated":
+        "2a2ab972eb9d84d59064990c88e931a6e2528f4c481a61ed9b86e69bcef7ee10",
+}
+
+
+def test_desk_document_digests_are_pinned():
+    written = {**{m: default_experiment(m).to_json() for m in METHODS},
+               **{name: make().to_json() for name, make in DESK_CITIES.items()}}
+    assert {name: io.config_digest(doc) for name, doc in written.items()} \
+        == _DESK_DIGESTS
+
+
 _unit = st.floats(0.0, 1.0)
 _positive = st.integers(1, 512)
 
