@@ -280,7 +280,9 @@ def modular_pipeline(cfg: ExperimentConfig, seed: int):
         datasets = collect_source_datasets(cfg, stage_seeds(seed)["collect"])
     with timed(timings, "meta_train_s"):
         meta_init = meta_train_stage(cfg, seed, datasets)
-    del datasets  # adaptation, the peak of memory, needs only meta_init
+    # meta-training, over the datasets, is the seed's peak of memory; freed
+    # here, they do not add to adaptation's records, which need only meta_init
+    del datasets
     with timed(timings, "adapt_s"):
         estimator, dynamics, interactions = adapt_stage(cfg, seed, meta_init)
     with timed(timings, "heldout_s"):

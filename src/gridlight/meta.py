@@ -3,8 +3,10 @@
 Experience is columnar: a ``TaskDataset`` holds one row per intersection
 per interval in stacked arrays (observations, states, phases and what
 followed), built once per episode. Every training loop reads those arrays
-directly: the dynamics net sees ``phase_encode``-d states, the estimator
-sees each state's lane rows, and single-net loops go through ``nn.fit``.
+directly: the dynamics net sees ``phase_encode``-d states, encoded per
+minibatch when it is drawn (``_PhaseCoded``), so no loop holds an encoded
+copy of a dataset; the estimator sees each state's lane rows, and single-net
+loops go through ``nn.fit``.
 
 ``maml_run`` is the generic two-loop meta-trainer: per sampled task it takes
 ``inner_steps`` plain gradient steps on a support batch, evaluates the
@@ -16,9 +18,11 @@ more tasks per iteration, a forked child process (``_Child``) computes the
 later half of the outer gradients.
 
 ``spend_budget`` is the one loop that spends a target city's episode
-budget, for both arms of the ablation. After each budgeted episode it fits
-the dynamics net on everything collected so far and, in a forked child
-process (``_forked``) over the same minibatches, the ``StateEstimator``;
+budget, for both arms of the ablation. Its records are arrays sized for the
+whole budget after the first episode and filled in place, so no record is
+copied again. After each budgeted episode it fits the dynamics net on
+everything collected so far and, in a forked child process (``_forked``)
+over the same minibatches, the ``StateEstimator``;
 ``adapt`` starts from the meta-trained dynamics parameters and a fresh
 estimator. The monolithic ablation's ``_ObservationStates`` is not fitted.
 """
@@ -334,18 +338,36 @@ def maml_run(theta0: np.ndarray, tasks: Sequence, cfg: MamlConfig,
     return theta
 
 
+class _PhaseCoded:
+    """The ``phase_encode`` of flattened rows and their phases, encoded when
+    indexed: ``x[idx]`` is ``phase_encode(rows[idx], actions[idx])``, the
+    same bytes as rows ``idx`` of the whole encoding, which is never built.
+    ``shape`` is that encoding's (rows, width)."""
+
+    def __init__(self, rows: np.ndarray, actions: np.ndarray):
+        self._rows, self._actions = rows, actions
+        self.shape = (len(rows), phase_encode(rows[:0], actions[:0]).shape[1])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return phase_encode(self._rows[idx], self._actions[idx])
+
+
 def _dynamics_xy(ds: TaskDataset, rows: np.ndarray, lanes: int,
-                 n_grids: int) -> tuple[np.ndarray, np.ndarray]:
+                 n_grids: int) -> tuple[_PhaseCoded, np.ndarray]:
     """Dynamics-net inputs (each of ``rows``, ``ds.state`` or in the
-    monolithic ablation ``ds.obs``, flattened, and its phase) and targets
-    (next state) for a dynamics model over ``lanes`` x ``n_grids`` states."""
+    monolithic ablation ``ds.obs``, flattened, and its phase, encoded per
+    drawn batch) and targets (next state) for a dynamics model over
+    ``lanes`` x ``n_grids`` states."""
     if ds.state.shape[1:] != (lanes, n_grids):
         raise ShapeError(
             f"dataset {ds.city_id!r} has states of shape {ds.state.shape[1:]}, "
             f"the dynamics model expects ({lanes}, {n_grids})"
         )
     m = len(ds)
-    return (phase_encode(rows.reshape(m, -1), ds.action),
+    return (_PhaseCoded(rows.reshape(m, -1), ds.action),
             ds.state_next.reshape(m, -1))
 
 
@@ -576,12 +598,15 @@ def spend_budget(env_factory: EnvFactory, cfg: AdaptConfig,
                  scored: Callable | None = None) -> None:
     """Spend ``cfg.target_episode_budget`` recorded episodes on the target,
     training the models in place. Each episode runs on an env and under an
-    epsilon-greedy ``PlannerController`` seeded in that order from ``rng``;
-    then epsilon decays, minibatches over every record so far are drawn
-    from ``train_rng``, and each net is fitted over them to its block
-    distance, with its own Adam kept across episodes: the dynamics net here,
-    on the records' states (observations for ``_ObservationStates``, which
-    is not fitted), and a ``StateEstimator`` meanwhile in a forked child.
+    epsilon-greedy ``PlannerController`` seeded in that order from ``rng``,
+    and must record ``intervals`` x nodes rows (else ``ShapeError``); its
+    rows go into arrays sized for the whole budget after episode 1, and the
+    fits read views of episodes 1..b. Then epsilon decays, minibatches over
+    every record so far are drawn from ``train_rng``, and each net is
+    fitted over them to its block distance, with its own Adam kept across
+    episodes: the dynamics net here, on the records' states (observations
+    for ``_ObservationStates``, which is not fitted), and a
+    ``StateEstimator`` meanwhile in a forked child.
     No child outlives an episode. Then ``scored``, if given, gets the count
     of episodes spent and both models, which it must not change."""
     scenario = env_factory.scenario
@@ -590,7 +615,7 @@ def spend_budget(env_factory: EnvFactory, cfg: AdaptConfig,
     f_loss = rowwise_block_distance_loss(dist_cfg, lanes)
     g_loss = block_distance_loss(dist_cfg, lanes)
     opt_f, opt_g = nn.Adam(lr=cfg.lr), nn.Adam(lr=cfg.lr)
-    records = None
+    store = None  # each column's rows for the whole budget, filled in place
     epsilon = cfg.epsilon0
     for spent in range(1, cfg.target_episode_budget + 1):
         env = env_factory.make(int(rng.integers(2 ** 31 - 1)))
@@ -600,7 +625,20 @@ def spend_budget(env_factory: EnvFactory, cfg: AdaptConfig,
         _, ep = run_episode(env, ctrl, scenario.intervals,
                             scenario.interval_s, record=True,
                             city_id=scenario.name)
-        records = ep if records is None else TaskDataset.concat((records, ep))
+        n = scenario.intervals * len(env.nodes)
+        if len(ep) != n:
+            raise ShapeError(
+                f"budget episode {spent} recorded {len(ep)} rows, expected "
+                f"{scenario.intervals} intervals x {len(env.nodes)} nodes")
+        if store is None:
+            store = {c: np.empty((cfg.target_episode_budget * n,
+                                  *getattr(ep, c).shape[1:]),
+                                 getattr(ep, c).dtype) for c in COLUMNS}
+        for c in COLUMNS:
+            store[c][(spent - 1) * n:spent * n] = getattr(ep, c)
+        records = TaskDataset(ep.city_id, ep.schema_id,
+                              *(store[c][:spent * n] for c in COLUMNS))
+        del ep  # its rows are in the store; the fits need no second copy
         epsilon *= cfg.epsilon_decay
         batches = list(nn.epoch_batches(train_rng, len(records),
                                         cfg.batch_size,

@@ -8,6 +8,7 @@ import hashlib
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from gridlight.planner import (
 )
 from gridlight.scenario import EnvFactory, ScenarioSpec
 from gridlight.sim import Flow, RoadNetwork
+from gridlight.sim.network import PHASE_IDS, SCHEMA_DIMS
 
 
 def small_scenario(schema="SCHEMA_A", rows=2, cols=2, episode_s=200):
@@ -343,6 +345,70 @@ def test_dynamics_training_rejects_other_state_layout(train):
         train([ds], cfg, dyn, DistanceConfig(0.8, 12, 4), seed=0)
 
 
+@pytest.mark.parametrize("column", ["state", "obs"])
+def test_phase_coded_rows_equal_the_whole_encoding(column):
+    """The dynamics input over int64 states, or the monolithic arm's
+    float64 observations, gives for an epoch slice, a draw without
+    replacement and the whole index range the bytes, dtype and shape of
+    the same rows of the whole ``phase_encode``. ``ArrayTask`` splits its
+    ``shape[0]`` rows and ``nn.fit`` reshapes by its ``shape[-1]`` as they
+    do the whole encoding's, to the same bits."""
+    ds = collect_small_tasks()[0]
+    rows, m = getattr(ds, column), len(ds)
+    assert rows.dtype == {"state": np.int64, "obs": np.float64}[column]
+    x, y = meta._dynamics_xy(ds, rows, *ds.state.shape[1:])
+    whole = phase_encode(rows.reshape(m, -1), ds.action)
+    assert (len(x), x.shape) == (m, whole.shape)
+    rng = np.random.default_rng(0)
+    draws = (next(nn.epoch_batches(rng, m, 32, 1)),
+             rng.choice(m, size=32, replace=False), np.arange(m))
+    for idx in draws:
+        got, want = x[idx], whole[idx]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    net = nn.net_new((x.shape[-1], 8, y.shape[-1]), "softplus", seed=0)
+
+    def lag(theta, xb, yb):
+        return nn.loss_and_grad(net, nn.squared_error_loss, xb, yb,
+                                params=theta)
+
+    lazy, eager = (ArrayTask(inputs, y, lag, 32, np.random.default_rng(1))
+                   for inputs in (x, whole))
+    assert lazy.support_idx.tobytes() == eager.support_idx.tobytes()
+    batch = lazy.query_batch(np.random.default_rng(2))
+    assert (lazy.loss_and_grad(net.params, batch)[1].tobytes()
+            == eager.loss_and_grad(net.params, batch)[1].tobytes())
+    fitted = [nn.fit(net, nn.squared_error_loss, inputs, y, nn.SGD(1e-3),
+                     draws).params.tobytes() for inputs in (x, whole)]
+    assert fitted[0] == fitted[1]
+
+
+@pytest.mark.parametrize("train", [maml_train, seq_pretrain])
+def test_dynamics_training_holds_no_encoded_copy_of_a_task(train):
+    """Training on a 20,000-row task, one task per iteration so that no
+    child forks, allocates less at its peak than one whole ``phase_encode``
+    of the task's states would take."""
+    lanes, n_grids, m = 4, 6, 20_000
+    rng = np.random.default_rng(0)
+    state = rng.integers(0, 3, size=(m, lanes, n_grids))
+    action = rng.integers(1, len(PHASE_IDS) + 1, size=m)
+    ds = TaskDataset("synthetic", "SCHEMA_A",
+                     np.zeros((m, lanes, SCHEMA_DIMS["SCHEMA_A"])), state,
+                     action, np.roll(state, 1, axis=0))
+    eager_bytes = m * phase_encode(state[:1].reshape(1, -1), action[:1]).nbytes
+    dyn = DynamicsModel(default_dynamics_net(lanes, n_grids, hidden=(16,),
+                                             seed=0), lanes, n_grids)
+    cfg = MamlConfig(inner_lr=1e-4, outer_lr=1e-4, meta_iterations=5,
+                     task_batch_size=1)
+    tracemalloc.start()
+    try:
+        train([ds], cfg, dyn, DistanceConfig(0.8, n_grids, 2), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < eager_bytes
+
+
 # -- adaptation --------------------------------------------------------------
 
 def planning_configs(net):
@@ -439,16 +505,16 @@ def test_a_smaller_budget_is_a_prefix_of_a_larger_one():
     assert seen[1] == golden_adaptation(1)
 
 
-def test_spend_budget_trains_on_one_growing_dataset(monkeypatch):
-    """After episode b, the estimator is fitted on the observations and
-    states of episodes 1..b in order, and the dynamics net on their
-    phase-coded states and next states, byte for byte; then ``scored``
-    gets the count b."""
+def spend_recorded_budget(monkeypatch, budget=3, run=run_episode):
+    """``spend_budget`` on a short city-c target within ``budget``
+    episodes, the estimator fitted in this process. Returns the episodes
+    ``run`` recorded, each fit's (x, y) in order, and what ``scored`` got:
+    (episodes spent, fits so far)."""
     episodes, fits, scored = [], [], []
     real_fit = nn.fit
 
     def recorded(*args, **kwargs):
-        out = run_episode(*args, **kwargs)
+        out = run(*args, **kwargs)
         episodes.append(out[1])
         return out
 
@@ -467,8 +533,9 @@ def test_spend_budget_trains_on_one_growing_dataset(monkeypatch):
     net = target.network
     lanes, n_grids = net.lanes_per_intersection, net.state_grids
     spend_budget(
-        EnvFactory(target), AdaptConfig(lr=1e-3, target_episode_budget=3,
-                                        epochs_per_episode=1, batch_size=64),
+        EnvFactory(target),
+        AdaptConfig(lr=1e-3, target_episode_budget=budget,
+                    epochs_per_episode=1, batch_size=64),
         StateEstimator(default_estimator_net(target.schema, n_grids, (8,),
                                              seed=0),
                        target.schema, lanes, n_grids),
@@ -477,12 +544,19 @@ def test_spend_budget_trains_on_one_growing_dataset(monkeypatch):
         **planning_configs(net), rng=np.random.default_rng(0),
         train_rng=np.random.default_rng(1),
         scored=lambda spent, est, dyn: scored.append((spent, len(fits))))
-    assert scored == [(1, 2), (2, 4), (3, 6)]
-    for b in (1, 2, 3):
+    return episodes, fits, scored
+
+
+def assert_fits_see_episodes(episodes, fits):
+    """The estimator's fit after episode b read the observations and states
+    of episodes 1..b in order, and the dynamics fit their phase-coded
+    states and next states, byte for byte."""
+    for b in range(1, len(episodes) + 1):
         whole = {c: np.concatenate([getattr(ep, c) for ep in episodes[:b]])
                  for c in COLUMNS}
         m = len(whole["action"])
         (est_x, est_y), (dyn_x, dyn_y) = fits[2 * b - 2:2 * b]
+        dyn_x = dyn_x[np.arange(len(dyn_x))]  # encoded when indexed
         for got, want in (
                 (est_x, whole["obs"]), (est_y, whole["state"]),
                 (dyn_x, phase_encode(whole["state"].reshape(m, -1),
@@ -490,6 +564,43 @@ def test_spend_budget_trains_on_one_growing_dataset(monkeypatch):
                 (dyn_y, whole["state_next"].reshape(m, -1))):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
+
+
+def test_spend_budget_trains_on_one_growing_dataset(monkeypatch):
+    """After episode b, the estimator is fitted on the observations and
+    states of episodes 1..b in order, and the dynamics net on their
+    phase-coded states and next states, byte for byte; then ``scored``
+    gets the count b."""
+    episodes, fits, scored = spend_recorded_budget(monkeypatch)
+    assert scored == [(1, 2), (2, 4), (3, 6)]
+    assert_fits_see_episodes(episodes, fits)
+
+
+def test_spend_budget_fills_its_records_in_place(monkeypatch):
+    """No budget episode's records are copied through
+    ``TaskDataset.concat``, yet every fit still sees episodes 1..b."""
+    concats = []
+    real = TaskDataset.concat
+    monkeypatch.setattr(TaskDataset, "concat", classmethod(
+        lambda cls, parts: concats.append(1) or real(parts)))
+    episodes, fits, _ = spend_recorded_budget(monkeypatch)
+    assert concats == []
+    assert_fits_see_episodes(episodes, fits)
+
+
+def test_spend_budget_refuses_an_episode_of_another_length(monkeypatch):
+    """A budget episode must record intervals x nodes rows."""
+    def short_second(*args, **kwargs):
+        metrics, ep = run_episode(*args, **kwargs)
+        if short_second.calls:
+            ep = TaskDataset(ep.city_id, ep.schema_id,
+                             *(getattr(ep, c)[1:] for c in COLUMNS))
+        short_second.calls += 1
+        return metrics, ep
+
+    short_second.calls = 0
+    with pytest.raises(ShapeError, match="budget episode 2 recorded 29 rows"):
+        spend_recorded_budget(monkeypatch, budget=2, run=short_second)
 
 
 # -- the forked child of adaptation ------------------------------------------
