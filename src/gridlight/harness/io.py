@@ -100,7 +100,8 @@ def load_dataset(path) -> TaskDataset:
 
 def _dataset_array(value, column: str, where: str) -> np.ndarray:
     """Field ``column`` of a dataset line: an ``action`` must be a phase id,
-    ``obs`` a finite 2-D array, and a state one of whole counts >= 0."""
+    ``obs`` a finite 2-D array, and a state one of whole counts 0..255,
+    returned as uint8 like the simulator's states."""
     if column == "action":
         if read_int(value, f"{where} action") not in PHASE_IDS:
             raise ConfigurationError(
@@ -112,11 +113,11 @@ def _dataset_array(value, column: str, where: str) -> np.ndarray:
         raise ConfigurationError(f"{where}: {column}: {exc}") from exc
     counts = column != "obs"
     if a.ndim != 2 or not np.isfinite(a).all() or counts and (
-            (a < 0) | (a % 1 != 0)).any():
-        kind = "array of whole counts >= 0" if counts else "array"
+            (a < 0) | (a > 255) | (a % 1 != 0)).any():
+        kind = "array of whole counts >= 0 and <= 255" if counts else "array"
         raise ConfigurationError(f"{where}: {column} must be a finite 2-D "
                                  f"{kind}")
-    return a.astype(np.int64) if counts else a
+    return a.astype(np.uint8) if counts else a
 
 
 # -- checkpoints --------------------------------------------------------------

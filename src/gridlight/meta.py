@@ -68,7 +68,12 @@ class TaskDataset:
     """All logged transitions for one city, one row per intersection per
     interval: observations ``obs`` (m, lanes, d_o), true states
     ``state``/``state_next`` (m, lanes, N) and the phase taken, ``action``
-    (m,)."""
+    (m,).
+
+    States are occupancy counts as uint8, one byte per count, as
+    ``Sim.snapshot`` builds them. Every consumer widens them to float64
+    first; form a difference of states likewise in a signed float dtype,
+    since ``state_next - state`` wraps in uint8."""
 
     city_id: str
     schema_id: str

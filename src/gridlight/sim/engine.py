@@ -307,10 +307,12 @@ class Sim:
         return self._of_node(self._approach_lane_map, node)
 
     def _states(self, lanes: list[_Lane]) -> np.ndarray:
-        """Occupancy of the first state_grids cells of each lane."""
+        """Occupancy of the first state_grids cells of each lane, as uint8:
+        a count never exceeds ``grid_capacity``, which ``RoadNetwork``
+        holds to 255."""
         n = self.network.state_grids
         return np.fromiter(chain.from_iterable(lane.occ[:n] for lane in lanes),
-                           np.int64, len(lanes) * n).reshape(len(lanes), n)
+                           np.uint8, len(lanes) * n).reshape(len(lanes), n)
 
     def _observations(self, lanes: list[_Lane], schema: str) -> np.ndarray:
         dims = SCHEMA_DIMS[schema]

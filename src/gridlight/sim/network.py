@@ -136,9 +136,9 @@ class RoadNetwork(Document):
                 "lanes_per_approach must equal 3 (one lane per movement), "
                 f"got {self.lanes_per_approach}"
             )
-        if self.grid_capacity < 1:
+        if not 1 <= self.grid_capacity <= 255:  # states hold counts as uint8
             raise ConfigurationError(
-                f"grid_capacity must be >= 1, got {self.grid_capacity}"
+                f"grid_capacity must be in 1..255, got {self.grid_capacity}"
             )
         if self.pass_capacity < 1:
             raise ConfigurationError(

@@ -182,7 +182,8 @@ _NOT_A_BOOL = st.one_of(st.none(), st.integers(-3, 3), st.floats(-9, 9),
                         st.text(max_size=4), _SMALL_LIST, _SMALL_DICT)
 
 # per document kind: its class, its required keys, and for each of its
-# fields, by document key, values of another JSON kind than it takes
+# fields, by document key, values of another JSON kind than it takes (and
+# for grid_capacity, whose states are stored as uint8, counts above 255)
 _MALFORMED_FIELDS = {
     "experiment": (ExperimentConfig, ("target", "method"), {
         "sources": _NOT_A_LIST, "target": _NOT_AN_OBJECT,
@@ -211,9 +212,9 @@ _MALFORMED_FIELDS = {
         "episode_s": _NOT_AN_INT, "interval_s": _NOT_AN_INT,
         "seed": _NOT_AN_INT}),
     "network": (RoadNetwork, ("rows", "cols"), {
-        key: _NOT_AN_INT for key in ("rows", "cols", "lanes_per_approach",
-                                     "N", "n", "grid_capacity",
-                                     "lane_grids")}),
+        **{key: _NOT_AN_INT for key in ("rows", "cols", "lanes_per_approach",
+                                        "N", "n", "lane_grids")},
+        "grid_capacity": st.one_of(_NOT_AN_INT, st.integers(256, 10 ** 6))}),
     "flow": (Flow, ("origin", "route", "start_s", "end_s", "headway_s"), {
         "start_s": _NOT_AN_INT, "end_s": _NOT_AN_INT,
         "headway_s": _NOT_AN_INT, "route": _NOT_A_LIST,

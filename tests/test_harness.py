@@ -47,6 +47,7 @@ from gridlight.meta import (
     COLUMNS,
     AdaptConfig,
     MamlConfig,
+    TaskDataset,
     _mean_distance,
     collect_experience,
     dynamics_error,
@@ -854,8 +855,17 @@ def test_dataset_jsonl_roundtrip(tmp_path):
     back = io.load_dataset(path)
     assert len(back) == len(ds)
     assert back.schema_id == ds.schema_id
-    for column in ("obs", "state", "action", "state_next"):
-        assert np.array_equal(getattr(back, column), getattr(ds, column))
+    for column in COLUMNS:
+        got, want = getattr(back, column), getattr(ds, column)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    # the file holds the same bytes as one written from int64 states, so
+    # the dataset hashes of earlier manifests still match
+    wide = TaskDataset(ds.city_id, ds.schema_id, ds.obs,
+                       ds.state.astype(np.int64), ds.action,
+                       ds.state_next.astype(np.int64))
+    io.save_dataset(tmp_path / "wide.jsonl", wide)
+    assert (tmp_path / "wide.jsonl").read_bytes() == path.read_bytes()
 
 
 def test_dataset_load_names_the_damaged_line(tmp_path):
@@ -870,11 +880,20 @@ def test_dataset_load_names_the_damaged_line(tmp_path):
     io.save_dataset(path, ds)
     lines = path.read_text().splitlines(keepends=True)
     row = json.loads(lines[2])
+
+    def edited(**fields):
+        line = json.dumps({**row, **fields}) + "\n"
+        return lines[:2] + [line] + lines[3:]
+
+    above_uint8 = [[300] + r[1:] for r in row["state"]]
+    wrong_type = [["many"] + r[1:] for r in row["state"]]
     del row["state"]
     for damaged, message in (
             (lines[:2] + [lines[2][:36]], "line 3: Unterminated string"),
-            (lines[:2] + [json.dumps(row) + "\n"] + lines[3:],
-             r"line 3 is missing fields \['state'\]")):
+            (edited(), r"line 3 is missing fields \['state'\]"),
+            (edited(state=above_uint8), "line 3: state must be a finite 2-D "
+             "array of whole counts >= 0 and <= 255"),
+            (edited(state=wrong_type), "line 3: state: could not convert")):
         path.write_text("".join(damaged))
         with pytest.raises(ConfigurationError, match=message):
             io.load_dataset(path)
@@ -1117,3 +1136,30 @@ def test_heldout_episode_does_not_depend_on_the_seed(tmp_path):
         intervals=target.intervals, interval_s=target.interval_s)
     for c in COLUMNS:
         assert getattr(held, c).tobytes() == getattr(other, c).tobytes()
+
+
+def test_distances_on_uint8_states_equal_those_on_int64_states(tmp_path):
+    """Every distance reads the uint8 states the simulator records as the
+    same floats as an int64 copy of them: each consumer widens to float64
+    before it subtracts."""
+    cfg = tiny_config(tmp_path, episode_s=100)
+    net = cfg.target.network
+    lanes, n_grids = net.lanes_per_intersection, net.state_grids
+    held = runners.heldout_episode(cfg.target)
+    wide = TaskDataset(held.city_id, held.schema_id, held.obs,
+                       held.state.astype(np.int64), held.action,
+                       held.state_next.astype(np.int64))
+    assert held.state.dtype == held.state_next.dtype == np.uint8
+    dist_cfg = dist_config_for(cfg, cfg.target)
+    dyn = DynamicsModel(default_dynamics_net(lanes, n_grids, (16,), seed=1),
+                        lanes, n_grids)
+    est = StateEstimator(default_estimator_net(cfg.target.schema, n_grids,
+                                               (8,), seed=0),
+                         cfg.target.schema, lanes, n_grids)
+    narrow_pred = held.state_next.astype(np.float64) + 0.25
+    for measure in (
+            lambda ds: _mean_distance(narrow_pred, ds.state_next, dist_cfg),
+            lambda ds: dynamics_error(dyn, ds, dist_cfg),
+            lambda ds: training_loss(est, ds, dist_cfg),
+            lambda ds: runners.heldout_references(cfg, ds, dyn)):
+        assert measure(held) == measure(wide)

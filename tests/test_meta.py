@@ -9,6 +9,7 @@ import os
 import signal
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,17 @@ from conftest import FAILURES, assert_no_child_left, fail_in, no_child_left
 from gridlight import meta, nn
 from gridlight.baselines import FixedTimeController, MaxPressureController
 from gridlight.errors import ConfigurationError, ShapeError
-from gridlight.harness.config import default_experiment, desk_city_c
+from gridlight.harness.config import (
+    default_experiment,
+    desk_city_a,
+    desk_city_b,
+    desk_city_c,
+)
+from gridlight.harness.runners import (
+    collect_source_datasets,
+    heldout_episode,
+    stage_seeds,
+)
 from gridlight.meta import (
     COLUMNS,
     AdaptConfig,
@@ -347,7 +358,7 @@ def test_dynamics_training_rejects_other_state_layout(train):
 
 @pytest.mark.parametrize("column", ["state", "obs"])
 def test_phase_coded_rows_equal_the_whole_encoding(column):
-    """The dynamics input over int64 states, or the monolithic arm's
+    """The dynamics input over uint8 states, or the monolithic arm's
     float64 observations, gives for an epoch slice, a draw without
     replacement and the whole index range the bytes, dtype and shape of
     the same rows of the whole ``phase_encode``. ``ArrayTask`` splits its
@@ -355,7 +366,7 @@ def test_phase_coded_rows_equal_the_whole_encoding(column):
     do the whole encoding's, to the same bits."""
     ds = collect_small_tasks()[0]
     rows, m = getattr(ds, column), len(ds)
-    assert rows.dtype == {"state": np.int64, "obs": np.float64}[column]
+    assert rows.dtype == {"state": np.uint8, "obs": np.float64}[column]
     x, y = meta._dynamics_xy(ds, rows, *ds.state.shape[1:])
     whole = phase_encode(rows.reshape(m, -1), ds.action)
     assert (len(x), x.shape) == (m, whole.shape)
@@ -601,6 +612,29 @@ def test_spend_budget_refuses_an_episode_of_another_length(monkeypatch):
     short_second.calls = 0
     with pytest.raises(ShapeError, match="budget episode 2 recorded 29 rows"):
         spend_recorded_budget(monkeypatch, budget=2, run=short_second)
+
+
+def test_recorded_states_take_one_byte_per_count(monkeypatch):
+    """The states of the collected source datasets (the later one through
+    the forked child's pickle), of ``spend_budget``'s store and of the
+    held-out episode hold one byte per count, none above the grid
+    capacity."""
+    cfg = replace(default_experiment(),
+                  sources=(desk_city_a(100), desk_city_b(100)),
+                  target=desk_city_c(100))
+    datasets = collect_source_datasets(cfg, stage_seeds(0)["collect"])
+    _, fits, _ = spend_recorded_budget(monkeypatch, budget=2)
+    store = [y for _, y in fits]  # views of the store's state columns
+    states = [*(getattr(ds, c) for ds in datasets for c in ("state",
+                                                            "state_next")),
+              *store, *(getattr(heldout_episode(cfg.target), c)
+                        for c in ("state", "state_next"))]
+    assert len(states) == 10
+    capacity = cfg.target.network.grid_capacity
+    assert {src.network.grid_capacity for src in cfg.sources} == {capacity}
+    for s in states:
+        assert s.dtype == np.uint8 and s.nbytes == s.size
+        assert 1 <= s.max() <= capacity
 
 
 # -- the forked child of adaptation ------------------------------------------

@@ -442,7 +442,7 @@ def _replay(net, flows, schema, trace):
         assert sim.entered == on_network + sim.exited
         for node in sim.nodes:
             for state in (states[node], sim.extract_state(node)):
-                assert state.dtype == np.int64
+                assert state.dtype == np.uint8
                 assert state.shape == (net.lanes_per_intersection,
                                        net.state_grids)
                 assert 0 <= state.min() and state.max() <= net.grid_capacity
