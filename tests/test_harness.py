@@ -880,20 +880,19 @@ def test_dataset_load_names_the_damaged_line(tmp_path):
     io.save_dataset(path, ds)
     lines = path.read_text().splitlines(keepends=True)
     row = json.loads(lines[2])
+    state = row.pop("state")
 
-    def edited(**fields):
-        line = json.dumps({**row, **fields}) + "\n"
-        return lines[:2] + [line] + lines[3:]
+    def with_line_3(doc):
+        return lines[:2] + [json.dumps(doc) + "\n"] + lines[3:]
 
-    above_uint8 = [[300] + r[1:] for r in row["state"]]
-    wrong_type = [["many"] + r[1:] for r in row["state"]]
-    del row["state"]
     for damaged, message in (
             (lines[:2] + [lines[2][:36]], "line 3: Unterminated string"),
-            (edited(), r"line 3 is missing fields \['state'\]"),
-            (edited(state=above_uint8), "line 3: state must be a finite 2-D "
-             "array of whole counts >= 0 and <= 255"),
-            (edited(state=wrong_type), "line 3: state: could not convert")):
+            (with_line_3(row), r"line 3 is missing fields \['state'\]"),
+            (with_line_3({**row, "state": [[300] + r[1:] for r in state]}),
+             "line 3: state must be a finite 2-D array of whole counts >= 0 "
+             "and <= 255"),
+            (with_line_3({**row, "state": [["many"] + r[1:] for r in state]}),
+             "line 3: state: could not convert")):
         path.write_text("".join(damaged))
         with pytest.raises(ConfigurationError, match=message):
             io.load_dataset(path)

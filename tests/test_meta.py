@@ -622,13 +622,12 @@ def test_recorded_states_take_one_byte_per_count(monkeypatch):
     cfg = replace(default_experiment(),
                   sources=(desk_city_a(100), desk_city_b(100)),
                   target=desk_city_c(100))
-    datasets = collect_source_datasets(cfg, stage_seeds(0)["collect"])
+    recorded = (*collect_source_datasets(cfg, stage_seeds(0)["collect"]),
+                heldout_episode(cfg.target))
+    states = [getattr(ds, c) for ds in recorded for c in ("state",
+                                                          "state_next")]
     _, fits, _ = spend_recorded_budget(monkeypatch, budget=2)
-    store = [y for _, y in fits]  # views of the store's state columns
-    states = [*(getattr(ds, c) for ds in datasets for c in ("state",
-                                                            "state_next")),
-              *store, *(getattr(heldout_episode(cfg.target), c)
-                        for c in ("state", "state_next"))]
+    states += [y for _, y in fits]  # views of the store's state columns
     assert len(states) == 10
     capacity = cfg.target.network.grid_capacity
     assert {src.network.grid_capacity for src in cfg.sources} == {capacity}
