@@ -91,7 +91,7 @@ def _cmd_collect(cfg: ExperimentConfig, args) -> None:
     out = Path(cfg.out_dir) / "datasets"
     sha256 = {}
     for ds in datasets:
-        path = out / f"{ds.city_id}.jsonl"
+        path = io.dataset_path(out, ds.city_id)
         io.save_dataset(path, ds)
         sha256[path.name] = io.file_sha256(path)
         print(f"wrote {len(ds)} records to {path}")
@@ -103,7 +103,7 @@ def _collected_datasets(cfg: ExperimentConfig) -> list:
     """The source datasets that ``collect`` wrote under this config."""
     out = Path(cfg.out_dir) / "datasets"
     paths = [out / "manifest.json",
-             *(out / f"{src.name}.jsonl" for src in cfg.sources)]
+             *(io.dataset_path(out, src.name) for src in cfg.sources)]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         raise ConfigurationError(

@@ -1,4 +1,4 @@
-"""Persistence: metrics CSV, JSON reports, JSONL datasets, model
+"""Persistence: metrics CSV, JSON reports, .npz datasets, model
 checkpoints, and run manifests.
 
 CSV bytes are deterministic (fixed float formatting, no timestamps) so a
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -57,67 +58,63 @@ def file_sha256(path) -> str:
 
 # -- datasets ---------------------------------------------------------------
 
+# each entry of a dataset archive: its type, its rank, and how many leading
+# dimensions (rows, lanes, grids) it shares with ``state``, which comes first
+_ENTRIES = {"city_id": (np.str_, 0, 0), "schema_id": (np.str_, 0, 0),
+            "state": (np.uint8, 3, 3), "obs": (np.float64, 3, 2),
+            "action": (np.int64, 1, 1), "state_next": (np.uint8, 3, 3)}
+
+
+def dataset_path(directory, city_id: str) -> Path:
+    """The file ``collect`` writes city ``city_id``'s dataset to."""
+    return Path(directory) / f"{city_id}.npz"
+
+
 def save_dataset(path, dataset: TaskDataset) -> None:
-    """One JSON line per transition row."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for i in range(len(dataset)):
-            fh.write(json.dumps({
-                "city_id": dataset.city_id,
-                "schema_id": dataset.schema_id,
-                "obs": dataset.obs[i].tolist(),
-                "state": dataset.state[i].tolist(),
-                "action": int(dataset.action[i]),
-                "state_next": dataset.state_next[i].tolist(),
-            }) + "\n")
+    """An uncompressed .npz of ``_ENTRIES``, each as it is in memory. Every
+    entry is dated 1980-01-01, so equal datasets give equal bytes."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name in _ENTRIES:
+            info = zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0))
+            with archive.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(
+                    fh, np.asarray(getattr(dataset, name)), allow_pickle=False)
 
 
 def load_dataset(path) -> TaskDataset:
-    """The dataset ``save_dataset`` wrote. A line that is not JSON, lacks a
-    field, or holds what ``_dataset_array`` refuses or another city, schema
-    or shape than line 1 raises ConfigurationError naming file and line."""
-    rows, first = [], None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            where = f"{path} line {n}"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{where}: {exc}") from exc
-            doc = _fields(doc, ("city_id", "schema_id", *COLUMNS), where)
-            row = [_dataset_array(doc[c], c, where) for c in COLUMNS]
-            kind = (doc["city_id"], doc["schema_id"], *(a.shape for a in row))
-            first = first or kind
-            if kind != first:
-                raise ConfigurationError(f"{where}: (city, schema, shapes) "
-                                         f"{kind} differ from line 1's")
-            rows.append(row)
-    if first is None:
-        raise ConfigurationError(f"dataset file {path} is empty")
-    return TaskDataset(first[0], first[1], *map(np.array, zip(*rows)))
-
-
-def _dataset_array(value, column: str, where: str) -> np.ndarray:
-    """Field ``column`` of a dataset line: an ``action`` must be a phase id,
-    ``obs`` a finite 2-D array, and a state one of whole counts 0..255,
-    returned as uint8 like the simulator's states."""
-    if column == "action":
-        if read_int(value, f"{where} action") not in PHASE_IDS:
-            raise ConfigurationError(
-                f"{where}: action {value} is not a phase id {PHASE_IDS}")
-        return np.array(int(value))
-    try:  # ragged or non-numeric
-        a = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where}: {column}: {exc}") from exc
-    counts = column != "obs"
-    if a.ndim != 2 or not np.isfinite(a).all() or counts and (
-            (a < 0) | (a > 255) | (a % 1 != 0)).any():
-        kind = "array of whole counts >= 0 and <= 255" if counts else "array"
-        raise ConfigurationError(f"{where}: {column} must be a finite 2-D "
-                                 f"{kind}")
-    return a.astype(np.uint8) if counts else a
+    """The dataset ``save_dataset`` wrote. A file or entry that training
+    cannot use raises ConfigurationError naming the file and the entry."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"{path}: not an archive: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # a bare .npy
+        raise ConfigurationError(f"{path}: not an archive")
+    entries = {}
+    with archive:
+        for name, (kind, ndim, shared) in _ENTRIES.items():
+            try:  # missing, cut or damaged, or a pickled object array
+                a = entries[name] = archive[name]
+            except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise ConfigurationError(f"{path}: {name}: {exc}") from exc
+            state = entries.get("state", a).shape
+            if not np.issubdtype(a.dtype, kind) or a.ndim != ndim or \
+                    a.shape[:shared] != state[:shared]:
+                raise ConfigurationError(
+                    f"{path}: {name} must be a {ndim}-D {kind.__name__} array "
+                    f"whose shape begins {state[:shared]}, got a {a.ndim}-D "
+                    f"{a.dtype} one of shape {a.shape}")
+    if not np.isfinite(entries["obs"]).all():
+        raise ConfigurationError(f"{path}: obs must be finite")
+    wrong = np.setdiff1d(entries["action"], PHASE_IDS)
+    if wrong.size:
+        raise ConfigurationError(f"{path}: action {wrong[0]} is no phase id")
+    try:  # no rows, or obs features of another schema
+        return TaskDataset(str(entries["city_id"]), str(entries["schema_id"]),
+                           *(entries[c] for c in COLUMNS))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -84,9 +84,12 @@ class RunReport:
                    float(queue.mean()), std[1], digest, 0.0, extras or {})
 
 
-def value_config_for(cfg: ExperimentConfig, scenario: ScenarioSpec) -> ValueConfig:
+def value_config_for(cfg: ExperimentConfig, scenario: ScenarioSpec,
+                     estimator=None) -> ValueConfig:
     net = scenario.network
-    return ValueConfig(cfg.horizon, cfg.step_discount, cfg.block_discount,
+    # the monolithic arm's net reads observations, so it cannot roll forward
+    horizon = 0 if isinstance(estimator, _ObservationStates) else cfg.horizon
+    return ValueConfig(horizon, cfg.step_discount, cfg.block_discount,
                        net.state_grids, net.pass_capacity)
 
 
@@ -222,9 +225,9 @@ def evaluate_planner(cfg: ExperimentConfig, estimator: StateEstimator,
                      dynamics: DynamicsModel, seed: int):
     """One greedy planner episode on the target, charged to no budget: its
     metrics, and extras with its decisions per phase id (``phase_counts``)."""
+    vc = value_config_for(cfg, cfg.target, estimator)
     controller = PlannerController(estimator, dynamics,
-                                   PolicyConfig(epsilon=0.0),
-                                   value_config_for(cfg, cfg.target),
+                                   PolicyConfig(epsilon=0.0), vc,
                                    np.random.default_rng(0))
     metrics = evaluate_controller(cfg.target, controller, seed)
     return metrics, {"phase_counts": {
@@ -315,8 +318,8 @@ def monolithic_adapt(cfg: ExperimentConfig, seed: int,
                      datasets: list[TaskDataset], scored=None):
     """Train one observation-to-next-state net per source dataset in
     sequence, carrying the trailing layers across cities and into the
-    target, then fine-tune it by ``meta.spend_budget``, planning at
-    ``cfg.horizon`` (0 for the monolithic method). ``scored`` is as in
+    target, then fine-tune it by ``meta.spend_budget``, planning at horizon
+    0 (see ``value_config_for``). ``scored`` is as in
     ``meta.adapt``; returns (estimator, dynamics, interactions)."""
     target = cfg.target
     # skip the first child, so the other three keep their spawn keys
@@ -348,16 +351,15 @@ def monolithic_adapt(cfg: ExperimentConfig, seed: int,
     adapt_rng = np.random.default_rng(adapt_seq)
     factory = EnvFactory(target)
     spend_budget(factory, cfg.adapt, est, dyn,
-                 value_cfg=value_config_for(cfg, target), dist_cfg=dist_cfg,
-                 rng=adapt_rng, train_rng=adapt_rng, scored=scored)
+                 value_cfg=value_config_for(cfg, target, est),
+                 dist_cfg=dist_cfg, rng=adapt_rng, train_rng=adapt_rng,
+                 scored=scored)
     return est, dyn, factory.interactions
 
 
 def monolithic_pipeline(cfg: ExperimentConfig, seed: int):
-    """``monolithic_adapt`` at horizon 0 on the sources ``modular_pipeline``
-    collects, then ``evaluate_planner``: ``run_budget_table``'s full-budget
-    case."""
-    cfg = replace(cfg, horizon=0)
+    """``monolithic_adapt`` on the sources ``modular_pipeline`` collects,
+    then ``evaluate_planner``: ``run_budget_table``'s full-budget case."""
     est, dyn, interactions = monolithic_adapt(
         cfg, seed, collect_source_datasets(cfg, stage_seeds(seed)["collect"]))
     metrics, extras = evaluate_planner(cfg, est, dyn, seed)
@@ -433,7 +435,7 @@ def run_budget_table(cfg: ExperimentConfig) -> dict:
         replace(cfg, method="modular"), replace(cfg, method="seq_pretrain"),
         replace(cfg, method="modular",
                 maml=replace(cfg.maml, meta_iterations=0)),
-        replace(cfg, method="monolithic", horizon=0))))
+        replace(cfg, method="monolithic"))))
     t0 = time.perf_counter()
     held = heldout_episode(cfg.target)
     rows, per_seed = [], {name: {} for name in variants}

@@ -4,6 +4,7 @@ files. Uses a shrunken config document to keep runs fast."""
 import json
 import re
 from dataclasses import fields
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +215,8 @@ _MALFORMED_FIELDS = {
     "network": (RoadNetwork, ("rows", "cols"), {
         **{key: _NOT_AN_INT for key in ("rows", "cols", "lanes_per_approach",
                                         "N", "n", "lane_grids")},
-        "grid_capacity": st.one_of(_NOT_AN_INT, st.integers(256, 10 ** 6))}),
+        # counts first: Hypothesis tries the simplest value, 256, first
+        "grid_capacity": st.one_of(st.integers(256, 10 ** 6), _NOT_AN_INT)}),
     "flow": (Flow, ("origin", "route", "start_s", "end_s", "headway_s"), {
         "start_s": _NOT_AN_INT, "end_s": _NOT_AN_INT,
         "headway_s": _NOT_AN_INT, "route": _NOT_A_LIST,
@@ -230,35 +232,32 @@ def test_malformed_field_table_covers_every_field():
 
 
 @st.composite
-def _document_part(draw, doc):
-    """The kind of one document inside ``doc`` (the experiment itself, its
+def _document_part(draw, doc, kind):
+    """A document of ``kind`` inside ``doc`` (the experiment itself, its
     ``maml`` or ``adapt``, a scenario, its network, or one of its flows),
     and the object and key that hold it (None for the experiment)."""
-    kind = draw(st.sampled_from(sorted(_MALFORMED_FIELDS)))
     if kind == "experiment":
-        return kind, None, None
+        return None, None
     if kind in ("maml", "adapt"):
-        return kind, doc, kind
+        return doc, kind
     parent, key = draw(st.sampled_from(((doc, "target"),
                                         (doc["sources"], 0))))
     if kind == "network":
         parent, key = parent[key], "network"
     elif kind == "flow":
         parent, key = parent[key]["flows"], draw(st.integers(0, 2))
-    return kind, parent, key
+    return parent, key
 
 
 @st.composite
-def _malformed_documents(draw, doc):
-    """``doc`` with one document inside it made malformed: not an object,
-    given an unknown key, missing a required key, or holding a value of
-    the wrong type."""
+def _malformed_documents(draw, doc, kind, how):
+    """``doc`` with one document of ``kind`` inside it made malformed by
+    ``how``: not an object, given an unknown key, missing a required key,
+    or holding a value of the wrong type."""
     doc = json.loads(json.dumps(doc))
-    kind, parent, key = draw(_document_part(doc))
+    parent, key = draw(_document_part(doc, kind))
     part = doc if parent is None else parent[key]
     _, required, bad_values = _MALFORMED_FIELDS[kind]
-    how = draw(st.sampled_from(("not_object", "unknown", "value")
-                               + (("missing",) if required else ())))
     if how == "not_object":
         part = draw(_NOT_AN_OBJECT)
     elif how == "unknown":
@@ -275,31 +274,38 @@ def _malformed_documents(draw, doc):
     return doc
 
 
-@settings(max_examples=150, deadline=None,
+@pytest.mark.parametrize("kind, how", [
+    (kind, how) for kind, (_, required, _) in _MALFORMED_FIELDS.items()
+    for how in ("not_object", "unknown", "value")
+    + (("missing",) if required else ())])
+@settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_malformed_documents_exit_two(config_path, data):
+def test_malformed_documents_exit_two(config_path, kind, how, data):
     """A malformed experiment, scenario, network or flow document is a
     configuration error (exit 2), never a runtime failure (exit 1)."""
     doc = json.loads(config_path.read_text())
-    bad = data.draw(_malformed_documents(doc))
+    bad = data.draw(_malformed_documents(doc, kind, how))
     path = config_path.with_name("malformed.json")
     path.write_text(json.dumps(bad))
     assert main(["--config", str(path), "simulate"]) == 2
 
 
-@settings(max_examples=300, deadline=None,
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, (_, _, bad_values) in _MALFORMED_FIELDS.items()
+    for field in bad_values])
+@settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_every_field_refuses_json_of_another_kind(config_path, data):
+def test_every_field_refuses_json_of_another_kind(config_path, kind, field,
+                                                  data):
     """Each field of every document refuses a JSON value of another kind
     than its type takes, read alone or inside the experiment, with a
     message that names the field's key."""
     doc = json.loads(config_path.read_text())
-    kind, parent, key = data.draw(_document_part(doc))
+    parent, key = data.draw(_document_part(doc, kind))
     part = doc if parent is None else parent[key]
     cls, _, bad_values = _MALFORMED_FIELDS[kind]
-    field = data.draw(st.sampled_from(sorted(bad_values)))
     part[field] = data.draw(bad_values[field])
     named = re.compile(rf"(^|: ){re.escape(field)}(\[\d+\])?(:| must be)")
     for read in (lambda: cls.from_json(part),
@@ -464,8 +470,8 @@ def test_collect_writes_datasets(modular_path, capsys):
     rc = main(["--config", str(modular_path), "collect"])
     assert rc == 0
     out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
-    assert (out_dir / "datasets" / "city-a.jsonl").exists()
-    assert (out_dir / "datasets" / "city-b.jsonl").exists()
+    assert (out_dir / "datasets" / "city-a.npz").exists()
+    assert (out_dir / "datasets" / "city-b.npz").exists()
     manifest = json.loads(
         (out_dir / "datasets" / "manifest.json").read_text())
     assert manifest["seeds"] == [0]
@@ -485,77 +491,111 @@ def test_meta_train_needs_datasets_of_this_config(modular_path, capsys):
     assert not (out_dir / "meta").exists()
 
 
-def _cut_mid_line(text: str) -> str:
-    lines = text.splitlines(keepends=True)
-    middle = lines[len(lines) // 2]
-    cut = "".join(lines[:len(lines) // 2]) + middle[:len(middle) // 2]
-    assert not cut.endswith("\n")
-    return cut
+def test_meta_train_refuses_a_directory_of_jsonl_datasets(modular_path,
+                                                         capsys):
+    """Datasets are read from ``<city>.npz`` only: a directory whose
+    datasets are ``<city>.jsonl`` files, with their hashes in the manifest,
+    holds no collected datasets (exit 2), and no checkpoint is written."""
+    out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
+    assert main(["--config", str(modular_path), "collect"]) == 0
+    datasets = out_dir / "datasets"
+    manifest = json.loads((datasets / "manifest.json").read_text())
+    for name in ("city-a", "city-b"):
+        (datasets / f"{name}.npz").rename(datasets / f"{name}.jsonl")
+    manifest["sha256"] = {f"{name}.jsonl": io.file_sha256(
+        datasets / f"{name}.jsonl") for name in ("city-a", "city-b")}
+    (datasets / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["--config", str(modular_path), "meta-train"]) == 2
+    assert "run collect first" in capsys.readouterr().err
+    assert not (out_dir / "meta").exists()
 
 
-def _drop_state(text: str) -> str:
-    first, rest = text.split("\n", 1)
-    row = json.loads(first)
-    del row["state"]
-    return json.dumps(row) + "\n" + rest
+def _cut_midway(data: bytes) -> bytes:
+    return data[:len(data) // 2]
 
 
-def _first_quarter(text: str) -> str:
-    lines = text.splitlines(keepends=True)
-    return "".join(lines[:len(lines) // 4])
+def _drop_state(data: bytes) -> bytes:
+    with np.load(BytesIO(data)) as archive:
+        entries = {k: archive[k] for k in archive.files if k != "state"}
+    out = BytesIO()
+    np.savez(out, **entries)
+    return out.getvalue()
 
 
-@pytest.mark.parametrize("damage", [_cut_mid_line, _drop_state,
+def _first_quarter(data: bytes) -> bytes:
+    with np.load(BytesIO(data)) as archive:
+        entries = {k: archive[k] for k in archive.files}
+    rows = len(entries["action"]) // 4
+    out = BytesIO()
+    np.savez(out, **{k: v if k.endswith("_id") else v[:rows]
+                     for k, v in entries.items()})
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("damage", [_cut_midway, _drop_state,
                                     _first_quarter])
 def test_meta_train_refuses_damaged_datasets(modular_path, capsys, damage):
-    """A dataset file that is not the one collect wrote, cut mid-line, with
-    a field gone or cut at a line boundary, makes meta-train exit 2 naming
-    it, and no checkpoint is written."""
+    """A dataset file that is not the one collect wrote, cut in the middle,
+    with an entry gone or holding only its first quarter of rows, makes
+    meta-train exit 2 naming it, and no checkpoint is written."""
     out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
     assert main(["--config", str(modular_path), "collect"]) == 0
     manifest = json.loads(
         (out_dir / "datasets" / "manifest.json").read_text())
-    path = out_dir / "datasets" / "city-a.jsonl"
+    path = out_dir / "datasets" / "city-a.npz"
     assert manifest["sha256"] == {
         name: io.file_sha256(out_dir / "datasets" / name)
-        for name in ("city-a.jsonl", "city-b.jsonl")}
-    path.write_text(damage(path.read_text()))
+        for name in ("city-a.npz", "city-b.npz")}
+    path.write_bytes(damage(path.read_bytes()))
     capsys.readouterr()
     assert main(["--config", str(modular_path), "meta-train"]) == 2
     assert str(path) in capsys.readouterr().err
     assert not (out_dir / "meta" / "initialization.json").exists()
 
 
-def _ragged(rows):
+def _ragged(obs):
+    rows = [row for row in obs]
     rows[0] = rows[0][:-1]
-    return rows
+    return np.array(rows, dtype=object)
 
 
-@pytest.mark.parametrize("field, edit, message", [
-    ("obs", _ragged, "obs: setting an array element"),
-    ("obs", lambda obs: obs[:-1], r"shapes\) .* differ from line 1's"),
-    ("state", lambda state: [["many"] + row[1:] for row in state],
-     "state: could not convert"),
-    ("state", lambda state: [[0.5] + row[1:] for row in state],
-     "state must be a finite 2-D array of whole counts >= 0"),
-    ("action", lambda action: "left", "action must be an integer"),
-    ("action", lambda action: 9, "action 9 is not a phase id"),
-    ("action", lambda action: 0, "action 0 is not a phase id"),
-    ("city_id", lambda city: "city-b", "differ from line 1's")],
+def _at_row_2(value):
+    def put(a):
+        a = a.copy()
+        a[2] = value
+        return a
+    return put
+
+
+@pytest.mark.parametrize("entry, edit, message", [
+    ("obs", _ragged, "obs: Object arrays cannot be loaded"),
+    ("obs", lambda obs: obs[:, :-1],
+     r"obs must be a 3-D float64 array whose shape begins \(\d+, 12\)"),
+    ("state", lambda state: np.full(state.shape, "many"),
+     "state must be a 3-D uint8 array .* got a 3-D <U4 one"),
+    ("state", lambda state: state + 0.5,
+     "state must be a 3-D uint8 array .* got a 3-D float64 one"),
+    ("action", lambda action: np.full(action.shape, "left"),
+     "action must be a 1-D int64 array"),
+    ("action", _at_row_2(9), "action 9 is no phase id"),
+    ("action", _at_row_2(0), "action 0 is no phase id"),
+    ("city_id", lambda city: np.array(["city-a", "city-b"]),
+     "city_id must be a 0-D str_ array .* got a 1-D")],
     ids=["ragged-obs", "fewer-lanes", "non-numeric-state", "half-a-vehicle",
          "string-action", "action-9", "action-0", "mixed-cities"])
 def test_meta_train_refuses_malformed_dataset_rows(modular_path, capsys,
-                                                   field, edit, message):
-    """A dataset line whose hash matches but whose row training cannot use
-    makes meta-train exit 2 naming the file and line, before training."""
+                                                   entry, edit, message):
+    """A dataset file whose hash matches but whose entry training cannot
+    use makes meta-train exit 2 naming the file and the entry, before
+    training."""
     out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
     assert main(["--config", str(modular_path), "collect"]) == 0
-    path = out_dir / "datasets" / "city-a.jsonl"
-    lines = path.read_text().splitlines(keepends=True)
-    row = json.loads(lines[2])
-    row[field] = edit(row[field])
-    lines[2] = json.dumps(row) + "\n"
-    path.write_text("".join(lines))
+    path = out_dir / "datasets" / "city-a.npz"
+    with np.load(path) as archive:
+        entries = {k: archive[k] for k in archive.files}
+    entries[entry] = edit(entries[entry])
+    np.savez(path, **entries)
     manifest_path = out_dir / "datasets" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["sha256"][path.name] = io.file_sha256(path)
@@ -563,7 +603,7 @@ def test_meta_train_refuses_malformed_dataset_rows(modular_path, capsys,
     capsys.readouterr()
     assert main(["--config", str(modular_path), "meta-train"]) == 2
     err = capsys.readouterr().err
-    assert f"{path} line 3" in err
+    assert str(path) in err
     assert re.search(message, err)
     assert not (out_dir / "meta").exists()
 
@@ -670,7 +710,8 @@ def test_seq_pretrain_stage_chain_reproduces_run(config_path):
     g0 = DynamicsModel(default_dynamics_net(lanes, grids, exp.dyn_hidden,
                                             seed=stage_seeds(0)["net"]),
                        lanes, grids)
-    datasets = [io.load_dataset(out_dir / "datasets" / f"{src.name}.jsonl")
+    datasets = [io.load_dataset(io.dataset_path(out_dir / "datasets",
+                                                src.name))
                 for src in exp.sources]
     want = seq_pretrain(datasets, exp.maml, g0,
                         dist_config_for(exp, exp.target),

@@ -4,6 +4,8 @@ trips, and byte-level reproducibility of CSV outputs."""
 import hashlib
 import json
 import re
+import time
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -594,6 +596,22 @@ def test_golden_monolithic_pin(tmp_path):
             metrics.avg_queue_length) == GOLDEN_MONOLITHIC
 
 
+def test_monolithic_arm_plans_at_horizon_zero_under_any_horizon(tmp_path):
+    """The monolithic net reads observations, so its planner cannot roll
+    forward: under the tiny config's horizon 2, ``monolithic_adapt`` runs
+    and ``evaluate_planner`` scores it, bit for bit as under horizon 0."""
+    cfg = tiny_config(tmp_path, episode_s=100)
+    assert cfg.horizon == 2
+    datasets = collect_source_datasets(cfg, stage_seeds(0)["collect"])
+    runs = []
+    for sub in (cfg, replace(cfg, horizon=0)):
+        est, dyn, interactions = monolithic_adapt(sub, 0, datasets)
+        metrics, _ = runners.evaluate_planner(sub, est, dyn, 0)
+        runs.append((dyn.net.params.tobytes(), interactions, metrics))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == cfg.adapt.target_episode_budget
+
+
 def test_monolithic_adapt_fits_one_net_on_the_growing_observations(
         tmp_path, monkeypatch):
     """The monolithic arm spends its budget in ``meta.spend_budget`` too:
@@ -840,62 +858,135 @@ def test_checkpoint_rejects_nonfinite(tmp_path):
         io.load_checkpoint(path)
 
 
-def test_dataset_jsonl_roundtrip(tmp_path):
-    from gridlight.baselines import FixedTimeController
-    from gridlight.meta import collect_experience
-
+def _small_dataset() -> TaskDataset:
     sc = desk_city_a(episode_s=100)
-    ds = collect_experience(lambda s: sc.make(s), FixedTimeController(),
-                            episodes=1, rng=np.random.default_rng(0),
-                            city_id="a", intervals=sc.intervals)
-    path = tmp_path / "a.jsonl"
+    return collect_experience(lambda s: sc.make(s), FixedTimeController(),
+                              episodes=1, rng=np.random.default_rng(0),
+                              city_id="a", intervals=sc.intervals)
+
+
+def test_dataset_npz_roundtrip(tmp_path):
+    ds = _small_dataset()
+    path = io.dataset_path(tmp_path, ds.city_id)
+    assert path == tmp_path / "a.npz"
     io.save_dataset(path, ds)
-    assert {tuple(json.loads(line)) for line in path.open()} == {
-        ("city_id", "schema_id", "obs", "state", "action", "state_next")}
+    with zipfile.ZipFile(path) as archive:
+        assert sorted((i.filename, i.compress_type)
+                      for i in archive.infolist()) == sorted(
+            (f"{name}.npy", zipfile.ZIP_STORED)
+            for name in ("city_id", "schema_id", *COLUMNS))
     back = io.load_dataset(path)
-    assert len(back) == len(ds)
-    assert back.schema_id == ds.schema_id
+    assert (back.city_id, back.schema_id) == (ds.city_id, ds.schema_id)
+    assert type(back.city_id) is str and type(back.schema_id) is str
     for column in COLUMNS:
         got, want = getattr(back, column), getattr(ds, column)
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
-    # the file holds the same bytes as one written from int64 states, so
-    # the dataset hashes of earlier manifests still match
-    wide = TaskDataset(ds.city_id, ds.schema_id, ds.obs,
-                       ds.state.astype(np.int64), ds.action,
-                       ds.state_next.astype(np.int64))
-    io.save_dataset(tmp_path / "wide.jsonl", wide)
-    assert (tmp_path / "wide.jsonl").read_bytes() == path.read_bytes()
 
 
-def test_dataset_load_names_the_damaged_line(tmp_path):
-    from gridlight.baselines import FixedTimeController
-    from gridlight.meta import collect_experience
+def test_dataset_saves_are_byte_identical(tmp_path, monkeypatch):
+    """A save a day later writes the same bytes: every entry carries one
+    fixed date, not the clock's."""
+    ds = _small_dataset()
+    io.save_dataset(tmp_path / "now.npz", ds)
+    later = time.time() + 86_400
+    monkeypatch.setattr(time, "time", lambda: later)
+    io.save_dataset(tmp_path / "tomorrow.npz", ds)
+    assert (tmp_path / "now.npz").read_bytes() == \
+        (tmp_path / "tomorrow.npz").read_bytes()
+    with zipfile.ZipFile(tmp_path / "tomorrow.npz") as archive:
+        assert {i.date_time for i in archive.infolist()} == {
+            (1980, 1, 1, 0, 0, 0)}
 
-    sc = desk_city_a(episode_s=100)
-    ds = collect_experience(lambda s: sc.make(s), FixedTimeController(),
-                            episodes=1, rng=np.random.default_rng(0),
-                            city_id="a", intervals=sc.intervals)
-    path = tmp_path / "a.jsonl"
+
+def _other_rows(a):
+    return a[:-1]
+
+
+def _other_lanes(a):
+    return a[:, :-1]
+
+
+def _at_index_5(value):
+    def put(a):
+        a = a.copy()
+        a.flat[5] = value
+        return a
+    return put
+
+
+def _not_an_archive(path, columns):
+    path.write_text("not an archive\n")
+
+
+def _cut_archive(path, columns):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def _bare_npy(path, columns):
+    with path.open("wb") as fh:
+        np.save(fh, columns["state"])
+
+
+def _without_state(path, columns):
+    np.savez(path, **{k: v for k, v in columns.items() if k != "state"})
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_not_an_archive, "not an archive: "),
+    (_cut_archive, "not an archive: File is not a zip file"),
+    (_bare_npy, "not an archive$"),
+    (_without_state, "state: .*state is not a file in the archive"),
+    ({"state": lambda a: a.astype(np.float64)},
+     r"state must be a 3-D uint8 array .* got a 3-D float64 one"),
+    ({"state": lambda a: a + 0.5},
+     r"state must be a 3-D uint8 array .* got a 3-D float64 one"),
+    ({"state_next": lambda a: a.astype(np.int64)},
+     r"state_next must be a 3-D uint8 array .* got a 3-D int64 one"),
+    ({"obs": _at_index_5(np.nan)}, "obs must be finite"),
+    ({"obs": _at_index_5(-np.inf)}, "obs must be finite"),
+    ({"obs": lambda a: a[0]}, r"obs must be a 3-D float64 array .* got a 2-D"),
+    ({"action": _at_index_5(0)},
+     "action 0 is no phase id"),
+    ({"action": _at_index_5(9)},
+     "action 9 is no phase id"),
+    ({"action": _other_rows},
+     r"action must be .* whose shape begins \(20,\), .* shape \(19,\)"),
+    ({"state_next": _other_rows}, r"begins \(20, 12, 12\), .* \(19, 12, 12\)"),
+    ({"state_next": _other_lanes}, r"begins \(20, 12, 12\), .* \(20, 11, 12\)"),
+    ({"obs": _other_rows}, r"obs must .* begins \(20, 12\), .* \(19, 12, 2\)"),
+    ({"obs": _other_lanes}, r"obs must .* begins \(20, 12\), .* \(20, 11, 2\)"),
+    ({"city_id": lambda a: np.array(5)},
+     "city_id must be a 0-D str_ array .* got a 0-D int64 one"),
+    ({"city_id": lambda a: np.array(["a", "b"])},
+     "city_id must be a 0-D str_ array .* got a 1-D <U1 one"),
+    ({"schema_id": lambda a: np.array("SCHEMA_C")},
+     "has 2 observation features, schema 'SCHEMA_C' has"),
+    ({c: (lambda a: a[:0]) for c in COLUMNS}, "task dataset 'a' is empty"),
+], ids=["not-an-archive", "cut-archive", "bare-npy", "missing-state",
+        "float-states", "fractional-states", "wide-next-states", "nan-obs",
+        "inf-obs", "obs-rank-2", "action-0", "action-9", "action-rows",
+        "state-next-rows", "state-next-lanes", "obs-rows", "obs-lanes",
+        "city-id-int", "city-id-two", "schema-of-another-width", "empty"])
+def test_dataset_load_names_the_damaged_entry(tmp_path, damage, message):
+    """Each refusal of ``io.load_dataset``, on a file whose other entries
+    are the ones ``save_dataset`` wrote, is a ConfigurationError naming the
+    file and what is wrong."""
+    ds = _small_dataset()
+    path = tmp_path / "a.npz"
     io.save_dataset(path, ds)
-    lines = path.read_text().splitlines(keepends=True)
-    row = json.loads(lines[2])
-    state = row.pop("state")
-
-    def with_line_3(doc):
-        return lines[:2] + [json.dumps(doc) + "\n"] + lines[3:]
-
-    for damaged, message in (
-            (lines[:2] + [lines[2][:36]], "line 3: Unterminated string"),
-            (with_line_3(row), r"line 3 is missing fields \['state'\]"),
-            (with_line_3({**row, "state": [[300] + r[1:] for r in state]}),
-             "line 3: state must be a finite 2-D array of whole counts >= 0 "
-             "and <= 255"),
-            (with_line_3({**row, "state": [["many"] + r[1:] for r in state]}),
-             "line 3: state: could not convert")):
-        path.write_text("".join(damaged))
-        with pytest.raises(ConfigurationError, match=message):
-            io.load_dataset(path)
+    columns = {"city_id": np.array(ds.city_id),
+               "schema_id": np.array(ds.schema_id),
+               **{c: getattr(ds, c) for c in COLUMNS}}
+    if callable(damage):
+        damage(path, columns)
+    else:
+        np.savez(path, **{k: damage.get(k, lambda a: a)(v)
+                          for k, v in columns.items()})
+    with pytest.raises(ConfigurationError) as refused:
+        io.load_dataset(path)
+    assert str(path) in str(refused.value)
+    assert re.search(message, str(refused.value)), str(refused.value)
 
 
 def test_scenario_json_roundtrip():
