@@ -87,8 +87,8 @@ def load_dataset(path) -> TaskDataset:
     cannot use raises ConfigurationError naming the file and the entry."""
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise ConfigurationError(f"{path}: not an archive: {exc}") from exc
+    except (ValueError, zipfile.BadZipFile) as exc:  # neither .npz nor .npy
+        raise ConfigurationError(f"{path}: not an archive") from exc
     if not isinstance(archive, np.lib.npyio.NpzFile):  # a bare .npy
         raise ConfigurationError(f"{path}: not an archive")
     entries = {}

@@ -515,22 +515,25 @@ def _cut_midway(data: bytes) -> bytes:
     return data[:len(data) // 2]
 
 
-def _drop_state(data: bytes) -> bytes:
+def _rewritten(data: bytes, edit) -> bytes:
+    """Dataset archive ``data`` with its entries, by name, passed through
+    ``edit``."""
     with np.load(BytesIO(data)) as archive:
-        entries = {k: archive[k] for k in archive.files if k != "state"}
+        entries = edit({k: archive[k] for k in archive.files})
     out = BytesIO()
     np.savez(out, **entries)
     return out.getvalue()
 
 
+def _drop_state(data: bytes) -> bytes:
+    return _rewritten(data, lambda entries: {
+        k: v for k, v in entries.items() if k != "state"})
+
+
 def _first_quarter(data: bytes) -> bytes:
-    with np.load(BytesIO(data)) as archive:
-        entries = {k: archive[k] for k in archive.files}
-    rows = len(entries["action"]) // 4
-    out = BytesIO()
-    np.savez(out, **{k: v if k.endswith("_id") else v[:rows]
-                     for k, v in entries.items()})
-    return out.getvalue()
+    return _rewritten(data, lambda entries: {
+        k: v if k.endswith("_id") else v[:len(entries["action"]) // 4]
+        for k, v in entries.items()})
 
 
 @pytest.mark.parametrize("damage", [_cut_midway, _drop_state,
@@ -592,10 +595,8 @@ def test_meta_train_refuses_malformed_dataset_rows(modular_path, capsys,
     out_dir = Path(json.loads(modular_path.read_text())["out_dir"])
     assert main(["--config", str(modular_path), "collect"]) == 0
     path = out_dir / "datasets" / "city-a.npz"
-    with np.load(path) as archive:
-        entries = {k: archive[k] for k in archive.files}
-    entries[entry] = edit(entries[entry])
-    np.savez(path, **entries)
+    path.write_bytes(_rewritten(path.read_bytes(), lambda entries: {
+        **entries, entry: edit(entries[entry])}))
     manifest_path = out_dir / "datasets" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["sha256"][path.name] = io.file_sha256(path)
