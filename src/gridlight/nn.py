@@ -9,6 +9,12 @@ return new parameter vectors. That lets training loops hold several
 parameter versions of the same architecture at once, which the meta-training
 inner loop relies on.
 
+The softplus output is log1p(e) + max(z, 0) with e = e^-|z|, one
+exponential that its gradient reuses. numpy's exp and log1p take SIMD loops
+where the CPU has them (AVX-512 on x86-64), whose last bits can differ from
+libm's by a few ULP, so trained parameters differ in their last bits between
+the two math paths.
+
 Loss functions follow one convention: ``loss_fn(pred, target)`` receives
 2-D arrays (batch x out) and returns ``(mean_loss, d mean_loss / d pred)``.
 """
@@ -88,13 +94,20 @@ def _layer_views(sizes: tuple[int, ...], params: np.ndarray):
     return views
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+def _softplus(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + e^z) as log1p(e) + max(z, 0), with e = e^-|z| returned too:
+    the output gradient reuses it. e never overflows, and numpy's SIMD
+    exp and log1p do the work."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    a = np.maximum(z, 0.0)
+    a += np.log1p(e)
+    return a, e
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp of -|z| never overflows: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below
-    e = np.exp(-np.abs(z))
+def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # e is e^-|z|: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below
     d = 1.0 + e
     return np.where(z >= 0, 1.0 / d, e / d)
 
@@ -106,22 +119,24 @@ def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: Net, x2: np.ndarray, params: np.ndarray):
-    """Forward pass keeping pre-activations and activations per layer."""
+    """Forward pass keeping pre-activations and activations per layer,
+    and the output softplus's e^-|z| (None for an identity output)."""
     views = _layer_views(net.layer_sizes, params)
     acts = [x2]
     pre = []
     a = x2
+    e = None
     for k, (w, b) in enumerate(views):
         z = _affine(a, w, b)
         pre.append(z)
         if k < len(views) - 1:
             a = np.maximum(z, 0.0)
         elif net.output_activation == "softplus":
-            a = _softplus(z)
+            a, e = _softplus(z)
         else:
             a = z
         acts.append(a)
-    return acts, pre
+    return acts, pre, e
 
 
 def _as_batch(net: Net, x) -> tuple[np.ndarray, bool]:
@@ -146,7 +161,7 @@ def forward(net: Net, x) -> np.ndarray:
         if k < len(views) - 1:
             np.maximum(a, 0.0, out=a)
         elif net.output_activation == "softplus":
-            np.logaddexp(0.0, a, out=a)
+            a = _softplus(a)[0]
     return a[0] if single else a
 
 
@@ -160,7 +175,7 @@ def loss_and_grad(net: Net, loss_fn: LossFn, inputs, targets,
     t2 = np.asarray(targets, dtype=np.float64)
     if t2.ndim == 1:
         t2 = t2[None, :]
-    acts, pre = _forward_cached(net, x2, p)
+    acts, pre, e = _forward_cached(net, x2, p)
     loss, d_out = loss_fn(acts[-1], t2)
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != acts[-1].shape:
@@ -172,8 +187,8 @@ def loss_and_grad(net: Net, loss_fn: LossFn, inputs, targets,
     views = _layer_views(net.layer_sizes, grad_vec)
     w_views = _layer_views(net.layer_sizes, p)
     dz = d_out
-    if pre and net.output_activation == "softplus":
-        dz = _sigmoid(pre[-1])
+    if e is not None:
+        dz = _sigmoid(pre[-1], e)
         dz *= d_out
     for k in range(len(views) - 1, -1, -1):
         gw, gb = views[k]
@@ -195,6 +210,13 @@ def _step_operands(params, grad_vec) -> tuple[np.ndarray, np.ndarray]:
     return params, grad_vec
 
 
+def _check_lr(lr: float) -> None:
+    # zero is allowed: a zero outer_lr leaves MAML's start where it is
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ConfigurationError(
+            f"learning rate must be finite and >= 0, got {lr}")
+
+
 @dataclass
 class SGD:
     """Plain gradient descent with functional steps."""
@@ -202,8 +224,7 @@ class SGD:
     lr: float
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigurationError(f"learning rate must be >= 0, got {self.lr}")
+        _check_lr(self.lr)
 
     def step(self, params: np.ndarray, grad_vec: np.ndarray) -> np.ndarray:
         params, grad_vec = _step_operands(params, grad_vec)
@@ -221,6 +242,9 @@ class Adam:
     _m: np.ndarray | None = field(default=None, repr=False)
     _v: np.ndarray | None = field(default=None, repr=False)
     _t: int = field(default=0, repr=False)
+
+    def __post_init__(self):
+        _check_lr(self.lr)
 
     def step(self, params: np.ndarray, grad_vec: np.ndarray) -> np.ndarray:
         """Update the moments in place and return new parameters, in a
@@ -296,7 +320,7 @@ def _nudge_from_kinks(net: Net, x2: np.ndarray, params: np.ndarray,
     params = params.copy()
     rng = np.random.default_rng(seed)
     for attempt in range(40):
-        acts, pre = _forward_cached(net, x2, params)
+        acts, pre, _ = _forward_cached(net, x2, params)
         if len(pre) <= 1:
             break
         scale = max(1.0, max(float(np.abs(a).max(initial=0.0)) for a in acts))
@@ -338,7 +362,7 @@ def grad_check(net: Net, loss_fn: LossFn, inputs, targets, eps: float = 1e-5,
         idx = rng.choice(p.size, size=200, replace=False)
 
     def f(pv: np.ndarray) -> float:
-        acts, _ = _forward_cached(net, x2, pv)
+        acts, _, _ = _forward_cached(net, x2, pv)
         return loss_fn(acts[-1], t2)[0]
 
     floor = 1e-4 * max(1e-8, float(np.abs(analytic).max()))

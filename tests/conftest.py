@@ -3,13 +3,26 @@ exited and unreaped, and OpenBLAS's thread count as it found it. Also the
 failures the tests of forked children inject."""
 
 import contextlib
+import math
 import os
 import time
 
+import numpy as np
 import pytest
 
 from gridlight.errors import ConfigurationError
 from gridlight.meta import _openblas_threads
+
+
+def _simd_math() -> bool:
+    z = np.linspace(-30.0, 30.0, 601)
+    return any(float(a) != math.exp(v) for a, v in zip(np.exp(z), z.tolist()))
+
+
+# Whether numpy's exp takes a SIMD loop (AVX-512 on x86-64) whose last bits
+# differ from libm's. Trained parameters differ between the two math paths,
+# so the pins of parameter hashes hold one value per path.
+SIMD_MATH = _simd_math()
 
 
 def assert_no_child_left():

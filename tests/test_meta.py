@@ -6,15 +6,21 @@ during meta-training and fit the estimator during adaptation."""
 
 import hashlib
 import os
+import platform
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FAILURES, assert_no_child_left, fail_in, no_child_left
+from conftest import (
+    FAILURES, SIMD_MATH, assert_no_child_left, fail_in, no_child_left)
 
+import gridlight
 from gridlight import meta, nn
 from gridlight.baselines import FixedTimeController, MaxPressureController
 from gridlight.errors import ConfigurationError, ShapeError
@@ -471,9 +477,14 @@ def test_adapt_budget_validation():
         AdaptConfig(lr=1e-3, target_episode_budget=0)
 
 
-GOLDEN_ADAPT = (
-    "15486399f397bd5b06bd205bd22a7f05ce2e97cc84cb3f64530ea21a749807bb",
-    "9c761af4407f7be73dd35785eee9ff3097a4a52be8d45c45bc2a5bba1d6dbe10")
+# by numpy's math path: SIMD_MATH is True where exp takes AVX-512 loops
+GOLDEN_ADAPT_BY_PATH = {
+    True: ("319186ae140615bd8e3d18ac7e0ac6cf9dc835b0c54646d6070081796fe4ddcf",
+           "6278b406cf3220ad075a45a1902b3d35cb4e4555736613d31fcd619396188465"),
+    False: ("474ffdca1fe5414572bce8009e42a076e7884ac1465ec46b23a6059cdbc71c00",
+            "93c0dbe01e782dc235e4e4ed35cbe8dbb0a63557492234e931c7d41bf2af33e8"),
+}
+GOLDEN_ADAPT = GOLDEN_ADAPT_BY_PATH[SIMD_MATH]
 
 
 def golden_adaptation(budget: int, **scored):
@@ -500,8 +511,29 @@ def param_hashes(*models) -> tuple[str, ...]:
 def test_golden_adapt_pin():
     """The sha256 of the adapted estimator's and dynamics net's params,
     recorded when adaptation stepped both nets in one hand-written
-    minibatch loop."""
+    minibatch loop. While softplus was ``np.logaddexp`` the SIMD path read
+    (15486399..., 9c761af4...) and the libm path as it does now."""
     assert golden_adaptation(2) == GOLDEN_ADAPT
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="X86_V4 names numpy's x86-64 AVX-512 loops")
+def test_golden_adapt_pin_without_avx512():
+    """With numpy's AVX-512 loops disabled, as on an x86-64 host without
+    them, adaptation reads the libm path's pin."""
+    code = ("from conftest import SIMD_MATH\n"
+            "from test_meta import golden_adaptation\n"
+            "print(SIMD_MATH, *golden_adaptation(2))")
+    path = [str(Path(__file__).parent),
+            str(Path(gridlight.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
+               PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy does not know X86_V4 and kept its SIMD exp")
+    assert tuple(out[1:]) == GOLDEN_ADAPT_BY_PATH[False]
 
 
 def test_a_smaller_budget_is_a_prefix_of_a_larger_one():

@@ -149,6 +149,20 @@ def test_sgd_step():
     assert np.array_equal(same, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("opt", [nn.SGD, nn.Adam])
+@pytest.mark.parametrize("lr", [-1e-3, float("nan"), float("inf"),
+                                float("-inf")])
+def test_optimizers_refuse_a_learning_rate_not_finite_and_nonnegative(opt, lr):
+    with pytest.raises(ConfigurationError, match="learning rate must be"):
+        opt(lr=lr)
+
+
+@pytest.mark.parametrize("opt", [nn.SGD, nn.Adam])
+def test_a_zero_learning_rate_leaves_params_as_they_are(opt):
+    p = np.array([1.0, 2.0])
+    assert np.array_equal(opt(lr=0.0).step(p, np.array([0.5, -0.5])), p)
+
+
 def test_sgd_step_roundtrip():
     rng = np.random.default_rng(0)
     p = rng.normal(size=20)
@@ -246,23 +260,46 @@ def _sigmoid_masked(z):
     return out
 
 
-def test_sigmoid_matches_masked_form_bit_for_bit():
-    rng = np.random.default_rng(0)
-    z = np.concatenate([rng.normal(0.0, 4.0, 200_000),
-                        rng.normal(0.0, 300.0, 50_000),
-                        [0.0, -0.0, 1e-300, -1e-300, 709.0, -745.0, 800.0,
-                         -800.0, np.inf, -np.inf]])
-    assert np.array_equal(nn._sigmoid(z), _sigmoid_masked(z))
-    z2 = z[:1200].reshape(40, 30)
-    assert np.array_equal(nn._sigmoid(z2), _sigmoid_masked(z2))
+# pre-activations at the limits of float64 and of exp
+EDGE_Z = [0.0, -0.0, 1e-300, -1e-300, 709.0, -745.0, 800.0, -800.0, np.inf,
+          -np.inf]
 
+
+def activation_grid():
+    rng = np.random.default_rng(0)
+    return np.concatenate([rng.normal(0.0, 4.0, 200_000),
+                           rng.normal(0.0, 300.0, 50_000), EDGE_Z])
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit():
+    z = activation_grid()
+    assert np.array_equal(nn._sigmoid(z, nn._softplus(z)[1]),
+                          _sigmoid_masked(z))
+    z2 = z[:1200].reshape(40, 30)
+    assert np.array_equal(nn._sigmoid(z2, nn._softplus(z2)[1]),
+                          _sigmoid_masked(z2))
+
+
+def test_softplus_is_within_4_ulp_of_logaddexp():
+    z = activation_grid()
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = nn._softplus(z)[0]
+        nan = nn._softplus(np.array([np.nan]))[0]
+    want = np.logaddexp(0.0, z)
+    assert np.all(got >= 0.0)
+    # both are >= 0, where float64 bits order like the integers they view
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+    edges = np.array(EDGE_Z)
+    assert (nn._softplus(edges)[0].tobytes()
+            == np.logaddexp(0.0, edges).tobytes())
+    assert np.isnan(nan[0])
 
 
 def _loss_and_grad_every_layer(net, loss_fn, inputs, targets):
     """The backward loop ``nn.loss_and_grad`` had before it stopped
     forming the first layer's input gradient; kept as its oracle."""
     x2 = np.asarray(inputs, dtype=np.float64)
-    acts, pre = nn._forward_cached(net, x2, net.params)
+    acts, pre, e = nn._forward_cached(net, x2, net.params)
     loss, d_out = loss_fn(acts[-1], np.asarray(targets, dtype=np.float64))
     grad_vec = np.zeros_like(net.params)
     views = nn._layer_views(net.layer_sizes, grad_vec)
@@ -272,7 +309,7 @@ def _loss_and_grad_every_layer(net, loss_fn, inputs, targets):
         z = pre[k]
         if k == len(views) - 1:
             if net.output_activation == "softplus":
-                dz = da * nn._sigmoid(z)
+                dz = da * nn._sigmoid(z, e)
             else:
                 dz = da
         else:
