@@ -245,6 +245,14 @@ class Adam:
 
     def __post_init__(self):
         _check_lr(self.lr)
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not (np.isfinite(beta) and 0 <= beta < 1):
+                raise ConfigurationError(
+                    f"{name} must be finite and in [0, 1), got {beta}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ConfigurationError(
+                f"eps must be finite and > 0, got {self.eps}")
 
     def step(self, params: np.ndarray, grad_vec: np.ndarray) -> np.ndarray:
         """Update the moments in place and return new parameters, in a

@@ -47,10 +47,17 @@ the lanes or vehicles on the network:
   within a grid, so the walk jumps past a whole grid once one of its
   vehicles is blocked, and each lane keeps its segment counts as vehicles
   move, so the samples and the stationary count need no rescan.
-* Entries. The entry step scans the scenario's entry lanes, a few per
-  city, and takes each one's due vehicles from the front of its own
-  queue, which a reset sorts by scheduled tick; a due vehicle waits there
-  while its origin grid is full.
+* Entries. A per-tick entry calendar lists each entry lane at its next
+  vehicle's scheduled tick; the entry step takes the listed lanes' due
+  vehicles from the front of their own queues, which a reset sorts by
+  scheduled tick. A due vehicle waits there while its origin grid is
+  full: its lane is listed again on the next tick, or, when the full grid
+  holds a settled walked front, parked until a vehicle leaves the lane.
+* Interval ends. A registry holds the approach lanes that hold a vehicle,
+  or held one during this interval: the entry and crossing steps add a
+  lane when it gains a vehicle, and an interval that opens with it empty
+  drops it. The counter resets and statistics at interval ends, and the
+  queue windows the queries sum, visit these lanes only.
 
 ``validate=True`` checks all of this bookkeeping against recounts on
 every tick.
@@ -187,6 +194,14 @@ class Sim:
         # per tick, the approach lanes whose first free vehicle may come
         # within one grid of the walked tail at its start
         self._meets: defaultdict[int, list[_Lane]] = defaultdict(list)
+        # approach lanes that hold a vehicle or held one this interval;
+        # every other approach lane is empty with zero interval counters
+        self._held: dict[_Lane, None] = {}
+        # per tick, the entry lanes whose first pending vehicle is due and
+        # may find room; a lane whose full origin grid holds a settled
+        # walked front is parked instead, until it wakes
+        self._entries: defaultdict[int, list[_Lane]] = defaultdict(list)
+        self._parked: set[_Lane] = set()
         # per lane, the segment samples recounted so far this interval
         # (validate=True)
         self._tally: dict[_Lane, list[int]] = {}
@@ -288,7 +303,7 @@ class Sim:
         for lane, vs in per_lane.items():
             vs.sort(key=lambda v: (v.sched_s, v.vid))
             lane.pending = deque(vs)
-        self._entry_lanes = list(per_lane)
+            self._entries[max(vs[0].sched_s, 0)].append(lane)
 
     # -- queries -----------------------------------------------------------
 
@@ -342,23 +357,25 @@ class Sim:
         Upstream is the approach lane's occupancy over the state window;
         downstream is the mean occupancy of the receiving link's lanes over
         the same window: the exact integer sum over the lane count, which
-        is the correctly rounded mean. The first read after a step sums
-        every lane's window once for all nodes.
+        is the correctly rounded mean. The first read after a step sums the
+        window of every lane that can hold a vehicle once for all nodes:
+        the registry's approach lanes and the exit lanes with vehicles
+        shown; any other lane is empty.
         """
         moves = self._of_node(self._movements, node)
         if self._window_clock != self.clock:
             n = self.network.state_grids
             self._window = {lane: sum(lane.occ[:n])
-                            for lane in self._all_lanes}
+                            for lane in chain(self._held, self._exit_shown)}
             self._window_clock = self.clock
         window = self._window
         down = {}
         out = {}
         for key, lane, dlink in moves:
             if dlink not in down:
-                down[dlink] = (sum([window[ln] for ln in dlink.lanes])
+                down[dlink] = (sum([window.get(ln, 0) for ln in dlink.lanes])
                                / len(dlink.lanes))
-            out[key] = (float(window[lane]), down[dlink])
+            out[key] = (float(window.get(lane, 0)), down[dlink])
         return out
 
     def _per_node(self, values: np.ndarray) -> dict:
@@ -440,14 +457,22 @@ class Sim:
         if len(actions) != len(self.nodes):
             raise ConfigurationError("one action per intersection required")
 
-        ready = 0  # every lane regains its pass capacity
-        for lane in self._approach_lanes:
+        # every lane regains its pass capacity; a lane that opens the
+        # interval empty leaves the registry with its statistics zeroed,
+        # as this interval's end would leave them
+        ready = 0
+        held = self._held
+        for lane in held:
             lane.crossings = 0
             lane.mid_passes = 0
             lane.seg_moves[0] = lane.seg_moves[1] = 0
             lane.seg_samples[0] = lane.seg_samples[1] = 0
-            if lane.vehs and lane.vehs[0].grid == 0:
+            if not lane.vehs:
+                lane.last_crossings = lane.last_mid_passes = 0
+                lane.last_seg_speed = (0.0, 0.0)
+            elif lane.vehs[0].grid == 0:
                 ready |= lane.bit
+        self._held = {lane: None for lane in held if lane.vehs}
         self._ready = ready
 
         exited_before = self.exited
@@ -456,7 +481,7 @@ class Sim:
             self._tick(permit, last=(k == interval_s - 1))
 
         stationary_total = 0
-        for lane in self._approach_lanes:
+        for lane in self._held:
             lane.last_crossings = lane.crossings
             lane.last_mid_passes = lane.mid_passes
             (m0, m1), (s0, s1) = lane.seg_moves, lane.seg_samples
@@ -486,6 +511,7 @@ class Sim:
         active = self._active
         settled = self._settled
         meets = self._meets
+        entries = self._entries
         wake = self._wake
         admit = self._admit
         ready = self._ready
@@ -567,7 +593,7 @@ class Sim:
         # part whose walk moved nothing settles until a vehicle leaves or
         # joins it, and the lane order is free.
         if last:
-            for lane in self._approach_lanes:
+            for lane in self._held:
                 lane.stationary = 0
             for lane, since in settled.items():
                 lane.seg_samples[0] += lane.seg_count[0] * (stamp - since)
@@ -628,9 +654,12 @@ class Sim:
             del active[lane]
             settled[lane] = stamp
 
-        # 5. scheduled entries: each entry lane's due vehicles, in schedule
-        # order, while its origin grid has room
-        for lane in self._entry_lanes:
+        # 5. scheduled entries, on the lanes the entry calendar lists for
+        # this tick: each one's due vehicles, in schedule order, while its
+        # origin grid has room. A full grid of walked vehicles stays full
+        # while their walk is settled, so the lane parks until it wakes;
+        # otherwise it tries again on the next tick.
+        for lane in entries.pop(t, ()):
             pending = lane.pending
             vehs = lane.vehs
             while pending and pending[0].sched_s <= t:
@@ -641,6 +670,10 @@ class Sim:
                     last_in = vehs[k]
                     if last_in.grid == top and (k < lane.walked
                                                 or last_in.moved_tick == t):
+                        if k < lane.walked and lane in settled:
+                            self._parked.add(lane)
+                        else:
+                            entries[stamp].append(lane)
                         break
                 v = pending.popleft()
                 v.enter_s = stamp
@@ -650,6 +683,9 @@ class Sim:
                 if (admit(lane, v, t, stamp) and not top
                         and lane.crossings < n_cross):
                     ready |= lane.bit
+            else:
+                if pending:
+                    entries[pending[0].sched_s].append(lane)
 
         self._ready = ready
         self.clock = stamp
@@ -686,6 +722,7 @@ class Sim:
         tail = vehs[w - 1].grid if w else 0
         lane.occ[top] += 1
         vehs.append(v)
+        self._held[lane] = None
         if tail >= top - 1:
             self._wake(lane, upto)
             lane.walked = w + 1
@@ -696,11 +733,16 @@ class Sim:
 
     def _wake(self, lane: _Lane, upto: int):
         """Walk the lane from now on. A settled walked part first adds the
-        segment samples it owes for the ticks before ``upto``."""
+        segment samples it owes for the ticks before ``upto``, and a parked
+        entry lane is listed for the entry step of tick ``upto``, the first
+        one still to run."""
         since = self._settled.pop(lane, None)
         if since is not None:
             lane.seg_samples[0] += lane.seg_count[0] * (upto - since)
             lane.seg_samples[1] += lane.seg_count[1] * (upto - since)
+            if lane in self._parked:
+                self._parked.remove(lane)
+                self._entries[upto].append(lane)
         self._active[lane] = None
 
     def _join(self, lane: _Lane, t: int):
@@ -787,6 +829,14 @@ class Sim:
                                 if len(ln.vehs) > ln.walked}
                 or min(self._meets, default=stamp) < stamp):
             raise RuntimeError(f"meeting calendar differs at t={stamp}")
+        # each entry lane with a pending vehicle listed once, at its first
+        # vehicle's scheduled tick or the next one, or parked
+        listed = {ln: tick for tick, lanes in self._entries.items()
+                  for ln in lanes}
+        if (len(listed) != sum(map(len, self._entries.values()))
+                or listed.keys() & self._parked):
+            raise RuntimeError(f"entry calendar differs at t={stamp}")
+        waiting = 0
         exit_lanes = [ln for ln in self._all_lanes if not ln.bit]
         fifo = [v for v, _ in self._exits]
         if (sorted(fifo, key=lambda v: v.moved_tick) != fifo
@@ -820,6 +870,26 @@ class Sim:
             w = lane.walked
             if not 0 <= w <= len(vehs):
                 raise RuntimeError(f"walked count out of range at t={stamp}")
+            if lane not in self._held and (
+                    vehs or lane.crossings or lane.mid_passes
+                    or lane.seg_moves != [0, 0] or lane.seg_samples != [0, 0]
+                    or lane.stationary or lane.last_crossings
+                    or lane.last_mid_passes or any(lane.last_seg_speed)):
+                raise RuntimeError(
+                    f"lane outside the registry holds a vehicle or a count "
+                    f"at t={stamp}")
+            if lane.pending:
+                waiting += 1
+                if lane in self._parked:
+                    # a settled walked front fills the top grid
+                    placed = (lane in settled and w >= cap
+                              and vehs[w - cap].grid == top)
+                else:
+                    placed = (listed.get(lane)
+                              == max(lane.pending[0].sched_s, stamp))
+                if not placed:
+                    raise RuntimeError(
+                        f"entry lane neither listed nor parked at t={stamp}")
             if w == len(vehs):
                 grids = walked = [v.grid for v in vehs]
                 free = []
@@ -875,6 +945,8 @@ class Sim:
                         f"stationary count differs at t={stamp}")
         if self._ready != ready:
             raise RuntimeError(f"stop-line mask differs at t={stamp}")
+        if waiting != len(listed) + len(self._parked):
+            raise RuntimeError(f"entry calendar differs at t={stamp}")
 
 
 def _counts(grids: list[int], length: int) -> list[int]:

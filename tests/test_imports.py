@@ -152,6 +152,55 @@ def test_scan_finds_a_fork_outside_the_child():
                                               "gridlight/x.py:1"]
 
 
+# The simulator's per-tick and per-interval methods, and the lane lists
+# whose every lane they must not visit: they walk the lanes that can act.
+SIM_HOT_METHODS = ("step", "_tick", "movement_queues")
+SIM_FULL_LANE_LISTS = ("_approach_lanes", "_all_lanes", "_entry_lanes")
+
+
+def full_lane_loops(trees: dict[str, ast.Module]) -> list[str]:
+    """``method:line`` of each loop or comprehension in ``Sim``'s
+    ``SIM_HOT_METHODS`` of ``gridlight/sim/engine.py`` whose iterable reads
+    one of ``SIM_FULL_LANE_LISTS``."""
+    found = []
+    tree = trees.get("gridlight/sim/engine.py", ast.Module(body=[]))
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "Sim"):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef)
+                    and fn.name in SIM_HOT_METHODS):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.For, ast.comprehension)) and any(
+                        isinstance(n, ast.Attribute)
+                        and n.attr in SIM_FULL_LANE_LISTS
+                        for n in ast.walk(node.iter)):
+                    found.append(f"{fn.name}:{node.iter.lineno}")
+    return found
+
+
+def test_sim_steps_and_queue_reads_visit_no_full_lane_list():
+    """Each step of a tick, interval end and queue-window read costs in
+    proportion to the lanes that can act, not to the lanes there are."""
+    assert full_lane_loops(program_trees()) == []
+
+
+def test_scan_finds_a_loop_over_every_lane():
+    trees = {"gridlight/sim/engine.py": ast.parse(
+        "class Sim:\n"
+        "    def step(self):\n"
+        "        for lane in self._approach_lanes:\n            pass\n"
+        "    def movement_queues(self):\n"
+        "        return {ln: 0 for ln in chain(self._all_lanes, x)}\n"
+        "    def observe_all(self):\n"
+        "        return [ln for ln in self._approach_lanes]\n"
+        "class Other:\n"
+        "    def _tick(self):\n"
+        "        for lane in self._entry_lanes:\n            pass\n")}
+    assert full_lane_loops(trees) == ["step:3", "movement_queues:6"]
+
+
 # Defaulted parameters that no call passes, each kept for a reason.
 UNPASSED_ALLOWED = {
     "saturated_city(episode_s)":

@@ -149,12 +149,24 @@ def test_sgd_step():
     assert np.array_equal(same, [1.0, 2.0])
 
 
-@pytest.mark.parametrize("opt", [nn.SGD, nn.Adam])
-@pytest.mark.parametrize("lr", [-1e-3, float("nan"), float("inf"),
-                                float("-inf")])
-def test_optimizers_refuse_a_learning_rate_not_finite_and_nonnegative(opt, lr):
-    with pytest.raises(ConfigurationError, match="learning rate must be"):
-        opt(lr=lr)
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("opt, name, value", [
+    pytest.param(opt, "lr", lr, id=f"{lr}-{opt.__name__}")
+    for lr in (-1e-3, NAN, INF, -INF) for opt in (nn.SGD, nn.Adam)] + [
+    pytest.param(nn.Adam, name, value, id=f"{name}={value}-Adam")
+    for name, values in (("beta1", (-0.1, 1.0, NAN, INF)),
+                         ("beta2", (-0.1, 1.0, NAN, -INF)),
+                         ("eps", (0.0, -1.0, NAN, INF)))
+    for value in values])
+def test_optimizers_refuse_a_learning_rate_not_finite_and_nonnegative(
+        opt, name, value):
+    """And Adam refuses betas outside [0, 1) and an eps not above 0: a
+    beta1 of 1 returns NaN parameters, and a negative eps steps uphill."""
+    what = "learning rate" if name == "lr" else name
+    with pytest.raises(ConfigurationError, match=f"{what} must be finite"):
+        opt(**{name: value})
 
 
 @pytest.mark.parametrize("opt", [nn.SGD, nn.Adam])

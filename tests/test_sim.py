@@ -462,7 +462,8 @@ class _WalkEveryLane(Sim):
     lanes included, none of them settled) and every entry lane, keeps each
     lane's grids and occupancy as vehicles move, and recounts the
     invariants after each tick. It walks every vehicle on its own grid and
-    runs none of the approach lanes' conveyor bookkeeping."""
+    runs none of the approach lanes' conveyor bookkeeping, and its interval
+    ends and queue windows visit every lane."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -475,6 +476,25 @@ class _WalkEveryLane(Sim):
                            if permits(phase, approach, movement)]
                    for phase in PHASE_IDS}
             for node in self.nodes}
+
+    # Sim.step and the queries visit the lanes in these registries; here
+    # they always name every approach lane and every exit lane, so the
+    # interval ends and the queue windows visit every lane too.
+    @property
+    def _held(self):
+        return dict.fromkeys(self._approach_lanes)
+
+    @_held.setter
+    def _held(self, lanes):
+        pass
+
+    @property
+    def _exit_shown(self):
+        return dict.fromkeys(self.exit_lanes)
+
+    @_exit_shown.setter
+    def _exit_shown(self, lanes):
+        pass
 
     def step(self, actions, interval_s=20):
         self.acts = {node: int(actions[node]) for node in self.nodes}
@@ -1055,25 +1075,33 @@ def _random_actions(sim, rng, intervals):
             for _ in range(intervals)]
 
 
-def test_clone_steps_like_its_parent_and_leaves_it_alone():
+@pytest.mark.parametrize("city, before, parked", [
+    pytest.param("city-c", 20, False, id="city-c"),
+    pytest.param("saturated", 30, True, id="saturated")])
+def test_clone_steps_like_its_parent_and_leaves_it_alone(city, before,
+                                                         parked):
     """A clone taken mid-episode is independent: stepping it leaves the
     parent's digest and movement queues as they were, it keeps
     validate=True and passes its checks on every tick, and stepped with
-    the parent's actions it ends with the parent's digest and metrics."""
-    sim = DESK_CITIES["city-c"]().make(seed=0, validate=True)
-    actions = _random_actions(sim, np.random.default_rng(3), 40)
-    for a in actions[:20]:
+    the parent's actions it ends with the parent's digest and metrics. On
+    saturated it is taken while entry lanes wait parked on full origin
+    grids, so the lane registry and the entry calendar go through the
+    copy."""
+    sim = DESK_CITIES[city]().make(seed=0, validate=True)
+    actions = _random_actions(sim, np.random.default_rng(3), before + 20)
+    for a in actions[:before]:
         sim.step(a)
+    assert bool(sim._parked) is parked
     twin = sim.clone()
     assert twin is not sim and twin.validate
     digest = sim.digest()
     queues = {node: sim.movement_queues(node) for node in sim.nodes}
-    for a in actions[20:]:
+    for a in actions[before:]:
         twin.step(a)
         assert sim.digest() == digest
         assert {node: sim.movement_queues(node)
                 for node in sim.nodes} == queues
-    for a in actions[20:]:
+    for a in actions[before:]:
         sim.step(a)
     assert twin.digest() == sim.digest()
     assert twin.metrics() == sim.metrics()
